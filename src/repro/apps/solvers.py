@@ -20,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from repro.util.vecops import dot, norm
+
 __all__ = [
     "ScipyOperator",
     "SolveResult",
@@ -96,7 +98,7 @@ class SolveResult:
 
 
 def _bnorm(b: np.ndarray) -> float:
-    n = float(np.linalg.norm(b))
+    n = norm(b)
     return n if n > 0 else 1.0
 
 
@@ -107,14 +109,14 @@ def conjugate_gradient(
     x = np.zeros_like(b) if x0 is None else x0.astype(np.float64).copy()
     r = b - engine.spmv(x)
     p = r.copy()
-    rs = float(r @ r)
+    rs = dot(r, r)
     calls = 1
     bn = _bnorm(b)
     for it in range(1, max_iter + 1):
         ap = engine.spmv(p)
         calls += 1
-        denom = float(p @ ap)
-        if denominator_breakdown(denom, float(np.linalg.norm(p) * np.linalg.norm(ap))):
+        denom = dot(p, ap)
+        if denominator_breakdown(denom, norm(p) * norm(ap)):
             return SolveResult(
                 x, it, np.sqrt(rs), False, calls,
                 breakdown=True, breakdown_reason="pAp",
@@ -122,7 +124,7 @@ def conjugate_gradient(
         alpha = rs / denom
         x_new = x + alpha * p
         r_new = r - alpha * ap
-        rs_new = float(r_new @ r_new)
+        rs_new = dot(r_new, r_new)
         if not np.isfinite(rs_new):
             return SolveResult(
                 x, it, np.sqrt(rs), False, calls,
@@ -148,39 +150,39 @@ def bicgstab(
     v = np.zeros_like(b)
     p = np.zeros_like(b)
     bn = _bnorm(b)
-    rhat_norm = float(np.linalg.norm(r_hat))
+    rhat_norm = norm(r_hat)
     for it in range(1, max_iter + 1):
-        rho_new = float(r_hat @ r)
-        if denominator_breakdown(rho_new, rhat_norm * float(np.linalg.norm(r))):
+        rho_new = dot(r_hat, r)
+        if denominator_breakdown(rho_new, rhat_norm * norm(r)):
             return SolveResult(
-                x, it, float(np.linalg.norm(r)), False, calls,
+                x, it, norm(r), False, calls,
                 breakdown=True, breakdown_reason="rho",
             )
         beta = (rho_new / rho) * (alpha / omega) if it > 1 else 0.0
         p = r + beta * (p - omega * v) if it > 1 else r.copy()
         v = engine.spmv(p)
         calls += 1
-        rv = float(r_hat @ v)
-        if denominator_breakdown(rv, rhat_norm * float(np.linalg.norm(v))):
+        rv = dot(r_hat, v)
+        if denominator_breakdown(rv, rhat_norm * norm(v)):
             return SolveResult(
-                x, it, float(np.linalg.norm(r)), False, calls,
+                x, it, norm(r), False, calls,
                 breakdown=True, breakdown_reason="rhat_v",
             )
         alpha = rho_new / rv
         s = r - alpha * v
-        if np.linalg.norm(s) <= tol * bn:
+        if norm(s) <= tol * bn:
             x = x + alpha * p
-            return SolveResult(x, it, float(np.linalg.norm(s)), True, calls)
+            return SolveResult(x, it, norm(s), True, calls)
         t = engine.spmv(s)
         calls += 1
-        tt = float(t @ t)
-        omega = float(t @ s) / tt if tt > 0 else 0.0
+        tt = dot(t, t)
+        omega = dot(t, s) / tt if tt > 0 else 0.0
         x = x + alpha * p + omega * s
         r = s - omega * t
-        res = float(np.linalg.norm(r))
+        res = norm(r)
         if not np.isfinite(res):
             return SolveResult(
-                x - alpha * p - omega * s, it, float(np.linalg.norm(s)), False,
+                x - alpha * p - omega * s, it, norm(s), False,
                 calls, breakdown=True, breakdown_reason="nonfinite_residual",
             )
         if res <= tol * bn:
@@ -193,7 +195,7 @@ def bicgstab(
                 breakdown=True, breakdown_reason="omega",
             )
         rho = rho_new
-    return SolveResult(x, max_iter, float(np.linalg.norm(r)), False, calls)
+    return SolveResult(x, max_iter, norm(r), False, calls)
 
 
 @dataclass
@@ -390,7 +392,7 @@ def jacobi(
     for it in range(1, max_iter + 1):
         r = b - engine.spmv(x)
         calls += 1
-        res = float(np.linalg.norm(r))
+        res = norm(r)
         if res <= tol * bn:
             return SolveResult(x, it, res, True, calls)
         x = x + inv_d * r
@@ -406,15 +408,15 @@ def power_iteration(
     """
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
+    v /= norm(v)
     lam = 0.0
     for it in range(1, max_iter + 1):
         w = engine.spmv(v)
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
+        w_norm = norm(w)
+        if w_norm == 0.0:
             return 0.0, v, it
-        v_new = w / norm
-        lam_new = float(v_new @ engine.spmv(v_new))
+        v_new = w / w_norm
+        lam_new = dot(v_new, engine.spmv(v_new))
         if abs(lam_new - lam) <= tol * max(abs(lam_new), 1.0):
             return lam_new, v_new, it
         v, lam = v_new, lam_new

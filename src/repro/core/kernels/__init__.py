@@ -13,10 +13,10 @@ Each format has two implementations:
   raw ``x``-gather sectors, and atomic behaviour.  These are the numbers
   the scheduler aggregates into :class:`repro.gpu.costmodel.KernelStats`.
 
-The numeric SpMV itself is performed by gather/scatter index arrays the
-:class:`repro.core.storage.TileMatrix` precomputes from the payloads at
+The numeric SpMV itself is performed by the CSR operand the
+:class:`repro.core.storage.TileMatrix` decodes from the payloads at
 build time (the inspector-executor pattern: the format arrays are the
-stored truth, the gather arrays are the 'compiled kernel').
+stored truth, the operand is the 'compiled kernel').
 """
 
 from repro.core.kernels.params import KernelCostParams

@@ -147,7 +147,7 @@ def load_tile_matrix(path: str | Path) -> TileMatrix:
         payloads=payloads,
         tile_ids=tile_ids,
     )
-    tm._build_gathers()
+    tm._build_operand()
     return tm
 
 

@@ -3,10 +3,11 @@
 A :class:`TileMatrix` owns the level-1 tile structure (from
 :mod:`repro.core.tiling`), the per-tile format assignment (from
 :mod:`repro.core.selection`) and the seven format payloads (from
-:mod:`repro.formats`).  At build time it also precomputes the
-gather/scatter index arrays that make the vectorised SpMV a single
-``bincount`` — the inspector-executor split: payloads are the stored
-truth, gathers are the compiled kernel.
+:mod:`repro.formats`).  At build time it decodes the payloads once into
+a single scipy CSR **operand** in canonical (row, ascending column)
+order, which executes every product — the inspector-executor split:
+payloads are the stored truth (and what the cost model prices), the
+operand is the compiled kernel.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from repro.gpu import faults
 from repro.gpu.costmodel import RunCost
 from repro.util.segments import repeat_offsets
 
-__all__ = ["TileMatrix"]
+__all__ = ["TileMatrix", "csr_operand", "refill_operand"]
 
 _ENCODERS = {
     FormatID.CSR: encode_csr,
@@ -58,6 +59,27 @@ def _decode_with_tiles(fmt: FormatID, payload) -> tuple[np.ndarray, np.ndarray, 
     return payload.decode()
 
 
+def csr_operand(
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int]
+) -> tuple[sp.csr_matrix, np.ndarray]:
+    """CSR operand of distinct ``(rows, cols, vals)`` entries, canonical order.
+
+    Returns the operand and its slot map ``order``: operand slot ``q``
+    holds input entry ``order[q]``, so values in the input order refill
+    it as ``refill_operand(op, new_vals[order])`` without another sort.
+    Canonical (row, ascending column) order fixes the per-row summation
+    sequence of every product as a function of the structure alone.
+    """
+    order = np.argsort(np.asarray(rows, dtype=np.int64) * shape[1] + cols)
+    indptr = np.searchsorted(rows[order], np.arange(shape[0] + 1))
+    return sp.csr_matrix((vals[order], cols[order], indptr), shape=shape), order
+
+
+def refill_operand(op: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:
+    """``op``'s structure (index arrays shared, not copied) with new ``data``."""
+    return sp.csr_matrix((data, op.indices, op.indptr), shape=op.shape)
+
+
 @dataclass
 class TileMatrix:
     """A sparse matrix in the two-level TileSpMV representation."""
@@ -66,23 +88,21 @@ class TileMatrix:
     formats: np.ndarray  # uint8 FormatID per tile
     payloads: dict = field(default_factory=dict)  # FormatID -> payload
     tile_ids: dict = field(default_factory=dict)  # FormatID -> global tile idx
-    # Precomputed gathers (set by _build_gathers).
-    _y_idx: np.ndarray | None = field(default=None, repr=False)
-    _x_idx: np.ndarray | None = field(default=None, repr=False)
-    _vals: np.ndarray | None = field(default=None, repr=False)
-    # Inspector-executor product of the decoded entries, built lazily on
-    # the first spmm (a structural artifact: reused by every block).
-    _spmm_csr: sp.csr_matrix | None = field(default=None, repr=False)
+    # The executor: every decoded payload entry in one CSR operand, in
+    # canonical (row, ascending column) order (set by _build_operand).
+    operand: sp.csr_matrix | None = field(default=None, repr=False)
+    # Structural companions, shared by every value-only clone: the
+    # decode-stream position each operand slot holds, and each slot's row.
+    _op_order: np.ndarray | None = field(default=None, repr=False)
+    _op_rows: np.ndarray | None = field(default=None, repr=False)
+    # The A.T operand, built on the first spmv_transpose, and the
+    # operand slot each of its slots holds (structural).
+    _op_t: sp.csr_matrix | None = field(default=None, repr=False)
+    _t_slots: np.ndarray | None = field(default=None, repr=False)
     # Structural maps driving the with_values fast path, built lazily on
     # the first call and shared by every value-only clone.
     _value_maps: dict | None = field(default=None, repr=False)
     _decode_perm: np.ndarray | None = field(default=None, repr=False)
-    # Permutation applied to the concatenated decode streams to put the
-    # gathers in canonical tile-major order (set by _build_gathers).
-    _gather_order: np.ndarray | None = field(default=None, repr=False)
-    # Lazy (col, row)-sorted view of the gathers for the canonical
-    # transpose accumulation order (structural; shared by value clones).
-    _t_order: np.ndarray | None = field(default=None, repr=False)
 
     # -- construction ------------------------------------------------------
 
@@ -115,7 +135,7 @@ class TileMatrix:
                 payloads[fmt] = _ENCODERS[fmt](view)
             tile_ids[fmt] = idx
         self = cls(tileset=tileset, formats=formats, payloads=payloads, tile_ids=tile_ids)
-        self._build_gathers()
+        self._build_operand()
         return self
 
     def _value_slot_maps(self) -> tuple[dict, np.ndarray]:
@@ -126,10 +146,10 @@ class TileMatrix:
         is a pure permutation of the view entries.  Decoding each
         payload's *index* arrays once recovers, per format, which stored
         value slot holds which view entry; concatenated across payloads
-        the same map is the permutation that refills ``_vals`` straight
-        from a view-ordered value array.  Built lazily, carried into
-        every :meth:`with_values` clone, never rebuilt for a fixed
-        structure.
+        and put in operand order, the same map refills the operand's
+        ``data`` straight from a view-ordered value array.  Built
+        lazily, carried into every :meth:`with_values` clone, never
+        rebuilt for a fixed structure.
         """
         if self._value_maps is not None:
             return self._value_maps, self._decode_perm
@@ -160,12 +180,8 @@ class TileMatrix:
             else:
                 maps[fmt] = ("dense", vidx)
         perm = np.concatenate(perm_parts) if perm_parts else np.zeros(0, dtype=np.int64)
-        # The gathers were reordered into canonical tile-major order at
-        # build time; the view->gather-slot permutation must follow.
-        if self._gather_order is not None:
-            perm = perm[self._gather_order]
-        self._value_maps, self._decode_perm = maps, perm
-        return maps, perm
+        self._value_maps, self._decode_perm = maps, perm[self._op_order]
+        return self._value_maps, self._decode_perm
 
     def with_values(self, new_view_val: np.ndarray) -> "TileMatrix":
         """Same structure with new entry values — no re-encode.
@@ -173,12 +189,11 @@ class TileMatrix:
         ``new_view_val`` is in the tile-sorted (tileset view) order.
         The tile decomposition, format assignment and every index array
         are shared by reference; only the payload value slots and the
-        precomputed ``_vals`` gather are refilled, through the maps from
-        :meth:`_value_slot_maps` — the ``update_values`` fast path for
-        iterative workloads where the sparsity pattern is fixed but the
-        numbers change.  Returns a new object (cached plans may share
-        the old payloads); the lazy ``_spmm_csr`` product is dropped so
-        the next :meth:`spmm` reassembles it from the new values.
+        operands' ``data`` are refilled, through the maps from
+        :meth:`_value_slot_maps` and the transposed operand's slot map —
+        the ``update_values`` fast path for iterative workloads where
+        the sparsity pattern is fixed but the numbers change.  Returns
+        a new object (cached plans may share the old payloads).
         """
         tileset = self.tileset.with_values(new_view_val)
         new_view_val = tileset.view.val  # canonical float64, size-checked
@@ -202,60 +217,48 @@ class TileMatrix:
                 payloads[fmt] = replace(payload, val=val)
             else:
                 payloads[fmt] = replace(payload, val=new_view_val[entry[1]])
+        operand = refill_operand(self.operand, new_view_val[perm])
         clone = TileMatrix(
             tileset=tileset,
             formats=self.formats,
             payloads=payloads,
             tile_ids=self.tile_ids,
+            operand=operand,
+            _op_order=self._op_order,
+            _op_rows=self._op_rows,
+            _value_maps=maps,
+            _decode_perm=perm,
         )
-        clone._y_idx = self._y_idx
-        clone._x_idx = self._x_idx
-        clone._vals = new_view_val[perm]
-        clone._value_maps = maps
-        clone._decode_perm = perm
-        clone._gather_order = self._gather_order
-        clone._t_order = self._t_order
+        if self._op_t is not None:
+            clone._op_t = refill_operand(self._op_t, operand.data[self._t_slots])
+            clone._t_slots = self._t_slots
         return clone
 
-    def _build_gathers(self) -> None:
-        """Precompute global (row, col, val) gathers from the payloads.
+    def _build_operand(self) -> None:
+        """Decode the payloads into the CSR operand.
 
         Decoding *from the encoded arrays* (rather than keeping the
-        original entries) means every SpMV result exercises the real
-        format round-trip.
-
-        The concatenated streams are put in **canonical tile-major
-        order** (stable sort by global tile id; within a tile the
-        format's decode order stands).  Per output row, the accumulation
-        order of :meth:`spmv` is then a pure function of the tile grid —
-        tiles ascend by (strip, column) — and *not* of which formats the
-        selector happened to assign.  Any tile-snapped partition of the
-        matrix (rows, columns, or both) decodes the identical
-        per-tile sequences, so a sharded engine can replay the exact
-        single-device summation order from its shards' streams.  That
-        invariant is what `repro.dist` builds its bit-for-bit reduction
-        on.
+        original entries) means every product exercises the real format
+        round-trip.  The operand's canonical (row, ascending column)
+        order is the only order the kernels define: it is what
+        :meth:`spmv`/:meth:`spmm` accumulate in, and — since any
+        tile-snapped partition of the matrix keeps each row's entries
+        in ascending column order — what `repro.dist` concatenates in
+        grid order to replay the single-device summation bit for bit.
         """
-        ys, xs, vs, gs = [], [], [], []
-        tile = self.tileset.tile
+        ts = self.tileset
+        parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
         for fmt, payload in self.payloads.items():
             t_local, lrow, lcol, val = _decode_with_tiles(fmt, payload)
             gid = self.tile_ids[fmt][t_local]
-            ys.append(self.tileset.tile_rowidx[gid] * tile + lrow.astype(np.int64))
-            xs.append(self.tileset.tile_colidx[gid] * tile + lcol.astype(np.int64))
-            vs.append(val)
-            gs.append(gid)
-        if ys:
-            order = np.argsort(np.concatenate(gs), kind="stable")
-            self._y_idx = np.concatenate(ys)[order]
-            self._x_idx = np.concatenate(xs)[order]
-            self._vals = np.concatenate(vs)[order]
-            self._gather_order = order
-        else:
-            self._y_idx = np.zeros(0, dtype=np.int64)
-            self._x_idx = np.zeros(0, dtype=np.int64)
-            self._vals = np.zeros(0)
-            self._gather_order = np.zeros(0, dtype=np.int64)
+            parts.append((
+                ts.tile_rowidx[gid] * ts.tile + lrow.astype(np.int64),
+                ts.tile_colidx[gid] * ts.tile + lcol.astype(np.int64),
+                val,
+            ))
+        rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
+        self.operand, self._op_order = csr_operand(rows, cols, vals, (ts.m, ts.n))
+        self._op_rows = repeat_offsets(self.operand.indptr)
 
     # -- basic properties ----------------------------------------------------
 
@@ -273,85 +276,72 @@ class TileMatrix:
 
     # -- numerics ------------------------------------------------------------
 
+    def _faulted_operand(self) -> sp.csr_matrix:
+        """The operand, or a throwaway copy carrying injected faults.
+
+        A GPU-substrate campaign corrupts a copy of ``data``, so the
+        cached operand never holds injected values.
+        """
+        op = self.operand
+        inj = faults.active_injector()
+        if inj is not None:
+            data = inj.corrupt_payload(op.data, kind="tile_payload")
+            if data is not op.data:
+                return refill_operand(op, data)
+        return op
+
     def spmv(self, x: np.ndarray) -> np.ndarray:
-        """y = A @ x through the tiled representation."""
+        """y = A @ x through the tiled representation's operand."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.tileset.n,):
             raise ValueError(f"x must have shape ({self.tileset.n},)")
-        vals = self._vals
-        inj = faults.active_injector()
-        if inj is not None:
-            vals = inj.corrupt_payload(vals, kind="tile_payload")
-        return np.bincount(
-            self._y_idx, weights=vals * x[self._x_idx], minlength=self.tileset.m
-        )
+        return self._faulted_operand() @ x
 
     def spmv_transpose(self, x: np.ndarray) -> np.ndarray:
-        """y = A.T @ x through the tiled representation.
+        """y = A.T @ x through the transposed operand.
 
-        The gather arrays are direction-agnostic (row and column indices
-        swap roles), so the transposed product costs the same single
-        bincount — the benefit of keeping tiles as 2D objects rather
-        than row fragments.
-
-        Accumulation runs in **canonical (col, row) order** via a cached
-        structural sort.  Tile-major order is already ascending-column
-        *per row* for every format (which is what makes :meth:`spmv`
-        format-independent), but per *column* the ELL/HYB slot-major
-        decode interleaves rows; sorting makes the transposed summation
-        a pure function of the sparsity structure too, so reordered and
-        sharded plans can replay it bit-for-bit.
+        The A.T operand is built on the first call (a structural sort of
+        the operand, kept with its slot map so value clones refill it)
+        and holds each column's entries in ascending row order, so the
+        transposed summation is a pure function of the structure too.
+        No ABFT check covers a transpose, so it is not a fault site.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.tileset.m,):
             raise ValueError(f"x must have shape ({self.tileset.m},)")
-        if self._t_order is None:
-            self._t_order = np.lexsort((self._y_idx, self._x_idx))
-        o = self._t_order
-        return np.bincount(
-            self._x_idx[o],
-            weights=(self._vals * x[self._y_idx])[o],
-            minlength=self.tileset.n,
-        )
+        if self._op_t is None:
+            op = self.operand
+            self._op_t, self._t_slots = csr_operand(
+                op.indices, self._op_rows, op.data, (self.tileset.n, self.tileset.m)
+            )
+        return self._op_t @ x
 
     def spmm(self, x: np.ndarray) -> np.ndarray:
         """Y = A @ X for a dense block of vectors (tall-skinny X).
 
-        The natural SpMV extension for block Krylov methods: the same
-        gather indices drive every column, amortising the inspector.
+        The natural SpMV extension for block Krylov methods: the operand
+        streams its index structure once for every column.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] != self.tileset.n:
             raise ValueError(f"X must have shape ({self.tileset.n}, k)")
-        inj = faults.active_injector()
-        if inj is not None:
-            # Route the corrupted payload through a throwaway product so
-            # the cached inspector matrix never holds injected values.
-            vals = inj.corrupt_payload(self._vals, kind="tile_payload")
-            if vals is not self._vals:
-                return np.asarray(
-                    sp.csr_matrix((vals, (self._y_idx, self._x_idx)), shape=self.shape) @ x
-                )
-        if self._spmm_csr is None:
-            # Assembled from the *decoded* gathers, so the block product
-            # still exercises the format round-trip; padding slots carry
-            # explicit zeros and cannot change the sums.
-            self._spmm_csr = sp.csr_matrix(
-                (self._vals, (self._y_idx, self._x_idx)), shape=self.shape
-            )
-        return np.asarray(self._spmm_csr @ x)
+        return self._faulted_operand() @ x
+
+    def stream(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, cols, vals)`` of every entry in operand order.
+
+        Live references (the row array is structural and shared by
+        value clones); do not mutate.
+        """
+        return self._op_rows, self.operand.indices, self.operand.data
 
     def to_csr(self) -> sp.csr_matrix:
-        """Reconstruct a scipy CSR matrix from the encoded payloads."""
-        mat = sp.csr_matrix(
-            (self._vals, (self._y_idx, self._x_idx)), shape=self.shape
-        )
-        mat.sum_duplicates()
-        # Padding slots decode as explicit zeros in ELL/Dns; drop them so
-        # the round-trip compares structurally equal to the input.
-        mat.eliminate_zeros()
-        mat.sort_indices()
-        return mat
+        """Reconstruct a scipy CSR matrix from the encoded payloads.
+
+        The operand already is one: decoded from the payloads (every
+        decoder drops its padding slots), sorted, duplicate-free.
+        """
+        return self.operand.copy()
 
     # -- accounting ------------------------------------------------------------
 
@@ -473,6 +463,19 @@ class TileMatrix:
             assert val.size == expected, (
                 f"{FormatID(fmt).name}: decoded {val.size} != level-1 {expected}"
             )
-        if self._y_idx.size:  # vacuous for 0-row/0-col/0-nnz matrices
-            assert self._y_idx.min() >= 0 and self._y_idx.max() < ts.m
-            assert self._x_idx.min() >= 0 and self._x_idx.max() < ts.n
+        # The operand: shape, one slot per entry, monotone indptr, and
+        # columns in range and strictly ascending within each row — the
+        # canonical order every product and the sharded replay rely on.
+        op = self.operand
+        assert op.shape == (ts.m, ts.n), "operand shape must match the matrix"
+        assert op.nnz == ts.nnz, f"operand holds {op.nnz} entries != level-1 {ts.nnz}"
+        indptr = np.asarray(op.indptr, dtype=np.int64)
+        assert indptr[0] == 0 and np.all(np.diff(indptr) >= 0), "operand indptr must be monotone"
+        if op.nnz:  # vacuous for 0-row/0-col/0-nnz matrices
+            cols = np.asarray(op.indices, dtype=np.int64)
+            assert cols.min() >= 0 and cols.max() < ts.n, "operand column out of range"
+            rows = repeat_offsets(indptr)
+            same_row = rows[1:] == rows[:-1]
+            assert np.all(np.diff(cols)[same_row] > 0), (
+                "operand columns must strictly ascend within each row"
+            )

@@ -61,7 +61,7 @@ from repro.matrices.reorder import ReorderPlan, build_reorder
 from repro.reliability.validation import ValidationPolicy, canonicalize_csr
 from repro.core.scheduler import DEFAULT_TBALANCE, build_schedule
 from repro.core.selection import SelectionConfig, select_formats
-from repro.core.storage import TileMatrix
+from repro.core.storage import TileMatrix, csr_operand, refill_operand
 from repro.core.tiling import tile_decompose
 from repro.formats import FormatID
 from repro.gpu.costmodel import RunCost
@@ -150,7 +150,9 @@ class TileSpMV:
         self.plan_key: str | None = None
         self.tiled: TileMatrix | None = None
         self.deferred_engine: Csr5SpMV | None = None
-        self._deferred_transpose: Csr5SpMV | None = None
+        # Per-half A.T operands in original coordinates, built on the
+        # first spmv_transpose: [(half, slot map, operand), ...].
+        self._t_ops: list | None = None
         self._schedule = None
         self._deferred_src: np.ndarray | None = None
         self._tiled_src: np.ndarray | None = None
@@ -165,7 +167,6 @@ class TileSpMV:
         self._orig_indptr: np.ndarray | None = None
         self._orig_indices: np.ndarray | None = None
         self._data_perm: np.ndarray | None = None
-        self._t_replay: dict = {}
         if reorder is not None:
             rp = build_reorder(csr, reorder)
             with tele.span("reorder", cat="build", tag=rp.tag):
@@ -411,83 +412,61 @@ class TileSpMV:
     __matmul__ = spmv
 
     def spmv_transpose(self, x: np.ndarray) -> np.ndarray:
-        """y = A.T @ x (needed by transpose-using Krylov methods)."""
+        """y = A.T @ x (needed by transpose-using Krylov methods).
+
+        Every half multiplies by its own A.T operand in *original*
+        coordinates (the reorder permutations map the half's stream
+        back; without a reorder they are identities), whose rows hold
+        each original column's entries in ascending original row order.
+        The summation per output entry is therefore a pure function of
+        the original structure, so reordered and sharded plans replay
+        it bit-for-bit (per half; the DeferredCOO split may place
+        entries differently under a reorder).  The operands are
+        structural sorts built on the first call and refilled by
+        :meth:`update_values`.  No ABFT check covers a transpose, so it
+        is not a fault site.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self._shape[0],):
             raise ValueError(f"x must have shape ({self._shape[0]},)")
-        if self.reorder is not None:
-            return self._reordered_transpose(x)
         with tele.span("kernel_execute", cat="kernel", method=self.method,
                        nnz=self._nnz, transpose=True):
-            if self.deferred_engine is not None and self._deferred_transpose is None:
-                t = sp.csr_matrix(
-                    (self.deferred_engine.data,
-                     self.deferred_engine.indices,
-                     self.deferred_engine.indptr),
-                    shape=(self._shape[0], self._shape[1]),
-                ).T.tocsr()
-                self._deferred_transpose = Csr5SpMV(t, validation="trust")
-            if self.deferred_engine is None:
-                if self.tiled is None:
-                    y = np.zeros(self._shape[1])
+            if self._t_ops is None:
+                self._t_ops = self._transposed_operands()
+            y = None
+            for _, _, op in self._t_ops:
+                if y is None:
+                    y = op @ x
                 else:
-                    y = self.tiled.spmv_transpose(x)
-            elif self.tiled is None:
-                y = self._deferred_transpose.spmv(x)
-            else:
-                y = self.tiled.spmv_transpose(x)
-                y += self._deferred_transpose.spmv(x)
-        if tele.ENABLED:
-            tele.count("tilespmv_spmv_total", method=self.method)
-        return y
-
-    def _reordered_transpose(self, x: np.ndarray) -> np.ndarray:
-        """Transpose through a reordered plan, replayed canonically.
-
-        The permuted plan's streams are mapped back to original indices
-        and accumulated in (original col, original row) order — exactly
-        the canonical order :meth:`TileMatrix.spmv_transpose
-        <repro.core.storage.TileMatrix.spmv_transpose>` uses — so the
-        summation sequence per output entry is a pure function of the
-        original structure and the result is bit-for-bit equal to the
-        unreordered engine's (per half; the DeferredCOO split may place
-        entries differently under a reorder, so only the single-half
-        methods carry the bit-for-bit guarantee end to end).  The sort
-        permutation is structural and cached across value updates.
-        """
-        rp = self.reorder
-        x_work = x[rp.row_perm]
-        n = self._shape[1]
-        with tele.span("kernel_execute", cat="kernel", method=self.method,
-                       nnz=self._nnz, transpose=True, reorder=rp.tag):
-            y: np.ndarray | None = None
-            for half, stream in enumerate(self.decode_streams()):
-                if stream is None:
-                    continue
-                rows, cols, vals = stream
-                cached = self._t_replay.get(half)
-                if cached is None:
-                    orig_cols = (
-                        cols if rp.col_perm is None else rp.col_perm[cols]
-                    )
-                    order = np.lexsort((rp.row_perm[rows], orig_cols))
-                    cached = (orig_cols[order], order)
-                    self._t_replay[half] = cached
-                sorted_cols, order = cached
-                w = (vals * x_work[rows])[order]
-                yh = np.bincount(sorted_cols, weights=w, minlength=n)
-                y = yh if y is None else y + yh
+                    y += op @ x
             if y is None:
-                y = np.zeros(n)
+                y = np.zeros(self._shape[1])
         if tele.ENABLED:
             tele.count("tilespmv_spmv_total", method=self.method)
         return y
+
+    def _transposed_operands(self) -> list:
+        """``[(half, slot map, A.T operand), ...]`` for the present halves."""
+        rp = self.reorder
+        m, n = self._shape
+        out = []
+        for half, stream in enumerate(self.decode_streams()):
+            if stream is None:
+                continue
+            rows, cols, vals = stream
+            if rp is not None:
+                rows = rp.row_perm[rows]
+                if rp.col_perm is not None:
+                    cols = rp.col_perm[cols]
+            op, slots = csr_operand(cols, rows, vals, (n, m))
+            out.append((half, slots, op))
+        return out
 
     def spmm(self, x: np.ndarray) -> np.ndarray:
         """Y = A @ X for a dense block of vectors (batched multi-RHS SpMM).
 
-        Both halves run natively batched — the tiled gathers and the
-        CSR5 segmented sum each stream their index structure once for
+        Both halves run natively batched — the tiled half's CSR operand
+        and the CSR5 half each stream their index structure once for
         all ``k`` columns; there is no per-column Python loop.
         """
         x = np.asarray(x, dtype=np.float64)
@@ -521,26 +500,27 @@ class TileSpMV:
         return out
 
     def decode_streams(self):
-        """Canonical-order contribution streams of the prepared plan.
+        """Operand-order contribution streams of the prepared plan.
 
         Returns ``(tiled, deferred)`` where each half is either ``None``
         or a ``(rows, cols, vals)`` triple of equal-length arrays listing
         every nonzero the half executes, in the exact order its kernel
-        accumulates them: the tiled half in canonical tile-major decode
-        order (see :meth:`TileMatrix._build_gathers`), the deferred half
-        in CSR entry order (what CSR5's segmented sum reduces to).
+        accumulates them: canonical (row, ascending column) order — the
+        tiled half's CSR operand (:meth:`TileMatrix.stream
+        <repro.core.storage.TileMatrix.stream>`), the deferred half's
+        CSR entries (what CSR5's segmented sum reduces to).
 
         This is the replay hook `repro.dist` uses for bit-for-bit
-        sharded reductions: because both orders are pure functions of
-        the (tile-snapped) structure, concatenating shard streams in
-        grid order reconstructs the single-device accumulation sequence
-        exactly.  Arrays are views/live references — valid until the
-        next :meth:`update_values`; do not mutate.
+        sharded reductions: shards own tile-snapped blocks, so
+        concatenating their streams in grid order keeps each row's
+        entries in ascending column order and reconstructs the
+        single-device accumulation sequence exactly.  Arrays are live
+        references — valid until the next :meth:`update_values`; do not
+        mutate.
         """
         tiled = None
-        if self.tiled is not None and self.tiled._vals is not None \
-                and self.tiled._vals.size:
-            tiled = (self.tiled._y_idx, self.tiled._x_idx, self.tiled._vals)
+        if self.tiled is not None and self.tiled.nnz:
+            tiled = self.tiled.stream()
         deferred = None
         d = self.deferred_engine
         if d is not None and d.nnz:
@@ -594,7 +574,12 @@ class TileSpMV:
                 )
         elif self.tiled is not None:
             self.tiled = self.tiled.with_values(new_view_val)
-        self._deferred_transpose = None
+        if self._t_ops is not None:
+            streams = self.decode_streams()
+            self._t_ops = [
+                (half, slots, refill_operand(op, streams[half][2][slots]))
+                for half, slots, op in self._t_ops
+            ]
         return self
 
     # -- accounting -----------------------------------------------------------

@@ -19,11 +19,12 @@ guarantees:
 * :func:`replay_reduce` — **ordered contribution replay**.  Instead of
   combining rounded per-shard partials (whose sum can never reproduce
   the single-device bits), the shards hand over their raw
-  ``(index, value)`` contribution streams in canonical decode order and
+  ``(index, value)`` contribution streams in operand order and
   one accumulation pass replays the exact single-device summation
   sequence.  Because tile-snapped cuts preserve per-output relative
-  order (each output row/column sees its contributions in ascending
-  tile order regardless of which shard owns the tile), the replayed
+  order (each output row sees its contributions in ascending column
+  order, each transposed output column in ascending row order,
+  regardless of which shard owns them), the replayed
   result is **bit-for-bit** the unsharded one, at every grid shape.
 
 The sharded engine uses replay for the fixed strategies (the
@@ -95,7 +96,7 @@ def replay_reduce(
     in grid order; the single :func:`numpy.bincount` pass then adds
     every contribution left-to-right — index ``i``'s entries accumulate
     in exactly their stream order.  When the concatenated order equals
-    the single-device decode order (tile-snapped cuts guarantee this),
+    the single-device operand order (tile-snapped cuts guarantee this),
     the result is bit-for-bit the single-device product.
     """
     live = [(i, v) for i, v in streams if i.size]

@@ -40,7 +40,7 @@ the single-engine product, on every grid shape:
 * Overlapping outputs (column-cut :meth:`spmv`/:meth:`spmm`, every
   :meth:`spmv_transpose`) are combined by **ordered contribution
   replay** (:func:`~repro.dist.reduce.replay_reduce`): the shards hand
-  over their canonical-order ``(index, value)`` streams
+  over their operand-order ``(index, value)`` streams
   (:meth:`~repro.core.tilespmv.TileSpMV.decode_streams`), and one
   accumulation pass in grid order replays the exact single-device
   summation sequence.  Summing rounded per-shard partials could never
@@ -510,16 +510,20 @@ class ShardedSpMV:
     def replay_contribs(self, contribs, length: int, transpose: bool) -> np.ndarray:
         """Combine per-shard contributions by ordered replay (bit-for-bit).
 
-        Concatenating the shards' canonical-order streams in grid order
-        reconstructs, per output entry, the exact accumulation sequence
-        of the single-device kernels (tile-major for the tiled half,
-        CSR-entry order for the deferred half); a single ``bincount``
-        pass per half then replays the same left-to-right summation, and
-        the halves combine by the same branch the single engine uses.
-        A GPU-substrate fault campaign corrupts the concatenated value
-        stream exactly once per half, mirroring the unsharded kernels.
-        The recovery ladder calls this with its *verified* contribution
-        list, so a recovered product replays the same clean streams.
+        Each shard's stream is in its operand order — (row, ascending
+        column), or (column, ascending row) once
+        :meth:`_stream_contrib` sorts it for a transpose — and shards
+        own contiguous tile-snapped blocks, so concatenating the streams
+        in grid order reconstructs, per output entry, the exact
+        accumulation sequence of the single-device CSR operands; a
+        single ``bincount`` pass per half then replays the same
+        left-to-right summation, and the halves combine by the same
+        branch the single engine uses.  A GPU-substrate fault campaign
+        corrupts the concatenated value stream exactly once per half on
+        forward products, mirroring the unsharded kernels; transposes
+        are not a fault site on either path.  The recovery ladder calls
+        this with its *verified* contribution list, so a recovered
+        product replays the same clean streams.
         """
         halves = ([], [])  # (tiled, deferred): per-half [idx, x_gather, vals]
         for contrib in contribs:
@@ -532,12 +536,12 @@ class ShardedSpMV:
             else tuple(np.concatenate(arrs) for arrs in zip(*half))
             for half in halves
         )
-        inj = faults.active_injector()
+        # The single-device kernels inject on forward products only.
+        inj = None if transpose else faults.active_injector()
         yt = yd = None
         if tiled is not None:
             idx, xg, vals = tiled
-            # The single-device tiled kernel injects on spmv only.
-            if inj is not None and not transpose:
+            if inj is not None:
                 vals = inj.corrupt_payload(vals, kind="tile_payload")
             yt = np.bincount(idx, weights=vals * xg, minlength=length)
         if deferred is not None:
@@ -564,71 +568,26 @@ class ShardedSpMV:
     def replay_spmm_streams(self, streams, x: np.ndarray) -> np.ndarray:
         """Combine per-cell raw streams into the batched product.
 
-        Per row block, the cells' streams assemble one CSR operand per
-        half — scipy's canonicalization sorts the entries into exactly
-        the (row, col) order the single-device inspector matrices hold,
-        so each block product equals the corresponding row slice of the
-        unsharded :meth:`TileSpMV.spmm` bit-for-bit.  Like
-        :meth:`replay_contribs`, the recovery ladder feeds this its
+        Like :meth:`replay_contribs`, the recovery ladder feeds this its
         verified stream list.
         """
-        k = x.shape[1]
-        inj = faults.active_injector()
-        part: GridPartition = self.partition
-        grid_r, grid_c = part.grid
-        has_half = [
-            any(streams[i][half] is not None for i in range(len(streams)))
-            for half in (0, 1)
-        ]
-        kinds = ("tile_payload", "csr5_payload")
-        blocks = []
-        for r in range(grid_r):
-            rows_r = int(part.row_bounds[r + 1] - part.row_bounds[r])
-            outs = [None, None]
-            for half in (0, 1):
-                if not has_half[half]:
-                    continue
-                idxs, cols, vals = [], [], []
-                for c in range(grid_c):
-                    i = r * grid_c + c
-                    stream = streams[i][half]
-                    if stream is None:
-                        continue
-                    srows, scols, svals = stream
-                    idxs.append(srows)
-                    cols.append(part.shards[i].col_lo + scols)
-                    vals.append(svals)
-                if not idxs:
-                    outs[half] = np.zeros((rows_r, k))
-                    continue
-                v = np.concatenate(vals)
-                if inj is not None:
-                    v = inj.corrupt_payload(v, kind=kinds[half])
-                mat = sp.csr_matrix(
-                    (v, (np.concatenate(idxs), np.concatenate(cols))),
-                    shape=(rows_r, self._n),
-                )
-                outs[half] = np.asarray(mat @ x)
-            bt, bd = outs
-            if bt is None and bd is None:
-                blocks.append(np.zeros((rows_r, k)))
-            elif bd is None:
-                blocks.append(bt)
-            elif bt is None:
-                blocks.append(bd)
-            else:
-                blocks.append(bt + bd)
-        return np.concatenate(blocks, axis=0) if blocks else np.zeros((0, k))
+        return self._spmm_blocks_product(self._assemble_spmm_blocks(streams), x)
 
     def _assemble_spmm_blocks(self, streams) -> list:
-        """Per-row-block CSR operands from raw streams (no injection).
+        """Per row block, one CSR operand per half from the cells' streams.
 
-        Exactly the assembly :meth:`replay_spmm_streams` performs —
-        including the empty-but-present half (a zero block that still
-        joins the final add, preserving the reference's bit pattern) —
-        hoisted out so consecutive batches reuse the canonicalized
-        operands instead of re-sorting the streams per call.
+        Concatenated in grid order, the cells' streams keep each row's
+        entries in ascending column order, so each block operand holds
+        exactly the (row, column) order of the single-device operand and
+        its product equals the corresponding row slice of the unsharded
+        :meth:`TileSpMV.spmm` bit-for-bit.  A half present anywhere gets
+        an operand in every block — an empty one where the block has no
+        entries — so the final add sees the reference's bit pattern.  A
+        GPU-substrate fault campaign corrupts each (row block, half)'s
+        concatenated values once, in that order.
         """
+        inj = faults.active_injector()
+        kinds = ("tile_payload", "csr5_payload")
         part: GridPartition = self.partition
         grid_r, grid_c = part.grid
         has_half = [
@@ -652,18 +611,34 @@ class ShardedSpMV:
                     idxs.append(srows)
                     cols.append(part.shards[i].col_lo + scols)
                     vals.append(svals)
-                if idxs:
-                    mats[half] = sp.csr_matrix(
-                        (
-                            np.concatenate(vals),
-                            (np.concatenate(idxs), np.concatenate(cols)),
-                        ),
-                        shape=(rows_r, self._n),
-                    )
-                else:
+                if not idxs:
                     mats[half] = sp.csr_matrix((rows_r, self._n))
+                    continue
+                v = np.concatenate(vals)
+                if inj is not None:
+                    v = inj.corrupt_payload(v, kind=kinds[half])
+                mats[half] = sp.csr_matrix(
+                    (v, (np.concatenate(idxs), np.concatenate(cols))),
+                    shape=(rows_r, self._n),
+                )
             blocks.append((rows_r, mats))
         return blocks
+
+    @staticmethod
+    def _spmm_blocks_product(blocks, x: np.ndarray) -> np.ndarray:
+        """Stack the per-row-block products, halves added like the engine."""
+        k = x.shape[1]
+        out = []
+        for rows_r, (mt, md) in blocks:
+            if mt is None and md is None:
+                out.append(np.zeros((rows_r, k)))
+            elif md is None:
+                out.append(np.asarray(mt @ x))
+            elif mt is None:
+                out.append(np.asarray(md @ x))
+            else:
+                out.append(np.asarray(mt @ x) + np.asarray(md @ x))
+        return np.concatenate(out, axis=0) if out else np.zeros((0, k))
 
     def _replay_spmm(self, x: np.ndarray) -> np.ndarray:
         """Bit-for-bit batched product for column-cut grids.
@@ -674,35 +649,20 @@ class ShardedSpMV:
         pays the canonicalization sort once).  An armed fault campaign
         bypasses the cache: corruption must hit fresh streams per call.
         """
-        if (
+        armed = (
             shard_faults.active_injector() is not None
             or faults.active_injector() is not None
-        ):
+        )
+        blocks = None if armed else self._spmm_replay
+        if blocks is None:
             streams = [
                 self.shard_call("stream_collect", s, e, self._shard_raw_streams)
                 for s, e in zip(self.partition.shards, self.engines)
             ]
-            return self.replay_spmm_streams(streams, x)
-        if self._spmm_replay is None:
-            streams = [
-                self.shard_call("stream_collect", s, e, self._shard_raw_streams)
-                for s, e in zip(self.partition.shards, self.engines)
-            ]
-            self._spmm_replay = self._assemble_spmm_blocks(streams)
-        k = x.shape[1]
-        blocks = []
-        for rows_r, mats in self._spmm_replay:
-            bt = None if mats[0] is None else np.asarray(mats[0] @ x)
-            bd = None if mats[1] is None else np.asarray(mats[1] @ x)
-            if bt is None and bd is None:
-                blocks.append(np.zeros((rows_r, k)))
-            elif bd is None:
-                blocks.append(bt)
-            elif bt is None:
-                blocks.append(bd)
-            else:
-                blocks.append(bt + bd)
-        return np.concatenate(blocks, axis=0) if blocks else np.zeros((0, k))
+            blocks = self._assemble_spmm_blocks(streams)
+            if not armed:
+                self._spmm_replay = blocks
+        return self._spmm_blocks_product(blocks, x)
 
     def spmv(self, x: np.ndarray) -> np.ndarray:
         """y = A @ x.

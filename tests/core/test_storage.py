@@ -149,3 +149,14 @@ class TestValidateCatchesCorruption:
         tm.tileset.view.offsets[-1] += 5
         with pytest.raises(AssertionError):
             tm.validate()
+
+    def test_detects_unsorted_operand_columns(self, zoo_matrix):
+        tm = build_adpt(zoo_matrix)
+        op = tm.operand
+        long_rows = np.flatnonzero(np.diff(op.indptr) >= 2)
+        if long_rows.size == 0:
+            pytest.skip("needs a row with >= 2 entries")
+        j = int(op.indptr[long_rows[0]])
+        op.indices[[j, j + 1]] = op.indices[[j + 1, j]]
+        with pytest.raises(AssertionError, match="ascend"):
+            tm.validate()

@@ -2,10 +2,11 @@
 
 Pins the two hot-loop guarantees added for the sharded engine:
 
-* :meth:`TileMatrix.with_values` refills payload value slots through
-  the precomputed decode permutation — it must never call a format
-  *encoder* again (the whole point of the fast path), and the refilled
-  engine must be bit-for-bit a freshly built one.
+* :meth:`TileMatrix.with_values` refills payload value slots and the
+  CSR operands' data through precomputed slot maps — it must never
+  call a format *encoder* again (the whole point of the fast path), and
+  the refilled engine must be bit-for-bit a freshly built one.  An
+  armed fault campaign corrupts only a throwaway copy of the operand.
 * :meth:`TileSpMV.spmv`/:meth:`spmm` return the single half's output
   array directly when the other half is absent — no zero-fill + add
   pass — and :meth:`spmv_transpose` is instrumented like its siblings.
@@ -17,6 +18,7 @@ import pytest
 from repro import telemetry as tele
 from repro.core import storage
 from repro.core.tilespmv import TileSpMV
+from repro.gpu.faults import FaultPlan, fault_injection
 from repro.matrices import fem_blocks, hypersparse, power_law, random_uniform
 
 
@@ -48,26 +50,59 @@ class TestWithValuesNoReencode:
         assert encode_counter["n"] == built, "with_values re-ran an encoder"
 
     def test_refilled_engine_is_bit_exact(self, zoo_matrix, rng):
-        x = rng.standard_normal(zoo_matrix.shape[1])
+        m, n = zoo_matrix.shape
+        x = rng.standard_normal(n)
+        xk = rng.standard_normal((n, 3))
+        w = rng.standard_normal(m)
         new = rng.standard_normal(zoo_matrix.nnz)
         csr = zoo_matrix.tocsr()
         fresh = csr.copy()
         fresh.data = new.copy()
-        engine = TileSpMV(zoo_matrix, method="adpt").update_values(new)
-        rebuilt = TileSpMV(fresh, method="adpt")
-        assert np.array_equal(engine.spmv(x), rebuilt.spmv(x))
+        for reorder in (None, "sell:32"):
+            engine = TileSpMV(zoo_matrix, method="adpt", reorder=reorder)
+            # Build the transposed operands (the engine's per-half ones
+            # and the tiled half's own) so the update must refill them.
+            engine.spmv_transpose(w)
+            if engine.tiled is not None:
+                engine.tiled.spmv_transpose(np.zeros(engine.tiled.shape[0]))
+            engine.update_values(new)
+            rebuilt = TileSpMV(fresh, method="adpt", reorder=reorder)
+            assert np.array_equal(engine.spmv(x), rebuilt.spmv(x))
+            assert np.array_equal(engine.spmm(xk), rebuilt.spmm(xk))
+            assert np.array_equal(engine.spmv_transpose(w), rebuilt.spmv_transpose(w))
+            if engine.tiled is not None:
+                wt = rng.standard_normal(engine.tiled.shape[0])
+                assert np.array_equal(
+                    engine.tiled.spmv_transpose(wt), rebuilt.tiled.spmv_transpose(wt)
+                )
 
     def test_spmm_cache_invalidated_by_update(self, rng):
         a = random_uniform(150, 150, nnz_per_row=5, seed=2)
         engine = TileSpMV(a, method="adpt")
         block = rng.standard_normal((150, 3))
-        engine.spmm(block)  # materialises the lazy spmm product
+        engine.spmm(block)  # a product before the update
         new = rng.standard_normal(a.nnz)
         engine.update_values(new)
         fresh = a.copy()
         fresh.data = new.copy()
         np.testing.assert_allclose(engine.spmm(block), fresh @ block,
                                    rtol=1e-12, atol=1e-12)
+
+
+class TestFaultsStayOffTheOperand:
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_armed_call_leaves_next_call_clean(self, rng, k):
+        a = fem_blocks(200, block=3, avg_degree=8, seed=1)
+        engine = TileSpMV(a, method="adpt")
+        n = a.shape[1]
+        x = rng.standard_normal(n) if k is None else rng.standard_normal((n, k))
+        run = engine.spmv if k is None else engine.spmm
+        before = run(x)
+        with fault_injection(FaultPlan(seed=0, payload_corruptions=1)) as inj:
+            faulted = run(x)
+        assert inj.injected == 1
+        assert not np.array_equal(faulted, before)
+        assert np.array_equal(run(x), before)
 
 
 class TestSingleHalfDispatch:

@@ -15,6 +15,7 @@ from repro.dist import (
     sharded_pagerank,
 )
 from repro.gpu.device import A100
+from repro.gpu.faults import FaultPlan, fault_injection
 from repro.matrices import fem_blocks, power_law, random_uniform, stencil_2d
 
 
@@ -50,6 +51,21 @@ class TestExactness:
         ref = TileSpMV(a, method="adpt").spmv_transpose(x)
         with ShardedSpMV(a, shards=p) as eng:
             assert np.array_equal(eng.spmv_transpose(x), ref)
+
+    @pytest.mark.parametrize("grid", [None, (2, 2)])
+    def test_transpose_is_not_a_fault_site(self, rng, grid):
+        # No ABFT check covers a transpose, so an armed GPU-substrate
+        # campaign leaves both the single-device and the replayed
+        # transpose (both halves of a DeferredCOO split) untouched.
+        a = power_law(600, avg_degree=6, seed=27)
+        x = rng.standard_normal(600)
+        single = TileSpMV(a, method="deferred_coo")
+        with ShardedSpMV(a, shards=4, method="deferred_coo", grid=grid) as eng:
+            ref = single.spmv_transpose(x)
+            with fault_injection(FaultPlan(seed=0, payload_corruptions=1)) as inj:
+                assert np.array_equal(single.spmv_transpose(x), ref)
+                assert np.array_equal(eng.spmv_transpose(x), ref)
+            assert inj.injected == 0
 
     def test_transpose_with_empty_shard_is_typed_full_extent(self, rng):
         # 10 rows -> one tile strip: at P=3 two shards are empty and the
