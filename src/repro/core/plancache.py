@@ -17,8 +17,9 @@ everything that depends on structure only:
 
 A second ``TileSpMV`` construction with the same pattern is a cache hit
 and skips re-tiling entirely; if the *values* changed, the cached plan
-is refreshed through the ``with_values`` fast path (payload re-encode
-only — no sort, no selection, no extraction).  Hit/miss/eviction
+is refreshed through the ``with_values`` fast path (an operand refill
+only — no sort, no selection, no extraction; payload values are rebuilt
+from the operand on first read).  Hit/miss/eviction
 counters are exposed via :meth:`PlanCache.stats` / :meth:`describe` and
 surfaced by the CLI and ``TileSpMV.describe``.
 """
@@ -150,6 +151,11 @@ class CachedPlan:
 
         Existing method artifacts are *replaced*, never mutated —
         engines holding the previous generation keep working on it.
+        Each tiled half becomes a value clone of its built matrix (the
+        refill :meth:`TileSpMV.update_values
+        <repro.core.tilespmv.TileSpMV.update_values>` makes too); the
+        plan's own tile set takes the view values eagerly, since later
+        method builds encode from it.
         """
         if self.tileset.entry_perm is None:
             raise ValueError("plan tileset lacks entry_perm; cannot refresh values")

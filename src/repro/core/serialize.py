@@ -141,14 +141,12 @@ def load_tile_matrix(path: str | Path) -> TileMatrix:
             continue
         tile_ids[fmt] = arrays[key]
         payloads[fmt] = _rebuild_payload(_PAYLOAD_TYPES[fmt], f"payload.{int(fmt)}", arrays)
-    tm = TileMatrix(
+    return TileMatrix(
         tileset=tileset,
         formats=arrays["level1.formats"],
         payloads=payloads,
         tile_ids=tile_ids,
     )
-    tm._build_operand()
-    return tm
 
 
 # -- shard-plan wire format (process-pool backend) -------------------------

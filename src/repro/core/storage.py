@@ -7,12 +7,14 @@ A :class:`TileMatrix` owns the level-1 tile structure (from
 a single scipy CSR **operand** in canonical (row, ascending column)
 order, which executes every product — the inspector-executor split:
 payloads are the stored truth (and what the cost model prices), the
-operand is the compiled kernel.
+operand is the compiled kernel.  A value update refills the operand
+alone; payload and view values are rebuilt from it on first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -80,29 +82,61 @@ def refill_operand(op: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((data, op.indices, op.indptr), shape=op.shape)
 
 
-@dataclass
-class TileMatrix:
-    """A sparse matrix in the two-level TileSpMV representation."""
+def _refill_payload(payload, entry: tuple, view_val: np.ndarray):
+    """``payload`` with its value slots refilled from view-ordered values.
 
-    tileset: TileSet
-    formats: np.ndarray  # uint8 FormatID per tile
-    payloads: dict = field(default_factory=dict)  # FormatID -> payload
-    tile_ids: dict = field(default_factory=dict)  # FormatID -> global tile idx
-    # The executor: every decoded payload entry in one CSR operand, in
-    # canonical (row, ascending column) order (set by _build_operand).
-    operand: sp.csr_matrix | None = field(default=None, repr=False)
-    # Structural companions, shared by every value-only clone: the
-    # decode-stream position each operand slot holds, and each slot's row.
-    _op_order: np.ndarray | None = field(default=None, repr=False)
-    _op_rows: np.ndarray | None = field(default=None, repr=False)
-    # The A.T operand, built on the first spmv_transpose, and the
-    # operand slot each of its slots holds (structural).
-    _op_t: sp.csr_matrix | None = field(default=None, repr=False)
-    _t_slots: np.ndarray | None = field(default=None, repr=False)
-    # Structural maps driving the with_values fast path, built lazily on
-    # the first call and shared by every value-only clone.
-    _value_maps: dict | None = field(default=None, repr=False)
-    _decode_perm: np.ndarray | None = field(default=None, repr=False)
+    ``entry`` is the payload's map from :meth:`TileMatrix._value_slot_maps`;
+    padding slots of the masked formats stay zero, as the encoders leave
+    them.
+    """
+    if entry[0] == "hyb":
+        _, ell_slots, ell_vidx, coo_vidx = entry
+        ell_val = np.zeros_like(payload.ell.val)
+        ell_val[ell_slots] = view_val[ell_vidx]
+        return replace(
+            payload,
+            ell=replace(payload.ell, val=ell_val),
+            coo=replace(payload.coo, val=view_val[coo_vidx]),
+        )
+    if entry[0] == "masked":
+        _, slots, vidx = entry
+        val = np.zeros_like(payload.val)
+        val[slots] = view_val[vidx]
+        return replace(payload, val=val)
+    return replace(payload, val=view_val[entry[1]])
+
+
+class TileMatrix:
+    """A sparse matrix in the two-level TileSpMV representation.
+
+    A *built* matrix owns its tile set (level-1 arrays plus the entry
+    values in view order), the encoded payloads and the operand decoded
+    from them.  A *value clone* (:meth:`with_operand_data`) owns only a
+    refilled operand and shares everything structural with the built
+    matrix it came from, its template.  The operand is what executes;
+    a clone's ``tileset`` and ``payloads`` are derived from it on first
+    read — bit for bit what re-encoding the new values would store — so
+    a value update writes only what the products read.
+    """
+
+    def __init__(self, tileset: TileSet, formats: np.ndarray, payloads: dict, tile_ids: dict) -> None:
+        self.formats = formats  # uint8 FormatID per tile
+        self.tile_ids = tile_ids  # FormatID -> global tile idx
+        self._tileset: TileSet | None = tileset
+        self._payloads: dict | None = payloads  # FormatID -> payload
+        # The built matrix a value clone derives from; None when built.
+        self._template: TileMatrix | None = None
+        # The A.T operand, built on the first spmv_transpose, and the
+        # operand slot each of its slots holds (structural).
+        self._op_t: sp.csr_matrix | None = None
+        self._t_slots: np.ndarray | None = None
+        # Structural maps from view entries to payload value slots and
+        # operand slots, built lazily on the built matrix only.
+        self._value_maps: dict | None = None
+        self._decode_perm: np.ndarray | None = None
+        # The executor (``operand``) and its structural companions
+        # (``_op_order``, ``_op_rows``).
+        self._build_operand()
 
     # -- construction ------------------------------------------------------
 
@@ -134,9 +168,7 @@ class TileMatrix:
             else:
                 payloads[fmt] = _ENCODERS[fmt](view)
             tile_ids[fmt] = idx
-        self = cls(tileset=tileset, formats=formats, payloads=payloads, tile_ids=tile_ids)
-        self._build_operand()
-        return self
+        return cls(tileset, formats, payloads, tile_ids)
 
     def _value_slot_maps(self) -> tuple[dict, np.ndarray]:
         """Structural maps from view entries to payload value slots.
@@ -146,15 +178,18 @@ class TileMatrix:
         is a pure permutation of the view entries.  Decoding each
         payload's *index* arrays once recovers, per format, which stored
         value slot holds which view entry; concatenated across payloads
-        and put in operand order, the same map refills the operand's
-        ``data`` straight from a view-ordered value array.  Built
-        lazily, carried into every :meth:`with_values` clone, never
-        rebuilt for a fixed structure.
+        and put in operand order, the same map (``perm``: operand slot
+        ``q`` holds view entry ``perm[q]``) carries values between view
+        and operand order.  Built lazily on the built matrix — a value
+        clone asks its template — and never rebuilt for a fixed
+        structure.
         """
+        if self._template is not None:
+            return self._template._value_slot_maps()
         if self._value_maps is not None:
             return self._value_maps, self._decode_perm
-        tile = self.tileset.tile
-        view = self.tileset.view
+        tile = self._tileset.tile
+        view = self._tileset.view
         # View entries are sorted by (tile, lrow, lcol), so this key is
         # strictly increasing over the view — searchsorted inverts it.
         view_keys = (
@@ -164,7 +199,7 @@ class TileMatrix:
         )
         maps: dict = {}
         perm_parts = []
-        for fmt, payload in self.payloads.items():
+        for fmt, payload in self._payloads.items():
             t_local, lrow, lcol, _ = _decode_with_tiles(fmt, payload)
             gid = self.tile_ids[fmt][t_local]
             keys = gid * (tile * tile) + lrow.astype(np.int64) * tile + lcol.astype(np.int64)
@@ -183,56 +218,55 @@ class TileMatrix:
         self._value_maps, self._decode_perm = maps, perm[self._op_order]
         return self._value_maps, self._decode_perm
 
-    def with_values(self, new_view_val: np.ndarray) -> "TileMatrix":
-        """Same structure with new entry values — no re-encode.
+    def with_operand_data(self, data: np.ndarray) -> "TileMatrix":
+        """Same structure, new entry values given in operand order.
 
-        ``new_view_val`` is in the tile-sorted (tileset view) order.
-        The tile decomposition, format assignment and every index array
-        are shared by reference; only the payload value slots and the
-        operands' ``data`` are refilled, through the maps from
-        :meth:`_value_slot_maps` and the transposed operand's slot map —
-        the ``update_values`` fast path for iterative workloads where
-        the sparsity pattern is fixed but the numbers change.  Returns
-        a new object (cached plans may share the old payloads).
+        The one refill: the clone shares the template's structure (the
+        built matrix, never a previous clone, so repeated updates form
+        no chain) and owns a refilled operand — plus a refilled A.T
+        operand if this matrix had built one.  Its ``tileset`` and
+        ``payloads`` are rebuilt from the operand on first read.  No
+        encoder runs and nothing is sorted; the caller must not mutate
+        ``data`` afterwards.  Returns a new object (cached plans may
+        share this one).
         """
-        tileset = self.tileset.with_values(new_view_val)
-        new_view_val = tileset.view.val  # canonical float64, size-checked
-        maps, perm = self._value_slot_maps()
-        payloads: dict = {}
-        for fmt, payload in self.payloads.items():
-            entry = maps[fmt]
-            if entry[0] == "hyb":
-                _, ell_slots, ell_vidx, coo_vidx = entry
-                ell_val = np.zeros_like(payload.ell.val)
-                ell_val[ell_slots] = new_view_val[ell_vidx]
-                payloads[fmt] = replace(
-                    payload,
-                    ell=replace(payload.ell, val=ell_val),
-                    coo=replace(payload.coo, val=new_view_val[coo_vidx]),
-                )
-            elif entry[0] == "masked":
-                _, slots, vidx = entry
-                val = np.zeros_like(payload.val)
-                val[slots] = new_view_val[vidx]
-                payloads[fmt] = replace(payload, val=val)
-            else:
-                payloads[fmt] = replace(payload, val=new_view_val[entry[1]])
-        operand = refill_operand(self.operand, new_view_val[perm])
-        clone = TileMatrix(
-            tileset=tileset,
-            formats=self.formats,
-            payloads=payloads,
-            tile_ids=self.tile_ids,
-            operand=operand,
-            _op_order=self._op_order,
-            _op_rows=self._op_rows,
-            _value_maps=maps,
-            _decode_perm=perm,
-        )
+        data = np.asarray(data, dtype=np.float64)
+        if data.shape != (self.nnz,):
+            raise ValueError(f"expected {self.nnz} values, got {data.size}")
+        tpl = self._template or self
+        clone = copy.copy(tpl)  # structure shared by reference
+        clone._template = tpl
+        clone._tileset = clone._payloads = None
+        clone.operand = refill_operand(tpl.operand, data)
+        clone._op_t, clone._t_slots = None, self._t_slots
         if self._op_t is not None:
-            clone._op_t = refill_operand(self._op_t, operand.data[self._t_slots])
-            clone._t_slots = self._t_slots
+            clone._op_t = refill_operand(self._op_t, data[self._t_slots])
         return clone
+
+    def with_values(self, new_view_val: np.ndarray) -> "TileMatrix":
+        """Same structure with new entry values in tile-sorted view order.
+
+        Puts the values in operand order through the structural map of
+        :meth:`_value_slot_maps` and hands them to
+        :meth:`with_operand_data` — the payload value slots are not
+        written until something reads them.
+        """
+        new_view_val = np.asarray(new_view_val, dtype=np.float64)
+        if new_view_val.shape != (self.nnz,):
+            raise ValueError(f"expected {self.nnz} values, got {new_view_val.size}")
+        return self.with_operand_data(new_view_val[self._value_slot_maps()[1]])
+
+    def _derive_values(self) -> None:
+        """Rebuild a value clone's view values and payloads from its operand."""
+        tpl = self._template
+        maps, perm = tpl._value_slot_maps()
+        view_val = np.empty(perm.size)
+        view_val[perm] = self.operand.data
+        self._payloads = {
+            fmt: _refill_payload(payload, maps[fmt], view_val)
+            for fmt, payload in tpl._payloads.items()
+        }
+        self._tileset = tpl._tileset.with_values(view_val)
 
     def _build_operand(self) -> None:
         """Decode the payloads into the CSR operand.
@@ -257,22 +291,39 @@ class TileMatrix:
                 val,
             ))
         rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
+        # Every decoded entry in canonical (row, ascending column) order,
+        # the decode-stream position each operand slot holds, and each
+        # slot's row (the last two structural, shared by value clones).
         self.operand, self._op_order = csr_operand(rows, cols, vals, (ts.m, ts.n))
         self._op_rows = repeat_offsets(self.operand.indptr)
 
     # -- basic properties ----------------------------------------------------
 
     @property
+    def tileset(self) -> TileSet:
+        """Level-1 structure and view-ordered entry values (derived in a clone)."""
+        if self._tileset is None:
+            self._derive_values()
+        return self._tileset
+
+    @property
+    def payloads(self) -> dict:
+        """``FormatID`` -> encoded payload (derived in a clone)."""
+        if self._payloads is None:
+            self._derive_values()
+        return self._payloads
+
+    @property
     def shape(self) -> tuple[int, int]:
-        return (self.tileset.m, self.tileset.n)
+        return self.operand.shape
 
     @property
     def nnz(self) -> int:
-        return self.tileset.nnz
+        return self.operand.nnz
 
     @property
     def n_tiles(self) -> int:
-        return self.tileset.n_tiles
+        return self.formats.size
 
     # -- numerics ------------------------------------------------------------
 
@@ -293,8 +344,9 @@ class TileMatrix:
     def spmv(self, x: np.ndarray) -> np.ndarray:
         """y = A @ x through the tiled representation's operand."""
         x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.tileset.n,):
-            raise ValueError(f"x must have shape ({self.tileset.n},)")
+        n = self.operand.shape[1]
+        if x.shape != (n,):
+            raise ValueError(f"x must have shape ({n},)")
         return self._faulted_operand() @ x
 
     def spmv_transpose(self, x: np.ndarray) -> np.ndarray:
@@ -307,13 +359,12 @@ class TileMatrix:
         No ABFT check covers a transpose, so it is not a fault site.
         """
         x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.tileset.m,):
-            raise ValueError(f"x must have shape ({self.tileset.m},)")
+        op = self.operand
+        m, n = op.shape
+        if x.shape != (m,):
+            raise ValueError(f"x must have shape ({m},)")
         if self._op_t is None:
-            op = self.operand
-            self._op_t, self._t_slots = csr_operand(
-                op.indices, self._op_rows, op.data, (self.tileset.n, self.tileset.m)
-            )
+            self._op_t, self._t_slots = csr_operand(op.indices, self._op_rows, op.data, (n, m))
         return self._op_t @ x
 
     def spmm(self, x: np.ndarray) -> np.ndarray:
@@ -323,8 +374,9 @@ class TileMatrix:
         streams its index structure once for every column.
         """
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] != self.tileset.n:
-            raise ValueError(f"X must have shape ({self.tileset.n}, k)")
+        n = self.operand.shape[1]
+        if x.ndim != 2 or x.shape[0] != n:
+            raise ValueError(f"X must have shape ({n}, k)")
         return self._faulted_operand() @ x
 
     def stream(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -96,7 +96,7 @@ class TileSpMV:
         Optional :class:`~repro.core.plancache.PlanCache`.  When given,
         construction looks the matrix's structural fingerprint up first:
         a hit reuses the cached tile set, format vector, payloads and
-        warp schedule (re-encoding values only if they changed), a miss
+        warp schedule (refilling values only if they changed), a miss
         stores the freshly built plan for the next construction.
     validation:
         :class:`~repro.reliability.validation.ValidationPolicy` for the
@@ -156,6 +156,9 @@ class TileSpMV:
         self._schedule = None
         self._deferred_src: np.ndarray | None = None
         self._tiled_src: np.ndarray | None = None
+        # Caller's canonical-CSR entry -> operand slot, per half, built
+        # on the first update_values (see _operand_value_maps).
+        self._value_src: tuple | None = None
 
         with tele.span("canonicalize", cat="build", policy=str(validation)):
             csr, self.validation_report = canonicalize_csr(matrix, validation)
@@ -533,9 +536,13 @@ class TileSpMV:
         ``values`` is either a sparse matrix with the *same* pattern or
         the length-``nnz`` value array in canonical CSR order.  The tile
         decomposition, format selection, DeferredCOO extraction and warp
-        schedule are all kept; only the payload value slots are
-        re-encoded.  Returns ``self`` (updated in place; the previous
-        payloads are left untouched for any cached plan sharing them).
+        schedule are all kept; the values go through one structural map
+        per half (:meth:`_operand_value_maps`) straight into what
+        executes — the tiled half's CSR operand, any built transposed
+        operands and the CSR5 half.  Payload and view values of the
+        tiled half are rebuilt from its operand only if something reads
+        them.  Returns ``self`` (updated in place; the previous
+        artifacts are left untouched for any cached plan sharing them).
         """
         ref_indptr = (
             self._orig_indptr if self.reorder is not None else self._indptr
@@ -555,25 +562,20 @@ class TileSpMV:
                     "sparsity pattern differs from the prepared matrix; "
                     "build a new TileSpMV instead of update_values"
                 )
-            data = csr.data
-        else:
-            data = np.asarray(values, dtype=np.float64)
-            if data.shape != (self._nnz,):
-                raise ValueError(f"expected {self._nnz} values, got {data.shape}")
-        if self.reorder is not None:
-            # Values arrive in the caller's (original) canonical entry
-            # order; the plan stores them in permuted canonical order.
-            data = data[self._data_perm]
-        new_view_val = data[self._plan.tileset.entry_perm]
-        if self._tiled_src is not None or self._deferred_src is not None:
-            if self.tiled is not None:
-                self.tiled = self.tiled.with_values(new_view_val[self._tiled_src])
-            if self.deferred_engine is not None:
-                self.deferred_engine = self.deferred_engine.with_values(
-                    new_view_val[self._deferred_src]
-                )
-        elif self.tiled is not None:
-            self.tiled = self.tiled.with_values(new_view_val)
+            values = csr.data
+        data = np.asarray(values, dtype=np.float64)
+        if data.shape != (self._nnz,):
+            raise ValueError(f"expected {self._nnz} values, got {data.shape}")
+        if self._value_src is None:
+            self._value_src = self._operand_value_maps()
+        tiled_src, deferred_src = self._value_src
+        if self.tiled is not None:
+            # The copy keeps the operand independent of the caller's array.
+            self.tiled = self.tiled.with_operand_data(
+                data.copy() if tiled_src is None else data[tiled_src]
+            )
+        if self.deferred_engine is not None:
+            self.deferred_engine = self.deferred_engine.with_values(data[deferred_src])
         if self._t_ops is not None:
             streams = self.decode_streams()
             self._t_ops = [
@@ -581,6 +583,34 @@ class TileSpMV:
                 for half, slots, op in self._t_ops
             ]
         return self
+
+    def _operand_value_maps(self) -> tuple:
+        """``(tiled, deferred)``: caller's canonical entry of each value slot.
+
+        Tiled operand slot ``q`` holds canonical entry ``tiled[q]``, the
+        composition of the decode permutation (operand slot -> the
+        half's view entry), a DeferredCOO split's ``tiled_src`` (-> the
+        full tile set's view entry), ``entry_perm`` (-> the planned
+        matrix's canonical entry) and a reorder's data permutation (->
+        the caller's canonical entry).  The CSR5 half's map is
+        ``deferred_src`` composed the same way.  An identity tiled map —
+        every unreordered single-half plan — is ``None``: the update is
+        then a plain copy.
+        """
+        src = self._plan.tileset.entry_perm
+        if self._data_perm is not None:
+            src = self._data_perm[src]
+        tiled = deferred = None
+        if self.tiled is not None:
+            tiled = self.tiled._value_slot_maps()[1]
+            if self._tiled_src is not None:
+                tiled = self._tiled_src[tiled]
+            tiled = src[tiled]
+            if np.array_equal(tiled, np.arange(tiled.size)):
+                tiled = None
+        if self.deferred_engine is not None:
+            deferred = src[self._deferred_src]
+        return tiled, deferred
 
     # -- accounting -----------------------------------------------------------
 

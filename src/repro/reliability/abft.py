@@ -33,6 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.gpu.costmodel import RunCost
+from repro.util.vecops import dot
 
 __all__ = ["AbftChecksum", "CHECK_SLACK"]
 
@@ -41,6 +42,28 @@ __all__ = ["AbftChecksum", "CHECK_SLACK"]
 # the constant without letting real corruption (orders of magnitude
 # larger by the FaultPlan's min_magnitude contract) slip through.
 CHECK_SLACK = 64.0
+
+
+def _dots(v: np.ndarray, x: np.ndarray):
+    """``v . x`` for a vector, ``v . x[:, j]`` per column for a block.
+
+    ``einsum`` in the calling thread: ``@`` would be threaded BLAS
+    (``ddot``/``dgemv``), whose tail latency dwarfs the check itself.
+    """
+    if x.ndim == 1:
+        return dot(v, x)
+    return np.einsum("i,ik->k", v, x)
+
+
+def _column_sums(y: np.ndarray):
+    """``sum(y)`` per column (scalar for a vector).
+
+    A C-order (m, k) block is transposed into contiguous rows first:
+    ``np.sum(y, axis=0)`` would run a length-k inner loop m times.
+    """
+    if y.ndim == 1:
+        return np.sum(y)
+    return np.ascontiguousarray(y.T).sum(axis=1)
 
 
 @dataclass
@@ -86,27 +109,29 @@ class AbftChecksum:
         terms in the doubly-summed comparison times machine epsilon
         times the magnitude of what was summed.
         """
-        scale = np.abs(x).T @ self.col_abs_sum  # scalar or (k,) for 2-D x
+        scale = _dots(self.col_abs_sum, np.abs(x))  # scalar or (k,) for 2-D x
         terms = max(self.nnz + self.m, 1)
         eps = np.finfo(np.float64).eps
         return CHECK_SLACK * terms * eps * np.maximum(scale, 1e-300)
 
     def residual(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """``|sum(y) - c . x|`` per column (scalar for a vector product)."""
-        return np.abs(np.sum(y, axis=0) - self.col_sum @ x)
+        return np.abs(_column_sums(y) - _dots(self.col_sum, x))
 
     def verify(self, x: np.ndarray, y: np.ndarray) -> bool:
         """Does ``y`` satisfy the checksum invariant for ``A @ x``?
 
         Works for both SpMV (1-D ``x``/``y``) and SpMM (2-D, checked
-        per column).  Non-finite ``y`` always fails — an Inf/NaN that
-        cancelled through the sums is still a corruption.
+        per column).  Non-finite ``y`` always fails, with no separate
+        scan over ``y``: a non-finite entry makes its column sum, and so
+        its residual, non-finite.
         """
         x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if not np.isfinite(y).all():
+        with np.errstate(invalid="ignore"):  # inf - inf: rejected below
+            residual = self.residual(x, np.asarray(y, dtype=np.float64))
+        if not np.isfinite(residual).all():
             return False
-        return bool(np.all(self.residual(x, y) <= self.tolerance(x)))
+        return bool(np.all(residual <= self.tolerance(x)))
 
     # -- accounting -------------------------------------------------------
 

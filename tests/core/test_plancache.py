@@ -156,6 +156,46 @@ class TestValueRefresh:
         np.testing.assert_array_equal(e1.spmv(x), y1)  # e1 keeps its values
 
 
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_refreshed_plan_is_bit_identical_to_cold_build(self, method):
+        from dataclasses import fields, is_dataclass
+
+        def values(tiled):
+            out = [tiled.tileset.view.val]
+            for fmt in sorted(tiled.payloads):
+                stack = [tiled.payloads[fmt]]
+                while stack:
+                    p = stack.pop()
+                    for f in fields(p):
+                        v = getattr(p, f.name)
+                        if is_dataclass(v):
+                            stack.append(v)
+                        elif isinstance(v, np.ndarray):
+                            out.append(v)
+            return out
+
+        def products(engine, x, xk, w):
+            return [engine.spmv(x), engine.spmm(xk), engine.spmv_transpose(w)]
+
+        cache = PlanCache()
+        a = power_law(400, avg_degree=5, seed=3)
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal(a.shape[1])
+        xk = rng.standard_normal((a.shape[1], 3))
+        w = rng.standard_normal(a.shape[0])
+        old = TileSpMV(a, method=method, plan_cache=cache)
+        b = a.copy()
+        b.data = rng.standard_normal(b.nnz)
+        new = TileSpMV(b, method=method, plan_cache=cache)
+        assert cache.stats()["hits"] == 1  # served by refresh_values
+        for engine, cold in ((new, TileSpMV(b, method=method)), (old, TileSpMV(a, method=method))):
+            for got, want in zip(products(engine, x, xk, w), products(cold, x, xk, w)):
+                assert np.array_equal(got, want)
+            if cold.tiled is not None:
+                for got, want in zip(values(engine.tiled), values(cold.tiled), strict=True):
+                    assert np.array_equal(got, want)
+
+
 class TestAutoTiming:
     def test_build_and_arbitration_reported_separately(self):
         engine = TileSpMV(_matrix(), method="auto", auto_device=A100)

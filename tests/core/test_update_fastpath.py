@@ -2,21 +2,28 @@
 
 Pins the two hot-loop guarantees added for the sharded engine:
 
-* :meth:`TileMatrix.with_values` refills payload value slots and the
-  CSR operands' data through precomputed slot maps — it must never
-  call a format *encoder* again (the whole point of the fast path), and
-  the refilled engine must be bit-for-bit a freshly built one.  An
+* :meth:`TileSpMV.update_values` refills the CSR operands' data through
+  precomputed slot maps — it must never call a format *encoder* again
+  (the whole point of the fast path), and the refilled engine must be
+  bit-for-bit a freshly built one.  Payload and view values are rebuilt
+  from the operand only when read, never by a product, and equal a
+  fresh build's; repeated updates keep no earlier generation alive.  An
   armed fault campaign corrupts only a throwaway copy of the operand.
 * :meth:`TileSpMV.spmv`/:meth:`spmm` return the single half's output
   array directly when the other half is absent — no zero-fill + add
   pass — and :meth:`spmv_transpose` is instrumented like its siblings.
 """
 
+import gc
+import weakref
+from dataclasses import fields, is_dataclass
+
 import numpy as np
 import pytest
 
 from repro import telemetry as tele
 from repro.core import storage
+from repro.core.serialize import load_tile_matrix, save_tile_matrix
 from repro.core.tilespmv import TileSpMV
 from repro.gpu.faults import FaultPlan, fault_injection
 from repro.matrices import fem_blocks, hypersparse, power_law, random_uniform
@@ -87,6 +94,98 @@ class TestWithValuesNoReencode:
         fresh.data = new.copy()
         np.testing.assert_allclose(engine.spmm(block), fresh @ block,
                                    rtol=1e-12, atol=1e-12)
+
+
+def _payload_arrays(payload, prefix=""):
+    """``{field path: array}`` of every array in a (nested) payload."""
+    out = {}
+    for f in fields(payload):
+        value = getattr(payload, f.name)
+        if is_dataclass(value):
+            out.update(_payload_arrays(value, f"{prefix}{f.name}."))
+        elif isinstance(value, np.ndarray):
+            out[prefix + f.name] = value
+    return out
+
+
+def assert_same_values(tiled, fresh):
+    """Payload arrays, view values and ``to_csr()`` equal bit for bit."""
+    assert sorted(tiled.payloads) == sorted(fresh.payloads)
+    for fmt, payload in fresh.payloads.items():
+        got = _payload_arrays(tiled.payloads[fmt])
+        want = _payload_arrays(payload)
+        assert got.keys() == want.keys()
+        for name, arr in want.items():
+            assert got[name].dtype == arr.dtype, (fmt, name)
+            assert np.array_equal(got[name], arr), (fmt, name)
+    assert np.array_equal(tiled.tileset.view.val, fresh.tileset.view.val)
+    got, want = tiled.to_csr(), fresh.to_csr()
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+
+
+class TestValuesLiveInTheOperand:
+    """Only the operand is refilled; payload and view values are derived."""
+
+    def test_products_do_not_rebuild_payloads(self, monkeypatch, rng):
+        a = fem_blocks(200, block=3, avg_degree=8, seed=1)
+        engine = TileSpMV(a, method="adpt")
+        calls = {"n": 0}
+        derive = storage.TileMatrix._derive_values
+
+        def counted(self):
+            calls["n"] += 1
+            derive(self)
+
+        monkeypatch.setattr(storage.TileMatrix, "_derive_values", counted)
+        x = rng.standard_normal(a.shape[1])
+        for _ in range(3):
+            engine.update_values(rng.standard_normal(a.nnz))
+            engine.spmv(x)
+            engine.spmm(rng.standard_normal((a.shape[1], 3)))
+            engine.spmv_transpose(rng.standard_normal(a.shape[0]))
+            assert engine.tiled.shape == a.shape and engine.tiled.nnz == a.nnz
+        assert calls["n"] == 0, "a product rebuilt the payloads"
+        engine.tiled.validate()  # a payload reader derives them once
+        engine.tiled.run_cost()
+        assert calls["n"] == 1
+
+    @pytest.mark.parametrize("reorder", [None, "sell:32"])
+    @pytest.mark.parametrize("method", ["csr", "adpt", "deferred_coo", "auto"])
+    def test_derived_values_equal_a_fresh_build(self, method, reorder, rng, tmp_path):
+        a = power_law(600, avg_degree=6, seed=11).tocsr()
+        x = rng.standard_normal(a.shape[1])
+        engine = TileSpMV(a, method=method, reorder=reorder)
+        for _ in range(3):
+            new = rng.standard_normal(a.nnz)
+            engine.update_values(new)
+        fresh_a = a.copy()
+        fresh_a.data = new.copy()
+        fresh = TileSpMV(fresh_a, method=method, reorder=reorder)
+        assert engine.method == fresh.method
+        assert np.array_equal(engine.spmv(x), fresh.spmv(x))
+        assert (engine.tiled is None) == (fresh.tiled is None)
+        if fresh.tiled is None:
+            return
+        assert_same_values(engine.tiled, fresh.tiled)
+        engine.tiled.validate()
+        save_tile_matrix(tmp_path / "tm.npz", engine.tiled)
+        loaded = load_tile_matrix(tmp_path / "tm.npz")
+        xt = rng.standard_normal(fresh.tiled.shape[1])
+        assert np.array_equal(loaded.spmv(xt), fresh.tiled.spmv(xt))
+
+    def test_updates_keep_no_earlier_generation_alive(self, rng):
+        a = fem_blocks(200, block=3, avg_degree=8, seed=1)
+        engine = TileSpMV(a, method="adpt")
+        x = rng.standard_normal(a.shape[1])
+        engine.update_values(rng.standard_normal(a.nnz))
+        engine.tiled.validate()  # derive payloads: they must not pin it
+        previous = weakref.ref(engine.tiled)
+        engine.update_values(rng.standard_normal(a.nnz))
+        engine.spmv(x)
+        gc.collect()
+        assert previous() is None, "the new clone keeps the previous one alive"
 
 
 class TestFaultsStayOffTheOperand:

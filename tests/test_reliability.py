@@ -235,6 +235,18 @@ class TestAbft:
         y[2] = np.nan
         assert not check.verify(np.ones(4), y)
 
+    @pytest.mark.parametrize("bad", [(np.inf,), (np.inf, -np.inf), (np.nan,)])
+    def test_nonfinite_block_column_always_fails(self, bad):
+        # Non-finite entries are caught through the column sums, even
+        # when +inf and -inf share a column.
+        csr = sp.eye(4, format="csr")
+        check = AbftChecksum.from_csr(csr)
+        x = np.ones((4, 3))
+        y = csr @ x
+        y[: len(bad), 1] = bad
+        assert not check.verify(x, y)
+        assert check.verify(x, csr @ x)
+
     def test_verify_cost_is_pure_overhead(self):
         csr = random_uniform(200, 200, nnz_per_row=5, seed=1).tocsr()
         check = AbftChecksum.from_csr(csr)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import repro.apps.solvers as solvers
+import repro.reliability.abft as abft
 from repro.util.vecops import dot, norm
 
 
@@ -36,19 +37,20 @@ def test_independent_of_alignment():
         assert dot(shifted, b) == ref
 
 
-def _solver_functions():
-    tree = ast.parse(inspect.getsource(solvers))
-    return [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+def _blas_reductions(module, classes: tuple[str, ...] = ()) -> list[str]:
+    """Bare ``@`` and axis-less ``np.linalg.norm`` in ``module``'s functions.
 
-
-def test_solvers_use_no_blas_vector_reductions():
-    """Every 1-D reduction in the solvers goes through ``repro.util.vecops``.
-
-    A bare ``@`` or ``np.linalg.norm`` without ``axis`` on a length-n
-    vector is a threaded BLAS ``ddot``.
+    Scans the module-level functions and the methods of ``classes``.  On
+    length-n vectors either is a threaded BLAS ``ddot`` (a block operand
+    makes ``@`` a threaded ``dgemv``).
     """
+    tree = ast.parse(inspect.getsource(module))
+    functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name in classes:
+            functions += [n for n in node.body if isinstance(n, ast.FunctionDef)]
     offenders = []
-    for fn in _solver_functions():
+    for fn in functions:
         for node in ast.walk(fn):
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
                 offenders.append(f"{fn.name}:{node.lineno} @")
@@ -58,4 +60,14 @@ def test_solvers_use_no_blas_vector_reductions():
                 and not any(k.arg == "axis" for k in node.keywords)
             ):
                 offenders.append(f"{fn.name}:{node.lineno} np.linalg.norm")
-    assert offenders == []
+    return offenders
+
+
+def test_solvers_use_no_blas_vector_reductions():
+    """Every 1-D reduction in the solvers goes through ``repro.util.vecops``."""
+    assert _blas_reductions(solvers) == []
+
+
+def test_abft_uses_no_blas_vector_reductions():
+    """The ABFT tolerance, residual and verify stay off threaded BLAS."""
+    assert _blas_reductions(abft, classes=("AbftChecksum",)) == []
