@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.util.segments import repeat_offsets
+from repro.util.segments import repeat_offsets, run_starts
 
 __all__ = ["row_gather_sectors", "csr_payload_bytes", "X_SECTOR_DOUBLES"]
 
@@ -20,13 +20,19 @@ def row_gather_sectors(indptr: np.ndarray, indices: np.ndarray) -> int:
     the same 32-byte sector of ``x`` coalesce; across rows they do not
     (each row is handled by different lanes at a different time), so the
     reuse is left to the L2 model.
+
+    Requires non-decreasing column indices within each row (duplicates
+    allowed), which every baseline gets from
+    :func:`~repro.reliability.validation.canonicalize_csr` under any
+    policy: the (row, sector) key is then non-decreasing and the pairs
+    are counted as runs, without a sort.
     """
     if indices.size == 0:
         return 0
     rows = repeat_offsets(np.asarray(indptr, dtype=np.int64))
     n_sectors = int(indices.max()) // X_SECTOR_DOUBLES + 1
     key = rows * n_sectors + indices.astype(np.int64) // X_SECTOR_DOUBLES
-    return int(np.unique(key).size)
+    return int(run_starts(key).size)
 
 
 def csr_payload_bytes(m: int, nnz: int) -> int:

@@ -28,7 +28,7 @@ from repro.formats.tile_ell import TileELLData
 from repro.formats.tile_hyb import TileHYBData
 from repro.gpu.warp import WARP_SIZE
 from repro.util.packing import unpack_nibble_pairs
-from repro.util.segments import repeat_offsets
+from repro.util.segments import repeat_offsets, segment_histogram
 
 __all__ = [
     "TileKernelCost",
@@ -70,13 +70,13 @@ def _distinct_sectors_per_tile(lcol: np.ndarray, offsets: np.ndarray) -> int:
     """Total distinct x sectors actually touched, per tile, summed.
 
     Used by the COO and DnsCol kernels, which gather only the columns
-    they need rather than staging the whole window.
+    they need rather than staging the whole window.  Marks an
+    ``n_tiles * 8`` presence grid (a 16-wide tile spans at most 4
+    sectors) and counts the marks.
     """
-    if lcol.size == 0:
-        return 0
-    tile_of_entry = repeat_offsets(offsets)
-    key = tile_of_entry * 8 + lcol.astype(np.int64) // X_SECTOR_DOUBLES
-    return int(np.unique(key).size)
+    seen = np.zeros((offsets.size - 1) * 8, dtype=bool)
+    seen[repeat_offsets(offsets) * 8 + lcol.astype(np.int64) // X_SECTOR_DOUBLES] = True
+    return int(np.count_nonzero(seen))
 
 
 def csr_costs(data: TileCSRData, params: KernelCostParams, eff_w: np.ndarray) -> TileKernelCost:
@@ -107,9 +107,7 @@ def coo_costs(data: TileCOOData, params: KernelCostParams) -> TileKernelCost:
     n = data.n_tiles
     rounds = np.zeros(n, dtype=np.int64)
     if lrow.size:
-        tile_of_entry = repeat_offsets(data.offsets)
-        per_row = np.zeros((n, 16), dtype=np.int64)
-        np.add.at(per_row, (tile_of_entry, lrow.astype(np.int64)), 1)
+        per_row = segment_histogram(repeat_offsets(data.offsets), lrow, n, 16)
         rounds = per_row.max(axis=1)
     cycles = params.coo_overhead + params.coo_per_batch * batches + rounds
     return TileKernelCost(
@@ -187,11 +185,8 @@ def dnscol_costs(data: TileDnsColData, params: KernelCostParams) -> TileKernelCo
     work = data.n_cols() * data.eff_h.astype(np.int64)
     rounds = -(-work // WARP_SIZE)
     cycles = params.dnscol_overhead + params.dnscol_per_round * rounds
-    cols_per_tile = data.n_cols()
     # Gather only the occupied columns' x sectors.
-    col_tile = np.repeat(np.arange(data.n_tiles), cols_per_tile)
-    key = col_tile * 8 + data.colidx.astype(np.int64) // X_SECTOR_DOUBLES
-    x_sectors = int(np.unique(key).size) if key.size else 0
+    x_sectors = _distinct_sectors_per_tile(data.colidx, data.col_offsets)
     return TileKernelCost(
         cycles=cycles,
         payload_bytes=data.nbytes_model(),

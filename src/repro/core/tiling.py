@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.formats.base import TilesView
-from repro.util.segments import lengths_to_offsets
+from repro.util.segments import lengths_to_offsets, run_starts
 
 __all__ = ["TileSet", "tile_decompose"]
 
@@ -148,6 +148,13 @@ def tile_decompose(
 ) -> TileSet:
     """Decompose a sparse matrix into the TileSpMV level-1 structure.
 
+    The tile sort relies on the canonical row-major order the input gate
+    returns under every policy: rows in order, column indices
+    non-decreasing within each row (``trust`` sorts unsorted rows but
+    keeps duplicates).  One stable sort on the tile key then leaves each
+    tile's entries in (local row, local column) order, duplicates in
+    their CSR order.
+
     Parameters
     ----------
     matrix:
@@ -182,13 +189,15 @@ def tile_decompose(
     lcol = (cols % tile).astype(np.uint8)
     tile_cols_total = -(-n // tile)
     tile_key = trow * tile_cols_total + tcol
-    order = np.lexsort((lcol, lrow, tile_key))
+    # Stable: canonical CSR order already sorts each tile's entries.
+    order = np.argsort(tile_key, kind="stable")
     tile_key = tile_key[order]
     lrow = lrow[order]
     lcol = lcol[order]
     vals = vals[order]
-    uniq_keys, counts = np.unique(tile_key, return_counts=True)
-    offsets = lengths_to_offsets(counts)
+    starts = run_starts(tile_key)
+    offsets = np.append(starts, tile_key.size)
+    uniq_keys = tile_key[starts]
     tile_rowidx = uniq_keys // tile_cols_total
     tile_colidx = uniq_keys % tile_cols_total
     tile_rows_total = -(-m // tile)

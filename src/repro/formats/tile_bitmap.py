@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.formats.base import VALUE_BYTES, TilesView
+from repro.util.segments import run_starts
 
 __all__ = ["TileBitmapData", "encode_bitmap", "bitmap_nbytes"]
 
@@ -67,8 +68,11 @@ def encode_bitmap(view: TilesView) -> TileBitmapData:
     bit = view.lrow.astype(np.int64) * view.tile + view.lcol.astype(np.int64)
     byte_idx = tile_of_entry * BITMAP_BYTES + bit // 8
     bitmap = np.zeros(n * BITMAP_BYTES, dtype=np.uint8)
-    np.bitwise_or.at(bitmap, byte_idx, (1 << (bit % 8)).astype(np.uint8))
-    # Entries are sorted (tile, lrow, lcol) == bit order already.
+    # Entries are sorted (tile, lrow, lcol) == bit order, so ``byte_idx``
+    # is non-decreasing: OR each run of equal bytes into one value.
+    starts = run_starts(byte_idx)
+    bits = (1 << (bit % 8)).astype(np.uint8)
+    bitmap[byte_idx[starts]] = np.bitwise_or.reduceat(bits, starts)
     return TileBitmapData(
         bitmap=bitmap,
         val=np.asarray(view.val, dtype=np.float64).copy(),

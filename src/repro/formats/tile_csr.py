@@ -109,8 +109,9 @@ def encode_csr(view: TilesView) -> TileCSRData:
     if rowptr.size and rowptr.max() > 255:
         raise ValueError("tile row pointer exceeds uint8 range")
     # Pack column indices per tile: tiles are byte-aligned, so pad each
-    # odd-length tile with a zero nibble.  Vectorised by scattering each
-    # entry's nibble into a per-tile byte grid.
+    # odd-length tile with a zero nibble.  Each byte receives at most one
+    # high (even rank) and one low (odd rank) nibble, so plain fancy
+    # assignment packs them.
     counts = view.counts()
     bytes_per_tile = (counts + 1) // 2
     byte_offsets = np.zeros(n + 1, dtype=np.int64)
@@ -121,8 +122,8 @@ def encode_csr(view: TilesView) -> TileCSRData:
     colidx = np.zeros(int(byte_offsets[-1]), dtype=np.uint8)
     hi = (rank % 2) == 0
     nib = view.lcol.astype(np.uint8)
-    np.bitwise_or.at(colidx, byte_idx[hi], nib[hi] << 4)
-    np.bitwise_or.at(colidx, byte_idx[~hi], nib[~hi])
+    colidx[byte_idx[hi]] = nib[hi] << 4
+    colidx[byte_idx[~hi]] |= nib[~hi]
     return TileCSRData(
         rowptr=rowptr.astype(np.uint8).ravel(),
         colidx=colidx,

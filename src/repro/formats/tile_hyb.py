@@ -92,8 +92,7 @@ def encode_hyb(view: TilesView, widths: np.ndarray | None = None) -> TileHYBData
     to_ell = pos < widths[tile_of_entry]
 
     def _subview(mask: np.ndarray) -> TilesView:
-        lengths = np.zeros(view.n_tiles, dtype=np.int64)
-        np.add.at(lengths, tile_of_entry[mask], 1)
+        lengths = np.bincount(tile_of_entry[mask], minlength=view.n_tiles)
         offsets = lengths_to_offsets(lengths)
         return TilesView(
             lrow=view.lrow[mask],

@@ -16,6 +16,8 @@ __all__ = [
     "offsets_to_lengths",
     "repeat_offsets",
     "segment_local_index",
+    "segment_histogram",
+    "run_starts",
     "segment_sum",
     "segment_max",
 ]
@@ -60,6 +62,31 @@ def segment_local_index(offsets: np.ndarray) -> np.ndarray:
     total = int(offsets[-1])
     seg_ids = repeat_offsets(offsets)
     return np.arange(total, dtype=np.int64) - offsets[seg_ids]
+
+
+def segment_histogram(
+    seg_ids: np.ndarray, local: np.ndarray, n_segments: int, width: int
+) -> np.ndarray:
+    """``(n_segments, width)`` counts of each ``local`` bucket per segment.
+
+    ``local`` must lie in ``[0, width)``.  One ``bincount`` over the
+    flattened ``seg_ids * width + local`` key: the same counts as an
+    ``np.add.at`` scatter into a zero grid, in a single pass.
+    """
+    key = np.asarray(seg_ids, dtype=np.int64) * width + np.asarray(local, dtype=np.int64)
+    return np.bincount(key, minlength=n_segments * width).reshape(n_segments, width)
+
+
+def run_starts(keys: np.ndarray) -> np.ndarray:
+    """Index of the first element of every run of equal values in ``keys``.
+
+    On sorted ``keys`` these are the first occurrences of the distinct
+    values — what ``np.unique`` finds, without its sort.
+    """
+    keys = np.asarray(keys)
+    is_start = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=is_start[1:])
+    return np.flatnonzero(is_start)
 
 
 def segment_sum(values: np.ndarray, seg_ids: np.ndarray, n_segments: int) -> np.ndarray:

@@ -3,10 +3,14 @@
 import numpy as np
 from hypothesis import given, strategies as st
 
+from tests import build_reference as ref
+
 from repro.util.segments import (
     lengths_to_offsets,
     offsets_to_lengths,
     repeat_offsets,
+    run_starts,
+    segment_histogram,
     segment_local_index,
     segment_max,
     segment_sum,
@@ -73,3 +77,16 @@ class TestSegmentReductions:
         for s, v in pairs:
             want[s] += v
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+class TestSinglePassCounts:
+    @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 15)), max_size=80))
+    def test_histogram_matches_add_at(self, pairs):
+        seg = np.array(sorted(p[0] for p in pairs), dtype=np.int64)
+        local = np.array([p[1] for p in pairs], dtype=np.uint8)
+        ref.assert_same(segment_histogram(seg, local, 11, 16), ref.segment_histogram(seg, local, 11, 16))
+
+    @given(st.lists(st.integers(-5, 5), max_size=60))
+    def test_run_starts_of_sorted_keys_match_unique(self, keys):
+        keys = np.sort(np.array(keys, dtype=np.int64))
+        ref.assert_same(run_starts(keys), np.unique(keys, return_index=True)[1])
