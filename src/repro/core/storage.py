@@ -277,8 +277,9 @@ class TileMatrix:
         order is the only order the kernels define: it is what
         :meth:`spmv`/:meth:`spmm` accumulate in, and — since any
         tile-snapped partition of the matrix keeps each row's entries
-        in ascending column order — what `repro.dist` concatenates in
-        grid order to replay the single-device summation bit for bit.
+        in ascending column order — what `repro.dist` assembles its
+        per-block operands in to reproduce the single-device summation
+        bit for bit.
         """
         ts = self.tileset
         parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
@@ -517,7 +518,7 @@ class TileMatrix:
             )
         # The operand: shape, one slot per entry, monotone indptr, and
         # columns in range and strictly ascending within each row — the
-        # canonical order every product and the sharded replay rely on.
+        # canonical order every product and the sharded operands rely on.
         op = self.operand
         assert op.shape == (ts.m, ts.n), "operand shape must match the matrix"
         assert op.nnz == ts.nnz, f"operand holds {op.nnz} entries != level-1 {ts.nnz}"

@@ -422,7 +422,7 @@ class TileSpMV:
         back; without a reorder they are identities), whose rows hold
         each original column's entries in ascending original row order.
         The summation per output entry is therefore a pure function of
-        the original structure, so reordered and sharded plans replay
+        the original structure, so reordered and sharded plans reproduce
         it bit-for-bit (per half; the DeferredCOO split may place
         entries differently under a reorder).  The operands are
         structural sorts built on the first call and refilled by
@@ -513,13 +513,12 @@ class TileSpMV:
         <repro.core.storage.TileMatrix.stream>`), the deferred half's
         CSR entries (what CSR5's segmented sum reduces to).
 
-        This is the replay hook `repro.dist` uses for bit-for-bit
-        sharded reductions: shards own tile-snapped blocks, so
-        concatenating their streams in grid order keeps each row's
-        entries in ascending column order and reconstructs the
-        single-device accumulation sequence exactly.  Arrays are live
-        references — valid until the next :meth:`update_values`; do not
-        mutate.
+        `repro.dist` assembles its bit-for-bit per-block operands from
+        these streams: shards own tile-snapped blocks, so a block's rows
+        hold exactly the single-device operand's entries, and sorting
+        them canonically restores its accumulation sequence.  Arrays are
+        live references — valid until the next :meth:`update_values`; do
+        not mutate.
         """
         tiled = None
         if self.tiled is not None and self.tiled.nnz:

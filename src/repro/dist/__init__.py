@@ -3,10 +3,10 @@
 Partitions a matrix into nnz-balanced, tile-snapped shards — 1D row
 blocks or a 2D row x column tile grid (:mod:`repro.dist.partition`) —
 runs one TileSpMV plan per shard with thread-concurrent kernels
-(:mod:`repro.dist.sharded`), combines overlapping outputs through the
-deterministic reductions of :mod:`repro.dist.reduce` (ordered
-contribution replay for bit-for-bit equality, the fixed-shape binary
-tree for ``auto`` partials), and prices the result on P modelled
+(:mod:`repro.dist.sharded`), combines overlapping outputs through
+per-block CSR operands assembled from the shards' decode streams
+(bit-for-bit equality) or the fixed-shape binary tree of
+:mod:`repro.dist.reduce` (``auto`` partials), and prices the result on P modelled
 devices through the interconnect-aware
 :class:`~repro.gpu.costmodel.MultiDeviceRunCost`.  See
 ``docs/SHARDING.md`` for the design and the exactness argument.
@@ -57,7 +57,7 @@ from repro.dist.recovery import (
     ShardCheck,
     ShardRecoveryError,
 )
-from repro.dist.reduce import replay_reduce, tree_reduce, tree_schedule
+from repro.dist.reduce import tree_reduce, tree_schedule
 from repro.dist.sharded import ShardedSpMV, best_shard_count, modelled_shard_sweep
 from repro.dist.solvers import sharded_conjugate_gradient, sharded_pagerank
 
@@ -71,7 +71,6 @@ __all__ = [
     "default_grid",
     "tree_schedule",
     "tree_reduce",
-    "replay_reduce",
     "ShardedSpMV",
     "modelled_shard_sweep",
     "best_shard_count",

@@ -10,13 +10,18 @@ modelled.  Three mechanisms carry the design:
   :func:`~repro.core.serialize.pack_shard_plan` and shipped to the
   worker at spawn (and at every respawn).  The worker rebuilds its
   :class:`~repro.core.tilespmv.TileSpMV` from the wire
-  deterministically, so worker results are bit-for-bit the parent's —
-  the combine rules of the thread backend (concatenation, ordered
-  replay, fixed-shape tree) apply unchanged.
+  deterministically, so worker results are bit-for-bit the parent's.
+  Workers run every product whose shards return their own block —
+  row-disjoint ``spmv``/``spmm`` (concatenated) and ``auto`` partials
+  (fixed-shape tree).  Fixed-method products with overlapping outputs
+  (column-cut ``spmv``/``spmm``, every ``spmv_transpose``) multiply the
+  parent's cached per-block CSR operands, exactly as the thread
+  backend does; the parent holds every shard engine anyway, for the
+  in-process fallback.
 * **Shared-memory payloads** — per-call inputs and outputs live in
   :mod:`multiprocessing.shared_memory` segments: the parent writes
   ``x`` once, every worker reads its window as a zero-copy numpy view,
-  and each worker writes its block/weights into its own output segment.
+  and each worker writes its block into its own output segment.
   Nothing on the hot path is pickled; the pipes carry only small
   command/reply dicts.
 * **Worker supervision** — :class:`WorkerSupervisor` owns the
@@ -38,7 +43,8 @@ whole interpreter) — reclaimable by :func:`sweep_orphans`, which scans
 for segments whose owning pid is dead.
 
 Process-level faults (worker kill / worker hang / segment corruption)
-are part of the deterministic shard fault model
+fire on the worker ops only — the parent-side operand products have no
+worker to kill.  They are part of the deterministic shard fault model
 (:mod:`repro.dist.faults`): the worker re-derives each decision from
 the plan shipped inside the command, the parent re-derives it for
 bookkeeping, and both sides agree without coordination because every
@@ -64,7 +70,6 @@ from repro import telemetry as tele
 from repro.core.serialize import pack_shard_plan, unpack_shard_plan
 from repro.core.tilespmv import TileSpMV
 from repro.dist import faults as shard_faults
-from repro.dist.reduce import tree_reduce
 from repro.dist.sharded import ShardedSpMV
 from repro.gpu import faults as gpu_faults
 from repro.gpu.costmodel import MultiDeviceRunCost
@@ -340,37 +345,6 @@ def _worker_execute(engine, rank, cmd, attached, attach):  # pragma: no cover
     else:
         xfull = np.ndarray((x_len, int(k)), dtype=np.float64, buffer=x_seg.buf)
     xwin = xfull[lo:hi]
-
-    if op == "weights":
-        transpose = bool(cmd["transpose"])
-        halves, parts = [], []
-        for salt, stream in zip(("tiled", "deferred"), engine.decode_streams()):
-            if stream is None:
-                halves.append(-1)
-                continue
-            rows, cols, vals = stream
-            if inj is not None:
-                vals = inj.corrupt_partial(rank, attempt, vals, salt=salt)
-            xg = xwin[rows] if transpose else xwin[cols]
-            if inj is not None:
-                xg = inj.corrupt_halo(rank, attempt, xg, salt=salt)
-            # A batched x block gathers (entries, k); the per-entry
-            # weights are the same elementwise products, one column per
-            # member of the batch.
-            w = vals[:, None] * xg if xg.ndim == 2 else vals * xg
-            halves.append(int(w.shape[0]))
-            parts.append(w)
-        out = (
-            np.concatenate(parts)
-            if parts
-            else np.zeros(0, dtype=np.float64)
-        )
-        if inj is not None:
-            out = inj.corrupt_segment(rank, attempt, out)
-        out_seg = attach(cmd["out_seg"])
-        view = np.ndarray((out.size,), dtype=np.float64, buffer=out_seg.buf)
-        view[: out.size] = out.ravel()
-        return {"ok": True, "op": op, "halves": halves}
 
     if inj is not None:
         xwin = inj.corrupt_halo(rank, attempt, xwin)
@@ -835,9 +809,10 @@ class ProcessShardedSpMV(ShardedSpMV):
 
     Construct directly, or via ``ShardedSpMV(matrix, backend="process")``
     — the parent class dispatches here.  The parent engines are kept:
-    they provide the cost model, the plan keys, the replay index
-    streams, and the in-process fallback the degradation ladder lands
-    on.  Execution state walks ``process → thread → sequential``:
+    they provide the cost model, the plan keys, the block operands of
+    the overlapping-output products, and the in-process fallback the
+    degradation ladder lands on.  Execution state walks
+    ``process → thread → sequential``:
 
     * ``process`` — shard ops dispatch to workers; a quarantined
       worker's shard (breaker tripped after ``max_respawns`` respawns)
@@ -850,9 +825,9 @@ class ProcessShardedSpMV(ShardedSpMV):
     Like the thread backend, an armed GPU-substrate fault campaign
     forces the inherited (sequential) path — its injector is a single
     consumed RNG stream that cannot be split across processes.  The
-    column-cut fixed-method ``spmm`` replay also stays in-process (its
-    combine consumes the full index streams); every other op ships to
-    the workers.
+    fixed-method overlapping-output products (column-cut ``spmv``/
+    ``spmm``, every ``spmv_transpose``) never ship: they multiply the
+    parent's block operands.
     """
 
     _process_capable = True
@@ -875,18 +850,16 @@ class ProcessShardedSpMV(ShardedSpMV):
         self._supervisor: WorkerSupervisor | None = None
         super().__init__(matrix, *args, backend="thread", **kwargs)
         self.backend = "process"
-        n_local = [
-            (s.col_hi - s.col_lo) if self.grid is not None else self._n
-            for s in self.partition.shards
-        ]
+        # x holds a vector or an update_values payload; an output holds a
+        # shard's row block or its transposed column block.
         x_cap = 8 * max(
             [self._m, self._n, 1]
             + [s.nnz for s in self.partition.shards]
         )
-        out_caps = [
-            8 * max(s.rows, n_local[i], s.nnz, 1)
-            for i, s in enumerate(self.partition.shards)
-        ]
+        out_caps = []
+        for s in self.partition.shards:
+            lo, hi = self._x_bounds(s, False)
+            out_caps.append(8 * max(s.rows, hi - lo, 1))
         sup: WorkerSupervisor | None = None
         if self._persistent:
             key = _pool_key(
@@ -1014,34 +987,24 @@ class ProcessShardedSpMV(ShardedSpMV):
         if tele.ENABLED:
             tele.count("shm_bytes_total", n=float(nbytes))
 
-    def _x_bounds(self, s, transpose: bool) -> tuple[int, int]:
-        if transpose:
-            return s.row_lo, s.row_hi
-        if self.grid is not None:
-            return s.col_lo, s.col_hi
-        return 0, self._n
-
-    def _command(self, s, op: str, x_len: int, transpose: bool = False,
-                 k: int | None = None) -> dict:
+    def _command(self, s, op: str, x: np.ndarray) -> dict:
         attempt = self._begin_attempt(s.index)
         inj = shard_faults.active_injector()
-        lo, hi = self._x_bounds(s, transpose)
+        lo, hi = self._x_bounds(s, op == "spmv_transpose")
         cmd = {
             "op": op,
             "shard": s.index,
             "rank": self.device_ranks[s.index],
             "attempt": attempt,
             "x_seg": self._supervisor.x_seg.name,
-            "x_len": x_len,
+            "x_len": x.shape[0],
             "x_lo": lo,
             "x_hi": hi,
             "out_seg": self._supervisor.out_segs[s.index].name,
             "plan": inj.plan if inj is not None else None,
         }
-        if k is not None:
-            cmd["k"] = k
-        if op == "weights":
-            cmd["transpose"] = transpose
+        if x.ndim == 2:
+            cmd["k"] = x.shape[1]
         return cmd
 
     def _read_out(self, i: int, count: int) -> np.ndarray:
@@ -1050,275 +1013,46 @@ class ProcessShardedSpMV(ShardedSpMV):
         self._count_shm(count * 8)
         return np.array(view)
 
-    def _local_block(self, op: str, s, e, x: np.ndarray):
-        """In-process fallback for one shard (quarantined worker)."""
-        if op == "spmv":
-            fn = lambda s_, e_: e_.spmv(self._x_block(s_, x))  # noqa: E731
-        elif op == "spmm":
-            fn = lambda s_, e_: e_.spmm(self._x_block(s_, x))  # noqa: E731
-        else:
-            fn = lambda s_, e_: e_.spmv_transpose(x[s_.row_lo:s_.row_hi])  # noqa: E731
-        return self.shard_call(op, s, e, fn)
+    def _run_shards(self, op: str, x: np.ndarray) -> list[np.ndarray]:
+        """Run one block op per shard in the workers; fall back per shard.
 
-    def _proc_blocks(self, op: str, x: np.ndarray,
-                     k: int | None = None) -> list[np.ndarray]:
-        """Run one block op per shard in the workers; fall back per shard."""
-        transpose = op == "spmv_transpose"
+        Every product whose shards return their own block lands here —
+        row-disjoint ``spmv``/``spmm`` and every ``auto`` partial.  The
+        fixed-method overlapping-output products never call it: they
+        multiply the parent's block operands.
+        """
+        if not self._use_workers():
+            return super()._run_shards(op, x)
         sup = self._supervisor
-        x_len = x.shape[0]
         self._write_x(x)
         parts: list = [None] * len(self.engines)
         commands = []
         for s, e in zip(self.partition.shards, self.engines):
             if not sup.healthy(s.index):
-                parts[s.index] = self._local_block(op, s, e, x)
+                parts[s.index] = self._shard_op(op, s, e, x)
                 continue
-            if transpose:
-                out_len = (
-                    (s.col_hi - s.col_lo) if self.grid is not None else self._n
-                )
+            if op == "spmv_transpose":
+                lo, hi = self._x_bounds(s, False)
+                out_len = hi - lo
             else:
-                out_len = s.rows * (k or 1)
+                out_len = s.rows * (x.shape[1] if x.ndim == 2 else 1)
             sup.ensure_out(s.index, 8 * max(out_len, 1))
-            commands.append(
-                (s.index, self._command(s, op, x_len, transpose=transpose, k=k))
-            )
+            commands.append((s.index, self._command(s, op, x)))
         replies = sup.run(commands)
         for (i, _cmd), reply in zip(commands, replies):
             s, e = self.partition.shards[i], self.engines[i]
             if reply is None:  # quarantined mid-operation
-                parts[i] = self._local_block(op, s, e, x)
+                parts[i] = self._shard_op(op, s, e, x)
                 continue
             shape = tuple(reply["shape"])
             count = int(np.prod(shape)) if shape else 0
             parts[i] = self._read_out(i, count).reshape(shape)
         return parts
 
-    # -- replay path (column cuts / transpose, fixed methods) --------------
-
-    def _local_weight_contrib(self, s, e, x: np.ndarray, transpose: bool):
-        contrib = self.shard_call(
-            "stream_collect", s, e,
-            lambda s_, e_: self._stream_contrib(s_, e_, x, transpose),
-        )
-        out = []
-        for c in contrib:
-            if c is None:
-                out.append(None)
-            else:
-                idx, xg, vals = c
-                w = vals[:, None] * xg if xg.ndim == 2 else vals * xg
-                out.append((idx, w))
-        return tuple(out)
-
-    def _worker_weight_contrib(self, s, e, halves: list[int],
-                               transpose: bool, k: int | None = None):
-        """Pair the worker's weight buffer with the parent's index streams.
-
-        Indices are structural (they never change between calls), so the
-        parent's engine supplies them; the worker supplies the weights
-        ``vals * x_gather`` it computed from shared memory.  Multiplying
-        per shard is bit-identical to the thread backend's one big
-        elementwise multiply — IEEE multiplication is per-element.  A
-        batched call (``k``) ships one ``(entries, k)`` weight block per
-        shard over the same single round trip.
-        """
-        off = self._col_offset(s)
-        total = sum(h for h in halves if h > 0)
-        if k is None:
-            buf = self._read_out(s.index, total)
-        else:
-            buf = self._read_out(s.index, total * k).reshape(total, k)
-        pos = 0
-        out = []
-        for stream, ln in zip(e.decode_streams(), halves):
-            if ln < 0 or stream is None:
-                out.append(None)
-                continue
-            rows, cols, _vals = stream
-            w = buf[pos:pos + ln]
-            pos += ln
-            if transpose:
-                # Mirror _stream_contrib's canonical (col, row) sort; the
-                # worker multiplied element-wise in stream order, and IEEE
-                # multiplication commutes with the permutation.
-                o = np.lexsort((rows, cols))
-                idx, w = (off + cols)[o], w[o]
-            else:
-                idx = s.row_lo + rows
-            out.append((idx, w))
-        return tuple(out)
-
-    def _proc_replay(self, x: np.ndarray, transpose: bool,
-                     k: int | None = None) -> np.ndarray:
-        sup = self._supervisor
-        self._write_x(x)
-        contribs: list = [None] * len(self.engines)
-        commands = []
-        for s, e in zip(self.partition.shards, self.engines):
-            if not sup.healthy(s.index):
-                contribs[s.index] = self._local_weight_contrib(s, e, x, transpose)
-                continue
-            sup.ensure_out(s.index, 8 * max(s.nnz * (k or 1), 1))
-            commands.append(
-                (s.index,
-                 self._command(s, "weights", x.shape[0], transpose=transpose,
-                               k=k))
-            )
-        replies = sup.run(commands)
-        for (i, _cmd), reply in zip(commands, replies):
-            s, e = self.partition.shards[i], self.engines[i]
-            if reply is None:
-                contribs[i] = self._local_weight_contrib(s, e, x, transpose)
-            else:
-                contribs[i] = self._worker_weight_contrib(
-                    s, e, reply["halves"], transpose, k=k
-                )
-        length = self._n if transpose else self._m
-        halves = ([], [])  # (tiled, deferred): per-half [(idx, w), ...]
-        for contrib in contribs:
-            for half, c in zip(halves, contrib):
-                if c is not None:
-                    half.append(c)
-        yt = yd = None
-        for out_idx, half in enumerate(halves):
-            if not half:
-                continue
-            idx = np.concatenate([c[0] for c in half])
-            w = np.concatenate([c[1] for c in half], axis=0)
-            if k is None:
-                y = np.bincount(idx, weights=w, minlength=length)
-            else:
-                # One bincount per column over the shared structural
-                # index stream: column j is bit-for-bit the spmv replay
-                # of x[:, j] (elementwise weights, identical concat and
-                # accumulation order).
-                y = np.column_stack(
-                    [
-                        np.bincount(idx, weights=w[:, j], minlength=length)
-                        for j in range(k)
-                    ]
-                )
-            if out_idx == 0:
-                yt = y
-            else:
-                yd = y
-        if yt is None and yd is None:
-            return (
-                np.zeros(length) if k is None else np.zeros((length, k))
-            )
-        if yd is None:
-            return yt
-        if yt is None:
-            return yd
-        yt += yd
-        return yt
-
-    # -- public ops --------------------------------------------------------
-
-    def spmv(self, x: np.ndarray) -> np.ndarray:
-        if not self._use_workers():
-            return super().spmv(x)
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self._n,):
-            raise ValueError(f"x must have shape ({self._n},)")
-        with tele.span("sharded_spmv", cat="kernel", shards=self.shards,
-                       nnz=self._nnz, backend="process"):
-            if self.grid_cols > 1:
-                if self.method == "auto":
-                    parts = self._proc_blocks("spmv", x)
-                    c = self.grid_cols
-                    y = np.concatenate(
-                        [
-                            tree_reduce(parts[r * c:(r + 1) * c])
-                            for r in range(self.grid_rows)
-                        ]
-                    )
-                else:
-                    y = self._proc_replay(x, transpose=False)
-            else:
-                parts = self._proc_blocks("spmv", x)
-                y = np.concatenate(parts) if parts else np.zeros(0)
-        if tele.ENABLED:
-            tele.count("sharded_spmv_total", shards=self.shards)
-        return y
-
-    __matmul__ = spmv
-
     def spmm(self, x: np.ndarray) -> np.ndarray:
-        if not self._use_workers():
-            return super().spmm(x)
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] != self._n:
-            raise ValueError(f"X must have shape ({self._n}, k)")
-        k = x.shape[1]
-        if k == 0:
-            return np.zeros((self._m, 0))
-        if k == 1:
-            return self.spmv(x[:, 0]).reshape(self._m, 1)
-        if self.grid_cols > 1 and self.method != "auto":
-            if shard_faults.active_injector() is not None:
-                # Campaign replays consume the full per-call streams;
-                # keep the inherited in-process path under injection.
-                return super().spmm(x)
-            # Batched replay: each worker ships one (entries, k) weight
-            # block per round trip; the parent combines per column over
-            # the shared structural index streams.
-            with tele.span("sharded_spmm", cat="kernel", shards=self.shards,
-                           nnz=self._nnz, k=k, backend="process"):
-                out = self._proc_replay(x, transpose=False, k=k)
-            if tele.ENABLED:
-                tele.count("sharded_spmv_total", shards=self.shards)
-            return out
-        with tele.span("sharded_spmm", cat="kernel", shards=self.shards,
-                       nnz=self._nnz, k=k, backend="process"):
-            parts = self._proc_blocks("spmm", x, k=k)
-            if self.grid_cols > 1:
-                c = self.grid_cols
-                out = np.concatenate(
-                    [
-                        tree_reduce(parts[r * c:(r + 1) * c])
-                        for r in range(self.grid_rows)
-                    ],
-                    axis=0,
-                )
-            else:
-                out = (
-                    np.concatenate(parts, axis=0)
-                    if parts
-                    else np.zeros((0, k))
-                )
-        if tele.ENABLED:
-            tele.count("sharded_spmv_total", shards=self.shards)
-        return out
-
-    def spmv_transpose(self, x: np.ndarray) -> np.ndarray:
-        if not self._use_workers():
-            return super().spmv_transpose(x)
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self._m,):
-            raise ValueError(f"x must have shape ({self._m},)")
-        with tele.span("sharded_spmv_transpose", cat="kernel",
-                       shards=self.shards, nnz=self._nnz, backend="process"):
-            if self.method == "auto":
-                parts = self._proc_blocks("spmv_transpose", x)
-                if self.grid is None:
-                    y = tree_reduce(parts) if parts else np.zeros(self._n)
-                else:
-                    grid_r, grid_c = self.grid
-                    y = np.concatenate(
-                        [
-                            tree_reduce(
-                                [parts[r * grid_c + c] for r in range(grid_r)]
-                            )
-                            for c in range(grid_c)
-                        ]
-                    )
-            else:
-                y = self._proc_replay(x, transpose=True)
-        if tele.ENABLED:
-            tele.count("sharded_spmv_total", shards=self.shards)
-        return y
+        # The combine is inherited; this class keeps its own attribute
+        # because perfbench/spans.py times ProcessShardedSpMV.spmm by name.
+        return super().spmm(x)
 
     def update_values(self, values) -> "ProcessShardedSpMV":
         super().update_values(values)

@@ -30,11 +30,20 @@ than the one below it:
    survivor ranks.  Only this rung rebuilds the full engine; the
    rebuilt product is again bit-for-bit the single-device one.
 
-Exactness: rungs 1, 2 and 4 preserve PR 6's replay-reduction guarantee
-— a recovered run equals the single-device product *exactly*, because
-retried shards re-emit the same canonical streams/blocks and the
-combine (concatenation or ordered replay) is unchanged.  Only parity
-reconstruction (rung 3) is roundoff-grade, and it says so.
+Two shapes of shard work go up the ladder.  Shards that return their
+own block (row-disjoint partitions, column-cut ``auto``) are checked
+on that block.  Column-cut fixed-method shards return their decode
+streams and x window instead: the checker recomputes
+``sum(vals * window[cols])`` against the shard's checksum, and the
+verified list feeds the inner engine's per-block operand assembly —
+the same combine the unprotected engine runs.
+
+Exactness: rungs 1, 2 and 4 keep the sharded engine's bit-for-bit
+guarantee — a recovered run equals the single-device product
+*exactly*, because retried shards re-emit the same canonical
+streams/blocks and the combine (concatenation or the block operands)
+is unchanged.  Only parity reconstruction (rung 3) is roundoff-grade,
+and it says so.
 
 The modelled price of all of this — parity compute, parity traffic,
 retry makespan, rebuild cost — lands in
@@ -459,12 +468,9 @@ class RecoverableShardedSpMV:
             y_q = acc[:rows_q] if k is None else acc[:rows_q, :]
         observed = np.sum(y_q, axis=0)
         # Cross-device tolerance: the reconstruction sums every block's
-        # roundoff, so the summand count is the whole matrix's.  Slice x
-        # directly — _x_block would re-apply the halo fault hook.
-        s_q = self.inner.partition.shards[failed]
-        x_local = x if self.inner._nnz_idx is None else x[s_q.col_lo:s_q.col_hi]
+        # roundoff, so the summand count is the whole matrix's.
         ok = self._checks[failed].verify_sum(
-            x_local, observed, terms=self.nnz + self.shape[0]
+            self._x_local(failed, x), observed, terms=self.nnz + self.shape[0]
         )
         if not ok:
             return None
@@ -562,130 +568,72 @@ class RecoverableShardedSpMV:
 
     # -- products ----------------------------------------------------------
 
-    def _row_disjoint_product(self, x, k: int | None, depth: int = 0):
-        """spmv/spmm over row-disjoint partitions (1D, C=1 grids)."""
+    def _x_local(self, i: int, x):
+        """The clean x window shard ``i``'s checksum is taken against."""
+        lo, hi = self.inner._x_bounds(self.inner.partition.shards[i], False)
+        return x[lo:hi]
+
+    def _block_ladder(self, x, k: int | None, depth: int = 0):
+        """spmv/spmm whose shards each return their own block.
+
+        Row-disjoint partitions (1D, C=1 grids) concatenate the verified
+        blocks; column-cut ``auto`` combines them through the
+        fixed-shape tree per row block.
+        """
         op = "spmv" if k is None else "spmm"
         inner = self.inner
 
         def runner(i: int):
-            s, e = inner.partition.shards[i], inner.engines[i]
-            fn = (
-                (lambda s_, e_: e_.spmv(inner._x_block(s_, x)))
-                if k is None
-                else (lambda s_, e_: e_.spmm(inner._x_block(s_, x)))
+            return inner._shard_op(
+                op, inner.partition.shards[i], inner.engines[i], x
             )
-            return inner.shard_call(op, s, e, fn)
 
         def checker(i: int, y_blk) -> bool:
-            x_local = (
-                x if inner._nnz_idx is None
-                else x[inner.partition.shards[i].col_lo:inner.partition.shards[i].col_hi]
+            return self._checks[i].verify_sum(
+                self._x_local(i, x), np.sum(y_blk, axis=0)
             )
-            return self._checks[i].verify_sum(x_local, np.sum(y_blk, axis=0))
 
         blocks = self._ladder(op, x, k, runner, checker, depth)
         if blocks is None:  # repartitioned: recompute over the survivors
             return self._dispatch(x, k, depth + 1)
-        if not blocks:
-            return np.zeros(0) if k is None else np.zeros((0, k))
-        return np.concatenate(blocks, axis=0)
+        return np.concatenate(
+            [
+                tree_reduce([blocks[i] for i in members])
+                for members in inner._output_blocks(False)
+            ],
+            axis=0,
+        )
 
-    def _grid_fixed_spmv(self, x, depth: int = 0):
-        """Column-cut fixed-method spmv: verified streams, ordered replay."""
+    def _grid_fixed_product(self, x, k: int | None, depth: int = 0):
+        """Column-cut fixed-method spmv/spmm: verified shard streams and
+        windows, multiplied through the inner engine's block operands."""
         inner = self.inner
 
         def runner(i: int):
-            s, e = inner.partition.shards[i], inner.engines[i]
             return inner.shard_call(
-                "stream_collect", s, e,
-                lambda s_, e_: inner._stream_contrib(s_, e_, x, False),
+                "stream_collect", inner.partition.shards[i], inner.engines[i],
+                lambda s_, e_: inner._shard_streams(s_, e_, x, False),
             )
 
-        def checker(i: int, contrib) -> bool:
-            s = inner.partition.shards[i]
-            x_local = x[s.col_lo:s.col_hi]
+        def checker(i: int, task) -> bool:
+            streams, window = task
             observed = 0.0
-            for c in contrib:
-                if c is None:
-                    continue
-                _, xg, vals = c
-                if not (np.isfinite(xg).all() and np.isfinite(vals).all()):
-                    return False
-                observed += float(np.dot(vals, xg))
-            return self._checks[i].verify_sum(x_local, observed)
-
-        blocks = self._ladder("spmv", x, None, runner, checker, depth)
-        if blocks is None:
-            return self._dispatch(x, None, depth + 1)
-        return inner.replay_contribs(blocks, inner.shape[0], transpose=False)
-
-    def _grid_fixed_spmm(self, x, depth: int = 0):
-        """Column-cut fixed-method spmm: verified raw streams, replay."""
-        inner = self.inner
-        k = x.shape[1]
-
-        def runner(i: int):
-            s, e = inner.partition.shards[i], inner.engines[i]
-            return inner.shard_call(
-                "stream_collect", s, e, inner._shard_raw_streams
-            )
-
-        def checker(i: int, streams) -> bool:
-            s = inner.partition.shards[i]
-            x_local = x[s.col_lo:s.col_hi, :]
-            observed = np.zeros(k)
             for half in streams:
-                if half is None:
-                    continue
-                _, cols, vals = half
-                if not np.isfinite(vals).all():
-                    return False
-                observed = observed + vals @ x_local[cols, :]
-            return self._checks[i].verify_sum(x_local, observed)
+                if half is not None:
+                    _, cols, vals = half
+                    observed = observed + vals @ window[cols]
+            return self._checks[i].verify_sum(self._x_local(i, x), observed)
 
-        blocks = self._ladder("spmm", x, k, runner, checker, depth)
-        if blocks is None:
+        tasks = self._ladder("spmv" if k is None else "spmm", x, k, runner,
+                             checker, depth)
+        if tasks is None:
             return self._dispatch(x, k, depth + 1)
-        return inner.replay_spmm_streams(blocks, x)
-
-    def _grid_auto_product(self, x, k: int | None, depth: int = 0):
-        """Column-cut ``auto``: verified partials, fixed-shape tree."""
-        inner = self.inner
-        op = "spmv" if k is None else "spmm"
-
-        def runner(i: int):
-            s, e = inner.partition.shards[i], inner.engines[i]
-            fn = (
-                (lambda s_, e_: e_.spmv(inner._x_block(s_, x)))
-                if k is None
-                else (lambda s_, e_: e_.spmm(inner._x_block(s_, x)))
-            )
-            return inner.shard_call(op, s, e, fn)
-
-        def checker(i: int, y_blk) -> bool:
-            s = inner.partition.shards[i]
-            return self._checks[i].verify_sum(
-                x[s.col_lo:s.col_hi], np.sum(y_blk, axis=0)
-            )
-
-        blocks = self._ladder(op, x, k, runner, checker, depth)
-        if blocks is None:
-            return self._dispatch(x, k, depth + 1)
-        c = inner.grid_cols
-        rows = [
-            tree_reduce(blocks[r * c:(r + 1) * c])
-            for r in range(inner.grid_rows)
-        ]
-        return np.concatenate(rows, axis=0)
+        return inner._overlap_product(x, False, tasks)
 
     def _dispatch(self, x, k: int | None, depth: int = 0):
-        if self.inner.grid_cols <= 1:
-            return self._row_disjoint_product(x, k, depth)
-        if self.inner.method == "auto":
-            return self._grid_auto_product(x, k, depth)
-        if k is None:
-            return self._grid_fixed_spmv(x, depth)
-        return self._grid_fixed_spmm(x, depth)
+        if self.inner.grid_cols > 1 and self.inner.method != "auto":
+            return self._grid_fixed_product(x, k, depth)
+        return self._block_ladder(x, k, depth)
 
     def spmv(self, x: np.ndarray) -> np.ndarray:
         """y = A @ x with per-shard verification and localized recovery."""

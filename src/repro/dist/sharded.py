@@ -8,8 +8,8 @@ All shards may share one :class:`~repro.core.plancache.PlanCache`,
 which is lock-protected for exactly this, and row-disjoint products
 execute concurrently through a
 :class:`~concurrent.futures.ThreadPoolExecutor`.  The shard kernels are
-numpy reductions that release the GIL, so on a multi-core host the
-shards genuinely overlap; the modelled multi-GPU story comes from
+scipy CSR products that release the GIL, so on a multi-core host the
+shards can overlap; the modelled multi-GPU story comes from
 :meth:`multi_device_cost`, whose
 :class:`~repro.gpu.costmodel.MultiDeviceRunCost` makespan combines each
 shard's kernel time with the interconnect traffic the partitioner
@@ -38,21 +38,26 @@ the single-engine product, on every grid shape:
 * Row-disjoint outputs (:meth:`spmv`/:meth:`spmm` on 1D partitions or
   single-column grids) concatenate shard blocks — trivially exact.
 * Overlapping outputs (column-cut :meth:`spmv`/:meth:`spmm`, every
-  :meth:`spmv_transpose`) are combined by **ordered contribution
-  replay** (:func:`~repro.dist.reduce.replay_reduce`): the shards hand
-  over their operand-order ``(index, value)`` streams
-  (:meth:`~repro.core.tilespmv.TileSpMV.decode_streams`), and one
-  accumulation pass in grid order replays the exact single-device
-  summation sequence.  Summing rounded per-shard partials could never
-  do this — float addition is not associative.
+  :meth:`spmv_transpose`) multiply **per-block CSR operands**: one per
+  (row block, half) for forward products, one A.T operand per (column
+  block, half) for transposes, each assembled once from the shards'
+  operand-order decode streams
+  (:meth:`~repro.core.tilespmv.TileSpMV.decode_streams`) by the single
+  engine's own builder (:func:`~repro.core.storage.csr_operand`).  Each
+  block holds exactly the rows of the single-device operand, so every
+  output entry sums its contributions in the single-device sequence,
+  and the halves add as :class:`~repro.core.tilespmv.TileSpMV` adds
+  them.  Summing rounded per-shard partials could never do this —
+  float addition is not associative.  Only the x window crosses a
+  shard boundary, as in Kreutzer et al.'s split of distributed SpMV.
 
 ``auto`` may arbitrate ADPT vs DeferredCOO differently per shard (that
-is its job), which rules replay out; its partial vectors are combined
-by the fixed-shape binary tree (:func:`~repro.dist.reduce.tree_reduce`)
-instead, whose pairing order is a pure function of the grid shape —
-never of thread completion order — so ``auto`` results are still
-byte-stable across runs and worker counts, just not bit-equal to the
-single-device ``auto`` engine.
+is its job), so no shared operand exists; its partial vectors are
+combined by the fixed-shape binary tree
+(:func:`~repro.dist.reduce.tree_reduce`) instead, whose pairing order
+is a pure function of the grid shape — never of thread completion
+order — so ``auto`` results are still byte-stable across runs and
+worker counts, just not bit-equal to the single-device ``auto`` engine.
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ import scipy.sparse as sp
 
 from repro import telemetry as tele
 from repro.core.plancache import PlanCache
+from repro.core.storage import csr_operand
 from repro.core.tilespmv import METHODS, TileSpMV
 from repro.dist import faults as shard_faults
 from repro.dist.partition import (
@@ -260,10 +266,10 @@ class ShardedSpMV:
         # Modelled straggler seconds accumulated per shard (virtual
         # clock; the recovery ladder charges them to its deadline).
         self.shard_delay_s = [0.0] * len(self.engines)
-        # Assembled per-row-block CSR operands for the batched replay
-        # path, cached across spmm batches on the fault-free path and
-        # invalidated by update_values (values live inside the operand).
-        self._spmm_replay: list | None = None
+        # Per-block CSR operands of the overlapping-output products,
+        # keyed by ``transpose``: built on first use on the fault-free
+        # path, dropped by update_values (values live inside them).
+        self._block_ops: dict[bool, list] = {}
         if tele.ENABLED:
             tele.count("sharded_builds_total", shards=shards, method=method)
             tele.set_gauge("sharded_imbalance", self.partition.imbalance())
@@ -374,9 +380,9 @@ class ShardedSpMV:
         :class:`~repro.dist.faults.DeviceLostError`), straggle
         (modelled delay recorded in :attr:`shard_delay_s`), or hand
         back a corrupted partial.  Halo corruption hits inside
-        :meth:`_x_block` / the stream gather, where the x window is
-        actually sliced.  The recovery ladder calls this directly to
-        re-execute exactly one shard.
+        :meth:`_x_block`, where the x window is actually sliced.  The
+        recovery ladder calls this directly to re-execute exactly one
+        shard.
         """
         attempt = self.shard_exec_counts[s.index]
         self.shard_exec_counts[s.index] = attempt + 1
@@ -393,8 +399,42 @@ class ShardedSpMV:
             out = inj.corrupt_partial(rank, attempt, out)
         return out
 
-    def _run_shards(self, op: str, fn) -> list[np.ndarray]:
-        """Apply ``fn(shard, engine)`` per shard, concurrently when safe.
+    def _x_bounds(self, s, transpose: bool) -> tuple[int, int]:
+        """The x window shard ``s`` consumes: its rows for a transpose,
+        else its column block (all of x on a 1D partition)."""
+        if transpose:
+            return s.row_lo, s.row_hi
+        if self.grid is not None:
+            return s.col_lo, s.col_hi
+        return 0, self._n
+
+    def _x_block(self, s, x: np.ndarray, transpose: bool) -> np.ndarray:
+        """The slice of x a shard's engine consumes.
+
+        An armed shard-level campaign corrupts the window here — the
+        modelled halo exchange is exactly this slice crossing the
+        interconnect.  The corrupted copy is private to the shard; the
+        caller's ``x`` is never mutated.  Called inside
+        :meth:`shard_call`, so the attempt is the count just opened.
+        """
+        lo, hi = self._x_bounds(s, transpose)
+        blk = x[lo:hi]
+        inj = shard_faults.active_injector()
+        if inj is not None:
+            attempt = self.shard_exec_counts[s.index] - 1
+            blk = inj.corrupt_halo(self.device_ranks[s.index], attempt, blk)
+        return blk
+
+    def _shard_op(self, op: str, s, engine, x: np.ndarray) -> np.ndarray:
+        """One shard's own product (``spmv``/``spmm``/``spmv_transpose``)."""
+        transpose = op == "spmv_transpose"
+        return self.shard_call(
+            op, s, engine,
+            lambda s_, e_: getattr(e_, op)(self._x_block(s_, x, transpose)),
+        )
+
+    def _run_shards(self, op: str, x: np.ndarray) -> list[np.ndarray]:
+        """Every shard's own product, concurrently when safe.
 
         Results come back in shard order regardless of completion order,
         so every combine downstream sees a schedule-independent input.
@@ -407,296 +447,177 @@ class ShardedSpMV:
             for s, engine in pairs:
                 with tele.span("shard_execute", cat="kernel", op=op,
                                shard=s.index, rows=s.rows, nnz=s.nnz):
-                    parts.append(self.shard_call(op, s, engine, fn))
+                    parts.append(self._shard_op(op, s, engine, x))
             return parts
         return list(
-            self._pool().map(lambda pair: self.shard_call(op, *pair, fn), pairs)
+            self._pool().map(lambda pair: self._shard_op(op, *pair, x), pairs)
         )
 
-    def _col_offset(self, s) -> int:
-        """Global column of the shard block's first column (0 for 1D)."""
-        return s.col_lo if self.grid is not None else 0
+    # -- overlapping outputs: per-block CSR operands -----------------------
 
-    def _x_block(self, s, x: np.ndarray) -> np.ndarray:
-        """The slice of x a shard's engine consumes.
+    def _output_blocks(self, transpose: bool) -> list[list[int]]:
+        """Shard indices feeding each output block, in grid order.
 
-        An armed shard-level campaign corrupts the window here — the
-        modelled halo exchange is exactly this slice crossing the
-        interconnect.  The corrupted copy is private to the shard; the
-        caller's ``x`` is never mutated.
+        Forward products write row blocks (one per grid row); a
+        transpose writes column blocks (one per grid column — a single
+        block spanning every shard on a 1D partition).
         """
-        blk = x[s.col_lo:s.col_hi] if self.grid is not None else x
+        rows, cols = self.grid_rows, self.grid_cols
+        if transpose:
+            return [[r * cols + c for r in range(rows)] for c in range(cols)]
+        return [[r * cols + c for c in range(cols)] for r in range(rows)]
+
+    def _shard_streams(self, s, e, x: np.ndarray, transpose: bool):
+        """One shard task of an overlapping-output product.
+
+        Returns ``(streams, window)``: the shard's operand-order decode
+        streams (per half ``None`` or local ``(rows, cols, vals)``) and
+        the x window it consumes.  An armed shard-level campaign
+        corrupts each half's values — the shard's contribution *is* its
+        partial here — and the window (the halo).  Called inside
+        :meth:`shard_call`.
+        """
+        streams = e.decode_streams()
         inj = shard_faults.active_injector()
         if inj is not None:
-            attempt = max(self.shard_exec_counts[s.index] - 1, 0)
-            blk = inj.corrupt_halo(self.device_ranks[s.index], attempt, blk)
-        return blk
-
-    def _shard_raw_streams(self, s, e):
-        """One shard's decode streams, through the partial-fault hook.
-
-        Per half either ``None`` or ``(rows, cols, vals)`` in the
-        shard's local coordinates.  An armed shard-level campaign
-        corrupts the value stream — the shard's contribution *is* its
-        partial under replay reduction, so this is what "corrupted
-        shard partial" means on the replay path.
-        """
-        inj = shard_faults.active_injector()
-        attempt = max(self.shard_exec_counts[s.index] - 1, 0)
-        out = []
-        for salt, stream in zip(("tiled", "deferred"), e.decode_streams()):
-            if stream is None:
-                out.append(None)
-                continue
-            rows, cols, vals = stream
-            if inj is not None:
-                vals = inj.corrupt_partial(
-                    self.device_ranks[s.index], attempt, vals, salt=salt
-                )
-            out.append((rows, cols, vals))
-        return tuple(out)
-
-    def _stream_contrib(self, s, e, x: np.ndarray, transpose: bool):
-        """One shard's replay contribution: per half, (idx, x_gather, vals).
-
-        Indices are global output positions; the gather is the slice of
-        ``x`` the shard's entries touch (halo-corruptible, like
-        :meth:`_x_block`).  Called inside :meth:`shard_call` so the
-        device-loss/straggler hooks and the execution counter apply.
-        """
-        inj = shard_faults.active_injector()
-        attempt = max(self.shard_exec_counts[s.index] - 1, 0)
-        off = self._col_offset(s)
-        out = []
-        for salt, stream in zip(("tiled", "deferred"), self._shard_raw_streams(s, e)):
-            if stream is None:
-                out.append(None)
-                continue
-            rows, cols, vals = stream
-            if transpose:
-                idx, xg = off + cols, x[s.row_lo + rows]
-            else:
-                idx, xg = s.row_lo + rows, x[off + cols]
-            if inj is not None:
-                xg = inj.corrupt_halo(
-                    self.device_ranks[s.index], attempt, xg, salt=salt
-                )
-            if transpose:
-                # Canonical (col, row) accumulation order, matching the
-                # single-device transpose: shards own contiguous ascending
-                # row/column blocks, so grid-order concatenation of sorted
-                # shard streams replays the global order per output entry.
-                o = np.lexsort((rows, cols))
-                idx, xg, vals = idx[o], xg[o], vals[o]
-            out.append((idx, xg, vals))
-        return tuple(out)
-
-    def _collect_streams(self, transpose: bool, x: np.ndarray):
-        """Per-shard replay contributions, in grid order.
-
-        One :meth:`shard_call`-guarded :meth:`_stream_contrib` per
-        shard.  Streams are read live from the engines at call time — a
-        preceding :meth:`update_values` swapped the value arrays, not
-        the structure.
-        """
-        return [
-            self.shard_call(
-                "stream_collect", s, e,
-                lambda s_, e_: self._stream_contrib(s_, e_, x, transpose),
+            rank = self.device_ranks[s.index]
+            attempt = self.shard_exec_counts[s.index] - 1
+            streams = tuple(
+                None if st is None
+                else (st[0], st[1],
+                      inj.corrupt_partial(rank, attempt, st[2], salt=salt))
+                for salt, st in zip(("tiled", "deferred"), streams)
             )
-            for s, e in zip(self.partition.shards, self.engines)
-        ]
+        return streams, self._x_block(s, x, transpose)
 
-    def replay_contribs(self, contribs, length: int, transpose: bool) -> np.ndarray:
-        """Combine per-shard contributions by ordered replay (bit-for-bit).
+    def _assemble(self, streams, transpose: bool) -> list:
+        """Per output block, one CSR operand per half of the plan.
 
-        Each shard's stream is in its operand order — (row, ascending
-        column), or (column, ascending row) once
-        :meth:`_stream_contrib` sorts it for a transpose — and shards
-        own contiguous tile-snapped blocks, so concatenating the streams
-        in grid order reconstructs, per output entry, the exact
-        accumulation sequence of the single-device CSR operands; a
-        single ``bincount`` pass per half then replays the same
-        left-to-right summation, and the halves combine by the same
-        branch the single engine uses.  A GPU-substrate fault campaign
-        corrupts the concatenated value stream exactly once per half on
-        forward products, mirroring the unsharded kernels; transposes
-        are not a fault site on either path.  The recovery ladder calls
-        this with its *verified* contribution list, so a recovered
-        product replays the same clean streams.
-        """
-        halves = ([], [])  # (tiled, deferred): per-half [idx, x_gather, vals]
-        for contrib in contribs:
-            for half, c in zip(halves, contrib):
-                if c is not None:
-                    half.append(c)
-        tiled, deferred = (
-            None
-            if not half
-            else tuple(np.concatenate(arrs) for arrs in zip(*half))
-            for half in halves
-        )
-        # The single-device kernels inject on forward products only.
-        inj = None if transpose else faults.active_injector()
-        yt = yd = None
-        if tiled is not None:
-            idx, xg, vals = tiled
-            if inj is not None:
-                vals = inj.corrupt_payload(vals, kind="tile_payload")
-            yt = np.bincount(idx, weights=vals * xg, minlength=length)
-        if deferred is not None:
-            idx, xg, vals = deferred
-            products = vals * xg
-            if inj is not None:
-                products = inj.corrupt_payload(products, kind="csr5_payload")
-            yd = np.bincount(idx, weights=products, minlength=length)
-        if yt is None and yd is None:
-            return np.zeros(length)
-        if yd is None:
-            return yt
-        if yt is None:
-            return yd
-        yt += yd
-        return yt
-
-    def _replay(self, x: np.ndarray, transpose: bool) -> np.ndarray:
-        """Bit-for-bit product: collect per-shard streams, replay them."""
-        length = self._n if transpose else self._m
-        return self.replay_contribs(self._collect_streams(transpose, x),
-                                    length, transpose)
-
-    def replay_spmm_streams(self, streams, x: np.ndarray) -> np.ndarray:
-        """Combine per-cell raw streams into the batched product.
-
-        Like :meth:`replay_contribs`, the recovery ladder feeds this its
-        verified stream list.
-        """
-        return self._spmm_blocks_product(self._assemble_spmm_blocks(streams), x)
-
-    def _assemble_spmm_blocks(self, streams) -> list:
-        """Per row block, one CSR operand per half from the cells' streams.
-
-        Concatenated in grid order, the cells' streams keep each row's
-        entries in ascending column order, so each block operand holds
-        exactly the (row, column) order of the single-device operand and
-        its product equals the corresponding row slice of the unsharded
-        :meth:`TileSpMV.spmm` bit-for-bit.  A half present anywhere gets
-        an operand in every block — an empty one where the block has no
+        Forward blocks hold A's rows over all n columns; transposed
+        blocks hold A.T's rows (A's columns) over all m rows.  Either
+        way :func:`~repro.core.storage.csr_operand` puts each block in
+        canonical order — exactly the rows of the single-device operand
+        (or of its A.T operand), so each row sums its entries in the
+        single engine's sequence.  A half present anywhere gets an
+        operand in every block — an empty one where the block has no
         entries — so the final add sees the reference's bit pattern.  A
-        GPU-substrate fault campaign corrupts each (row block, half)'s
-        concatenated values once, in that order.
+        GPU-substrate campaign corrupts each (row block, half)'s values
+        once, on forward products only, like the single-device kernels.
         """
-        inj = faults.active_injector()
-        kinds = ("tile_payload", "csr5_payload")
-        part: GridPartition = self.partition
-        grid_r, grid_c = part.grid
-        has_half = [
-            any(streams[i][half] is not None for i in range(len(streams)))
-            for half in (0, 1)
-        ]
+        inj = None if transpose else faults.active_injector()
+        shards = self.partition.shards
+        length = self._m if transpose else self._n
+        present = [any(st[h] is not None for st in streams) for h in (0, 1)]
         blocks = []
-        for r in range(grid_r):
-            rows_r = int(part.row_bounds[r + 1] - part.row_bounds[r])
-            mats: list = [None, None]
-            for half in (0, 1):
-                if not has_half[half]:
+        for members in self._output_blocks(transpose):
+            lo, hi = self._x_bounds(shards[members[0]], not transpose)
+            ops = []
+            for half, kind in ((0, "tile_payload"), (1, "csr5_payload")):
+                if not present[half]:
                     continue
-                idxs, cols, vals = [], [], []
-                for c in range(grid_c):
-                    i = r * grid_c + c
-                    stream = streams[i][half]
-                    if stream is None:
+                out_idx, in_idx, vals = [], [], []
+                for i in members:
+                    if streams[i][half] is None:
                         continue
-                    srows, scols, svals = stream
-                    idxs.append(srows)
-                    cols.append(part.shards[i].col_lo + scols)
-                    vals.append(svals)
-                if not idxs:
-                    mats[half] = sp.csr_matrix((rows_r, self._n))
+                    rows, cols, v = streams[i][half]
+                    o, j = (cols, rows) if transpose else (rows, cols)
+                    out_idx.append(o)
+                    in_idx.append(self._x_bounds(shards[i], transpose)[0] + j)
+                    vals.append(v)
+                if not vals:
+                    ops.append(sp.csr_matrix((hi - lo, length)))
                     continue
                 v = np.concatenate(vals)
                 if inj is not None:
-                    v = inj.corrupt_payload(v, kind=kinds[half])
-                mats[half] = sp.csr_matrix(
-                    (v, (np.concatenate(idxs), np.concatenate(cols))),
-                    shape=(rows_r, self._n),
-                )
-            blocks.append((rows_r, mats))
+                    v = inj.corrupt_payload(v, kind=kind)
+                ops.append(csr_operand(np.concatenate(out_idx),
+                                       np.concatenate(in_idx), v,
+                                       (hi - lo, length))[0])
+            blocks.append((hi - lo, ops))
         return blocks
 
-    @staticmethod
-    def _spmm_blocks_product(blocks, x: np.ndarray) -> np.ndarray:
-        """Stack the per-row-block products, halves added like the engine."""
-        k = x.shape[1]
-        out = []
-        for rows_r, (mt, md) in blocks:
-            if mt is None and md is None:
-                out.append(np.zeros((rows_r, k)))
-            elif md is None:
-                out.append(np.asarray(mt @ x))
-            elif mt is None:
-                out.append(np.asarray(md @ x))
-            else:
-                out.append(np.asarray(mt @ x) + np.asarray(md @ x))
-        return np.concatenate(out, axis=0) if out else np.zeros((0, k))
+    def _overlap_product(self, x: np.ndarray, transpose: bool,
+                         tasks=None) -> np.ndarray:
+        """Fixed-method product whose output blocks span several shards.
 
-    def _replay_spmm(self, x: np.ndarray) -> np.ndarray:
-        """Bit-for-bit batched product for column-cut grids.
-
-        One stream gather per shard per *batch* — never per column —
-        and, on the fault-free path, the assembled per-row-block CSR
-        operands are cached across batches (a coalesced serving burst
-        pays the canonicalization sort once).  An armed fault campaign
-        bypasses the cache: corruption must hit fresh streams per call.
+        Column-cut ``spmv``/``spmm`` and every ``spmv_transpose``: each
+        output block multiplies its per-half operands by the
+        concatenation of its shards' x windows (x itself without a
+        campaign, since the grid's bounds are shared) and adds the
+        halves as :class:`TileSpMV` does — bit-for-bit the single
+        device for 1-D and 2-D x alike.  Fault-free, the operands are
+        built once from the engines' streams and cached until
+        :meth:`update_values`, and no shard task runs.  While any
+        injector is armed every call runs one :meth:`shard_call`-guarded
+        :meth:`_shard_streams` task per shard and assembles fresh
+        operands; the recovery ladder passes its verified ``tasks``.
         """
         armed = (
             shard_faults.active_injector() is not None
             or faults.active_injector() is not None
         )
-        blocks = None if armed else self._spmm_replay
-        if blocks is None:
-            streams = [
-                self.shard_call("stream_collect", s, e, self._shard_raw_streams)
-                for s, e in zip(self.partition.shards, self.engines)
+        if not armed:
+            blocks = self._block_ops.get(transpose)
+            if blocks is None:
+                blocks = self._assemble(
+                    [e.decode_streams() for e in self.engines], transpose
+                )
+                self._block_ops[transpose] = blocks
+            xs = [x] * len(blocks)
+        else:
+            if tasks is None:
+                tasks = [
+                    self.shard_call(
+                        "stream_collect", s, e,
+                        lambda s_, e_: self._shard_streams(s_, e_, x, transpose),
+                    )
+                    for s, e in zip(self.partition.shards, self.engines)
+                ]
+            blocks = self._assemble([t[0] for t in tasks], transpose)
+            xs = [
+                np.concatenate([tasks[i][1] for i in members])
+                for members in self._output_blocks(transpose)
             ]
-            blocks = self._assemble_spmm_blocks(streams)
-            if not armed:
-                self._spmm_replay = blocks
-        return self._spmm_blocks_product(blocks, x)
+        out = []
+        for (rows, ops), xb in zip(blocks, xs):
+            y = np.zeros((rows,) + xb.shape[1:]) if not ops else ops[0] @ xb
+            for op in ops[1:]:
+                y += op @ xb
+            out.append(y)
+        return np.concatenate(out, axis=0)
+
+    def _product(self, x: np.ndarray, transpose: bool) -> np.ndarray:
+        """The combine behind :meth:`spmv`, :meth:`spmm` and
+        :meth:`spmv_transpose`.
+
+        Row-disjoint forward products (1D, or C=1 grids) concatenate the
+        shard blocks, computed concurrently.  Overlapping outputs go
+        through the block operands for the fixed strategies
+        (bit-for-bit) and through the fixed-shape tree per output block
+        for ``auto`` (deterministic).
+        """
+        op = "spmv_transpose" if transpose else ("spmv" if x.ndim == 1 else "spmm")
+        if not transpose and self.grid_cols == 1:
+            return np.concatenate(self._run_shards(op, x), axis=0)
+        if self.method != "auto":
+            return self._overlap_product(x, transpose)
+        parts = self._run_shards(op, x)
+        return np.concatenate(
+            [
+                tree_reduce([parts[i] for i in members])
+                for members in self._output_blocks(transpose)
+            ],
+            axis=0,
+        )
 
     def spmv(self, x: np.ndarray) -> np.ndarray:
-        """y = A @ x.
-
-        Row-disjoint partitions (1D, or C=1 grids) concatenate the
-        shard blocks, computed concurrently.  Column-cut grids combine
-        overlapping partials: ordered replay for the fixed strategies
-        (bit-for-bit), the fixed-shape tree per row block for ``auto``
-        (deterministic).
-        """
+        """y = A @ x, combined as :meth:`_product` describes."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self._n,):
             raise ValueError(f"x must have shape ({self._n},)")
         with tele.span("sharded_spmv", cat="kernel", shards=self.shards,
                        nnz=self._nnz):
-            if self.grid_cols > 1:
-                if self.method == "auto":
-                    parts = self._run_shards(
-                        "spmv", lambda s, e: e.spmv(self._x_block(s, x))
-                    )
-                    c = self.grid_cols
-                    y = np.concatenate(
-                        [
-                            tree_reduce(parts[r * c:(r + 1) * c])
-                            for r in range(self.grid_rows)
-                        ]
-                    )
-                else:
-                    y = self._replay(x, transpose=False)
-            else:
-                parts = self._run_shards(
-                    "spmv", lambda s, e: e.spmv(self._x_block(s, x))
-                )
-                y = np.concatenate(parts) if parts else np.zeros(0)
+            y = self._product(x, transpose=False)
         if tele.ENABLED:
             tele.count("sharded_spmv_total", shards=self.shards)
         return y
@@ -706,9 +627,7 @@ class ShardedSpMV:
     def spmm(self, x: np.ndarray) -> np.ndarray:
         """Y = A @ X, each shard running its native batched product.
 
-        Same combine contract as :meth:`spmv`: concatenation when row
-        blocks are disjoint, replay (fixed strategies) or per-row-block
-        tree (``auto``) under column cuts.
+        Same combine contract as :meth:`spmv`.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] != self._n:
@@ -716,35 +635,12 @@ class ShardedSpMV:
         if x.shape[1] == 0:
             return np.zeros((self._m, 0))
         if x.shape[1] == 1:
-            # Degenerate batch: the exact spmv combine (concatenation /
-            # ordered replay / tree), bit-for-bit a standalone product.
+            # Degenerate batch: the exact spmv combine, bit-for-bit a
+            # standalone product.
             return self.spmv(x[:, 0]).reshape(self._m, 1)
         with tele.span("sharded_spmm", cat="kernel", shards=self.shards,
                        nnz=self._nnz, k=x.shape[1]):
-            if self.grid_cols > 1:
-                if self.method == "auto":
-                    parts = self._run_shards(
-                        "spmm", lambda s, e: e.spmm(self._x_block(s, x))
-                    )
-                    c = self.grid_cols
-                    out = np.concatenate(
-                        [
-                            tree_reduce(parts[r * c:(r + 1) * c])
-                            for r in range(self.grid_rows)
-                        ],
-                        axis=0,
-                    )
-                else:
-                    out = self._replay_spmm(x)
-            else:
-                parts = self._run_shards(
-                    "spmm", lambda s, e: e.spmm(self._x_block(s, x))
-                )
-                out = (
-                    np.concatenate(parts, axis=0)
-                    if parts
-                    else np.zeros((0, x.shape[1]))
-                )
+            out = self._product(x, transpose=False)
         if tele.ENABLED:
             tele.count("sharded_spmv_total", shards=self.shards)
         return out
@@ -753,40 +649,18 @@ class ShardedSpMV:
         """y = A.T @ x — bit-for-bit with the single device, at every P.
 
         Every shard contributes to overlapping output ranges, so this is
-        always a cross-shard reduction.  Fixed strategies replay the
-        shards' canonical contribution streams in grid order — the exact
-        single-device accumulation sequence, hence bit-for-bit equality
-        (this used to be allclose-only when rounded per-shard partials
-        were summed).  ``auto`` partials combine through the fixed-shape
-        tree per column block: deterministic, schedule-independent,
-        equal to rounding.  An empty partition contributes nothing and
-        the result is a typed float64 zero vector of the full column
-        extent.
+        always a cross-shard combine: the per-column-block A.T operands
+        for fixed strategies, the fixed-shape tree per column block for
+        ``auto`` (deterministic, equal to rounding).  An empty partition
+        contributes nothing and the result is a typed float64 zero
+        vector of the full column extent.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self._m,):
             raise ValueError(f"x must have shape ({self._m},)")
         with tele.span("sharded_spmv_transpose", cat="kernel",
                        shards=self.shards, nnz=self._nnz):
-            if self.method == "auto":
-                parts = self._run_shards(
-                    "spmv_transpose",
-                    lambda s, e: e.spmv_transpose(x[s.row_lo:s.row_hi]),
-                )
-                if self.grid is None:
-                    y = tree_reduce(parts) if parts else np.zeros(self._n)
-                else:
-                    grid_r, grid_c = self.grid
-                    y = np.concatenate(
-                        [
-                            tree_reduce(
-                                [parts[r * grid_c + c] for r in range(grid_r)]
-                            )
-                            for c in range(grid_c)
-                        ]
-                    )
-            else:
-                y = self._replay(x, transpose=True)
+            y = self._product(x, transpose=True)
         if tele.ENABLED:
             tele.count("sharded_spmv_total", shards=self.shards)
         return y
@@ -820,8 +694,8 @@ class ShardedSpMV:
             else:
                 for s, engine in zip(self.partition.shards, self.engines):
                     engine.update_values(data[s.nnz_lo:s.nnz_hi])
-        # The cached batched-replay operands hold the old values.
-        self._spmm_replay = None
+        # The cached block operands hold the old values.
+        self._block_ops = {}
         return self
 
     # -- lifecycle ---------------------------------------------------------

@@ -78,8 +78,8 @@ class ReliableSpMV:
         Optional 2D shard grid — ``(R, C)``, ``"auto"`` or an integer —
         forwarded to :class:`~repro.dist.sharded.ShardedSpMV`.  A
         non-``None`` grid implies a sharded engine even when ``shards``
-        is 1; the fault-injection hooks run inside the grid's replay
-        reduction, so detection coverage is unchanged.
+        is 1; the fault-injection hooks run inside the grid's block-operand
+        products, so detection coverage is unchanged.
     recovery:
         Opt into the shard-level recovery ladder
         (:class:`~repro.dist.recovery.RecoverableShardedSpMV`): a

@@ -4,7 +4,8 @@ Differential tests of the tiling, selection and kernel-cost helpers
 against the references in :mod:`tests.build_reference`, one end-to-end
 comparison of whole plans built with every reference patched in, and a
 source guard that keeps ``<ufunc>.at``, ``np.unique`` and ``np.lexsort``
-off the plan-build modules.
+off the plan-build modules and the sharded combine (whose products
+multiply cached block operands instead of re-sorting streams per call).
 """
 
 import ast
@@ -17,6 +18,9 @@ import repro.baselines.common
 import repro.core.kernels.costs as costs
 import repro.core.selection
 import repro.core.tiling
+import repro.dist.procpool
+import repro.dist.reduce
+import repro.dist.sharded
 import repro.formats.base
 import repro.formats.tile_bitmap
 import repro.formats.tile_csr
@@ -121,6 +125,9 @@ GUARDED = (
     repro.core.selection,
     costs,
     repro.baselines.common,
+    repro.dist.sharded,
+    repro.dist.procpool,
+    repro.dist.reduce,
 )
 
 

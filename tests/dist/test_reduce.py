@@ -1,9 +1,9 @@
-"""Deterministic reductions: tree schedule shape, replay exactness."""
+"""Deterministic reductions: tree schedule shape and tree reduction."""
 
 import numpy as np
 import pytest
 
-from repro.dist import replay_reduce, tree_reduce, tree_schedule
+from repro.dist import tree_reduce, tree_schedule
 
 
 class TestTreeSchedule:
@@ -88,38 +88,3 @@ class TestTreeReduce:
         with pytest.raises(ValueError):
             tree_reduce([np.ones(3), np.ones(4)])
 
-
-class TestReplayReduce:
-    def test_replays_single_stream_order(self):
-        idx = np.array([0, 2, 0, 1])
-        val = np.array([1.0, 2.0, 3.0, 4.0])
-        out = replay_reduce([(idx, val)], 4)
-        np.testing.assert_array_equal(out, [4.0, 4.0, 2.0, 0.0])
-
-    def test_concatenation_order_is_the_replay_order(self):
-        # All contributions hit index 0 with magnitudes chosen so that
-        # the two concatenation orders round differently — replay must
-        # honour the order the streams were handed over in.
-        a = (np.zeros(3, dtype=np.int64), np.array([1e16, 1.0, 1.0]))
-        b = (np.zeros(1, dtype=np.int64), np.array([-1e16]))
-        ab = replay_reduce([a, b], 1)
-        ba = replay_reduce([b, a], 1)
-        assert ab[0] != ba[0]  # (1e16 + 1 + 1) - 1e16 = 0 vs 1e16 - 1e16 + 1 + 1 = 2
-
-    def test_empty_streams_give_typed_zeros(self):
-        e = np.array([], dtype=np.int64)
-        out = replay_reduce([(e, e.astype(np.float64))], 5)
-        assert out.dtype == np.float64
-        np.testing.assert_array_equal(out, np.zeros(5))
-
-    def test_skips_empty_streams_without_perturbing(self):
-        e = (np.array([], dtype=np.int64), np.array([]))
-        full = (np.array([1, 1]), np.array([0.5, 0.25]))
-        with_empty = replay_reduce([e, full, e], 3)
-        without = replay_reduce([full], 3)
-        assert np.array_equal(with_empty, without)
-
-    def test_minlength_pads_unhit_tail(self):
-        out = replay_reduce([(np.array([0]), np.array([2.0]))], 10)
-        assert out.shape == (10,)
-        assert out[0] == 2.0 and np.all(out[1:] == 0.0)

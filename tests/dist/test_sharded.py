@@ -44,8 +44,8 @@ class TestExactness:
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 8])
     def test_transpose_bit_exact(self, rng, p):
         # Regression: this used to be allclose-only because per-shard
-        # partials were summed in completion order.  Ordered
-        # contribution replay makes the transpose bit-for-bit too.
+        # partials were summed in completion order.  The per-block A.T
+        # operands make the transpose bit-for-bit too.
         a = random_uniform(260, 180, nnz_per_row=5, seed=23)
         x = rng.standard_normal(260)
         ref = TileSpMV(a, method="adpt").spmv_transpose(x)
@@ -233,6 +233,39 @@ class TestUpdateValues:
                 eng.update_values(random_uniform(200, 200, nnz_per_row=4, seed=33))
             with pytest.raises(ValueError):
                 eng.update_values(np.ones(a.nnz + 1))
+
+
+class TestUpdateAfterProduct:
+    """A product before update_values must leave no stale operand behind.
+
+    The overlapping-output products (column-cut spmv/spmm, every
+    transpose) cache per-block operands on their first call; the
+    update tests above update before any product, so only these catch
+    a cache that survives the new values.
+    """
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("grid", [(2, 2), (1, 3), None])
+    @pytest.mark.parametrize("method", ["adpt", "deferred_coo"])
+    def test_products_after_update_match_fresh_engine(self, rng, method,
+                                                      grid, backend):
+        a = fem_blocks(150, block=3, avg_degree=8, seed=28)
+        x = rng.standard_normal(a.shape[1])
+        xk = rng.standard_normal((a.shape[1], 3))
+        xt = rng.standard_normal(a.shape[0])
+        new = rng.standard_normal(a.nnz)
+        fresh = a.tocsr().copy()
+        fresh.data = new.copy()
+        ref = TileSpMV(fresh, method=method)
+        with ShardedSpMV(a, shards=3, grid=grid, method=method,
+                         backend=backend) as eng:
+            stale = (eng.spmv(x), eng.spmm(xk), eng.spmv_transpose(xt))
+            eng.update_values(new)
+            fresh_out = (eng.spmv(x), eng.spmm(xk), eng.spmv_transpose(xt))
+        expect = (ref.spmv(x), ref.spmm(xk), ref.spmv_transpose(xt))
+        for before, got, want in zip(stale, fresh_out, expect):
+            assert not np.array_equal(before, want)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestLifecycle:

@@ -2,7 +2,7 @@
 
 For the fixed strategies, a tile-snapped partition — 1D row blocks or
 a 2D row x column tile grid — must reproduce the single-device result
-*bit-for-bit*: ordered contribution replay re-runs every per-output
+*bit-for-bit*: the per-block CSR operands re-run every per-output
 summation in the canonical decode order, whichever shard owns each
 tile.  This is the strongest oracle available: not allclose, but
 ``np.array_equal``, across the whole structural zoo, every shard
@@ -15,6 +15,7 @@ changes the rounded result, proving the guarantee is not vacuous.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core.tilespmv import TileSpMV
 from repro.dist import ShardedSpMV
@@ -34,6 +35,8 @@ def _grid_configs(include_1d=False):
         yield p, "auto"
     yield 4, (1, 4)  # extreme: every cut is a column cut
     yield 6, (2, 3)
+    yield 3, (3, 1)  # row cuts only: forward row-disjoint, transpose overlaps
+    yield 3, (1, 3)
 
 
 def _matrices():
@@ -47,6 +50,15 @@ def _matrices():
         ("hyper", g.hypersparse(700, nnz=90, seed=7)),
         ("arrow", g.gupta_arrow(220, border=20, seed=8)),
         ("lp", g.lp_like(90, 330, seed=9)),
+        ("tall", g.random_uniform(340, 120, nnz_per_row=4, seed=13)),
+        # Hypersparse tiles (DeferredCOO half) beside banded ones (tiled
+        # half): under deferred_coo every multi-shard config has cells
+        # holding only one half, and grids (4, 2) and (2, 3) have empty
+        # off-diagonal cells.
+        ("halves", sp.block_diag([
+            g.hypersparse(192, nnz=500, seed=15),
+            g.banded(192, half_bandwidth=2, seed=14),
+        ]).tocsr()),
     ]
 
 
@@ -106,8 +118,8 @@ def test_auto_stays_allclose():
 @pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=IDS)
 @pytest.mark.parametrize("method", ["adpt", "csr", "deferred_coo"])
 def test_grid_spmv_bit_for_bit(matrix, method):
-    # The 1D counts are covered above; here every config has column
-    # cuts, so the y partial replay is always on the critical path.
+    # The 1D counts are covered above; here every config but (3, 1) has
+    # column cuts, so the block operands are on the critical path.
     rng = np.random.default_rng(103)
     x = rng.standard_normal(matrix.shape[1])
     ref = TileSpMV(matrix, method=method).spmv(x)
@@ -153,8 +165,9 @@ def _adversarial(m, n, seed):
     return a.tocsr()
 
 
+@pytest.mark.parametrize("backend", ["thread", "process"])
 @pytest.mark.parametrize("method", ["adpt", "csr", "deferred_coo"])
-def test_adversarial_magnitudes_bit_for_bit(method):
+def test_adversarial_magnitudes_bit_for_bit(method, backend):
     # Summing these in any other order visibly changes the rounded
     # result, so bit-equality here proves the sharded engine replays
     # the exact single-device accumulation sequence — it cannot pass
@@ -166,7 +179,8 @@ def test_adversarial_magnitudes_bit_for_bit(method):
     ref = TileSpMV(a, method=method).spmv(x)
     ref_t = TileSpMV(a, method=method).spmv_transpose(xt)
     for p, grid in _grid_configs(include_1d=True):
-        with ShardedSpMV(a, shards=p, method=method, grid=grid) as eng:
+        with ShardedSpMV(a, shards=p, method=method, grid=grid,
+                         backend=backend) as eng:
             assert np.array_equal(eng.spmv(x), ref)
             assert np.array_equal(eng.spmv_transpose(xt), ref_t)
 
