@@ -165,13 +165,7 @@ def _adversarial(m, n, seed):
     return a.tocsr()
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-@pytest.mark.parametrize("method", ["adpt", "csr", "deferred_coo"])
-def test_adversarial_magnitudes_bit_for_bit(method, backend):
-    # Summing these in any other order visibly changes the rounded
-    # result, so bit-equality here proves the sharded engine replays
-    # the exact single-device accumulation sequence — it cannot pass
-    # by luck.
+def _check_adversarial(method, backend):
     a = _adversarial(330, 270, seed=11)
     rng = np.random.default_rng(106)
     x = rng.choice([1e-9, 1.0, 1e9], size=270) * rng.standard_normal(270)
@@ -183,6 +177,21 @@ def test_adversarial_magnitudes_bit_for_bit(method, backend):
                          backend=backend) as eng:
             assert np.array_equal(eng.spmv(x), ref)
             assert np.array_equal(eng.spmv_transpose(xt), ref_t)
+
+
+@pytest.mark.parametrize("method", ["adpt", "csr", "deferred_coo"])
+def test_adversarial_magnitudes_bit_for_bit(method):
+    # Summing these in any other order visibly changes the rounded
+    # result, so bit-equality here proves the sharded engine replays
+    # the exact single-device accumulation sequence — it cannot pass
+    # by luck.
+    _check_adversarial(method, "thread")
+
+
+@pytest.mark.parametrize("method", ["adpt", "csr", "deferred_coo"])
+def test_adversarial_magnitudes_process_backend_bit_for_bit(method):
+    # Same oracle with the shards in worker processes.
+    _check_adversarial(method, "process")
 
 
 def test_adversarial_order_sensitivity_is_real():
