@@ -84,8 +84,7 @@ def run_scenario(name: str, fleet: dict, n_requests: int, *, overload: bool,
     )
     for mid, m in fleet.items():
         rt.register(mid, m)
-    est = rt.estimate(next(iter(fleet)))
-    base = est["full"]
+    base = rt.estimate(next(iter(fleet)))["fast"]
     trace = synthetic_trace(
         list(fleet),
         n_requests=n_requests,

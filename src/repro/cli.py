@@ -505,8 +505,7 @@ def _cmd_serve_sim(args) -> int:
         args.matrices, args.seed, args.queue_limit, args.device,
         coalesce_window=args.coalesce, max_batch=args.max_batch,
     )
-    est = rt.estimate(ids[0])
-    base = est["no_arbitration"] if est["no_arbitration"] is not None else est["full"]
+    base = rt.estimate(ids[0])["fast"]
     mean_gap = base * (0.2 if args.overload else 2.0)
     trace = synthetic_trace(
         ids,
@@ -582,8 +581,7 @@ def _cmd_trace(args) -> int:
         rt, ids = _build_serving_fleet(
             args.matrices, args.seed, args.queue_limit, args.device, method="auto"
         )
-        est = rt.estimate(ids[0])
-        base = est["no_arbitration"] if est["no_arbitration"] is not None else est["full"]
+        base = rt.estimate(ids[0])["fast"]
         trace = synthetic_trace(
             ids,
             n_requests=args.requests,

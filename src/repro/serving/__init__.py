@@ -4,8 +4,9 @@ PR 2 made one product trustworthy; this package makes a *service* and a
 *solve* trustworthy:
 
 * :mod:`repro.serving.runtime` — deadline-aware admission control with
-  load shedding and a graceful-degradation ladder, on a deterministic
-  virtual clock priced by the cost model;
+  load shedding and a two-rung ladder (the tiled fast path, priced by
+  plan readiness, then the verified scalar trust rung), on a
+  deterministic virtual clock priced by the cost model;
 * :mod:`repro.serving.breaker` — per-plan circuit breakers that trade
   the fast tiled path for the verified scalar fallback while a plan is
   misbehaving, and probe their way back;

@@ -116,6 +116,18 @@ class CircuitBreaker:
             self.counters["probes"] += 1
         return True
 
+    def admits_fast(self, now: float) -> bool:
+        """Would :meth:`allow_fast` admit a request at ``now``?
+
+        A side-effect-free query: no transition, denial or probe is
+        counted, so a caller that may not run the fast path after all
+        can ask without skewing the accounting.
+        """
+        return (
+            self.state is not BreakerState.OPEN
+            or now - self._opened_at >= self.config.cooldown_seconds
+        )
+
     # -- outcome reports ---------------------------------------------------
 
     def record_success(self, now: float) -> None:

@@ -16,32 +16,26 @@ Per request, in order:
    per *plan* (structural fingerprint).  An open breaker denies the
    tiled fast path and routes to the verified scalar fallback; after a
    cooldown, half-open probes earn the fast path back.
-3. **Degradation ladder** — the cheapest-quality level that fits the
-   remaining deadline budget wins, preferring quality:
+3. **Degradation ladder** — two rungs; the fast rung wins whenever
+   the breaker admits it and it fits the remaining deadline budget:
 
-   ====  ================  ==================================================
-   lvl   name              modelled service time
-   ====  ================  ==================================================
-   0     full              per-request arbitration (+ build if plan absent)
-                           + fast product
-   1     no_arbitration    build without arbitration + fast — only *needed*
-                           when the plan is absent
-   2     cached_plan       fast only — admissible iff the plan is in cache
-   3     scalar            verified scalar reference (no plan needed)
-   ====  ================  ==================================================
+   ====  ======  =========================================================
+   lvl   name    modelled service time
+   ====  ======  =========================================================
+   0     fast    ABFT-verified tiled product (+ one plan build when a
+                 probe key misses the plan cache)
+   1     scalar  verified scalar reference (no plan needed)
+   ====  ======  =========================================================
 
-   Full quality re-validates the method choice against the cost model
-   on every request; the first downgrade serves on the previously
-   arbitrated choice, the second trusts the cached plan outright, and
-   the last abandons the tiled path.  Levels 1 and 2 are complementary:
-   a cold plan makes ``cached_plan`` inadmissible, a warm plan makes
-   ``no_arbitration`` pointless (nothing to build).  The scalar rung is
-   *slower* than the fast path but needs no plan and lives outside the
-   simulated fault domain — it is the trust rung, not the speed rung.
-   If nothing fits the budget the request is shed (``deadline``): the
-   runtime never serves a request it already knows will blow its
-   deadline, and it **never returns an unverified result** at any rung.
-4. **Execution + accounting** — fast rungs run through
+   Formats and the kernel method are arbitrated once, when the plan is
+   built, never per request — so plan readiness alone prices the fast
+   rung.  The scalar rung is *slower* than the fast path but needs no
+   plan and lives outside the simulated fault domain — it is the trust
+   rung, not the speed rung.  If neither fits the budget the request
+   is shed (``deadline``): the runtime never serves a request it
+   already knows will blow its deadline, and it **never returns an
+   unverified result** at any rung.
+4. **Execution + accounting** — the fast rung runs through
    ``ReliableSpMV`` (every product ABFT-verified; detections retried
    against a fresh plan, then referenced).  Detections and recovery
    work are read off the wrapper's counters and charged to the virtual
@@ -89,7 +83,7 @@ __all__ = [
     "LEVEL_NAMES",
 ]
 
-LEVEL_NAMES = ("full", "no_arbitration", "cached_plan", "scalar")
+LEVEL_NAMES = ("fast", "scalar")
 
 _DEVICES: dict[str, DeviceSpec] = {"A100": A100, "TITAN_RTX": TITAN_RTX}
 
@@ -99,16 +93,13 @@ class RuntimeConfig:
     """Serving knobs (all times in modelled seconds).
 
     ``build_base_seconds`` / ``build_seconds_per_nnz`` price a plan
-    build deterministically (wall time would break replay);
-    ``arbitration_factor`` scales that for level 0, which additionally
-    cost-models every candidate method before building one.
+    build deterministically (wall time would break replay).
     """
 
     queue_limit: int = 32
     device: str = "A100"
     build_base_seconds: float = 2e-5
     build_seconds_per_nnz: float = 2e-9
-    arbitration_factor: float = 2.0
     plan_cache_capacity: int = 16
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
     # Request coalescing (None = every request served solo, the
@@ -120,8 +111,6 @@ class RuntimeConfig:
             raise ValueError("queue_limit must be >= 1")
         if self.device not in _DEVICES:
             raise ValueError(f"unknown device {self.device!r}; choose from {sorted(_DEVICES)}")
-        if self.arbitration_factor < 1.0:
-            raise ValueError("arbitration_factor must be >= 1")
 
 
 @dataclass
@@ -209,7 +198,6 @@ class _Served:
         self.build_surcharge = (
             config.build_base_seconds + config.build_seconds_per_nnz * engine.nnz
         )
-        self.arb_surcharge = config.arbitration_factor * self.build_surcharge
         self._t_fast_batched: dict[int, float] = {}
 
     def t_fast_batched(self, k: int) -> float:
@@ -250,7 +238,7 @@ class ServingRuntime:
             "shed_queue_full": 0,
             "shed_deadline": 0,
             "deadline_misses": 0,   # served, but late (recovery work blew the budget)
-            "downgrades": 0,        # ladder rungs dropped across all served requests
+            "downgrades": 0,        # requests served on the scalar rung
             "faults_detected": 0,
             "recoveries": 0,
             "migrations_started": 0,
@@ -265,7 +253,7 @@ class ServingRuntime:
             "flush_migration": 0,   # retune flushed before the generation swap
             "flush_drain": 0,       # explicit flush()
         }
-        self.level_counts = [0, 0, 0, 0]
+        self.level_counts = [0, 0]
         self._batches: BatchQueue | None = (
             BatchQueue(self.config.coalesce)
             if self.config.coalesce is not None
@@ -326,16 +314,24 @@ class ServingRuntime:
     def estimate(self, matrix_id: str) -> dict:
         """Modelled service times per rung (for deadline calibration)."""
         sm = self._served(matrix_id)
-        plan_ready = all(self.plan_cache.peek(k) is not None for k in sm.probe_keys)
         return {
-            "plan_ready": plan_ready,
-            "full": sm.arb_surcharge
-            + (0.0 if plan_ready else sm.build_surcharge)
-            + sm.t_fast,
-            "no_arbitration": None if plan_ready else sm.build_surcharge + sm.t_fast,
-            "cached_plan": sm.t_fast if plan_ready else None,
+            "plan_ready": self._plan_ready(sm),
+            "fast": self._fast_price(sm, 1),
             "scalar": sm.t_scalar,
         }
+
+    def _plan_ready(self, sm: _Served) -> bool:
+        return all(self.plan_cache.peek(k) is not None for k in sm.probe_keys)
+
+    def _fast_price(self, sm: _Served, k: int) -> float:
+        """Modelled fast-rung service for a k-wide product.
+
+        The one pricing rule for solo requests, fused batches and the
+        coalescer's flush schedule: the batched product, plus one plan
+        build when any probe key misses the plan cache.
+        """
+        t = sm.t_fast_batched(k)
+        return t if self._plan_ready(sm) else sm.build_surcharge + t
 
     def _served(self, matrix_id: str) -> _Served:
         try:
@@ -527,28 +523,44 @@ class ServingRuntime:
     def submit(self, req: Request) -> RequestOutcome:
         """Admit, place on the ladder, execute, and account one request."""
         sm = self._served(req.matrix_id)
-        self.counters["submitted"] += 1
         t = max(self.now, req.arrival)
+        depth, shed = self._admit(req, t)
+        if shed is not None:
+            return shed
+        return self._serve_one(sm, req, t, depth)
+
+    def _admit(self, req: Request,
+               t: float) -> tuple[int, RequestOutcome | None]:
+        """Queue-bound admission at virtual time ``t``.
+
+        Returns the queue depth the request found and, when that depth
+        is at ``queue_limit``, its ``queue_full`` shed outcome.
+        """
+        self.counters["submitted"] += 1
         self.now = t
-        self._drain(t)
-        while self._in_flight and self._in_flight[0] <= t:
-            self._in_flight.popleft()
+        self._retire(t)
         depth = len(self._in_flight)
         if self._batches is not None:
             depth += self._batches.pending()
         if tele.ENABLED:
             tele.set_gauge("serving_queue_depth", depth)
-        if depth >= self.config.queue_limit:
-            out = RequestOutcome(
-                rid=req.rid, matrix_id=req.matrix_id, status="shed",
-                arrival=req.arrival, deadline=req.deadline, queue_depth=depth,
-            )
-            self.counters["shed_queue_full"] += 1
-            out.shed_reason = "queue_full"
-            if tele.ENABLED:
-                self._publish_shed(out, t)
-            return out
-        return self._serve_one(sm, req, t, depth)
+        if depth < self.config.queue_limit:
+            return depth, None
+        out = RequestOutcome(
+            rid=req.rid, matrix_id=req.matrix_id, status="shed",
+            shed_reason="queue_full", arrival=req.arrival,
+            deadline=req.deadline, queue_depth=depth,
+        )
+        self.counters["shed_queue_full"] += 1
+        if tele.ENABLED:
+            self._publish_shed(out, t)
+        return depth, out
+
+    def _retire(self, t: float) -> None:
+        """Release drained plans and drop work completed by ``t``."""
+        self._drain(t)
+        while self._in_flight and self._in_flight[0] <= t:
+            self._in_flight.popleft()
 
     def _serve_one(self, sm: _Served, req: Request, t: float,
                    depth: int) -> RequestOutcome:
@@ -567,24 +579,10 @@ class ServingRuntime:
         budget = req.deadline - (start - req.arrival)
         breaker = self._breakers[sm.plan_key]
         fast_ok = breaker.allow_fast(start)
-        plan_ready = all(self.plan_cache.peek(k) is not None for k in sm.probe_keys)
-        preds: list[float | None] = [
-            sm.arb_surcharge + (0.0 if plan_ready else sm.build_surcharge) + sm.t_fast,
-            None if plan_ready else sm.build_surcharge + sm.t_fast,
-            sm.t_fast if plan_ready else None,
-            sm.t_scalar,
-        ]
-        level: int | None = None
-        if fast_ok:
-            for lv in (0, 1, 2):
-                p = preds[lv]
-                if p is not None and p <= budget:
-                    level = lv
-                    break
-        if level is None and preds[3] <= budget:
-            level = 3
-            out.breaker_forced = not fast_ok
-        if level is None:
+        price = self._fast_price(sm, 1)
+        if fast_ok and price <= budget:
+            return self._run_fast(sm, breaker, [req], [depth], start, price)[0]
+        if sm.t_scalar > budget:
             self.counters["shed_deadline"] += 1
             out.shed_reason = "deadline"
             out.start = start
@@ -592,58 +590,95 @@ class ServingRuntime:
                 self._publish_shed(out, start)
             return out
 
+        out.breaker_forced = not fast_ok
         x = np.random.default_rng(req.x_seed).standard_normal(sm.engine.shape[1])
-        detected = recovered = 0
-        if level <= 2:
-            before = dict(sm.engine.counters)
-            y = sm.engine.spmv(x)
-            detected = sm.engine.counters["detected"] - before["detected"]
-            retries = sm.engine.counters["retries"] - before["retries"]
-            fallbacks = sm.engine.counters["fallbacks"] - before["fallbacks"]
-            recovered = retries + fallbacks
-            service = (
-                preds[level]
-                + retries * (sm.build_surcharge + sm.t_fast)
-                + fallbacks * sm.t_scalar
-            )
-        else:
-            y = self._scalar_verified(sm, x)
-            service = preds[3]
-
-        completion = start + service
+        y = self._scalar_verified(sm, x)
+        completion = start + sm.t_scalar
         self.busy_until = completion
         self._in_flight.append(completion)
-        met = completion <= req.arrival + req.deadline
-        if level <= 2:
-            # Report the fast path's behaviour to its breaker.
-            if detected:
-                breaker.record_failure(completion, "abft")
-            elif not met:
-                breaker.record_failure(completion, "deadline")
-            else:
-                breaker.record_success(completion)
-
-        self.counters["served"] += 1
-        self.counters["downgrades"] += level
-        self.counters["deadline_misses"] += 0 if met else 1
-        self.counters["faults_detected"] += detected
-        self.counters["recoveries"] += recovered
-        self.level_counts[level] += 1
         out.status = "served"
-        out.level = level
-        out.level_name = LEVEL_NAMES[level]
+        out.level = 1
+        out.level_name = LEVEL_NAMES[1]
         out.start = start
         out.completion = completion
-        out.deadline_met = met
-        out.detected = detected
-        out.recovered = recovered
+        out.deadline_met = completion <= req.arrival + req.deadline
         out.verified = True
         out.plan_generation = sm.generation
-        out.service_share = service
+        out.service_share = sm.t_scalar
         out.y = y
-        if tele.ENABLED:
-            self._publish_served(out, service)
+        self._account(out)
         return out
+
+    def _run_fast(self, sm: _Served, breaker: CircuitBreaker,
+                  reqs: list[Request], depths: list[int], start: float,
+                  price: float) -> list[RequestOutcome]:
+        """Serve ``reqs`` on the fast rung: one ``spmv``, or one fused ``spmm``.
+
+        Detections and recoveries are the engine-counter deltas; the
+        service is ``price`` plus the modelled recovery work — each
+        retry rebuilds and reruns the product, each reference fallback
+        runs the scalar path once per column.  The breaker observes one
+        event, matching one fast-path run.
+        """
+        eng = sm.engine
+        k = len(reqs)
+        xs = [np.random.default_rng(m.x_seed).standard_normal(eng.shape[1])
+              for m in reqs]
+        before = dict(eng.counters)
+        if k == 1:
+            y = eng.spmv(xs[0])
+        else:
+            with tele.span("serving_batch", cat="serve", matrix=sm.matrix_id,
+                           k=k, level=LEVEL_NAMES[0]):
+                y = eng.spmm(np.column_stack(xs))
+        detected = eng.counters["detected"] - before["detected"]
+        retries = eng.counters["retries"] - before["retries"]
+        fallbacks = eng.counters["fallbacks"] - before["fallbacks"]
+        recovered = retries + fallbacks
+        service = (
+            price
+            + retries * (sm.build_surcharge + sm.t_fast_batched(k))
+            + fallbacks * k * sm.t_scalar
+        )
+        completion = start + service
+        self.busy_until = completion
+        outs = []
+        for j, (m, depth) in enumerate(zip(reqs, depths)):
+            self._in_flight.append(completion)
+            out = RequestOutcome(
+                rid=m.rid, matrix_id=m.matrix_id, status="served",
+                level=0, level_name=LEVEL_NAMES[0],
+                arrival=m.arrival, start=start, completion=completion,
+                deadline=m.deadline,
+                deadline_met=completion <= m.arrival + m.deadline,
+                queue_depth=depth, detected=detected, recovered=recovered,
+                verified=True, plan_generation=sm.generation, batch_size=k,
+                batch_wait=start - m.arrival if k > 1 else 0.0,
+                service_share=service / k,
+                y=y if k == 1 else np.ascontiguousarray(y[:, j]),
+            )
+            self._account(out)
+            outs.append(out)
+        if k > 1:
+            self.counters["coalesced"] += k
+        self.counters["faults_detected"] += detected
+        self.counters["recoveries"] += recovered
+        if detected:
+            breaker.record_failure(completion, "abft")
+        elif not all(o.deadline_met for o in outs):
+            breaker.record_failure(completion, "deadline")
+        else:
+            breaker.record_success(completion)
+        return outs
+
+    def _account(self, out: RequestOutcome) -> None:
+        """Count one served request and publish it."""
+        self.counters["served"] += 1
+        self.counters["downgrades"] += out.level
+        self.counters["deadline_misses"] += 0 if out.deadline_met else 1
+        self.level_counts[out.level] += 1
+        if tele.ENABLED:
+            self._publish_served(out)
 
     # -- the coalescing path -----------------------------------------------
 
@@ -661,34 +696,19 @@ class ServingRuntime:
         if self._batches is None:
             return [self.submit(req)]
         sm = self._served(req.matrix_id)
-        self.counters["submitted"] += 1
         t = max(self.now, req.arrival)
         done = self._take_backlog()
         done += self._flush_due(t)
         t = max(self.now, t)
-        self.now = t
-        self._drain(t)
-        while self._in_flight and self._in_flight[0] <= t:
-            self._in_flight.popleft()
-        depth = len(self._in_flight) + self._batches.pending()
-        if tele.ENABLED:
-            tele.set_gauge("serving_queue_depth", depth)
-        if depth >= self.config.queue_limit:
-            out = RequestOutcome(
-                rid=req.rid, matrix_id=req.matrix_id, status="shed",
-                arrival=req.arrival, deadline=req.deadline, queue_depth=depth,
-            )
-            self.counters["shed_queue_full"] += 1
-            out.shed_reason = "queue_full"
-            if tele.ENABLED:
-                self._publish_shed(out, t)
-            done.append(out)
+        depth, shed = self._admit(req, t)
+        if shed is not None:
+            done.append(shed)
             return done
         b = self._batches.enqueue(req, depth, sm.plan_key, sm.generation, t)
         # Re-price the schedule for the new size: the batch must start
         # early enough that the fused service fits every member's
         # deadline (the window only ever moves the flush *earlier*).
-        est = self._est_batched(sm, b.size)
+        est = self._fast_price(sm, b.size)
         latest = min(m.arrival + m.deadline - est for m in b.members)
         # Shave a relative sliver so (deadline - est) + est cannot round
         # above the deadline and shed a member the schedule promised.
@@ -720,28 +740,6 @@ class ServingRuntime:
         done, self._backlog = self._backlog, []
         return done
 
-    def _est_batched(self, sm: _Served, k: int) -> float:
-        """Cheapest admissible fast-path service for a k-wide batch."""
-        plan_ready = all(
-            self.plan_cache.peek(key) is not None for key in sm.probe_keys
-        )
-        t = sm.t_fast_batched(k)
-        return t if plan_ready else sm.build_surcharge + t
-
-    def _batched_pred(self, sm: _Served, level: int, k: int,
-                      plan_ready: bool) -> float:
-        """Ladder rung pricing with the fused fast path substituted in."""
-        t = sm.t_fast_batched(k)
-        if level == 0:
-            return (
-                sm.arb_surcharge
-                + (0.0 if plan_ready else sm.build_surcharge)
-                + t
-            )
-        if level == 1:
-            return sm.build_surcharge + t
-        return t
-
     def _flush_due(self, t: float) -> list[RequestOutcome]:
         """Flush every batch whose schedule expires at or before ``t``.
 
@@ -769,9 +767,10 @@ class ServingRuntime:
         the rider set until the fused service fits every remaining
         member's deadline — a member that cannot ride **never blocks the
         batch**; it is routed through the ordinary single-request ladder
-        (where it may still be served on a cheaper rung, or shed).  The
-        breaker observes one event per fused execution, matching one
-        fast-path run.
+        (where it may still be served solo, on either rung, or shed).  The
+        breaker is asked, and observes one event, once per fused
+        execution, matching one fast-path run; a batch that ends up with
+        fewer than two riders leaves every decision to its members.
         """
         self.counters["batches_flushed"] += 1
         self.counters[f"flush_{why}"] += 1
@@ -779,9 +778,7 @@ class ServingRuntime:
         if tele.ENABLED:
             tele.observe("serving_batch_size", float(b.size))
             tele.count("serving_batches_flushed_total", reason=why)
-        self._drain(t)
-        while self._in_flight and self._in_flight[0] <= t:
-            self._in_flight.popleft()
+        self._retire(t)
         sm = self._matrices.get(b.matrix_id)
         order = sorted(
             range(b.size),
@@ -794,108 +791,35 @@ class ServingRuntime:
         depths = [b.depths[i] for i in order]
 
         riders: list[int] = []
-        level: int | None = None
+        out_batch: list[RequestOutcome] = []
         if sm is not None and sm.generation == b.generation:
             start = max(t, self.busy_until)
             breaker = self._breakers[b.plan_key]
-            if breaker.allow_fast(start):
-                plan_ready = all(
-                    self.plan_cache.peek(key) is not None
-                    for key in sm.probe_keys
-                )
-                for lv in (0, 1, 2):
-                    if lv == 1 and plan_ready:
-                        continue
-                    if lv == 2 and not plan_ready:
-                        continue
-                    sel = list(range(len(members)))
-                    while sel:
-                        service = self._batched_pred(
-                            sm, lv, len(sel), plan_ready
-                        )
-                        completion = start + service
-                        keep = [
-                            i for i in sel
-                            if completion
-                            <= members[i].arrival + members[i].deadline
-                        ]
-                        if len(keep) == len(sel):
-                            break
-                        sel = keep
-                    if len(sel) >= 2:
-                        level = lv
-                        riders = sel
+            if breaker.admits_fast(start):
+                sel = list(range(len(members)))
+                while sel:
+                    price = self._fast_price(sm, len(sel))
+                    completion = start + price
+                    keep = [
+                        i for i in sel
+                        if completion <= members[i].arrival + members[i].deadline
+                    ]
+                    if len(keep) == len(sel):
                         break
+                    sel = keep
+                if len(sel) >= 2:
+                    riders = sel
+                    breaker.allow_fast(start)
+                    out_batch = self._run_fast(
+                        sm, breaker, [members[i] for i in riders],
+                        [depths[i] for i in riders], start, price,
+                    )
 
-        out_batch: list[RequestOutcome] = []
-        if level is not None:
-            k = len(riders)
-            n = sm.engine.shape[1]
-            x = np.column_stack(
-                [
-                    np.random.default_rng(members[i].x_seed).standard_normal(n)
-                    for i in riders
-                ]
-            )
-            before = dict(sm.engine.counters)
-            with tele.span("serving_batch", cat="serve", matrix=b.matrix_id,
-                           k=k, level=LEVEL_NAMES[level]):
-                y_block = sm.engine.spmm(x)
-            detected = sm.engine.counters["detected"] - before["detected"]
-            retries = sm.engine.counters["retries"] - before["retries"]
-            fallbacks = sm.engine.counters["fallbacks"] - before["fallbacks"]
-            recovered = retries + fallbacks
-            service = (
-                self._batched_pred(sm, level, k, plan_ready)
-                + retries * (sm.build_surcharge + sm.t_fast_batched(k))
-                + fallbacks * k * sm.t_scalar
-            )
-            completion = start + service
-            self.busy_until = completion
-            met_all = True
-            for j, i in enumerate(riders):
-                m = members[i]
-                self._in_flight.append(completion)
-                met = completion <= m.arrival + m.deadline
-                met_all = met_all and met
-                out = RequestOutcome(
-                    rid=m.rid, matrix_id=m.matrix_id, status="served",
-                    level=level, level_name=LEVEL_NAMES[level],
-                    arrival=m.arrival, start=start, completion=completion,
-                    deadline=m.deadline, deadline_met=met,
-                    queue_depth=depths[i], detected=detected,
-                    recovered=recovered, verified=True,
-                    plan_generation=sm.generation, batch_size=k,
-                    batch_wait=start - m.arrival, service_share=service / k,
-                    y=np.ascontiguousarray(y_block[:, j]),
-                )
-                self.counters["served"] += 1
-                self.counters["downgrades"] += level
-                self.counters["deadline_misses"] += 0 if met else 1
-                self.level_counts[level] += 1
-                if tele.ENABLED:
-                    self._publish_served(out, service / k)
-                out_batch.append(out)
-            self.counters["coalesced"] += k
-            self.counters["faults_detected"] += detected
-            self.counters["recoveries"] += recovered
-            # One breaker event per fused execution (one fast-path run).
-            if detected:
-                breaker.record_failure(completion, "abft")
-            elif not met_all:
-                breaker.record_failure(completion, "deadline")
-            else:
-                breaker.record_success(completion)
-
-        rider_set = set(riders) if level is not None else set()
-        for i in range(len(members)):
-            if i in rider_set:
-                continue
-            m = members[i]
-            smc = self._matrices.get(m.matrix_id)
-            if smc is None:
-                smc = sm
-            out_batch.append(self._serve_one(smc, m, t, depths[i]))
+        rider_set = set(riders)
+        for i, m in enumerate(members):
+            if i not in rider_set:
+                smc = self._matrices.get(m.matrix_id) or sm
+                out_batch.append(self._serve_one(smc, m, t, depths[i]))
         return out_batch
 
     # -- telemetry ---------------------------------------------------------
@@ -911,7 +835,7 @@ class ServingRuntime:
                 rid=out.rid, matrix=out.matrix_id, reason=out.shed_reason,
             )
 
-    def _publish_served(self, out: RequestOutcome, service: float) -> None:
+    def _publish_served(self, out: RequestOutcome) -> None:
         """One served request: ladder counters plus a ``serve`` span."""
         tele.count("serving_requests_total", status="served")
         tele.count("serving_level_total", level=out.level_name)
@@ -925,7 +849,7 @@ class ServingRuntime:
         tracer = tele.tracer()
         if tracer is not None:
             tracer.add_complete(
-                "serve", start=out.start, duration=service, cat="serve",
+                "serve", start=out.start, duration=out.service_share, cat="serve",
                 rid=out.rid, matrix=out.matrix_id, level=out.level_name,
                 deadline_met=out.deadline_met, detected=out.detected,
                 queue_depth=out.queue_depth,

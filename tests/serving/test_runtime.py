@@ -1,4 +1,4 @@
-"""Serving runtime: admission, deadlines, degradation ladder, breakers.
+"""Serving runtime: admission, deadlines, the two-rung ladder, breakers.
 
 Everything runs on the virtual clock, so every scenario is scripted
 with explicit arrivals and deadlines and asserts exact counters.
@@ -17,6 +17,7 @@ from repro.matrices import random_uniform, stencil_2d
 from repro.serving import (
     BreakerConfig,
     BreakerState,
+    CoalesceConfig,
     Request,
     RuntimeConfig,
     ServingRuntime,
@@ -45,10 +46,10 @@ class TestRegistration:
         rt = make_runtime()
         register_default(rt, 1)
         est = rt.estimate("m0")
+        assert set(est) == {"plan_ready", "fast", "scalar"}
         assert est["plan_ready"] is True
-        assert est["no_arbitration"] is None  # nothing to build when warm
-        assert est["cached_plan"] is not None
-        assert est["full"] > est["cached_plan"], "arbitration is charged per request"
+        # warm: the fast rung is the product alone, nothing to build
+        assert est["fast"] == rt._matrices["m0"].t_fast
         assert est["scalar"] > 0
 
     def test_duplicate_id_rejected(self):
@@ -79,12 +80,12 @@ class TestHappyPath:
         trace = synthetic_trace(ids, n_requests=25, seed=2, mean_interarrival=1e-3)
         outs = rt.run_trace(trace)
         assert all(o.status == "served" for o in outs)
-        assert all(o.level_name == "full" for o in outs)
+        assert all(o.level == 0 and o.level_name == "fast" for o in outs)
         assert all(o.verified and o.deadline_met for o in outs)
         s = rt.stats()
         assert s["served"] == 25
         assert s["shed"] == 0 and s["downgrades"] == 0
-        assert s["levels"]["full"] == 25
+        assert s["levels"] == {"fast": 25, "scalar": 0}
 
     def test_virtual_clock_is_monotone_and_latency_positive(self):
         rt = make_runtime()
@@ -115,7 +116,7 @@ class TestAdmission:
         rt = make_runtime()
         register_default(rt, 1)
         est = rt.estimate("m0")
-        tiny = min(est["cached_plan"], est["scalar"]) * 0.5
+        tiny = min(est["fast"], est["scalar"]) * 0.5
         out = rt.submit(Request(0, 0.0, "m0", deadline=tiny))
         assert out.status == "shed"
         assert out.shed_reason == "deadline"
@@ -124,44 +125,36 @@ class TestAdmission:
 
 
 class TestDegradationLadder:
-    def test_warm_plan_downgrades_to_cached_plan(self):
-        rt = make_runtime()
-        register_default(rt, 1)
-        est = rt.estimate("m0")
-        assert est["plan_ready"]
-        budget = (est["cached_plan"] + est["full"]) / 2
-        out = rt.submit(Request(0, 0.0, "m0", deadline=budget))
-        assert out.status == "served"
-        assert out.level_name == "cached_plan"
-        assert out.deadline_met
-        assert rt.counters["downgrades"] == 2
-
-    def test_cold_plan_downgrades_to_no_arbitration(self):
+    @pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
+    def test_solo_service_equals_fast_estimate(self, warm):
         # capacity 1 with two registrations evicts m0's plan
-        rt = make_runtime(plan_cache_capacity=1)
-        register_default(rt, 2)
+        rt = make_runtime(plan_cache_capacity=4 if warm else 1)
+        register_default(rt, 1 if warm else 2)
+        sm = rt._matrices["m0"]
         est = rt.estimate("m0")
-        assert not est["plan_ready"]
-        assert est["cached_plan"] is None
-        budget = (est["no_arbitration"] + est["full"]) / 2
-        out = rt.submit(Request(0, 0.0, "m0", deadline=budget))
+        assert est["plan_ready"] is warm
+        # plan readiness alone prices the fast rung: one build when cold
+        assert est["fast"] == (sm.t_fast if warm else sm.build_surcharge + sm.t_fast)
+        # a budget of exactly the estimate fits: nothing else is charged
+        out = rt.submit(Request(0, 0.0, "m0", deadline=est["fast"]))
         assert out.status == "served"
-        assert out.level_name == "no_arbitration"
-        assert rt.counters["downgrades"] == 1
+        assert out.level_name == "fast" and out.deadline_met
+        assert out.completion - out.start == est["fast"]
+        assert rt.counters["downgrades"] == 0
 
     def test_cold_plan_tight_budget_falls_to_scalar(self):
         rt = make_runtime(plan_cache_capacity=1)
         register_default(rt, 2)
         est = rt.estimate("m0")
-        assert est["scalar"] < est["no_arbitration"], (
+        assert est["scalar"] < est["fast"], (
             "scenario needs the scalar rung cheaper than a plan build"
         )
-        budget = (est["scalar"] + est["no_arbitration"]) / 2
+        budget = (est["scalar"] + est["fast"]) / 2
         out = rt.submit(Request(0, 0.0, "m0", deadline=budget))
         assert out.status == "served"
         assert out.level_name == "scalar"
         assert out.verified and not out.breaker_forced
-        assert rt.counters["downgrades"] == 3
+        assert rt.counters["downgrades"] == 1
 
     def test_downgrades_equal_weighted_level_counts(self):
         rt = make_runtime(plan_cache_capacity=1)
@@ -170,9 +163,8 @@ class TestDegradationLadder:
                                 deadline_range=(1e-6, 3e-4))
         rt.run_trace(trace)
         s = rt.stats()
-        weighted = sum(lv * n for lv, n in enumerate(rt.level_counts))
-        assert s["downgrades"] == weighted
-        assert s["served"] == sum(rt.level_counts)
+        assert s["downgrades"] == s["levels"]["scalar"]
+        assert s["served"] == s["levels"]["fast"] + s["levels"]["scalar"]
         assert s["served"] + s["shed"] == s["submitted"]
 
 
@@ -211,7 +203,7 @@ class TestBreakerIntegration:
         assert b.state is BreakerState.CLOSED
         assert b.counters["closes"] == 1
         assert all(o.status == "served" and o.verified for o in outs2)
-        assert outs2[-1].level_name == "full"
+        assert outs2[-1].level_name == "fast"
 
     def test_every_served_result_is_verified_under_faults(self):
         rt = make_runtime()
@@ -242,6 +234,52 @@ class TestBreakerIntegration:
         )
 
 
+class TestBreakerAccounting:
+    """The breaker is asked once per fast-path decision."""
+
+    def coalescing_runtime(self, cooldown: float) -> ServingRuntime:
+        rt = make_runtime(
+            breaker=BreakerConfig(failure_threshold=1, cooldown_seconds=cooldown),
+            coalesce=CoalesceConfig(window_s=1.0, max_batch=8),
+        )
+        register_default(rt, 1)
+        return rt
+
+    def test_open_breaker_denies_each_batch_member_once(self):
+        rt = self.coalescing_runtime(cooldown=1.0)
+        b = rt._breakers[rt._matrices["m0"].plan_key]
+        b.record_failure(0.0)
+        assert b.state is BreakerState.OPEN
+        outs = []
+        for i in range(4):
+            outs += rt.offer(Request(i, 1e-6 * (i + 1), "m0", x_seed=i))
+        outs += rt.flush()
+        assert len(outs) == 4
+        assert all(o.status == "served" and o.breaker_forced for o in outs)
+        assert all(o.level_name == "scalar" and o.verified for o in outs)
+        assert b.counters["fast_denied"] == 4
+        assert rt.stats()["breaker_fast_denied"] == 4
+
+    def test_half_open_batch_without_riders_counts_no_probe(self):
+        rt = self.coalescing_runtime(cooldown=1e-3)
+        sm = rt._matrices["m0"]
+        b = rt._breakers[sm.plan_key]
+        b.record_failure(0.0)
+        assert sm.t_fast < sm.t_fast_batched(2)
+        # m0 fits a solo fast run but not the 2-wide fused one, so the
+        # batch keeps fewer than two riders and both members go solo.
+        tight = (sm.t_fast + sm.t_fast_batched(2)) / 2
+        outs = rt.offer(Request(0, 1.0, "m0", deadline=tight, x_seed=0))
+        outs += rt.offer(Request(1, 1.0, "m0", deadline=1.0, x_seed=1))
+        outs += rt.flush()
+        assert sorted(o.rid for o in outs) == [0, 1]
+        assert all(o.status == "served" and o.level_name == "fast" for o in outs)
+        assert all(o.batch_size == 1 for o in outs)
+        assert rt.counters["coalesced"] == 0
+        assert b.counters["probes"] == 2
+        assert b.state is BreakerState.CLOSED
+
+
 class TestStats:
     def test_stats_and_describe_cover_all_counters(self):
         rt = make_runtime()
@@ -262,5 +300,3 @@ class TestStats:
             RuntimeConfig(queue_limit=0)
         with pytest.raises(ValueError):
             RuntimeConfig(device="H100")
-        with pytest.raises(ValueError):
-            RuntimeConfig(arbitration_factor=0.5)
