@@ -273,9 +273,6 @@ def _cmd_check(args) -> int:
                       file=sys.stderr)
                 return 2
     sharded = args.shards > 1 or grid is not None
-    # The process backend replaces the recovery ladder with its own
-    # supervisor (respawn/quarantine); the two are mutually exclusive.
-    use_recovery = sharded and args.backend != "process"
     matrix = read_matrix_market(args.matrix)
     try:
         engine = ReliableSpMV(
@@ -286,7 +283,7 @@ def _cmd_check(args) -> int:
             auto_device=device,
             shards=args.shards,
             grid=grid,
-            recovery=True if use_recovery else None,
+            recovery=True if sharded else None,
             backend=args.backend,
         )
     except MatrixValidationError as exc:
@@ -321,81 +318,59 @@ def _cmd_check(args) -> int:
         )
         ok = ok and caught and recovered
 
-    if args.faults and use_recovery:
-        # Shard-level drill: corrupt one device's first partial and
-        # require the recovery ladder to localize it (the engine-level
-        # ladder above must never see it).  A fresh engine, so the
+    if args.faults and sharded:
+        # Shard-level drills on either backend: corrupt one device's
+        # first partial (and, on the process backend, SIGKILL one
+        # worker mid-operation) and require the recovery ladder to
+        # retry only that shard — the engine-level ladder above must
+        # never see it.  A fresh engine per drill, so the
         # transient-fault window (attempt 0) is actually exercised.
         from repro.dist import ShardFaultPlan, shard_fault_injection
 
-        drill = ReliableSpMV(
-            matrix, method=args.method, policy=args.policy,
-            plan_cache=PlanCache(), auto_device=device,
-            shards=args.shards, grid=grid, recovery=True,
-        )
-        with shard_fault_injection(
-            ShardFaultPlan(seed=args.seed, corrupt_devices=(0,))
-        ) as sinj:
-            y_s = drill.spmv(x)
-        sc = drill.shard_recovery_counters or {}
-        localized = (
-            sinj.injected > 0
-            and sc.get("shard_retry", 0) > 0
-            and drill.counters["detected"] == 0
-        )
-        recovered_s = np.allclose(y_s, ref, rtol=1e-10, atol=1e-12)
-        print(
-            f"shard drill (seed={args.seed}): injected={sinj.injected}, "
-            f"localized retries={sc.get('shard_retry', 0)}, "
-            f"reconstructs={sc.get('shard_reconstruct', 0)}, "
-            f"quarantines={sc.get('device_quarantine', 0)}, "
-            f"contained below engine ladder: {localized}, "
-            f"recovered result correct: {recovered_s}"
-        )
-        drill.close()
-        ok = ok and localized and recovered_s
-
-    if args.faults and args.backend == "process":
-        # Process-backend drill: SIGKILL one worker mid-operation and
-        # require the supervisor to respawn it and replay only the lost
-        # shard — the process-level analogue of the shard drill above.
-        from repro.dist import ShardFaultPlan, shard_fault_injection
-
-        with ReliableSpMV(
-            matrix, method=args.method, policy=args.policy,
-            plan_cache=PlanCache(), auto_device=device,
-            shards=args.shards, grid=grid, backend="process",
-        ) as drill:
-            with shard_fault_injection(
-                ShardFaultPlan(seed=args.seed, kill_workers=(0,))
-            ) as kinj:
-                y_k = drill.spmv(x)
-            st = drill.engine.supervisor.stats()
-            recovered_k = np.allclose(y_k, ref, rtol=1e-10, atol=1e-12)
-            localized_k = (
-                kinj.injected > 0
-                and st["respawns"] >= 1
-                and st["replays"] >= 1
-                and drill.counters["detected"] == 0
-            )
-            print(
-                f"worker-kill drill (seed={args.seed}): "
-                f"killed={kinj.injected}, respawns={st['respawns']}, "
-                f"replays={st['replays']}, "
-                f"localized respawn+replay: {localized_k}, "
-                f"recovered result correct: {recovered_k}"
-            )
-            ok = ok and localized_k and recovered_k
+        drills = [("shard drill", ShardFaultPlan(seed=args.seed,
+                                                  corrupt_devices=(0,)))]
+        if args.backend == "process":
+            drills.append(("worker-kill drill",
+                           ShardFaultPlan(seed=args.seed, kill_workers=(0,))))
+        for name, plan in drills:
+            with ReliableSpMV(
+                matrix, method=args.method, policy=args.policy,
+                plan_cache=PlanCache(), auto_device=device,
+                shards=args.shards, grid=grid, recovery=True,
+                backend=args.backend,
+            ) as drill:
+                with shard_fault_injection(plan) as sinj:
+                    y_s = drill.spmv(x)
+                sc = drill.shard_recovery_counters or {}
+                localized = (
+                    sinj.injected > 0
+                    and sc.get("shard_retry", 0) > 0
+                    and drill.counters["detected"] == 0
+                )
+                recovered_s = np.allclose(y_s, ref, rtol=1e-10, atol=1e-12)
+                sup = getattr(drill.engine.inner, "supervisor", None)
+                respawns = "" if sup is None else (
+                    f"respawns={sup.counters['respawns']}, "
+                )
+                print(
+                    f"{name} (seed={args.seed}): injected={sinj.injected}, "
+                    f"{respawns}localized retries={sc.get('shard_retry', 0)}, "
+                    f"reconstructs={sc.get('shard_reconstruct', 0)}, "
+                    f"quarantines={sc.get('device_quarantine', 0)}, "
+                    f"contained below engine ladder: {localized}, "
+                    f"recovered result correct: {recovered_s}"
+                )
+            ok = ok and localized and recovered_s
 
     if getattr(args, "drill_persistent", False):
         # Persistent-failure drill: every device corrupts on every
         # attempt, so the recovery ladder must run out of rungs.  The
         # expected outcome is a *structured failure*: exit code 3 and a
         # machine-readable report of how far the ladder got.
-        if not use_recovery:
+        if not sharded:
             print(
-                "error: --drill-persistent needs --shards/--grid on the "
-                "thread backend (the recovery ladder)",
+                "error: --drill-persistent needs --shards/--grid "
+                "(the recovery ladder)",
                 file=sys.stderr,
             )
             engine.close()
@@ -408,6 +383,7 @@ def _cmd_check(args) -> int:
             matrix, method=args.method, policy=args.policy,
             plan_cache=PlanCache(), auto_device=device,
             shards=args.shards, grid=grid, recovery=True, abft=False,
+            backend=args.backend,
         ) as drill:
             ranks = tuple(range(drill.engine.shards))
             plan = ShardFaultPlan(
@@ -823,7 +799,7 @@ def main(argv: list[str] | None = None) -> int:
                               "explicit shape like 2x2, or 'auto' (implies sharding)")
     p_check.add_argument("--backend", default="thread", choices=("thread", "process"),
                          help="shard execution backend; with --faults the process "
-                              "backend runs a worker-kill respawn drill")
+                              "backend adds a worker-kill drill to the shard drill")
     p_check.add_argument("--drill-persistent", action="store_true",
                          help="inject an unrecoverable all-device persistent fault "
                               "and verify the structured failure path (exit 3)")

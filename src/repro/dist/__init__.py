@@ -13,20 +13,21 @@ devices through the interconnect-aware
 
 Fault tolerance lives in two sibling modules: :mod:`repro.dist.faults`
 is the deterministic shard-level fault model (device loss, corrupted
-partials, stragglers, halo corruption, worker kill/hang, segment
-corruption — injected without forcing the engine sequential), and
-:mod:`repro.dist.recovery` is the localized recovery ladder (per-shard
-ABFT → retry/backoff → parity reconstruction → quarantine +
-repartition).  See the "Distributed fault tolerance" section of
+partials, stragglers, halo corruption, worker kill/hang — injected
+without forcing the engine sequential), and :mod:`repro.dist.recovery`
+is the localized recovery ladder (per-shard ABFT → retry/backoff →
+parity reconstruction → quarantine + repartition), the only one, on
+either backend.  See the "Distributed fault tolerance" section of
 ``docs/RELIABILITY.md``.
 
 :mod:`repro.dist.procpool` is the true-parallel execution backend:
 :class:`~repro.dist.procpool.ProcessShardedSpMV` runs each shard in a
 supervised worker process over shared memory
-(``ShardedSpMV(matrix, backend="process")`` dispatches to it), with
-crashed/hung workers respawned deterministically and quarantined
-through a per-worker circuit breaker.  See the "Process backend &
-worker supervision" section of ``docs/SHARDING.md``.
+(``ShardedSpMV(matrix, backend="process")`` dispatches to it).  Its
+supervisor respawns a crashed or hung worker and reports the shard's
+device lost, which the recovery ladder handles like any other loss.
+See the "Process backend & worker supervision" section of
+``docs/SHARDING.md``.
 """
 
 from repro.dist.faults import (

@@ -91,17 +91,18 @@ class ShardFaultPlan:
         persistent (every attempt fails) to exercise quarantine.
     min_magnitude:
         Lower bound on any injected perturbation (ABFT detectability).
-    kill_workers / hang_workers / segment_devices:
+    kill_workers / hang_workers:
         Process-level fault targets for the :mod:`repro.dist.procpool`
         backend — the device ranks whose worker process is SIGKILL'd
-        mid-operation, stops responding (sleeps past the supervisor's
-        deadline), or writes a corrupted result into its shared-memory
-        output segment.  Like every other kind, the decision is a pure
-        function of ``(seed, kind, device, attempt)``: the worker
-        re-derives it from the plan shipped in the command, and the
-        parent re-derives it for bookkeeping, so both sides agree
+        mid-operation or stops responding (sleeps past the supervisor's
+        deadline).  The supervisor respawns such a worker and reports
+        its shard lost, so both kinds reach the recovery ladder as a
+        :class:`DeviceLostError`.  Like every other kind, the decision
+        is a pure function of ``(seed, kind, device, attempt)``: the
+        worker re-derives it from the plan shipped in the command, and
+        the parent re-derives it for bookkeeping, so both sides agree
         without coordination.  Thread-backend engines ignore these.
-    worker_kill_prob / worker_hang_prob / segment_prob:
+    worker_kill_prob / worker_hang_prob:
         Probabilistic variants for untargeted device ranks.
     hang_seconds:
         Real (not virtual) seconds a hung worker sleeps — configure it
@@ -124,23 +125,9 @@ class ShardFaultPlan:
     min_magnitude: float = 1e3
     kill_workers: tuple[int, ...] = ()
     hang_workers: tuple[int, ...] = ()
-    segment_devices: tuple[int, ...] = ()
     worker_kill_prob: float = 0.0
     worker_hang_prob: float = 0.0
-    segment_prob: float = 0.0
     hang_seconds: float = 0.5
-
-    @property
-    def has_process_faults(self) -> bool:
-        """Does this plan target any process-level fault kind?"""
-        return bool(
-            self.kill_workers
-            or self.hang_workers
-            or self.segment_devices
-            or self.worker_kill_prob > 0.0
-            or self.worker_hang_prob > 0.0
-            or self.segment_prob > 0.0
-        )
 
 
 @dataclass
@@ -186,7 +173,7 @@ class ShardFaultInjector:
         if tele.ENABLED:
             tele.count("shard_faults_injected_total", n=n, kind=kind)
 
-    # -- hooks (called by ShardedSpMV.shard_call) --------------------------
+    # -- hooks (called when ShardedSpMV opens and runs a shard) ----------
 
     def raise_if_lost(self, device: int, attempt: int) -> None:
         """Device-loss fault: the shard raises instead of returning."""
@@ -268,28 +255,24 @@ class ShardFaultInjector:
             return float(self.plan.hang_seconds)
         return 0.0
 
-    def segment_fires(self, device: int, attempt: int,
-                      record: bool = False) -> bool:
-        """Pure decision: does this execution corrupt its output segment?
+    def record_worker_faults(self, device: int, attempt: int,
+                             window_size: int, out_size: int) -> None:
+        """Record the halo and partial faults a worker process applied.
 
-        The parent uses ``record=True`` for bookkeeping; the worker
-        applies the actual corruption through :meth:`corrupt_segment`.
+        The worker corrupts its x window and its output block with its
+        own copy of this injector, whose counters die with it.  The
+        parent re-derives the same two decisions when the worker's
+        reply arrives, so campaign counters read the same on both
+        backends.
         """
-        fired = self._fires("segment", device, attempt,
-                            self.plan.segment_devices, self.plan.segment_prob)
-        if fired and record:
-            self._record("segment", self.plan.corruptions_per_partial)
-        return fired
-
-    def corrupt_segment(self, device: int, attempt: int,
-                        values: np.ndarray, salt: str = "") -> np.ndarray:
-        """Corrupted shared-memory write: the result a worker hands back."""
-        if values.size == 0 or not self._fires(
-            "segment", device, attempt,
-            self.plan.segment_devices, self.plan.segment_prob,
+        plan = self.plan
+        for kind, size, targets, prob in (
+            ("halo", window_size, plan.halo_devices, plan.halo_prob),
+            ("partial", out_size, plan.corrupt_devices, plan.corruption_prob),
         ):
-            return values
-        return self._bump("segment", device, attempt, values, salt)
+            n = min(plan.corruptions_per_partial, size)
+            if n > 0 and self._fires(kind, device, attempt, targets, prob):
+                self._record(kind, n)
 
     def stats(self) -> dict:
         with self._lock:

@@ -16,23 +16,21 @@ modelled.  Three mechanisms carry the design:
   (fixed-shape tree).  Fixed-method products with overlapping outputs
   (column-cut ``spmv``/``spmm``, every ``spmv_transpose``) multiply the
   parent's cached per-block CSR operands, exactly as the thread
-  backend does; the parent holds every shard engine anyway, for the
-  in-process fallback.
+  backend does.
 * **Shared-memory payloads** — per-call inputs and outputs live in
   :mod:`multiprocessing.shared_memory` segments: the parent writes
   ``x`` once, every worker reads its window as a zero-copy numpy view,
   and each worker writes its block into its own output segment.
   Nothing on the hot path is pickled; the pipes carry only small
   command/reply dicts.
-* **Worker supervision** — :class:`WorkerSupervisor` owns the
-  robustness story: heartbeat liveness probes, detection of crashed
-  (exit code) and hung (missed deadline) workers, seed-deterministic
-  respawn-with-backoff that replays *only* the lost shard (the same
-  localization discipline as the PR 7 recovery ladder, with the backoff
-  charged to the virtual clock), a per-worker circuit breaker whose
-  trip quarantines the worker (its shard falls back to the in-process
-  engine), and graceful degradation to the thread backend — and from
-  there to sequential — when every worker is quarantined.
+* **Worker supervision** — :class:`WorkerSupervisor` repairs the
+  transport and nothing more: heartbeat liveness probes, detection of
+  crashed (exit code) and hung (missed deadline) workers, and respawn
+  from the shard's current wire.  The lost command's shard comes back
+  as a :class:`~repro.dist.faults.DeviceLostError`, so a killed or hung
+  worker is a lost device — the fault model the thread backend already
+  has.  Retry, backoff and quarantine belong to the one recovery ladder
+  (:mod:`repro.dist.recovery`), which runs on either backend.
 
 Real processes leak real resources, so segment lifecycle is owned by a
 **janitor**: every segment this process creates is registered under a
@@ -42,13 +40,14 @@ interpreter exit, and — for the paths no hook can cover (SIGKILL of the
 whole interpreter) — reclaimable by :func:`sweep_orphans`, which scans
 for segments whose owning pid is dead.
 
-Process-level faults (worker kill / worker hang / segment corruption)
-fire on the worker ops only — the parent-side operand products have no
-worker to kill.  They are part of the deterministic shard fault model
-(:mod:`repro.dist.faults`): the worker re-derives each decision from
-the plan shipped inside the command, the parent re-derives it for
-bookkeeping, and both sides agree without coordination because every
-decision is a pure function of ``(seed, kind, device rank, attempt)``.
+Process-level faults (worker kill / worker hang) fire on the worker
+ops only — the parent-side operand products have no worker to kill.
+They are part of the deterministic shard fault model
+(:mod:`repro.dist.faults`): the worker re-derives each decision — and
+the halo and partial corruptions it applies — from the plan shipped
+inside the command, the parent re-derives them for bookkeeping, and
+both sides agree without coordination because every decision is a pure
+function of ``(seed, kind, device rank, attempt)``.
 """
 
 from __future__ import annotations
@@ -70,10 +69,10 @@ from repro import telemetry as tele
 from repro.core.serialize import pack_shard_plan, unpack_shard_plan
 from repro.core.tilespmv import TileSpMV
 from repro.dist import faults as shard_faults
+from repro.dist.faults import DeviceLostError
 from repro.dist.sharded import ShardedSpMV
 from repro.gpu import faults as gpu_faults
 from repro.gpu.costmodel import MultiDeviceRunCost
-from repro.serving.breaker import BreakerConfig, CircuitBreaker
 
 __all__ = [
     "ProcessConfig",
@@ -81,7 +80,6 @@ __all__ = [
     "WorkerSupervisor",
     "WorkerCrash",
     "scan_owned_segments",
-    "shutdown_persistent_pools",
     "sweep_orphans",
 ]
 
@@ -90,7 +88,12 @@ _SHM_DIR = "/dev/shm"
 
 
 class WorkerCrash(RuntimeError):
-    """A worker process died or hung and could not be recovered."""
+    """A worker raised while executing a shard operation.
+
+    A crashed or hung worker is not this: the supervisor respawns it
+    and reports its shard's device lost.  This is a bug in the
+    operation itself, which a respawn would only repeat.
+    """
 
 
 # -- shared-memory janitor -------------------------------------------------
@@ -358,7 +361,6 @@ def _worker_execute(engine, rank, cmd, attached, attach):  # pragma: no cover
         raise ValueError(f"unknown worker op {op!r}")
     if inj is not None:
         out = inj.corrupt_partial(rank, attempt, out)
-        out = inj.corrupt_segment(rank, attempt, out)
     out = np.ascontiguousarray(out, dtype=np.float64)
     out_seg = attach(cmd["out_seg"])
     view = np.ndarray((out.size,), dtype=np.float64, buffer=out_seg.buf)
@@ -383,22 +385,11 @@ class ProcessConfig:
     op_timeout_s:
         Real seconds one shard operation may take before the worker is
         declared hung, killed and respawned.  This is a *real-time*
-        deadline (worker processes run on the wall clock); the respawn
-        backoff it triggers is charged to the virtual clock like the
-        recovery ladder's retries, keeping campaign accounting
-        deterministic.
+        deadline (worker processes run on the wall clock); any retry
+        backoff that follows is the recovery ladder's, charged to its
+        virtual clock.
     poll_interval_s:
         Poll granularity while waiting on a worker reply.
-    max_respawns:
-        Respawns granted per worker before its circuit breaker trips
-        and the worker is quarantined (its shard falls back to the
-        in-process engine; when every worker is quarantined the whole
-        backend degrades to threads).
-    backoff_base_s / backoff_factor / backoff_jitter / backoff_seed:
-        Respawn ``r`` of a worker charges ``base * factor**r *
-        (1 + jitter * u)`` modelled seconds to the supervisor's virtual
-        clock, ``u`` derived from ``(seed, rank, r)`` — the recovery
-        ladder's deterministic backoff, applied to process respawn.
     spawn_cost_s:
         Modelled seconds one worker spawn (or respawn) costs in
         :class:`~repro.gpu.costmodel.MultiDeviceRunCost`.
@@ -413,23 +404,9 @@ class ProcessConfig:
     heartbeat_timeout_s: float = 5.0
     op_timeout_s: float = 30.0
     poll_interval_s: float = 0.005
-    max_respawns: int = 2
-    backoff_base_s: float = 1e-4
-    backoff_factor: float = 2.0
-    backoff_jitter: float = 0.25
-    backoff_seed: int = 0
     spawn_cost_s: float = 2e-3
     shm_gbps: float = 25.0
     start_method: str | None = None
-
-
-def _backoff_u(seed: int, rank: int, respawn: int) -> float:
-    import hashlib
-
-    h = hashlib.blake2b(
-        f"{seed}:respawn:{rank}:{respawn}".encode(), digest_size=8
-    )
-    return int.from_bytes(h.digest(), "little") / 2.0**64
 
 
 @dataclass
@@ -438,20 +415,21 @@ class _Worker:
     proc: object | None = None
     conn: object | None = None
     spawns: int = 0
-    quarantined: bool = False
     pending_drop: list = field(default_factory=list)
 
 
 class WorkerSupervisor:
-    """Owns the worker processes, their segments, and their failures.
+    """Owns the worker processes, their segments, and their respawns.
 
     One worker per shard.  ``wire_provider(i)`` supplies the current
     wire blob for shard ``i`` at every (re)spawn, so a preceding
-    ``update_values`` is reflected in respawned workers.  All real-time
-    waits (heartbeats, op deadlines) run on the wall clock — processes
-    are real — while respawn backoff is *modelled* on the virtual clock
-    (:attr:`clock_s`), mirroring the recovery ladder's deterministic
-    accounting.
+    ``update_values`` is reflected in respawned workers.  All waits
+    (heartbeats, op deadlines) run on the wall clock — processes are
+    real.  The supervisor only repairs the transport: a crashed or hung
+    worker is killed and respawned, and its command reports failure.
+    Retrying the lost shard, backing off and quarantining a device is
+    the recovery ladder's job (:mod:`repro.dist.recovery`), the same
+    ladder the thread backend runs under.
     """
 
     def __init__(
@@ -467,30 +445,14 @@ class WorkerSupervisor:
         self.ranks = list(ranks)
         self._ctx = get_context(self._pick_start_method())
         self.workers = [_Worker(rank=r) for r in self.ranks]
-        self._breakers = [
-            CircuitBreaker(
-                BreakerConfig(
-                    failure_threshold=self.config.max_respawns + 1,
-                    cooldown_seconds=float("inf"),
-                    probe_successes=1,
-                ),
-                key=f"worker{i}",
-            )
-            for i in range(len(self.ranks))
-        ]
         self.counters = {
             "spawns": 0,
             "respawns": 0,
             "crashes": 0,
             "hangs": 0,
-            "replays": 0,
             "heartbeats": 0,
-            "quarantines": 0,
             "round_trips": 0,
         }
-        self.respawn_log: list[dict] = []
-        self.clock_s = 0.0  # virtual seconds (respawn backoff)
-        self.begin_attempt = None  # set by the engine: shard index -> attempt
         self.x_seg = _JANITOR.create(x_capacity)
         self.out_segs = [_JANITOR.create(c) for c in out_capacities]
         self._closed = False
@@ -543,18 +505,10 @@ class WorkerSupervisor:
                 pass
         w.proc, w.conn = None, None
 
-    def healthy(self, i: int) -> bool:
-        w = self.workers[i]
-        return not self._closed and not w.quarantined and w.proc is not None
-
     def healthy_count(self) -> int:
-        return sum(self.healthy(i) for i in range(len(self.workers)))
-
-    @property
-    def mode(self) -> str:
         if self._closed:
-            return "closed"
-        return "process" if self.healthy_count() > 0 else "degraded"
+            return 0
+        return sum(w.proc is not None for w in self.workers)
 
     def close(self) -> None:
         """Shut every worker down and release every segment (idempotent)."""
@@ -598,72 +552,39 @@ class WorkerSupervisor:
     # -- liveness ----------------------------------------------------------
 
     def heartbeat(self, budget_s: float | None = None) -> dict[int, bool]:
-        """Ping every healthy worker; respawn the ones that miss.
+        """Ping every worker; respawn the ones that miss.
 
         ``budget_s`` overrides the per-probe real-time deadline (the
-        config's ``heartbeat_timeout_s``).  Returns rank → alive (after
-        any respawns).
+        config's ``heartbeat_timeout_s``).  Returns rank → whether the
+        worker answered (a missed one has been respawned since).
         """
         deadline = budget_s if budget_s is not None else self.config.heartbeat_timeout_s
         status: dict[int, bool] = {}
         for i, w in enumerate(self.workers):
-            if not self.healthy(i):
-                status[w.rank] = False
-                continue
             self.counters["heartbeats"] += 1
             alive = False
             with tele.span("worker_heartbeat", cat="dist", worker=i, rank=w.rank):
                 try:
                     w.conn.send({"op": "ping"})
                     if w.conn.poll(deadline):
-                        reply = w.conn.recv()
-                        alive = bool(reply.get("ok"))
+                        alive = bool(w.conn.recv().get("ok"))
                 except (BrokenPipeError, EOFError, OSError):
                     alive = False
             if tele.ENABLED:
                 tele.count("worker_heartbeat_total", rank=w.rank)
             if not alive:
-                self._fail(i, "heartbeat")
-                alive = self.healthy(i)
+                self._respawn(i, "heartbeat")
             status[w.rank] = alive
         return status
 
     # -- failure handling --------------------------------------------------
 
-    def _fail(self, i: int, reason: str) -> bool:
-        """Record one worker failure; respawn or quarantine.
-
-        Returns True when the worker was respawned (the caller may
-        replay), False when it was quarantined.
-        """
-        w = self.workers[i]
+    def _respawn(self, i: int, reason: str) -> None:
+        """Kill worker ``i`` and respawn it from its current wire."""
         if reason in ("crash", "hang"):
             self.counters["crashes" if reason == "crash" else "hangs"] += 1
-        self._kill(w)
-        breaker = self._breakers[i]
-        breaker.record_failure(self.clock_s, reason=reason)
-        if not breaker.allow_fast(self.clock_s):
-            w.quarantined = True
-            self.counters["quarantines"] += 1
-            if tele.ENABLED:
-                tele.count("worker_quarantines_total", rank=w.rank)
-            return False
-        respawn_idx = len(
-            [r for r in self.respawn_log if r["worker"] == i]
-        )
-        cfg = self.config
-        delay = (
-            cfg.backoff_base_s
-            * cfg.backoff_factor**respawn_idx
-            * (1.0 + cfg.backoff_jitter * _backoff_u(cfg.backoff_seed, w.rank, respawn_idx))
-        )
-        self.clock_s += delay
-        self.respawn_log.append(
-            {"worker": i, "rank": w.rank, "reason": reason,
-             "respawn": respawn_idx, "backoff_s": delay}
-        )
+        self._kill(self.workers[i])
         self._spawn(i, respawn=True)
-        return True
 
     # -- operation dispatch ------------------------------------------------
 
@@ -680,128 +601,61 @@ class WorkerSupervisor:
             return False
 
     def run(self, commands: list[tuple[int, dict]]) -> list[dict | None]:
-        """Execute one command per (healthy) worker; survive failures.
+        """Execute one command per listed worker; per command, its reply
+        or ``None``.
 
         Commands are sent up front so workers overlap, then collected in
-        list order.  A worker that crashes or hangs mid-operation is
-        respawned (rebuilding its plan from the current wire) and *only
-        its* command replayed, with a fresh attempt number from the
-        engine; a worker whose breaker trips is quarantined and its slot
-        returns ``None`` so the engine can fall back in-process.
+        list order.  A worker that crashes or misses ``op_timeout_s``
+        mid-operation is killed and respawned from its current wire,
+        and its slot returns ``None``: the caller reports that shard's
+        device lost.
         """
         self.counters["round_trips"] += len(commands)
-        sent_ok = []
-        for i, cmd in commands:
-            sent_ok.append(self._send(i, cmd))
+        sent = [self._send(i, cmd) for i, cmd in commands]
         out: list[dict | None] = []
-        for (i, cmd), ok in zip(commands, sent_ok):
-            out.append(self._collect(i, cmd, sent=ok))
+        for (i, cmd), ok in zip(commands, sent):
+            w = self.workers[i]
+            reply = self._await_reply(w) if ok else "crash"
+            if isinstance(reply, str):
+                self._respawn(i, reply)
+                reply = None
+            elif not reply.get("ok"):
+                raise WorkerCrash(
+                    f"worker {i} (rank {w.rank}) failed op "
+                    f"{cmd.get('op')!r}:\n{reply.get('error')}"
+                )
+            out.append(reply)
         return out
 
-    def _collect(self, i: int, cmd: dict, sent: bool = True) -> dict | None:
+    def _await_reply(self, w: _Worker) -> dict | str:
+        """The worker's reply, or why none came: ``"crash"``/``"hang"``."""
         cfg = self.config
+        deadline = time.monotonic() + cfg.op_timeout_s
         while True:
-            w = self.workers[i]
-            if w.quarantined or self._closed:
-                return None
-            failure = None
-            if not sent:
-                failure = "crash"
-            else:
-                deadline = time.monotonic() + cfg.op_timeout_s
-                while True:
-                    try:
-                        if w.conn.poll(cfg.poll_interval_s):
-                            reply = w.conn.recv()
-                            break
-                    except (EOFError, OSError):
-                        failure = "crash"
-                        break
-                    if w.proc is None or not w.proc.is_alive():
-                        failure = "crash"
-                        break
-                    if time.monotonic() >= deadline:
-                        failure = "hang"
-                        break
-                if failure is None:
-                    if not reply.get("ok"):
-                        raise WorkerCrash(
-                            f"worker {i} (rank {w.rank}) failed op "
-                            f"{cmd.get('op')!r}:\n{reply.get('error')}"
-                        )
-                    self._breakers[i].record_success(self.clock_s)
-                    return reply
-            if not self._fail(i, failure):
-                return None  # quarantined: caller falls back in-process
-            # Replay only this shard, as a fresh attempt.
-            self.counters["replays"] += 1
-            cmd = dict(cmd)
-            if self.begin_attempt is not None:
-                cmd["attempt"] = self.begin_attempt(cmd["shard"])
-                inj = shard_faults.active_injector()
-                cmd["plan"] = inj.plan if inj is not None else None
-            sent = self._send(i, cmd)
+            try:
+                if w.conn.poll(cfg.poll_interval_s):
+                    return w.conn.recv()
+            except (EOFError, OSError):
+                return "crash"
+            if not w.proc.is_alive():
+                return "crash"
+            if time.monotonic() >= deadline:
+                return "hang"
 
     def stats(self) -> dict:
         return {
-            "mode": self.mode,
             "workers": len(self.workers),
             "healthy": self.healthy_count(),
-            "quarantined": [i for i, w in enumerate(self.workers) if w.quarantined],
-            "clock_s": self.clock_s,
-            "respawn_log": list(self.respawn_log),
             **self.counters,
         }
 
 
-# -- persistent pools ------------------------------------------------------
-#
-# Coalesced serving traffic constructs the same sharded engine over and
-# over (one engine per generation, identical structure between retunes).
-# Spawning workers and shipping wires each time would dominate the
-# batching win, so a pool built under ``persistent=True`` is *parked*
-# here on ``close()`` instead of shut down, keyed by the exact plan it
-# holds (per-shard wire digests + device ranks + process config), and
-# adopted by the next engine constructed with an identical plan — live
-# workers, pre-registered segments, zero re-shipping.
-
-_POOL_REGISTRY: dict[str, list[WorkerSupervisor]] = {}
-_POOL_LOCK = threading.Lock()
-pool_counters = {"parked": 0, "adopted": 0, "shutdown": 0}
-
-
-def _pool_key(wires: list[bytes], ranks: list[int],
-              config: ProcessConfig) -> str:
-    """Digest of everything a parked pool's workers already hold."""
-    import hashlib
-
-    h = hashlib.blake2b(digest_size=16)
-    for w in wires:
-        h.update(hashlib.blake2b(w, digest_size=16).digest())
-    h.update(repr((tuple(ranks), config)).encode())
-    return h.hexdigest()
-
-
-def shutdown_persistent_pools() -> int:
-    """Close every parked worker pool; returns how many were shut down.
-
-    Registered ``atexit`` (before the janitor's segment sweep, which
-    runs after it under LIFO ordering); call explicitly in tests so the
-    shared-memory hygiene checks see a clean slate.
-    """
-    with _POOL_LOCK:
-        sups = [s for pool in _POOL_REGISTRY.values() for s in pool]
-        _POOL_REGISTRY.clear()
-    for sup in sups:
-        sup.close()
-    pool_counters["shutdown"] += len(sups)
-    return len(sups)
-
-
-atexit.register(shutdown_persistent_pools)
-
-
 # -- the engine ------------------------------------------------------------
+
+# The shard ops a worker executes: every task whose shard returns its
+# own block.  ``stream_collect`` (column-cut fixed-method shards) runs on
+# the parent's engines.
+_WORKER_OPS = ("spmv", "spmm", "spmv_transpose")
 
 
 class ProcessShardedSpMV(ShardedSpMV):
@@ -809,18 +663,15 @@ class ProcessShardedSpMV(ShardedSpMV):
 
     Construct directly, or via ``ShardedSpMV(matrix, backend="process")``
     — the parent class dispatches here.  The parent engines are kept:
-    they provide the cost model, the plan keys, the block operands of
-    the overlapping-output products, and the in-process fallback the
-    degradation ladder lands on.  Execution state walks
-    ``process → thread → sequential``:
-
-    * ``process`` — shard ops dispatch to workers; a quarantined
-      worker's shard (breaker tripped after ``max_respawns`` respawns)
-      falls back to the in-process engine while the rest stay remote.
-    * ``thread`` — entered when every worker is quarantined (or via
-      :meth:`degrade`); the inherited thread-pool path takes over.
-    * ``sequential`` — one more :meth:`degrade`: ``max_workers`` is
-      pinned to 1 and the inherited sequential loop runs.
+    they provide the cost model, the plan keys, and the block operands
+    of the overlapping-output products.  :meth:`run_shards` is the
+    process implementation of the shard-execution interface.  A worker
+    that crashes or misses its deadline is respawned and its shard
+    reported lost, so a plain engine raises
+    :class:`~repro.dist.faults.DeviceLostError` exactly as the thread
+    backend does (the next call runs on the respawned worker), and
+    :class:`~repro.dist.recovery.RecoverableShardedSpMV` retries, backs
+    off and quarantines with the one ladder both backends share.
 
     Like the thread backend, an armed GPU-substrate fault campaign
     forces the inherited (sequential) path — its injector is a single
@@ -830,23 +681,17 @@ class ProcessShardedSpMV(ShardedSpMV):
     parent's block operands.
     """
 
-    _process_capable = True
-
     def __init__(
         self,
         matrix,
         *args,
         process_config: ProcessConfig | None = None,
         backend: str = "process",
-        persistent: bool = False,
         **kwargs,
     ) -> None:
         self._pcfg = process_config or ProcessConfig()
-        self._persistent = bool(persistent)
-        self.pool_adopted = False
         self._shard_blocks: list = []
         self._shm_traffic_bytes = 0.0
-        self._backend_state = "process"
         self._supervisor: WorkerSupervisor | None = None
         super().__init__(matrix, *args, backend="thread", **kwargs)
         self.backend = "process"
@@ -860,49 +705,14 @@ class ProcessShardedSpMV(ShardedSpMV):
         for s in self.partition.shards:
             lo, hi = self._x_bounds(s, False)
             out_caps.append(8 * max(s.rows, hi - lo, 1))
-        sup: WorkerSupervisor | None = None
-        if self._persistent:
-            key = _pool_key(
-                [self._make_wire(i) for i in range(len(self.engines))],
-                self.device_ranks,
-                self._pcfg,
-            )
-            with _POOL_LOCK:
-                pool = _POOL_REGISTRY.get(key)
-                cand = pool.pop() if pool else None
-                if pool is not None and not pool:
-                    _POOL_REGISTRY.pop(key, None)
-            if cand is not None:
-                # The parked workers already hold this exact plan; only
-                # the parent-side callbacks need rebinding.  A worker
-                # that died while parked is respawned by the heartbeat.
-                cand._wire_provider = self._make_wire
-                cand.begin_attempt = self._begin_attempt
-                cand.heartbeat()
-                if (
-                    cand.mode == "process"
-                    and cand.healthy_count() == len(self.engines)
-                ):
-                    sup = cand
-                else:
-                    cand.close()
-        if sup is not None:
-            self._supervisor = sup
-            self.pool_adopted = True
-            pool_counters["adopted"] += 1
-            if tele.ENABLED:
-                tele.count("procpool_adoptions_total")
-        else:
-            sup = WorkerSupervisor(
-                self._make_wire,
-                self.device_ranks,
-                x_cap,
-                out_caps,
-                self._pcfg,
-            )
-            sup.begin_attempt = self._begin_attempt
-            self._supervisor = sup
-            sup.start()
+        self._supervisor = WorkerSupervisor(
+            self._make_wire,
+            self.device_ranks,
+            x_cap,
+            out_caps,
+            self._pcfg,
+        )
+        self._supervisor.start()
 
     def _build_engine(self, s, block, tile: int, **tile_kwargs) -> None:
         # Stash the canonical shard block: it is the payload of the
@@ -915,63 +725,14 @@ class ProcessShardedSpMV(ShardedSpMV):
     def _make_wire(self, i: int) -> bytes:
         return pack_shard_plan(self._shard_blocks[i], **self._wire_config)
 
-    # -- state machine -----------------------------------------------------
-
     @property
     def supervisor(self) -> WorkerSupervisor:
         return self._supervisor
 
-    def degrade(self) -> str:
-        """Step the backend down one rung; returns the new state."""
-        if self._backend_state == "process":
-            self._backend_state = "thread"
-            self.backend = "thread"
-            if self._supervisor is not None:
-                self._supervisor.close()
-        elif self._backend_state == "thread":
-            self._backend_state = "sequential"
-            self.backend = "sequential"
-            self._max_workers = 1
-            if self._executor is not None:
-                self._executor.shutdown(wait=True)
-                self._executor = None
-        return self._backend_state
-
     def _use_workers(self) -> bool:
-        if self._backend_state != "process" or self._supervisor is None:
-            return False
-        if self._supervisor.mode != "process":
-            # Every worker quarantined: degrade to the thread backend.
-            self.degrade()
-            return False
         # The GPU-substrate injector consumes one ordered RNG stream;
         # only the inherited sequential path preserves it.
-        return gpu_faults.active_injector() is None
-
-    # -- attempt bookkeeping ----------------------------------------------
-
-    def _begin_attempt(self, shard_index: int) -> int:
-        """Open one shard execution: counter + parent-side fault hooks.
-
-        Mirrors :meth:`ShardedSpMV.shard_call`'s bookkeeping for the
-        worker path: device loss raises here (before dispatch),
-        straggler delay is charged here, and the process-level fault
-        decisions are re-derived here so the parent's campaign counters
-        match the worker's actions one-for-one.
-        """
-        attempt = self.shard_exec_counts[shard_index]
-        self.shard_exec_counts[shard_index] = attempt + 1
-        inj = shard_faults.active_injector()
-        if inj is not None:
-            rank = self.device_ranks[shard_index]
-            inj.raise_if_lost(rank, attempt)
-            delay = inj.straggler_delay(rank, attempt)
-            if delay:
-                self.shard_delay_s[shard_index] += delay
-            inj.kill_worker(rank, attempt)
-            inj.worker_hang_s(rank, attempt)
-            inj.segment_fires(rank, attempt, record=True)
-        return attempt
+        return self._supervisor is not None and gpu_faults.active_injector() is None
 
     # -- dispatch plumbing -------------------------------------------------
 
@@ -987,9 +748,7 @@ class ProcessShardedSpMV(ShardedSpMV):
         if tele.ENABLED:
             tele.count("shm_bytes_total", n=float(nbytes))
 
-    def _command(self, s, op: str, x: np.ndarray) -> dict:
-        attempt = self._begin_attempt(s.index)
-        inj = shard_faults.active_injector()
+    def _command(self, s, op: str, x: np.ndarray, attempt: int, inj) -> dict:
         lo, hi = self._x_bounds(s, op == "spmv_transpose")
         cmd = {
             "op": op,
@@ -1013,41 +772,55 @@ class ProcessShardedSpMV(ShardedSpMV):
         self._count_shm(count * 8)
         return np.array(view)
 
-    def _run_shards(self, op: str, x: np.ndarray) -> list[np.ndarray]:
-        """Run one block op per shard in the workers; fall back per shard.
+    def run_shards(self, op: str, x: np.ndarray, indices=None) -> list:
+        """The process implementation of :meth:`ShardedSpMV.run_shards`.
 
-        Every product whose shards return their own block lands here —
-        row-disjoint ``spmv``/``spmm`` and every ``auto`` partial.  The
-        fixed-method overlapping-output products never call it: they
-        multiply the parent's block operands.
+        Each listed shard's attempt opens in the parent
+        (:meth:`~ShardedSpMV._open_attempt`: counter, loss, straggler),
+        which also re-derives the worker's kill and hang decisions for
+        the campaign's counters.  Every command is sent before any reply
+        is collected.  A worker the supervisor had to respawn returns
+        its shard's :class:`~repro.dist.faults.DeviceLostError`.  The
+        halo and partial faults a worker applied are recorded as its
+        reply arrives.  ``stream_collect`` tasks, and every task while
+        the workers are unusable, run in-process on the inherited path.
         """
-        if not self._use_workers():
-            return super()._run_shards(op, x)
+        if op not in _WORKER_OPS or not self._use_workers():
+            return super().run_shards(op, x, indices)
+        indices = list(range(len(self.engines)) if indices is None else indices)
         sup = self._supervisor
+        inj = shard_faults.active_injector()
+        k = x.shape[1] if x.ndim == 2 else 1
         self._write_x(x)
-        parts: list = [None] * len(self.engines)
+        out: dict[int, object] = {}
         commands = []
-        for s, e in zip(self.partition.shards, self.engines):
-            if not sup.healthy(s.index):
-                parts[s.index] = self._shard_op(op, s, e, x)
+        for i in indices:
+            s = self.partition.shards[i]
+            try:
+                attempt = self._open_attempt(i)
+            except DeviceLostError as exc:
+                out[i] = exc
                 continue
-            if op == "spmv_transpose":
-                lo, hi = self._x_bounds(s, False)
-                out_len = hi - lo
-            else:
-                out_len = s.rows * (x.shape[1] if x.ndim == 2 else 1)
-            sup.ensure_out(s.index, 8 * max(out_len, 1))
-            commands.append((s.index, self._command(s, op, x)))
-        replies = sup.run(commands)
-        for (i, _cmd), reply in zip(commands, replies):
-            s, e = self.partition.shards[i], self.engines[i]
-            if reply is None:  # quarantined mid-operation
-                parts[i] = self._shard_op(op, s, e, x)
+            if inj is not None:
+                inj.kill_worker(self.device_ranks[i], attempt)
+                inj.worker_hang_s(self.device_ranks[i], attempt)
+            lo, hi = self._x_bounds(s, False)
+            out_len = (hi - lo) if op == "spmv_transpose" else s.rows * k
+            sup.ensure_out(i, 8 * max(out_len, 1))
+            commands.append((i, self._command(s, op, x, attempt, inj)))
+        for (i, cmd), reply in zip(commands, sup.run(commands)):
+            if reply is None:
+                out[i] = DeviceLostError(cmd["rank"], cmd["attempt"])
                 continue
             shape = tuple(reply["shape"])
-            count = int(np.prod(shape)) if shape else 0
-            parts[i] = self._read_out(i, count).reshape(shape)
-        return parts
+            count = int(np.prod(shape))
+            if inj is not None:
+                inj.record_worker_faults(
+                    cmd["rank"], cmd["attempt"],
+                    (cmd["x_hi"] - cmd["x_lo"]) * k, count,
+                )
+            out[i] = self._read_out(i, count).reshape(shape)
+        return [out[i] for i in indices]
 
     def spmm(self, x: np.ndarray) -> np.ndarray:
         # The combine is inherited; this class keeps its own attribute
@@ -1079,11 +852,11 @@ class ProcessShardedSpMV(ShardedSpMV):
         for block, vals in zip(self._shard_blocks, slices):
             block.data[:] = vals
         sup = self._supervisor
-        if sup is None or self._backend_state != "process":
+        if sup is None:
             return self
+        # A worker lost mid-update is respawned from the refreshed wire,
+        # which already holds the new values.
         for s in self.partition.shards:
-            if not sup.healthy(s.index):
-                continue
             vals = slices[s.index]
             seg = sup.ensure_x(max(vals.nbytes, 8))
             view = np.ndarray((vals.size,), dtype=np.float64, buffer=seg.buf)
@@ -1107,28 +880,7 @@ class ProcessShardedSpMV(ShardedSpMV):
         sup = getattr(self, "_supervisor", None)
         self._supervisor = None
         if sup is not None:
-            if (
-                getattr(self, "_persistent", False)
-                and self._backend_state == "process"
-                and sup.mode == "process"
-                and sup.healthy_count() == len(sup.workers)
-            ):
-                # Park the healthy pool for the next engine with the
-                # same plan.  The key is recomputed from the *current*
-                # wires so an update_values since construction can only
-                # match an adopter holding those exact values.
-                key = _pool_key(
-                    [self._make_wire(i) for i in range(len(self.engines))],
-                    self.device_ranks,
-                    self._pcfg,
-                )
-                with _POOL_LOCK:
-                    _POOL_REGISTRY.setdefault(key, []).append(sup)
-                pool_counters["parked"] += 1
-                if tele.ENABLED:
-                    tele.count("procpool_parks_total")
-            else:
-                sup.close()
+            sup.close()
         super().close()
 
     def __del__(self) -> None:
@@ -1146,19 +898,17 @@ class ProcessShardedSpMV(ShardedSpMV):
         """Thread-backend pricing plus the process backend's own costs.
 
         Worker spawns and respawns are charged serially (they gate the
-        first/replayed execution), the deterministic respawn backoff is
-        the supervisor's virtual-clock ledger, and the per-call x/y
-        traffic is priced as cross-socket shared-memory transfers at
-        ``ProcessConfig.shm_gbps``.  All three terms default to zero in
-        :class:`~repro.gpu.costmodel.MultiDeviceRunCost`, so
+        first/replayed execution), and the per-call x/y traffic is
+        priced as cross-socket shared-memory transfers at
+        ``ProcessConfig.shm_gbps``.  Retry backoff is the recovery
+        ladder's to price (``retry_backoff_s``).  Both terms default to
+        zero in :class:`~repro.gpu.costmodel.MultiDeviceRunCost`, so
         thread-backend prices are untouched.
         """
         mdc = super().multi_device_cost(links=links)
         sup = self._supervisor
         if sup is not None:
-            mdc.spawn_s = (
-                sup.counters["spawns"] * self._pcfg.spawn_cost_s + sup.clock_s
-            )
+            mdc.spawn_s = sup.counters["spawns"] * self._pcfg.spawn_cost_s
         mdc.shm_bytes = float(sum(mdc.halo_bytes) + sum(mdc.y_bytes))
         mdc.shm_gbps = self._pcfg.shm_gbps
         mdc.label += "@process"
@@ -1169,11 +919,9 @@ class ProcessShardedSpMV(ShardedSpMV):
         if self._supervisor is not None:
             st = self._supervisor.stats()
             lines.append(
-                f"process backend: state={self._backend_state} "
-                f"workers={st['healthy']}/{st['workers']} "
+                f"process backend: workers={st['healthy']}/{st['workers']} "
                 f"spawns={st['spawns']} respawns={st['respawns']} "
                 f"crashes={st['crashes']} hangs={st['hangs']} "
-                f"quarantined={st['quarantined']} "
                 f"shm_traffic={self._shm_traffic_bytes / 1e3:.1f} kB"
             )
         return "\n".join(lines)

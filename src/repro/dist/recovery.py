@@ -30,6 +30,15 @@ than the one below it:
    survivor ranks.  Only this rung rebuilds the full engine; the
    rebuilt product is again bit-for-bit the single-device one.
 
+The ladder runs on either execution backend.  It drives the inner
+engine only through :meth:`~repro.dist.sharded.ShardedSpMV.run_shards`
+— the first pass over every shard, then each single-shard retry — and
+reads a lost shard from the slot that call returns.  On the process
+backend a worker that crashed or hung has already been respawned by
+its supervisor and shows up here as a lost device, so one set of
+breakers, one backoff schedule and one quarantine cover both backends;
+a quarantine repartitions onto P-1 worker processes.
+
 Two shapes of shard work go up the ladder.  Shards that return their
 own block (row-disjoint partitions, column-cut ``auto``) are checked
 on that block.  Column-cut fixed-method shards return their decode
@@ -165,7 +174,8 @@ class RecoverableShardedSpMV:
     """A :class:`ShardedSpMV` behind the shard-level recovery ladder.
 
     Construction mirrors ``ShardedSpMV`` (same partitioning, same
-    per-shard plans, same plan cache) plus a :class:`RecoveryConfig`.
+    per-shard plans, same plan cache, same ``backend``/
+    ``process_config``) plus a :class:`RecoveryConfig`.
     ``spmv``/``spmm`` run all shards — concurrently whenever the inner
     engine would — then verify each shard's contribution independently
     and walk the ladder for the failures.  ``spmv_transpose`` delegates
@@ -194,12 +204,13 @@ class RecoverableShardedSpMV:
         config: RecoveryConfig | None = None,
         **tile_kwargs,
     ) -> None:
-        if tile_kwargs.pop("backend", "thread") == "process":
-            raise ValueError(
-                "RecoverableShardedSpMV runs on the thread backend; the "
-                "process backend (ProcessShardedSpMV) carries its own "
-                "supervisor ladder instead of the recovery ladder"
-            )
+        # Execution-backend options go to every inner engine (including
+        # the one a quarantine rebuilds), never to the parity TileSpMV.
+        self._engine_kwargs = {
+            k: tile_kwargs.pop(k)
+            for k in ("backend", "process_config")
+            if k in tile_kwargs
+        }
         self.config = config or RecoveryConfig()
         csr, self.validation_report = canonicalize_csr(matrix, validation)
         self._csr = csr
@@ -226,7 +237,8 @@ class RecoverableShardedSpMV:
         self.inner = ShardedSpMV(
             csr, shards=shards, method=method, tile=tile,
             plan_cache=plan_cache, max_workers=max_workers,
-            validation="trust", grid=grid, **self._tile_kwargs,
+            validation="trust", grid=grid, **self._engine_kwargs,
+            **self._tile_kwargs,
         )
         self._init_checks()
         self._parity_engine = None
@@ -366,23 +378,6 @@ class RecoverableShardedSpMV:
             1.0 + cfg.backoff_jitter * u
         )
 
-    def _attempt_all(self, indices: list[int], runner) -> list:
-        """First pass: run the listed shards, capturing device losses.
-
-        Threads through the inner engine's pool exactly when the inner
-        engine itself would thread, so campaigns exercise the real
-        concurrent path.
-        """
-        def one(i: int):
-            try:
-                return ("ok", runner(i))
-            except DeviceLostError as exc:
-                return ("lost", exc)
-
-        if self.inner._sequential() or len(indices) == 1:
-            return [one(i) for i in indices]
-        return list(self.inner._pool().map(one, indices))
-
     def _charge_stragglers(self, before: list[float]) -> None:
         """Add this pass's modelled straggler makespan to the clock."""
         after = self.inner.shard_delay_s
@@ -392,7 +387,8 @@ class RecoverableShardedSpMV:
         if delta > 0:
             self.clock += delta
 
-    def _recover_shard(self, op: str, i: int, runner, checker, reason: str):
+    def _recover_shard(self, op: str, run_op: str, i: int, x, checker,
+                       reason: str):
         """Rung 2: localized retry with deadline-budgeted backoff.
 
         Returns the verified result, or ``None`` if the shard stayed
@@ -425,9 +421,8 @@ class RecoverableShardedSpMV:
                 tele.count("shard_retries_total")
             with tele.span("shard_retry", cat="dist", shard=i, device=rank,
                            retry=r, op=op):
-                try:
-                    result = runner(i)
-                except DeviceLostError:
+                result = self.inner.run_shards(run_op, x, [i])[0]
+                if isinstance(result, DeviceLostError):
                     reason = "device_loss"
                     breaker.record_failure(self.clock, reason)
                     continue
@@ -498,11 +493,13 @@ class RecoverableShardedSpMV:
         old = self.inner
         # Repartition 1D over the survivor count: a grid whose factor
         # no longer matches P-1 degrades canonically to row blocks.
+        # The rebuilt engine keeps the backend (P-1 worker processes).
         self.inner = ShardedSpMV(
             self._csr, shards=len(survivors), method=self._method,
             tile=self._tile, plan_cache=self._plan_cache,
             max_workers=self._max_workers, validation="trust",
-            device_ranks=survivors, **self._tile_kwargs,
+            device_ranks=survivors, **self._engine_kwargs,
+            **self._tile_kwargs,
         )
         old.close()
         self._init_checks()
@@ -512,8 +509,13 @@ class RecoverableShardedSpMV:
             # The parity block layout depends on the partition heights.
             self._build_parity()
 
-    def _ladder(self, op: str, x, k: int | None, runner, checker, depth: int = 0):
+    def _ladder(self, op: str, run_op: str, x, k: int | None, checker,
+                depth: int = 0):
         """Run shards, verify each, recover failures, return the blocks.
+
+        ``op`` is the product (``spmv``/``spmm``, as logged); ``run_op``
+        the shard task :meth:`~repro.dist.sharded.ShardedSpMV.run_shards`
+        executes for it.
 
         Returns ``(blocks, failed_after_parity)`` where ``blocks`` is
         the per-shard verified result list and the second element names
@@ -522,12 +524,12 @@ class RecoverableShardedSpMV:
         reconstructed them is impossible — the caller escalates.
         """
         before = list(self.inner.shard_delay_s)
-        outcomes = self._attempt_all(list(range(self.inner.shards)), runner)
+        outcomes = self.inner.run_shards(run_op, x)
         self._charge_stragglers(before)
         blocks: list = [None] * self.inner.shards
         failures: list[tuple[int, str]] = []
-        for i, (status, payload) in enumerate(outcomes):
-            if status == "lost":
+        for i, payload in enumerate(outcomes):
+            if isinstance(payload, DeviceLostError):
                 failures.append((i, "device_loss"))
             elif checker(i, payload):
                 blocks[i] = payload
@@ -538,7 +540,7 @@ class RecoverableShardedSpMV:
             self.counters["verified_ok"] += 1
             return blocks
         for i, reason in failures:
-            blocks[i] = self._recover_shard(op, i, runner, checker, reason)
+            blocks[i] = self._recover_shard(op, run_op, i, x, checker, reason)
         unrecovered = [i for i in range(self.inner.shards) if blocks[i] is None]
         if not unrecovered:
             self.counters["verified_ok"] += 1
@@ -583,17 +585,12 @@ class RecoverableShardedSpMV:
         op = "spmv" if k is None else "spmm"
         inner = self.inner
 
-        def runner(i: int):
-            return inner._shard_op(
-                op, inner.partition.shards[i], inner.engines[i], x
-            )
-
         def checker(i: int, y_blk) -> bool:
             return self._checks[i].verify_sum(
                 self._x_local(i, x), np.sum(y_blk, axis=0)
             )
 
-        blocks = self._ladder(op, x, k, runner, checker, depth)
+        blocks = self._ladder(op, op, x, k, checker, depth)
         if blocks is None:  # repartitioned: recompute over the survivors
             return self._dispatch(x, k, depth + 1)
         return np.concatenate(
@@ -609,12 +606,6 @@ class RecoverableShardedSpMV:
         windows, multiplied through the inner engine's block operands."""
         inner = self.inner
 
-        def runner(i: int):
-            return inner.shard_call(
-                "stream_collect", inner.partition.shards[i], inner.engines[i],
-                lambda s_, e_: inner._shard_streams(s_, e_, x, False),
-            )
-
         def checker(i: int, task) -> bool:
             streams, window = task
             observed = 0.0
@@ -624,8 +615,8 @@ class RecoverableShardedSpMV:
                     observed = observed + vals @ window[cols]
             return self._checks[i].verify_sum(self._x_local(i, x), observed)
 
-        tasks = self._ladder("spmv" if k is None else "spmm", x, k, runner,
-                             checker, depth)
+        tasks = self._ladder("spmv" if k is None else "spmm", "stream_collect",
+                             x, k, checker, depth)
         if tasks is None:
             return self._dispatch(x, k, depth + 1)
         return inner._overlap_product(x, False, tasks)

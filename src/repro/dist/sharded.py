@@ -73,6 +73,7 @@ from repro.core.plancache import PlanCache
 from repro.core.storage import csr_operand
 from repro.core.tilespmv import METHODS, TileSpMV
 from repro.dist import faults as shard_faults
+from repro.dist.faults import DeviceLostError
 from repro.dist.partition import (
     GridPartition,
     RowPartition,
@@ -140,13 +141,12 @@ class ShardedSpMV:
         ``"thread"`` (default) executes shards on the inherited
         thread-pool path; ``"process"`` dispatches construction to
         :class:`~repro.dist.procpool.ProcessShardedSpMV`, whose shards
-        run in supervised worker processes over shared memory.
+        run in worker processes over shared memory.  Both implement
+        :meth:`run_shards`, the interface the recovery ladder drives.
     **tile_kwargs:
         Forwarded to every shard's :class:`TileSpMV` (``tile``,
         ``selection``, ``tbalance``, ``params``, ``auto_device``).
     """
-
-    _process_capable = False
 
     def __new__(cls, *args, backend: str = "thread", **kwargs):
         if backend == "process" and cls is ShardedSpMV:
@@ -172,12 +172,6 @@ class ShardedSpMV:
         if backend not in ("thread", "process"):
             raise ValueError(
                 f"backend must be 'thread' or 'process', got {backend!r}"
-            )
-        if backend == "process" and not type(self)._process_capable:
-            raise ValueError(
-                "backend='process' is only supported on ShardedSpMV itself "
-                "(the process backend carries its own supervisor ladder); "
-                f"{type(self).__name__} runs on the thread backend"
             )
         self.backend = backend
         if method not in METHODS:
@@ -370,33 +364,41 @@ class ShardedSpMV:
             or faults.active_injector() is not None
         )
 
-    def shard_call(self, op: str, s, engine, fn):
-        """One shard execution through the shard-level fault hooks.
+    def _open_attempt(self, i: int) -> int:
+        """Open one execution of shard ``i``; returns its attempt number.
 
         Increments the shard's execution counter (= the fault model's
         attempt number), then consults the armed
         :class:`~repro.dist.faults.ShardFaultInjector`, if any: the
         device may be lost (raises
-        :class:`~repro.dist.faults.DeviceLostError`), straggle
-        (modelled delay recorded in :attr:`shard_delay_s`), or hand
-        back a corrupted partial.  Halo corruption hits inside
-        :meth:`_x_block`, where the x window is actually sliced.  The
-        recovery ladder calls this directly to re-execute exactly one
-        shard.
+        :class:`~repro.dist.faults.DeviceLostError`) or straggle
+        (modelled delay recorded in :attr:`shard_delay_s`).  Both
+        backends open every shard execution here.
         """
-        attempt = self.shard_exec_counts[s.index]
-        self.shard_exec_counts[s.index] = attempt + 1
+        attempt = self.shard_exec_counts[i]
+        self.shard_exec_counts[i] = attempt + 1
         inj = shard_faults.active_injector()
-        if inj is None:
-            return fn(s, engine)
-        rank = self.device_ranks[s.index]
-        inj.raise_if_lost(rank, attempt)
-        delay = inj.straggler_delay(rank, attempt)
-        if delay:
-            self.shard_delay_s[s.index] += delay
+        if inj is not None:
+            rank = self.device_ranks[i]
+            inj.raise_if_lost(rank, attempt)
+            delay = inj.straggler_delay(rank, attempt)
+            if delay:
+                self.shard_delay_s[i] += delay
+        return attempt
+
+    def shard_call(self, op: str, s, engine, fn):
+        """One in-process shard execution through the fault hooks.
+
+        Opens the attempt (:meth:`_open_attempt`), runs ``fn`` and lets
+        the armed campaign, if any, hand back a corrupted partial.
+        Halo corruption hits inside :meth:`_x_block`, where the x
+        window is actually sliced.
+        """
+        attempt = self._open_attempt(s.index)
         out = fn(s, engine)
-        if isinstance(out, np.ndarray):
-            out = inj.corrupt_partial(rank, attempt, out)
+        inj = shard_faults.active_injector()
+        if inj is not None and isinstance(out, np.ndarray):
+            out = inj.corrupt_partial(self.device_ranks[s.index], attempt, out)
         return out
 
     def _x_bounds(self, s, transpose: bool) -> tuple[int, int]:
@@ -425,33 +427,60 @@ class ShardedSpMV:
             blk = inj.corrupt_halo(self.device_ranks[s.index], attempt, blk)
         return blk
 
-    def _shard_op(self, op: str, s, engine, x: np.ndarray) -> np.ndarray:
-        """One shard's own product (``spmv``/``spmm``/``spmv_transpose``)."""
-        transpose = op == "spmv_transpose"
-        return self.shard_call(
-            op, s, engine,
-            lambda s_, e_: getattr(e_, op)(self._x_block(s_, x, transpose)),
-        )
+    def _shard_op(self, op: str, s, engine, x: np.ndarray):
+        """One shard task: its own product (``spmv``/``spmm``/
+        ``spmv_transpose``), or for ``stream_collect`` the decode
+        streams and x window of a column-cut fixed-method shard."""
+        if op == "stream_collect":
+            def fn(s_, e_):
+                return self._shard_streams(s_, e_, x, False)
+        else:
+            transpose = op == "spmv_transpose"
+
+            def fn(s_, e_):
+                return getattr(e_, op)(self._x_block(s_, x, transpose))
+        return self.shard_call(op, s, engine, fn)
+
+    def run_shards(self, op: str, x: np.ndarray, indices=None) -> list:
+        """Run the listed shards' tasks (default: all); per shard, its
+        result or its :class:`~repro.dist.faults.DeviceLostError`.
+
+        The one shard-execution interface: plain products and the
+        recovery ladder (first pass and single-shard retries) both call
+        it, on both backends.  A lost device fills its slot instead of
+        raising, so one loss never hides the other shards' results.
+        Results come back in listed order regardless of completion
+        order, so every combine downstream sees a schedule-independent
+        input.  Here every task runs in-process through
+        :meth:`shard_call`, concurrently when :meth:`_sequential`
+        allows.
+        """
+        indices = list(range(len(self.engines)) if indices is None else indices)
+        shards = self.partition.shards
+
+        def one(i: int):
+            try:
+                return self._shard_op(op, shards[i], self.engines[i], x)
+            except DeviceLostError as exc:
+                return exc
+
+        if len(indices) > 1 and not self._sequential():
+            return list(self._pool().map(one, indices))
+        parts = []
+        for i in indices:
+            s = shards[i]
+            with tele.span("shard_execute", cat="kernel", op=op,
+                           shard=s.index, rows=s.rows, nnz=s.nnz):
+                parts.append(one(i))
+        return parts
 
     def _run_shards(self, op: str, x: np.ndarray) -> list[np.ndarray]:
-        """Every shard's own product, concurrently when safe.
-
-        Results come back in shard order regardless of completion order,
-        so every combine downstream sees a schedule-independent input.
-        Every task routes through :meth:`shard_call`, so the shard-level
-        fault hooks apply on both the sequential and concurrent paths.
-        """
-        pairs = list(zip(self.partition.shards, self.engines))
-        if self._sequential():
-            parts = []
-            for s, engine in pairs:
-                with tele.span("shard_execute", cat="kernel", op=op,
-                               shard=s.index, rows=s.rows, nnz=s.nnz):
-                    parts.append(self._shard_op(op, s, engine, x))
-            return parts
-        return list(
-            self._pool().map(lambda pair: self._shard_op(op, *pair, x), pairs)
-        )
+        """Every shard's result for a plain product; a lost shard raises."""
+        parts = self.run_shards(op, x)
+        for part in parts:
+            if isinstance(part, DeviceLostError):
+                raise part
+        return parts
 
     # -- overlapping outputs: per-block CSR operands -----------------------
 

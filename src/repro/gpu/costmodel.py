@@ -342,9 +342,9 @@ class MultiDeviceRunCost:
     from :class:`~repro.dist.procpool.ProcessShardedSpMV`:
 
     * ``spawn_s`` — modelled seconds spent spawning and respawning
-      worker processes, including the supervisor's deterministic
-      respawn backoff (its virtual-clock ledger).  Spawns gate the
-      first/replayed execution, so they charge serially.
+      worker processes.  Spawns gate the first/retried execution, so
+      they charge serially; the retry's backoff is the ladder's
+      ``retry_backoff_s``.
     * ``shm_bytes``/``shm_gbps`` — per-call x/y payload traffic through
       ``multiprocessing.shared_memory``, priced at a cross-socket
       bandwidth.  Zero-copy does not mean free: the pages still cross
@@ -365,7 +365,7 @@ class MultiDeviceRunCost:
     retry_backoff_s: float = 0.0  # recorded backoff waits (virtual seconds)
     retry_costs: list | None = None  # one re-executed shard RunCost per retry
     rebuild_cost: "RunCost | None" = None  # repartition full re-execution
-    spawn_s: float = 0.0  # worker spawn/respawn seconds incl. respawn backoff
+    spawn_s: float = 0.0  # worker spawn/respawn seconds
     shm_bytes: float = 0.0  # shared-memory payload traffic (x in, y out)
     shm_gbps: float = 0.0  # cross-socket shm bandwidth (0 = don't price it)
 

@@ -89,18 +89,18 @@ class ReliableSpMV:
         per-shard checksums and only that shard retries; this wrapper's
         assembled-``y`` ladder stays armed above it as the last line of
         defence.  ``None``/``False`` (default) keeps the engine-level
-        ladder only.  Mutually exclusive with ``backend="process"``.
+        ladder only.  Works on either ``backend``.
     backend:
         ``"thread"`` (default) or ``"process"``.  With ``"process"``
         the protected engine is a
         :class:`~repro.dist.procpool.ProcessShardedSpMV` (supervised
         worker processes over shared memory) — even at ``shards=1``,
-        where it exercises the supervisor at P=1.  The process backend
-        carries its own respawn/quarantine ladder, so combining it with
-        ``recovery`` is rejected; this wrapper's assembled-``y`` ABFT
-        ladder stays armed above it either way (a corrupted
-        shared-memory segment is detected exactly like a corrupted
-        partial).
+        where it exercises the supervisor at P=1.  A killed or hung
+        worker is respawned and its shard reported lost; with
+        ``recovery`` the shard-level ladder retries it, without it the
+        loss propagates.  This wrapper's assembled-``y`` ABFT ladder
+        stays armed above either way (a worker's corrupted result is
+        detected exactly like a corrupted partial).
     method, plan_cache, **tile_kwargs:
         Forwarded to :class:`~repro.core.tilespmv.TileSpMV` (or the
         sharded engine).
@@ -123,12 +123,6 @@ class ReliableSpMV:
         if backend not in ("thread", "process"):
             raise ValueError(
                 f"backend must be 'thread' or 'process', got {backend!r}"
-            )
-        if backend == "process" and recovery:
-            raise ValueError(
-                "recovery and backend='process' are mutually exclusive: the "
-                "process backend carries its own supervisor ladder "
-                "(respawn/quarantine); ABFT detection stays armed either way"
             )
         if (shards > 1 or grid is not None or backend == "process") and (
             "reorder" in tile_kwargs or "formats_override" in tile_kwargs
@@ -246,6 +240,7 @@ class ReliableSpMV:
                     plan_cache=self.plan_cache,
                     validation="trust",
                     config=config,
+                    backend=self._backend,
                     **self._tile_kwargs,
                 )
             from repro.dist.sharded import ShardedSpMV

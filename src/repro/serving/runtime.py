@@ -294,9 +294,9 @@ class ServingRuntime:
         so a single faulty device retries locally instead of failing
         the whole request up to this runtime's breaker.
         ``backend="process"`` serves from supervised worker processes
-        (:class:`~repro.dist.procpool.ProcessShardedSpMV`) — mutually
-        exclusive with ``recovery``, which the process backend replaces
-        with its own respawn/quarantine ladder.
+        (:class:`~repro.dist.procpool.ProcessShardedSpMV`), with or
+        without ``recovery``: the same ladder retries a shard whose
+        worker was killed or hung.
         """
         if matrix_id in self._matrices:
             raise ValueError(f"matrix id {matrix_id!r} already registered")

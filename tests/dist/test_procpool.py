@@ -4,9 +4,9 @@ The exactness contract is the same one the thread backend carries —
 bit-for-bit equality with the single-device product for fixed methods —
 now across a process boundary: plans ship once over the npz wire
 format, payloads move through ``multiprocessing.shared_memory``, and
-crashed/hung workers are respawned deterministically with only the
-lost shard replayed.  Campaign-grade tests run under ``FAULT_SEED``
-(same convention as ``tests/dist/test_faults.py``).
+crashed/hung workers are respawned and their shard reported lost, so
+the recovery ladder retries only that shard.  Campaign-grade tests run
+under ``FAULT_SEED`` (same convention as ``tests/dist/test_faults.py``).
 """
 
 import os
@@ -21,6 +21,7 @@ from repro import telemetry as tele
 from repro.core.serialize import pack_shard_plan, unpack_shard_plan
 from repro.core.tilespmv import TileSpMV
 from repro.dist import (
+    DeviceLostError,
     ProcessConfig,
     ProcessShardedSpMV,
     RecoverableShardedSpMV,
@@ -103,13 +104,28 @@ class TestDispatch:
         with pytest.raises(ValueError, match="backend"):
             ShardedSpMV(_matrix(), shards=2, backend="mpi")
 
-    def test_recoverable_rejects_process_backend(self):
-        with pytest.raises(ValueError, match="process backend"):
-            RecoverableShardedSpMV(_matrix(), shards=2, backend="process")
+    def test_reliable_accepts_recovery_plus_process(self):
+        a = _matrix()
+        x = np.linspace(-1.0, 1.0, a.shape[1])
+        with ReliableSpMV(a, shards=2, recovery=True, backend="process") as r:
+            assert isinstance(r.engine, RecoverableShardedSpMV)
+            assert isinstance(r.engine.inner, ProcessShardedSpMV)
+            assert r.spmv(x).tobytes() == TileSpMV(a).spmv(x).tobytes()
 
-    def test_reliable_rejects_recovery_plus_process(self):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            ReliableSpMV(_matrix(), shards=2, recovery=True, backend="process")
+    def test_serving_registers_recovery_plus_process(self):
+        from repro.serving import RuntimeConfig, ServingRuntime
+        from repro.serving.trace import Request
+
+        rt = ServingRuntime(RuntimeConfig(queue_limit=8))
+        try:
+            rt.register("m", _matrix(), shards=2, recovery=True,
+                        backend="process")
+            out = rt.submit(Request(rid=0, arrival=0.0, matrix_id="m"))
+            assert out.status == "served"
+            engine = rt._served("m").engine.engine
+            assert isinstance(engine.inner, ProcessShardedSpMV)
+        finally:
+            rt.close()
 
     def test_reliable_process_engine(self):
         with ReliableSpMV(_matrix(), shards=2, backend="process") as r:
@@ -200,52 +216,66 @@ class TestWorkerKill:
         a = _matrix()
         x = np.linspace(-1.0, 1.0, a.shape[1])
         ref = TileSpMV(a, method="adpt").spmv(x)
-        with ShardedSpMV(a, shards=4, method="adpt",
-                         backend="process") as eng:
+        with RecoverableShardedSpMV(a, shards=4, method="adpt",
+                                    backend="process") as eng:
             with shard_fault_injection(
                 ShardFaultPlan(seed=FAULT_SEED, kill_workers=(1,))
             ) as inj:
                 y = eng.spmv(x)
-            st = eng.supervisor.stats()
+            st = eng.inner.supervisor.stats()
             assert inj.injected == 1
             assert st["crashes"] == 1
             assert st["respawns"] == 1
-            assert st["replays"] == 1
-            assert st["respawn_log"][0]["reason"] == "crash"
+            assert eng.counters["shard_retry"] == 1
+            assert eng.retry_log[0]["reason"] == "device_loss"
             # Only the killed shard ran twice; the others ran once.
             counts = list(eng.shard_exec_counts)
             assert counts[1] == 2
             assert counts[:1] + counts[2:] == [1, 1, 1]
             assert y.tobytes() == ref.tobytes()
-            assert eng.supervisor.mode == "process"
+            assert st["healthy"] == 4
 
     def test_kill_campaign_result_deterministic(self):
         a = _matrix()
         x = np.linspace(0.0, 2.0, a.shape[1])
         outs = []
         for _ in range(2):
-            with ShardedSpMV(a, shards=2, method="adpt",
-                             backend="process") as eng:
+            with RecoverableShardedSpMV(a, shards=2, method="adpt",
+                                        backend="process") as eng:
                 with shard_fault_injection(
                     ShardFaultPlan(seed=FAULT_SEED, worker_kill_prob=0.6)
                 ):
-                    outs.append(eng.spmv(x).tobytes())
+                    outs.append((eng.spmv(x).tobytes(), eng.retry_log))
         assert outs[0] == outs[1]
 
     def test_backoff_charged_to_virtual_clock(self):
         a = _matrix()
         x = np.ones(a.shape[1])
-        with ShardedSpMV(a, shards=2, method="adpt",
-                         backend="process") as eng:
+        with RecoverableShardedSpMV(a, shards=2, method="adpt",
+                                    backend="process") as eng:
             with shard_fault_injection(
                 ShardFaultPlan(seed=FAULT_SEED, kill_workers=(0,))
             ):
                 eng.spmv(x)
-            sup = eng.supervisor
-            assert sup.clock_s > 0.0
-            entry = sup.respawn_log[0]
-            assert entry["backoff_s"] > 0.0
-            assert entry["worker"] == 0
+            assert eng.clock > 0.0
+            entry = eng.retry_log[0]
+            assert entry["delay_s"] > 0.0
+            assert entry["shard"] == 0
+
+    def test_plain_engine_raises_then_runs_on_respawned_worker(self):
+        a = _matrix()
+        x = np.linspace(-1.0, 1.0, a.shape[1])
+        ref = TileSpMV(a, method="adpt").spmv(x)
+        with ShardedSpMV(a, shards=2, method="adpt",
+                         backend="process") as eng:
+            with shard_fault_injection(
+                ShardFaultPlan(seed=FAULT_SEED, kill_workers=(1,))
+            ):
+                with pytest.raises(DeviceLostError) as exc:
+                    eng.spmv(x)
+            assert exc.value.device == 1
+            assert eng.supervisor.stats()["respawns"] == 1
+            assert eng.spmv(x).tobytes() == ref.tobytes()
 
 
 @pytest.mark.faults
@@ -255,17 +285,19 @@ class TestWorkerHang:
         x = np.linspace(-0.5, 0.5, a.shape[1])
         ref = TileSpMV(a, method="adpt").spmv(x)
         cfg = ProcessConfig(op_timeout_s=0.25)
-        with ProcessShardedSpMV(a, shards=2, method="adpt",
-                                process_config=cfg) as eng:
+        with RecoverableShardedSpMV(a, shards=2, method="adpt",
+                                    backend="process",
+                                    process_config=cfg) as eng:
             with shard_fault_injection(
                 ShardFaultPlan(seed=FAULT_SEED, hang_workers=(0,),
                                hang_seconds=5.0)
             ):
                 y = eng.spmv(x)
-            st = eng.supervisor.stats()
+            st = eng.inner.supervisor.stats()
             assert st["hangs"] == 1
             assert st["respawns"] == 1
-            assert st["respawn_log"][0]["reason"] == "hang"
+            assert eng.shard_exec_counts == [2, 1]
+            assert eng.clock > 0.0
             assert y.tobytes() == ref.tobytes()
 
     def test_heartbeat_flags_hung_worker(self):
@@ -283,14 +315,14 @@ class TestWorkerHang:
 @pytest.mark.faults
 class TestSegmentCorruption:
     def test_corrupted_segment_caught_by_abft(self):
-        # A corrupted result segment is exactly what the engine-level
+        # A worker's corrupted result is exactly what the engine-level
         # ABFT ladder exists for: detect, retry (clean on attempt 1).
         a = _matrix()
         x = np.linspace(0.0, 1.0, a.shape[1])
         ref = np.asarray(a @ x)
         with ReliableSpMV(a, shards=2, backend="process") as r:
             with shard_fault_injection(
-                ShardFaultPlan(seed=FAULT_SEED, segment_devices=(0,))
+                ShardFaultPlan(seed=FAULT_SEED, corrupt_devices=(0,))
             ):
                 y = r.spmv(x)
             assert r.counters["detected"] >= 1
@@ -298,41 +330,50 @@ class TestSegmentCorruption:
 
 
 @pytest.mark.faults
-class TestQuarantineAndDegradation:
-    def test_persistent_kill_quarantines_and_degrades(self):
+class TestWorkerFaultBookkeeping:
+    @pytest.mark.parametrize("target", ["corrupt_devices", "halo_devices"])
+    def test_parent_records_worker_faults(self, target):
+        # The worker applies partial and halo corruption with its own
+        # injector copy; the parent must count them as the thread
+        # backend does, and the corrupted bytes must agree.
+        a = _matrix()
+        x = np.linspace(-1.0, 1.0, a.shape[1])
+        plan = ShardFaultPlan(seed=FAULT_SEED, **{target: (0,)})
+        seen = {}
+        for backend in ("thread", "process"):
+            with ShardedSpMV(a, shards=2, backend=backend) as eng:
+                with shard_fault_injection(plan) as inj:
+                    y = eng.spmv(x)
+            seen[backend] = (inj.injected, dict(inj.by_kind), y.tobytes())
+        kind = "partial" if target == "corrupt_devices" else "halo"
+        assert seen["thread"][:2] == (1, {kind: 1})
+        assert seen["process"] == seen["thread"]
+
+
+@pytest.mark.faults
+class TestQuarantine:
+    def test_persistent_kill_quarantines_and_repartitions(self):
         a = _matrix()
         x = np.linspace(-1.0, 1.0, a.shape[1])
         ref = TileSpMV(a, method="adpt").spmv(x)
-        cfg = ProcessConfig(max_respawns=1)
-        with ProcessShardedSpMV(a, shards=2, method="adpt",
-                                process_config=cfg) as eng:
+        with RecoverableShardedSpMV(a, shards=3, method="adpt",
+                                    backend="process") as eng:
             plan = ShardFaultPlan(
-                seed=FAULT_SEED, kill_workers=(0, 1), fault_attempts=None
+                seed=FAULT_SEED, kill_workers=(1,), fault_attempts=None
             )
             with shard_fault_injection(plan):
                 y = eng.spmv(x)
-            # Both workers exhausted their respawn budget: quarantined,
-            # results recovered on the in-process fallback path.
-            st = eng.supervisor.stats()
-            assert st["quarantined"] == [0, 1]
-            assert st["mode"] == "degraded"
             assert y.tobytes() == ref.tobytes()
-            # The next call notices and degrades the whole backend.
-            y2 = eng.spmv(x)
-            assert eng.backend == "thread"
-            assert y2.tobytes() == ref.tobytes()
-
-    def test_explicit_degrade_ladder(self):
-        a = _matrix()
-        x = np.ones(a.shape[1])
-        ref = TileSpMV(a, method="adpt").spmv(x)
-        with ProcessShardedSpMV(a, shards=2, method="adpt") as eng:
-            assert eng.backend == "process"
-            assert eng.degrade() == "thread"
+            assert eng.quarantined == [1]
+            assert eng.counters["repartitions"] == 1
+            # The survivors run in two fresh worker processes; the old
+            # pool's segments are gone (one x + one output per worker).
+            assert isinstance(eng.inner, ProcessShardedSpMV)
+            assert eng.inner.device_ranks == [0, 2]
+            assert eng.inner.supervisor.stats()["healthy"] == 2
+            assert len(scan_owned_segments()) == 3
             assert eng.spmv(x).tobytes() == ref.tobytes()
-            assert eng.degrade() == "sequential"
-            assert eng.spmv(x).tobytes() == ref.tobytes()
-            assert eng.degrade() == "sequential"  # floor
+        assert scan_owned_segments() == []
 
 
 # -- lifecycle and the shm janitor -----------------------------------------
@@ -498,6 +539,7 @@ class TestTelemetry:
                 with shard_fault_injection(
                     ShardFaultPlan(seed=FAULT_SEED, kill_workers=(0,))
                 ):
-                    eng.spmv(np.ones(a.shape[1]))
+                    with pytest.raises(DeviceLostError):
+                        eng.spmv(np.ones(a.shape[1]))
             names = [e.name for e in tracer.events]
             assert "worker_respawn" in names

@@ -1,22 +1,15 @@
-"""Batched shared-memory replay and persistent worker pools.
+"""Batched shared-memory round trips on the process backend.
 
 The coalescing payoff on the process backend is round-trip economy: a
 k-column ``spmm`` must cross the pipe **once** per shard per batch —
 one command, one shared-memory block of k columns back — instead of k
-single-vector replays.  Persistent pools extend the win across engine
-lifetimes: ``close()`` parks live workers keyed by the shard wire
-digests and an identical successor adopts them instead of forking.
+single-vector replays.
 """
 
 import numpy as np
 
 from repro.core.tilespmv import TileSpMV
 from repro.dist import ProcessShardedSpMV
-from repro.dist.procpool import (
-    _POOL_REGISTRY,
-    pool_counters,
-    shutdown_persistent_pools,
-)
 from repro.matrices import fem_blocks, power_law
 
 
@@ -50,60 +43,3 @@ class TestBatchedRoundTrips:
         with ProcessShardedSpMV(a, shards=4, grid=(2, 2),
                                 method="adpt") as eng:
             assert eng.spmm(x).tobytes() == ref.tobytes()
-
-
-class TestPersistentPools:
-    def test_park_and_adopt(self):
-        a = _matrix()
-        x = np.random.default_rng(5).standard_normal(a.shape[1])
-        try:
-            parked0 = pool_counters["parked"]
-            adopted0 = pool_counters["adopted"]
-            with ProcessShardedSpMV(a, shards=2, method="adpt",
-                                    persistent=True) as eng:
-                assert eng.backend == "process"
-                assert eng.pool_adopted is False
-                ref = eng.spmv(x)
-                pids = sorted(w.proc.pid for w in eng._supervisor.workers)
-            assert pool_counters["parked"] == parked0 + 1
-            assert len(_POOL_REGISTRY) == 1
-            with ProcessShardedSpMV(a, shards=2, method="adpt",
-                                    persistent=True) as eng:
-                assert eng.pool_adopted is True
-                assert sorted(
-                    w.proc.pid for w in eng._supervisor.workers
-                ) == pids  # the same live workers, not a fresh fork
-                assert eng.spmv(x).tobytes() == ref.tobytes()
-            assert pool_counters["adopted"] == adopted0 + 1
-        finally:
-            shutdown_persistent_pools()
-        assert len(_POOL_REGISTRY) == 0
-
-    def test_different_structure_never_adopts(self):
-        a = _matrix()
-        b = power_law(300, avg_degree=5, seed=9)
-        try:
-            with ProcessShardedSpMV(a, shards=2, method="adpt",
-                                    persistent=True):
-                pass
-            with ProcessShardedSpMV(b, shards=2, method="adpt",
-                                    persistent=True) as eng:
-                assert eng.pool_adopted is False
-        finally:
-            shutdown_persistent_pools()
-
-    def test_shutdown_reports_count(self):
-        a = _matrix()
-        with ProcessShardedSpMV(a, shards=2, method="adpt",
-                                persistent=True):
-            pass
-        assert shutdown_persistent_pools() == 1
-        assert shutdown_persistent_pools() == 0
-
-    def test_non_persistent_never_parks(self):
-        a = _matrix()
-        parked0 = pool_counters["parked"]
-        with ProcessShardedSpMV(a, shards=2, method="adpt"):
-            pass
-        assert pool_counters["parked"] == parked0
-        assert len(_POOL_REGISTRY) == 0

@@ -6,7 +6,9 @@ product is ``np.array_equal`` to the fault-free single-device product,
 and the per-shard execution counters prove only the faulty shard
 re-executed.  The full-engine rebuild happens *only* on the
 quarantine + repartition rung.  Campaigns run under three seeds via the
-``FAULT_SEED`` environment variable.
+``FAULT_SEED`` environment variable.  The ladder is the same on both
+execution backends, so the core localization and quarantine cases run
+on each (``-k process`` selects the worker-process half).
 """
 
 import os
@@ -29,6 +31,7 @@ from repro.matrices import fem_blocks, power_law, random_uniform
 from repro.serving import BreakerConfig
 
 FAULT_SEED = int(os.environ.get("FAULT_SEED", "0"))
+BACKENDS = pytest.mark.parametrize("backend", ["thread", "process"])
 
 
 @pytest.fixture()
@@ -113,13 +116,16 @@ class TestFaultFree:
 
 @pytest.mark.faults
 class TestLocalizedRecovery:
-    def test_corruption_retries_only_faulty_shard(self, matrix, reference, rng):
+    @BACKENDS
+    def test_corruption_retries_only_faulty_shard(self, matrix, reference,
+                                                  rng, backend):
         x = rng.standard_normal(320)
         y_ref = reference.spmv(x)
         with shard_fault_injection(
             ShardFaultPlan(seed=FAULT_SEED, corrupt_devices=(1,))
         ):
-            with RecoverableShardedSpMV(matrix, shards=4) as eng:
+            with RecoverableShardedSpMV(matrix, shards=4,
+                                        backend=backend) as eng:
                 y = eng.spmv(x)
                 # The acceptance criterion: bit-for-bit recovery, and
                 # the counters prove only shard 1 re-executed.
@@ -130,12 +136,15 @@ class TestLocalizedRecovery:
                 assert eng.counters["repartitions"] == 0
                 assert eng.last_exact
 
-    def test_device_loss_retries_only_lost_shard(self, matrix, reference, rng):
+    @BACKENDS
+    def test_device_loss_retries_only_lost_shard(self, matrix, reference,
+                                                 rng, backend):
         x = rng.standard_normal(320)
         with shard_fault_injection(
             ShardFaultPlan(seed=FAULT_SEED, lose_devices=(2,))
         ):
-            with RecoverableShardedSpMV(matrix, shards=4) as eng:
+            with RecoverableShardedSpMV(matrix, shards=4,
+                                        backend=backend) as eng:
                 y = eng.spmv(x)
                 assert np.array_equal(y, reference.spmv(x))
                 assert eng.shard_exec_counts == [1, 1, 2, 1]
@@ -153,13 +162,15 @@ class TestLocalizedRecovery:
                 assert np.array_equal(y, y_ref)
                 assert eng.shard_exec_counts == [2, 1, 1, 1]
 
-    def test_spmm_recovery_bit_exact(self, matrix, reference, rng):
+    @BACKENDS
+    def test_spmm_recovery_bit_exact(self, matrix, reference, rng, backend):
         xm = rng.standard_normal((320, 4))
         y_ref = reference.spmm(xm)
         with shard_fault_injection(
             ShardFaultPlan(seed=FAULT_SEED, corrupt_devices=(3,))
         ):
-            with RecoverableShardedSpMV(matrix, shards=4) as eng:
+            with RecoverableShardedSpMV(matrix, shards=4,
+                                        backend=backend) as eng:
                 y = eng.spmm(xm)
                 assert np.array_equal(y, y_ref)
                 assert eng.shard_exec_counts == [1, 1, 1, 2]
@@ -259,14 +270,16 @@ class TestParityReconstruction:
 
 @pytest.mark.faults
 class TestQuarantine:
+    @BACKENDS
     def test_persistent_fault_quarantines_and_repartitions(
-        self, matrix, reference, rng
+        self, matrix, reference, rng, backend
     ):
         x = rng.standard_normal(320)
         with shard_fault_injection(
             ShardFaultPlan(seed=FAULT_SEED, lose_devices=(1,), fault_attempts=None)
         ):
-            with RecoverableShardedSpMV(matrix, shards=4) as eng:
+            with RecoverableShardedSpMV(matrix, shards=4,
+                                        backend=backend) as eng:
                 y = eng.spmv(x)
                 # The full-engine rebuild happened exactly on this rung.
                 assert np.array_equal(y, reference.spmv(x))
@@ -275,6 +288,7 @@ class TestQuarantine:
                 assert eng.quarantined == [1]
                 assert eng.inner.device_ranks == [0, 2, 3]
                 assert eng.inner.shards == 3
+                assert eng.inner.backend == backend  # P-1 workers on "process"
                 assert eng.last_exact  # survivors recompute bit-for-bit
 
     def test_quarantined_device_stays_out(self, matrix, reference, rng):

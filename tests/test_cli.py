@@ -185,10 +185,11 @@ def test_check_process_backend_worker_kill_drill(capsys, mtx_file):
     out = capsys.readouterr().out
     assert "worker-kill drill" in out
     assert "respawns=1" in out
-    assert "localized respawn+replay: True" in out
-    assert "recovered result correct: True" in out
-    # The recovery-ladder shard drill belongs to the thread backend.
-    assert "shard drill" not in out
+    # One ladder on both backends: the shard drill runs here too, and
+    # the killed worker's shard is contained by the same ladder.
+    assert "shard drill" in out
+    assert out.count("contained below engine ladder: True") == 2
+    assert "recovered result correct: False" not in out
 
 
 def test_check_drill_persistent_structured_failure(capsys, mtx_file):
@@ -209,7 +210,14 @@ def test_check_drill_persistent_needs_recovery_ladder(capsys, mtx_file):
     # Unsharded: no ladder to exhaust.
     assert main(["check", mtx_file, "--drill-persistent"]) == 2
     assert "--drill-persistent needs" in capsys.readouterr().err
-    # Process backend: the supervisor, not the ladder, owns faults.
+
+
+def test_check_drill_persistent_process_backend(capsys, mtx_file):
+    import json
+
     assert main(["check", mtx_file, "--shards", "2", "--backend", "process",
-                 "--drill-persistent"]) == 2
-    assert "--drill-persistent needs" in capsys.readouterr().err
+                 "--drill-persistent"]) == 3
+    out = capsys.readouterr().out
+    payload = json.loads(out[out.index("{"):])
+    assert payload["outcome"] == "recovery_impossible"
+    assert payload["quarantined"] == [0, 1]
