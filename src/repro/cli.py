@@ -198,16 +198,11 @@ def _cmd_shard(args) -> int:
                          backend=args.backend) as eng:
             y = eng.spmv(x)
             yt = eng.spmv_transpose(np.ones(matrix.shape[0]))
+            # Every method promises bit-for-bit equality with the P=1
+            # product (spmv AND spmv_transpose, 1D and 2D partitions).
             exact = bool(np.array_equal(y, y_ref) and np.array_equal(yt, yt_ref))
-            close = bool(
-                np.allclose(y, y_ref, rtol=1e-10, atol=1e-12)
-                and np.allclose(yt, yt_ref, rtol=1e-10, atol=1e-12)
-            )
-            # `auto` may arbitrate differently per shard, so only fixed
-            # methods promise bit-for-bit equality with the P=1 product
-            # (for spmv AND spmv_transpose, on 1D and 2D partitions).
-            ok = ok and (exact if args.method != "auto" else close)
-            tag = "bit-exact" if exact else ("allclose" if close else "MISMATCH")
+            ok = ok and exact
+            tag = "bit-exact" if exact else "MISMATCH"
             shape = (
                 f"grid={eng.grid[0]}x{eng.grid[1]}" if eng.grid is not None
                 else f"P={p}"

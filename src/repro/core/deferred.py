@@ -5,7 +5,14 @@ kernels over thousands of 2-entry tiles waste nearly every lane.  The
 paper's remedy (§III.D) extracts all COO-resident nonzeros — whole COO
 tiles *and* the COO overflow of HYB tiles — into one ordinary CSR matrix
 computed by CSR5, leaving the tiled matrix with only its well-shaped
-tiles.  SpMV then runs two kernels whose results sum into ``y``.
+tiles.  The paper's SpMV then runs two kernels whose results sum into
+``y``.
+
+Here the split is the representation the cost model prices (two
+launches, each half's payload and schedule).  Execution does not fork:
+:class:`~repro.core.tilespmv.TileSpMV` decodes both halves into one
+canonical CSR operand, the same operand ADPT runs, so DeferredCOO
+products are bit-for-bit ADPT's.
 """
 
 from __future__ import annotations
@@ -29,22 +36,21 @@ class DeferredSplit:
     """Result of the DeferredCOO extraction.
 
     ``tiled`` is the remaining TileMatrix (COO tiles gone, HYB tiles
-    demoted to their ELL part); ``deferred`` is the extracted CSR matrix
-    (empty when the matrix had no COO-resident data).
-
-    ``deferred_src`` / ``tiled_src`` map each value slot of the two
-    halves back to its position in the *original* tileset's view order:
-    ``deferred.data == view.val[deferred_src]`` and the remaining tiled
-    matrix's view values equal ``view.val[tiled_src]``.  They let a plan
-    refresh both halves from a new value array without re-running
-    selection or extraction (the ``update_values`` fast path).
+    demoted to their ELL part; ``None`` when everything was extracted);
+    ``deferred`` is the extracted canonical CSR matrix (empty when the
+    matrix had no COO-resident data).
     """
 
     tiled: TileMatrix | None
     deferred: sp.csr_matrix
     extracted_nnz: int
-    deferred_src: np.ndarray | None = None
-    tiled_src: np.ndarray | None = None
+
+
+def _canonical(vals, rows, cols, shape) -> sp.csr_matrix:
+    """Distinct entries as a CSR matrix in (row, ascending column) order."""
+    csr = sp.csr_matrix((vals, (rows, cols)), shape=shape)
+    csr.sort_indices()
+    return csr
 
 
 def split_deferred_coo(
@@ -79,33 +85,14 @@ def split_deferred_coo(
 
     grow = tileset.global_rows()
     gcol = tileset.global_cols()
-    # Feed both halves to scipy pre-sorted by (row, col): COO->CSR is
-    # stable within rows, so the resulting ``data`` order equals the
-    # source order and the value-source maps below stay exact.
-    ext_ids = np.flatnonzero(extract)
-    deferred_src = ext_ids[np.lexsort((gcol[ext_ids], grow[ext_ids]))]
-    deferred = sp.csr_matrix(
-        (view.val[deferred_src], (grow[deferred_src], gcol[deferred_src])),
-        shape=(tileset.m, tileset.n),
-    )
-    deferred.sort_indices()
-
+    shape = (tileset.m, tileset.n)
+    deferred = _canonical(view.val[extract], grow[extract], gcol[extract], shape)
+    extracted_nnz = int(np.count_nonzero(extract))
     keep = ~extract
     if not keep.any():
-        return DeferredSplit(
-            tiled=None,
-            deferred=deferred,
-            extracted_nnz=int(extract.sum()),
-            deferred_src=deferred_src,
-            tiled_src=np.zeros(0, dtype=np.int64),
-        )
+        return DeferredSplit(tiled=None, deferred=deferred, extracted_nnz=extracted_nnz)
 
-    keep_ids = np.flatnonzero(keep)
-    remaining_src = keep_ids[np.lexsort((gcol[keep_ids], grow[keep_ids]))]
-    remaining = sp.csr_matrix(
-        (view.val[remaining_src], (grow[remaining_src], gcol[remaining_src])),
-        shape=(tileset.m, tileset.n),
-    )
+    remaining = _canonical(view.val[keep], grow[keep], gcol[keep], shape)
     new_tileset = tile_decompose(remaining, tile=tileset.tile)
     # Carry the original per-tile decisions over by tile coordinate.
     tile_cols_total = new_tileset.tile_cols
@@ -117,10 +104,4 @@ def split_deferred_coo(
     new_formats = formats[pos_in_old].copy()
     new_formats[new_formats == FormatID.HYB] = FormatID.ELL
     tiled = TileMatrix.build(new_tileset, new_formats)
-    return DeferredSplit(
-        tiled=tiled,
-        deferred=deferred,
-        extracted_nnz=int(extract.sum()),
-        deferred_src=deferred_src,
-        tiled_src=remaining_src[new_tileset.entry_perm],
-    )
+    return DeferredSplit(tiled=tiled, deferred=deferred, extracted_nnz=extracted_nnz)

@@ -37,7 +37,7 @@ import scipy.sparse as sp
 from repro import telemetry as tele
 from repro.baselines.csr5 import Csr5SpMV
 from repro.core.scheduler import WarpSchedule
-from repro.core.storage import TileMatrix
+from repro.core.storage import TileMatrix, refill_operand
 from repro.core.tiling import TileSet
 
 __all__ = [
@@ -102,36 +102,42 @@ def value_digest(data: np.ndarray) -> str:
 class MethodPlan:
     """Built artifacts for one resolved strategy of a plan.
 
-    ``deferred_src`` / ``tiled_src`` (DeferredCOO only) map the two
-    halves' value slots back to the full tileset's view order so a
-    value refresh never re-runs selection or extraction.
+    ``operand`` executes every product.  For ``csr``/``adpt`` it is the
+    tiled matrix's own operand.  DeferredCOO prices two halves (the
+    tiled matrix and the CSR5 engine) but executes one operand built by
+    :func:`~repro.core.storage.csr_operand` over both halves' decode
+    streams, concatenated; ``slots`` is that call's slot map (operand
+    slot ``q`` holds concatenated-stream entry ``slots[q]``), which
+    carries new values back into the halves.
     """
 
     method: str
     tiled: TileMatrix | None
     deferred: Csr5SpMV | None
     schedule: WarpSchedule | None
-    deferred_src: np.ndarray | None = None
-    tiled_src: np.ndarray | None = None
+    operand: sp.csr_matrix
+    slots: np.ndarray | None = None
     build_seconds: float = 0.0
 
-    def with_values(self, new_view_val: np.ndarray) -> "MethodPlan":
-        """Same structure, new values (full-tileset view order)."""
-        if self.deferred_src is not None or self.tiled_src is not None:
-            tiled = (
-                self.tiled.with_values(new_view_val[self.tiled_src])
-                if self.tiled is not None
-                else None
-            )
-            deferred = (
-                self.deferred.with_values(new_view_val[self.deferred_src])
-                if self.deferred is not None
-                else None
-            )
-        else:
-            tiled = self.tiled.with_values(new_view_val) if self.tiled is not None else None
-            deferred = self.deferred
-        return replace(self, tiled=tiled, deferred=deferred)
+    def with_values(self, data: np.ndarray) -> "MethodPlan":
+        """Same structure, new values in operand order.
+
+        The operand is canonical (row, ascending column) CSR of the
+        planned matrix, so ``data`` is that matrix's CSR value array.
+        The caller must not mutate ``data`` afterwards.
+        """
+        if self.slots is None:
+            tiled = self.tiled.with_operand_data(data)
+            return replace(self, tiled=tiled, operand=tiled.operand)
+        stream = np.empty(data.size)
+        stream[self.slots] = data
+        cut = self.tiled.nnz if self.tiled is not None else 0
+        return replace(
+            self,
+            tiled=None if self.tiled is None else self.tiled.with_operand_data(stream[:cut]),
+            deferred=None if self.deferred is None else self.deferred.with_values(stream[cut:]),
+            operand=refill_operand(self.operand, data),
+        )
 
 
 @dataclass
@@ -151,18 +157,19 @@ class CachedPlan:
 
         Existing method artifacts are *replaced*, never mutated —
         engines holding the previous generation keep working on it.
-        Each tiled half becomes a value clone of its built matrix (the
+        ``csr_data`` (canonical CSR order) is every operand's order, so
+        each method refills through :meth:`MethodPlan.with_values`, the
         refill :meth:`TileSpMV.update_values
-        <repro.core.tilespmv.TileSpMV.update_values>` makes too); the
+        <repro.core.tilespmv.TileSpMV.update_values>` makes too; the
         plan's own tile set takes the view values eagerly, since later
         method builds encode from it.
         """
         if self.tileset.entry_perm is None:
             raise ValueError("plan tileset lacks entry_perm; cannot refresh values")
-        new_view_val = np.asarray(csr_data, dtype=np.float64)[self.tileset.entry_perm]
-        self.tileset = self.tileset.with_values(new_view_val)
+        data = np.array(csr_data, dtype=np.float64)
+        self.tileset = self.tileset.with_values(data[self.tileset.entry_perm])
         for name, mp in list(self.methods.items()):
-            self.methods[name] = mp.with_values(new_view_val)
+            self.methods[name] = mp.with_values(data)
         self.values_digest = digest
 
 

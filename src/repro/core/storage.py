@@ -38,7 +38,7 @@ from repro.gpu import faults
 from repro.gpu.costmodel import RunCost
 from repro.util.segments import repeat_offsets
 
-__all__ = ["TileMatrix", "csr_operand", "refill_operand"]
+__all__ = ["TileMatrix", "csr_operand", "faulted_operand", "refill_operand"]
 
 _ENCODERS = {
     FormatID.CSR: encode_csr,
@@ -80,6 +80,21 @@ def csr_operand(
 def refill_operand(op: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:
     """``op``'s structure (index arrays shared, not copied) with new ``data``."""
     return sp.csr_matrix((data, op.indices, op.indptr), shape=op.shape)
+
+
+def faulted_operand(op: sp.csr_matrix) -> sp.csr_matrix:
+    """``op``, or a throwaway copy carrying injected faults.
+
+    The one GPU-substrate fault site of a tiled product: an armed
+    campaign corrupts a copy of ``data`` (kind ``tile_payload``), so a
+    cached operand never holds injected values.
+    """
+    inj = faults.active_injector()
+    if inj is not None:
+        data = inj.corrupt_payload(op.data, kind="tile_payload")
+        if data is not op.data:
+            return refill_operand(op, data)
+    return op
 
 
 def _refill_payload(payload, entry: tuple, view_val: np.ndarray):
@@ -126,16 +141,12 @@ class TileMatrix:
         self._payloads: dict | None = payloads  # FormatID -> payload
         # The built matrix a value clone derives from; None when built.
         self._template: TileMatrix | None = None
-        # The A.T operand, built on the first spmv_transpose, and the
-        # operand slot each of its slots holds (structural).
-        self._op_t: sp.csr_matrix | None = None
-        self._t_slots: np.ndarray | None = None
         # Structural maps from view entries to payload value slots and
         # operand slots, built lazily on the built matrix only.
         self._value_maps: dict | None = None
         self._decode_perm: np.ndarray | None = None
-        # The executor (``operand``) and its structural companions
-        # (``_op_order``, ``_op_rows``).
+        # The executor (``operand``) and its structural companion
+        # ``_op_order``.
         self._build_operand()
 
     # -- construction ------------------------------------------------------
@@ -223,8 +234,7 @@ class TileMatrix:
 
         The one refill: the clone shares the template's structure (the
         built matrix, never a previous clone, so repeated updates form
-        no chain) and owns a refilled operand — plus a refilled A.T
-        operand if this matrix had built one.  Its ``tileset`` and
+        no chain) and owns a refilled operand.  Its ``tileset`` and
         ``payloads`` are rebuilt from the operand on first read.  No
         encoder runs and nothing is sorted; the caller must not mutate
         ``data`` afterwards.  Returns a new object (cached plans may
@@ -238,23 +248,7 @@ class TileMatrix:
         clone._template = tpl
         clone._tileset = clone._payloads = None
         clone.operand = refill_operand(tpl.operand, data)
-        clone._op_t, clone._t_slots = None, self._t_slots
-        if self._op_t is not None:
-            clone._op_t = refill_operand(self._op_t, data[self._t_slots])
         return clone
-
-    def with_values(self, new_view_val: np.ndarray) -> "TileMatrix":
-        """Same structure with new entry values in tile-sorted view order.
-
-        Puts the values in operand order through the structural map of
-        :meth:`_value_slot_maps` and hands them to
-        :meth:`with_operand_data` — the payload value slots are not
-        written until something reads them.
-        """
-        new_view_val = np.asarray(new_view_val, dtype=np.float64)
-        if new_view_val.shape != (self.nnz,):
-            raise ValueError(f"expected {self.nnz} values, got {new_view_val.size}")
-        return self.with_operand_data(new_view_val[self._value_slot_maps()[1]])
 
     def _derive_values(self) -> None:
         """Rebuild a value clone's view values and payloads from its operand."""
@@ -293,10 +287,9 @@ class TileMatrix:
             ))
         rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
         # Every decoded entry in canonical (row, ascending column) order,
-        # the decode-stream position each operand slot holds, and each
-        # slot's row (the last two structural, shared by value clones).
+        # and the decode-stream position each operand slot holds
+        # (structural, shared by value clones).
         self.operand, self._op_order = csr_operand(rows, cols, vals, (ts.m, ts.n))
-        self._op_rows = repeat_offsets(self.operand.indptr)
 
     # -- basic properties ----------------------------------------------------
 
@@ -328,45 +321,13 @@ class TileMatrix:
 
     # -- numerics ------------------------------------------------------------
 
-    def _faulted_operand(self) -> sp.csr_matrix:
-        """The operand, or a throwaway copy carrying injected faults.
-
-        A GPU-substrate campaign corrupts a copy of ``data``, so the
-        cached operand never holds injected values.
-        """
-        op = self.operand
-        inj = faults.active_injector()
-        if inj is not None:
-            data = inj.corrupt_payload(op.data, kind="tile_payload")
-            if data is not op.data:
-                return refill_operand(op, data)
-        return op
-
     def spmv(self, x: np.ndarray) -> np.ndarray:
         """y = A @ x through the tiled representation's operand."""
         x = np.asarray(x, dtype=np.float64)
         n = self.operand.shape[1]
         if x.shape != (n,):
             raise ValueError(f"x must have shape ({n},)")
-        return self._faulted_operand() @ x
-
-    def spmv_transpose(self, x: np.ndarray) -> np.ndarray:
-        """y = A.T @ x through the transposed operand.
-
-        The A.T operand is built on the first call (a structural sort of
-        the operand, kept with its slot map so value clones refill it)
-        and holds each column's entries in ascending row order, so the
-        transposed summation is a pure function of the structure too.
-        No ABFT check covers a transpose, so it is not a fault site.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        op = self.operand
-        m, n = op.shape
-        if x.shape != (m,):
-            raise ValueError(f"x must have shape ({m},)")
-        if self._op_t is None:
-            self._op_t, self._t_slots = csr_operand(op.indices, self._op_rows, op.data, (n, m))
-        return self._op_t @ x
+        return faulted_operand(self.operand) @ x
 
     def spmm(self, x: np.ndarray) -> np.ndarray:
         """Y = A @ X for a dense block of vectors (tall-skinny X).
@@ -378,15 +339,7 @@ class TileMatrix:
         n = self.operand.shape[1]
         if x.ndim != 2 or x.shape[0] != n:
             raise ValueError(f"X must have shape ({n}, k)")
-        return self._faulted_operand() @ x
-
-    def stream(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(rows, cols, vals)`` of every entry in operand order.
-
-        Live references (the row array is structural and shared by
-        value clones); do not mutate.
-        """
-        return self._op_rows, self.operand.indices, self.operand.data
+        return faulted_operand(self.operand) @ x
 
     def to_csr(self) -> sp.csr_matrix:
         """Reconstruct a scipy CSR matrix from the encoded payloads.

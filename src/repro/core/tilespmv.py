@@ -9,6 +9,13 @@ above):
 * ``deferred_coo``  — TileSpMV_DeferredCOO: ADPT + COO extraction to CSR5.
 * ``auto``          — cost-model choice between the last two.
 
+The strategies differ in what the cost model prices: tile formats,
+payloads, warp schedules, and DeferredCOO's second (CSR5) launch.  They
+do not differ in what executes.  Every plan decodes its payloads into
+one canonical (row, ascending column) scipy CSR operand — DeferredCOO
+concatenates both halves' decode streams first — so every method
+returns the same bits for ``spmv``, ``spmm`` and ``spmv_transpose``.
+
 The paper picks between ADPT and DeferredCOO with a fixed nnz threshold
 (1.8M) tuned on its hardware, where the extra kernel launch DeferredCOO
 pays is negligible for large matrices.  Our ``auto`` makes the same
@@ -61,11 +68,12 @@ from repro.matrices.reorder import ReorderPlan, build_reorder
 from repro.reliability.validation import ValidationPolicy, canonicalize_csr
 from repro.core.scheduler import DEFAULT_TBALANCE, build_schedule
 from repro.core.selection import SelectionConfig, select_formats
-from repro.core.storage import TileMatrix, csr_operand, refill_operand
+from repro.core.storage import TileMatrix, csr_operand, faulted_operand, refill_operand
 from repro.core.tiling import tile_decompose
 from repro.formats import FormatID
 from repro.gpu.costmodel import RunCost
 from repro.gpu.device import A100, DeviceSpec
+from repro.util.segments import repeat_offsets
 
 __all__ = ["TileSpMV", "tile_spmv", "METHODS", "AUTO_DEFERRED_NNZ"]
 
@@ -111,9 +119,9 @@ class TileSpMV:
         or a token list.  The plan is built on the permuted matrix;
         ``spmv``/``spmm``/``spmv_transpose`` accept and return vectors
         in the *original* index order (bit-for-bit equal to the
-        unreordered plan for the row-only transforms under the
-        single-half methods).  The reorder tag joins the structural
-        fingerprint, so reordered plans never alias natural-order ones.
+        unreordered plan for the row-only transforms).  The reorder tag
+        joins the structural fingerprint, so reordered plans never alias
+        natural-order ones.
     formats_override:
         Optional per-tile format vector (uint8 ``FormatID`` values, one
         per occupied tile) replacing the ADPT flowchart's selection —
@@ -148,17 +156,17 @@ class TileSpMV:
         self.params = params or KernelCostParams()
         self.plan_cache = plan_cache
         self.plan_key: str | None = None
+        # The adopted MethodPlan; the priced halves and the executing
+        # operand below are its fields.
+        self._mp: MethodPlan | None = None
         self.tiled: TileMatrix | None = None
         self.deferred_engine: Csr5SpMV | None = None
-        # Per-half A.T operands in original coordinates, built on the
-        # first spmv_transpose: [(half, slot map, operand), ...].
-        self._t_ops: list | None = None
         self._schedule = None
-        self._deferred_src: np.ndarray | None = None
-        self._tiled_src: np.ndarray | None = None
-        # Caller's canonical-CSR entry -> operand slot, per half, built
-        # on the first update_values (see _operand_value_maps).
-        self._value_src: tuple | None = None
+        self._op: sp.csr_matrix | None = None
+        # The A.T operand in original coordinates and the operand slot
+        # each of its slots holds, built on the first spmv_transpose.
+        self._t_op: sp.csr_matrix | None = None
+        self._t_slots: np.ndarray | None = None
 
         with tele.span("canonicalize", cat="build", policy=str(validation)):
             csr, self.validation_report = canonicalize_csr(matrix, validation)
@@ -306,45 +314,56 @@ class TileSpMV:
             return mp, 0.0
         t1 = time.perf_counter()
         tileset = plan.tileset
-        if name == "csr":
-            formats = np.full(tileset.n_tiles, FormatID.CSR, dtype=np.uint8)
-            mp = MethodPlan(
-                method=name,
-                tiled=TileMatrix.build(tileset, formats),
-                deferred=None,
-                schedule=self._plan_schedule(plan),
+        if name in ("csr", "adpt"):
+            formats = (
+                np.full(tileset.n_tiles, FormatID.CSR, dtype=np.uint8)
+                if name == "csr"
+                else self._plan_formats(plan)
             )
-        elif name == "adpt":
+            tiled = TileMatrix.build(tileset, formats)
             mp = MethodPlan(
                 method=name,
-                tiled=TileMatrix.build(tileset, self._plan_formats(plan)),
+                tiled=tiled,
                 deferred=None,
                 schedule=self._plan_schedule(plan),
+                operand=tiled.operand,
             )
         else:  # deferred_coo: reuse the shared selection, never re-select
             split = split_deferred_coo(tileset, self.selection, formats=self._plan_formats(plan))
+            tiled = split.tiled
+            deferred = (
+                Csr5SpMV(split.deferred, validation="trust")
+                if split.deferred.nnz
+                else None
+            )
+            # One operand over both halves' decode streams, tiled first.
+            streams = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),)]
+            if tiled is not None:
+                op = tiled.operand
+                streams.append((repeat_offsets(op.indptr), op.indices, op.data))
+            if deferred is not None:
+                streams.append((deferred.entry_rows, deferred.indices, deferred.data))
+            rows, cols, vals = (np.concatenate(p) for p in zip(*streams))
+            operand, slots = csr_operand(rows, cols, vals, (tileset.m, tileset.n))
             mp = MethodPlan(
                 method=name,
-                tiled=split.tiled,
-                deferred=(
-                    Csr5SpMV(split.deferred, validation="trust")
-                    if split.deferred.nnz
-                    else None
-                ),
+                tiled=tiled,
+                deferred=deferred,
                 schedule=(
-                    build_schedule(split.tiled.tileset.tile_ptr, self.tbalance)
-                    if split.tiled is not None
+                    build_schedule(tiled.tileset.tile_ptr, self.tbalance)
+                    if tiled is not None
                     else None
                 ),
-                deferred_src=split.deferred_src,
-                tiled_src=split.tiled_src,
+                operand=operand,
+                slots=slots,
             )
         mp.build_seconds = time.perf_counter() - t1
         plan.methods[name] = mp
         return mp, mp.build_seconds
 
-    def _method_cost(self, mp: MethodPlan) -> RunCost:
-        """Device-independent cost of one SpMV with these artifacts."""
+    def _method_cost(self, mp: MethodPlan, label: str | None = None) -> RunCost:
+        """Device-independent cost of one SpMV with these artifacts: the
+        tiled kernel plus, for a DeferredCOO split, the CSR5 kernel."""
         parts: list[RunCost] = []
         if mp.tiled is not None:
             parts.append(mp.tiled.run_cost(self.params, self.tbalance, schedule=mp.schedule))
@@ -355,14 +374,16 @@ class TileSpMV:
         total = parts[0]
         for p in parts[1:]:
             total = total + p
+        if label is not None:
+            total.label = label
         return total
 
     def _adopt(self, mp: MethodPlan) -> None:
+        self._mp = mp
         self.tiled = mp.tiled
         self.deferred_engine = mp.deferred
         self._schedule = mp.schedule
-        self._deferred_src = mp.deferred_src
-        self._tiled_src = mp.tiled_src
+        self._op = mp.operand
 
     # -- numerics -----------------------------------------------------------
 
@@ -378,12 +399,13 @@ class TileSpMV:
         """y = A @ x (in original index order when the plan is reordered).
 
         A reordered plan gathers ``x`` into the permuted column order,
-        runs the permuted kernels, and scatters the result back through
-        the inverse row permutation — pure index gathers, so for the
-        row-only transforms the summation per output row is the exact
-        sequence the unreordered plan runs (every format decodes each
+        multiplies the permuted operand, and scatters the result back
+        through the inverse row permutation — pure index gathers, so for
+        the row-only transforms the summation per output row is the
+        exact sequence the unreordered plan runs (the operand holds each
         row's entries in ascending column order) and the result is
-        bit-for-bit identical.
+        bit-for-bit identical.  The operand's product array is returned
+        as is — no zero-fill or add pass over ``y``.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self._shape[1],):
@@ -393,19 +415,7 @@ class TileSpMV:
             x = x[rp.col_perm]
         with tele.span("kernel_execute", cat="kernel", method=self.method,
                        nnz=self._nnz):
-            # Single-half strategies (csr/adpt, or a fully deferred split)
-            # return the kernel's own output array — no zero-fill + add
-            # pass over y in the serving hot loop.
-            if self.deferred_engine is None:
-                if self.tiled is None:
-                    y = np.zeros(self._shape[0])
-                else:
-                    y = self.tiled.spmv(x)
-            elif self.tiled is None:
-                y = self.deferred_engine.spmv(x)
-            else:
-                y = self.tiled.spmv(x)
-                y += self.deferred_engine.spmv(x)
+            y = faulted_operand(self._op) @ x
         if rp is not None:
             y = y[rp.inv_row]
         if tele.ENABLED:
@@ -417,60 +427,45 @@ class TileSpMV:
     def spmv_transpose(self, x: np.ndarray) -> np.ndarray:
         """y = A.T @ x (needed by transpose-using Krylov methods).
 
-        Every half multiplies by its own A.T operand in *original*
-        coordinates (the reorder permutations map the half's stream
-        back; without a reorder they are identities), whose rows hold
-        each original column's entries in ascending original row order.
-        The summation per output entry is therefore a pure function of
-        the original structure, so reordered and sharded plans reproduce
-        it bit-for-bit (per half; the DeferredCOO split may place
-        entries differently under a reorder).  The operands are
-        structural sorts built on the first call and refilled by
-        :meth:`update_values`.  No ABFT check covers a transpose, so it
-        is not a fault site.
+        One A.T operand in *original* coordinates (the reorder
+        permutations map the operand's stream back; without a reorder
+        they are identities), whose rows hold each original column's
+        entries in ascending original row order.  The summation per
+        output entry is therefore a pure function of the original
+        structure, so reordered and sharded plans reproduce it
+        bit-for-bit.  The operand is a structural sort built on the
+        first call and refilled by :meth:`update_values`.  No ABFT check
+        covers a transpose, so it is not a fault site.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self._shape[0],):
             raise ValueError(f"x must have shape ({self._shape[0]},)")
         with tele.span("kernel_execute", cat="kernel", method=self.method,
                        nnz=self._nnz, transpose=True):
-            if self._t_ops is None:
-                self._t_ops = self._transposed_operands()
-            y = None
-            for _, _, op in self._t_ops:
-                if y is None:
-                    y = op @ x
-                else:
-                    y += op @ x
-            if y is None:
-                y = np.zeros(self._shape[1])
+            if self._t_op is None:
+                self._t_op, self._t_slots = self._transposed_operand()
+            y = self._t_op @ x
         if tele.ENABLED:
             tele.count("tilespmv_spmv_total", method=self.method)
         return y
 
-    def _transposed_operands(self) -> list:
-        """``[(half, slot map, A.T operand), ...]`` for the present halves."""
+    def _transposed_operand(self) -> tuple[sp.csr_matrix, np.ndarray]:
+        """The A.T operand in original coordinates, and its slot map."""
         rp = self.reorder
         m, n = self._shape
-        out = []
-        for half, stream in enumerate(self.decode_streams()):
-            if stream is None:
-                continue
-            rows, cols, vals = stream
-            if rp is not None:
-                rows = rp.row_perm[rows]
-                if rp.col_perm is not None:
-                    cols = rp.col_perm[cols]
-            op, slots = csr_operand(cols, rows, vals, (n, m))
-            out.append((half, slots, op))
-        return out
+        op = self._op
+        rows, cols = repeat_offsets(op.indptr), op.indices
+        if rp is not None:
+            rows = rp.row_perm[rows]
+            if rp.col_perm is not None:
+                cols = rp.col_perm[cols]
+        return csr_operand(cols, rows, op.data, (n, m))
 
     def spmm(self, x: np.ndarray) -> np.ndarray:
         """Y = A @ X for a dense block of vectors (batched multi-RHS SpMM).
 
-        Both halves run natively batched — the tiled half's CSR operand
-        and the CSR5 half each stream their index structure once for
-        all ``k`` columns; there is no per-column Python loop.
+        Natively batched: the operand streams its index structure once
+        for all ``k`` columns; there is no per-column Python loop.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] != self._shape[1]:
@@ -487,15 +482,7 @@ class TileSpMV:
             x = x[rp.col_perm]
         with tele.span("kernel_execute", cat="kernel", method=self.method,
                        nnz=self._nnz, k=x.shape[1]):
-            if self.deferred_engine is None:
-                if self.tiled is None:
-                    out = np.zeros((self._shape[0], x.shape[1]))
-                else:
-                    out = self.tiled.spmm(x)
-            elif self.tiled is None:
-                out = self.deferred_engine.spmm(x)
-            else:
-                out = self.tiled.spmm(x) + self.deferred_engine.spmm(x)
+            out = faulted_operand(self._op) @ x
         if rp is not None:
             out = out[rp.inv_row]
         if tele.ENABLED:
@@ -503,31 +490,23 @@ class TileSpMV:
         return out
 
     def decode_streams(self):
-        """Operand-order contribution streams of the prepared plan.
+        """The operand's contribution stream, or ``None`` when nnz = 0.
 
-        Returns ``(tiled, deferred)`` where each half is either ``None``
-        or a ``(rows, cols, vals)`` triple of equal-length arrays listing
-        every nonzero the half executes, in the exact order its kernel
-        accumulates them: canonical (row, ascending column) order — the
-        tiled half's CSR operand (:meth:`TileMatrix.stream
-        <repro.core.storage.TileMatrix.stream>`), the deferred half's
-        CSR entries (what CSR5's segmented sum reduces to).
+        A ``(rows, cols, vals)`` triple of equal-length arrays listing
+        every nonzero in the exact order the operand accumulates them:
+        canonical (row, ascending column) order, whatever the method.
 
         `repro.dist` assembles its bit-for-bit per-block operands from
         these streams: shards own tile-snapped blocks, so a block's rows
         hold exactly the single-device operand's entries, and sorting
-        them canonically restores its accumulation sequence.  Arrays are
-        live references — valid until the next :meth:`update_values`; do
-        not mutate.
+        them canonically restores its accumulation sequence.  ``cols``
+        and ``vals`` are live references — valid until the next
+        :meth:`update_values`; do not mutate.
         """
-        tiled = None
-        if self.tiled is not None and self.tiled.nnz:
-            tiled = self.tiled.stream()
-        deferred = None
-        d = self.deferred_engine
-        if d is not None and d.nnz:
-            deferred = (d.entry_rows, d.indices, d.data)
-        return tiled, deferred
+        op = self._op
+        if not op.nnz:
+            return None
+        return repeat_offsets(op.indptr), op.indices, op.data
 
     def update_values(self, values) -> "TileSpMV":
         """Fast path: new numbers, unchanged sparsity pattern.
@@ -535,13 +514,16 @@ class TileSpMV:
         ``values`` is either a sparse matrix with the *same* pattern or
         the length-``nnz`` value array in canonical CSR order.  The tile
         decomposition, format selection, DeferredCOO extraction and warp
-        schedule are all kept; the values go through one structural map
-        per half (:meth:`_operand_value_maps`) straight into what
-        executes — the tiled half's CSR operand, any built transposed
-        operands and the CSR5 half.  Payload and view values of the
-        tiled half are rebuilt from its operand only if something reads
-        them.  Returns ``self`` (updated in place; the previous
-        artifacts are left untouched for any cached plan sharing them).
+        schedule are all kept.  The operand is canonical CSR of the
+        planned matrix, so the values reach it through one map — none,
+        or a reorder's data permutation — and
+        :meth:`MethodPlan.with_values
+        <repro.core.plancache.MethodPlan.with_values>` refills it (and
+        DeferredCOO's priced halves) with no sort; a built A.T operand
+        is refilled too.  Payload and view values of the tiled matrix
+        are rebuilt from its operand only if something reads them.
+        Returns ``self`` (updated in place; the previous artifacts are
+        left untouched for any cached plan sharing them).
         """
         ref_indptr = (
             self._orig_indptr if self.reorder is not None else self._indptr
@@ -565,51 +547,12 @@ class TileSpMV:
         data = np.asarray(values, dtype=np.float64)
         if data.shape != (self._nnz,):
             raise ValueError(f"expected {self._nnz} values, got {data.shape}")
-        if self._value_src is None:
-            self._value_src = self._operand_value_maps()
-        tiled_src, deferred_src = self._value_src
-        if self.tiled is not None:
-            # The copy keeps the operand independent of the caller's array.
-            self.tiled = self.tiled.with_operand_data(
-                data.copy() if tiled_src is None else data[tiled_src]
-            )
-        if self.deferred_engine is not None:
-            self.deferred_engine = self.deferred_engine.with_values(data[deferred_src])
-        if self._t_ops is not None:
-            streams = self.decode_streams()
-            self._t_ops = [
-                (half, slots, refill_operand(op, streams[half][2][slots]))
-                for half, slots, op in self._t_ops
-            ]
+        # The copy keeps the operand independent of the caller's array.
+        data = data[self._data_perm] if self._data_perm is not None else data.copy()
+        self._adopt(self._mp.with_values(data))
+        if self._t_op is not None:
+            self._t_op = refill_operand(self._t_op, data[self._t_slots])
         return self
-
-    def _operand_value_maps(self) -> tuple:
-        """``(tiled, deferred)``: caller's canonical entry of each value slot.
-
-        Tiled operand slot ``q`` holds canonical entry ``tiled[q]``, the
-        composition of the decode permutation (operand slot -> the
-        half's view entry), a DeferredCOO split's ``tiled_src`` (-> the
-        full tile set's view entry), ``entry_perm`` (-> the planned
-        matrix's canonical entry) and a reorder's data permutation (->
-        the caller's canonical entry).  The CSR5 half's map is
-        ``deferred_src`` composed the same way.  An identity tiled map —
-        every unreordered single-half plan — is ``None``: the update is
-        then a plain copy.
-        """
-        src = self._plan.tileset.entry_perm
-        if self._data_perm is not None:
-            src = self._data_perm[src]
-        tiled = deferred = None
-        if self.tiled is not None:
-            tiled = self.tiled._value_slot_maps()[1]
-            if self._tiled_src is not None:
-                tiled = self._tiled_src[tiled]
-            tiled = src[tiled]
-            if np.array_equal(tiled, np.arange(tiled.size)):
-                tiled = None
-        if self.deferred_engine is not None:
-            deferred = src[self._deferred_src]
-        return tiled, deferred
 
     # -- accounting -----------------------------------------------------------
 
@@ -630,18 +573,7 @@ class TileSpMV:
 
     def run_cost(self) -> RunCost:
         """Device-independent cost of one SpMV (both kernels if split)."""
-        parts: list[RunCost] = []
-        if self.tiled is not None:
-            parts.append(self.tiled.run_cost(self.params, self.tbalance, schedule=self._schedule))
-        if self.deferred_engine is not None:
-            parts.append(self.deferred_engine.run_cost())
-        if not parts:
-            return RunCost(label="TileSpMV(empty)")
-        total = parts[0]
-        for p in parts[1:]:
-            total = total + p
-        total.label = f"TileSpMV_{self.method}"
-        return total
+        return self._method_cost(self._mp, label=f"TileSpMV_{self.method}")
 
     def spmm_cost(self, k: int) -> RunCost:
         """Device-independent cost of one k-vector :meth:`spmm`.
@@ -696,7 +628,7 @@ class TileSpMV:
 
         Delegates to :func:`repro.telemetry.profile.hotspot_report` on the
         tiled half of the representation (the DeferredCOO extraction, if
-        any, runs in the CSR5 kernel and is not tile-resolved).
+        any, is priced as the CSR5 kernel and is not tile-resolved).
         """
         from repro.telemetry.profile import hotspot_report
 

@@ -5,9 +5,8 @@ blocks or a 2D row x column tile grid (:mod:`repro.dist.partition`) —
 runs one TileSpMV plan per shard with thread-concurrent kernels
 (:mod:`repro.dist.sharded`), combines overlapping outputs through
 per-block CSR operands assembled from the shards' decode streams
-(bit-for-bit equality) or the fixed-shape binary tree of
-:mod:`repro.dist.reduce` (``auto`` partials), and prices the result on P modelled
-devices through the interconnect-aware
+(bit-for-bit equality for every method), and prices the result on P
+modelled devices through the interconnect-aware
 :class:`~repro.gpu.costmodel.MultiDeviceRunCost`.  See
 ``docs/SHARDING.md`` for the design and the exactness argument.
 
@@ -58,7 +57,6 @@ from repro.dist.recovery import (
     ShardCheck,
     ShardRecoveryError,
 )
-from repro.dist.reduce import tree_reduce, tree_schedule
 from repro.dist.sharded import ShardedSpMV, best_shard_count, modelled_shard_sweep
 from repro.dist.solvers import sharded_conjugate_gradient, sharded_pagerank
 
@@ -70,8 +68,6 @@ __all__ = [
     "GridPartition",
     "partition_grid",
     "default_grid",
-    "tree_schedule",
-    "tree_reduce",
     "ShardedSpMV",
     "modelled_shard_sweep",
     "best_shard_count",

@@ -191,13 +191,14 @@ class ShardFaultInjector:
         return 0.0
 
     def _bump(self, kind: str, device: int, attempt: int,
-              values: np.ndarray, salt: str) -> np.ndarray:
+              values: np.ndarray) -> np.ndarray:
         """Additive large-magnitude corruption of up to ``n`` entries."""
         flat = values.reshape(-1)
         n = min(self.plan.corruptions_per_partial, flat.size)
         if n <= 0:
             return values
-        rng = self._rng(f"{kind}/{salt}", device, attempt)
+        # Its own stream, apart from the firing decision's ``_rng(kind)``.
+        rng = self._rng(f"{kind}/", device, attempt)
         out = values.astype(np.float64, copy=True)
         oflat = out.reshape(-1)
         idx = rng.choice(flat.size, size=n, replace=False)
@@ -208,29 +209,27 @@ class ShardFaultInjector:
         return out
 
     def corrupt_partial(self, device: int, attempt: int,
-                        values: np.ndarray, salt: str = "") -> np.ndarray:
+                        values: np.ndarray) -> np.ndarray:
         """Corrupted shard partial: the block/stream a shard hands back.
 
         Never mutates the input; 1-D and 2-D partials are both
-        supported.  ``salt`` separates multiple arrays corrupted inside
-        one shard execution (the two decode-stream halves) so each gets
-        an independent derived stream.
+        supported.
         """
         if values.size == 0 or not self._fires(
             "partial", device, attempt,
             self.plan.corrupt_devices, self.plan.corruption_prob,
         ):
             return values
-        return self._bump("partial", device, attempt, values, salt)
+        return self._bump("partial", device, attempt, values)
 
     def corrupt_halo(self, device: int, attempt: int,
-                     x_window: np.ndarray, salt: str = "") -> np.ndarray:
+                     x_window: np.ndarray) -> np.ndarray:
         """Corrupted halo exchange: the x window the shard received."""
         if x_window.size == 0 or not self._fires(
             "halo", device, attempt, self.plan.halo_devices, self.plan.halo_prob
         ):
             return x_window
-        return self._bump("halo", device, attempt, x_window, salt)
+        return self._bump("halo", device, attempt, x_window)
 
     # -- process-level hooks (repro.dist.procpool) -------------------------
 

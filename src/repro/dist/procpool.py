@@ -11,12 +11,11 @@ modelled.  Three mechanisms carry the design:
   worker at spawn (and at every respawn).  The worker rebuilds its
   :class:`~repro.core.tilespmv.TileSpMV` from the wire
   deterministically, so worker results are bit-for-bit the parent's.
-  Workers run every product whose shards return their own block —
-  row-disjoint ``spmv``/``spmm`` (concatenated) and ``auto`` partials
-  (fixed-shape tree).  Fixed-method products with overlapping outputs
-  (column-cut ``spmv``/``spmm``, every ``spmv_transpose``) multiply the
-  parent's cached per-block CSR operands, exactly as the thread
-  backend does.
+  Workers run every product whose shards return their own block:
+  row-disjoint ``spmv``/``spmm``, concatenated.  Products with
+  overlapping outputs (column-cut ``spmv``/``spmm``, every
+  ``spmv_transpose``) multiply the parent's cached per-block CSR
+  operands, exactly as the thread backend does.
 * **Shared-memory payloads** — per-call inputs and outputs live in
   :mod:`multiprocessing.shared_memory` segments: the parent writes
   ``x`` once, every worker reads its window as a zero-copy numpy view,
@@ -355,8 +354,6 @@ def _worker_execute(engine, rank, cmd, attached, attach):  # pragma: no cover
         out = engine.spmv(xwin)
     elif op == "spmm":
         out = engine.spmm(xwin)
-    elif op == "spmv_transpose":
-        out = engine.spmv_transpose(xwin)
     else:
         raise ValueError(f"unknown worker op {op!r}")
     if inj is not None:
@@ -653,9 +650,9 @@ class WorkerSupervisor:
 # -- the engine ------------------------------------------------------------
 
 # The shard ops a worker executes: every task whose shard returns its
-# own block.  ``stream_collect`` (column-cut fixed-method shards) runs on
-# the parent's engines.
-_WORKER_OPS = ("spmv", "spmm", "spmv_transpose")
+# own block.  ``stream_collect`` (column-cut shards) runs on the
+# parent's engines.
+_WORKER_OPS = ("spmv", "spmm")
 
 
 class ProcessShardedSpMV(ShardedSpMV):
@@ -676,9 +673,9 @@ class ProcessShardedSpMV(ShardedSpMV):
     Like the thread backend, an armed GPU-substrate fault campaign
     forces the inherited (sequential) path — its injector is a single
     consumed RNG stream that cannot be split across processes.  The
-    fixed-method overlapping-output products (column-cut ``spmv``/
-    ``spmm``, every ``spmv_transpose``) never ship: they multiply the
-    parent's block operands.
+    overlapping-output products (column-cut ``spmv``/``spmm``, every
+    ``spmv_transpose``) never ship: they multiply the parent's block
+    operands.
     """
 
     def __init__(
@@ -696,15 +693,12 @@ class ProcessShardedSpMV(ShardedSpMV):
         super().__init__(matrix, *args, backend="thread", **kwargs)
         self.backend = "process"
         # x holds a vector or an update_values payload; an output holds a
-        # shard's row block or its transposed column block.
+        # shard's row block.
         x_cap = 8 * max(
             [self._m, self._n, 1]
             + [s.nnz for s in self.partition.shards]
         )
-        out_caps = []
-        for s in self.partition.shards:
-            lo, hi = self._x_bounds(s, False)
-            out_caps.append(8 * max(s.rows, hi - lo, 1))
+        out_caps = [8 * max(s.rows, 1) for s in self.partition.shards]
         self._supervisor = WorkerSupervisor(
             self._make_wire,
             self.device_ranks,
@@ -749,7 +743,7 @@ class ProcessShardedSpMV(ShardedSpMV):
             tele.count("shm_bytes_total", n=float(nbytes))
 
     def _command(self, s, op: str, x: np.ndarray, attempt: int, inj) -> dict:
-        lo, hi = self._x_bounds(s, op == "spmv_transpose")
+        lo, hi = self._x_bounds(s, False)
         cmd = {
             "op": op,
             "shard": s.index,
@@ -804,9 +798,7 @@ class ProcessShardedSpMV(ShardedSpMV):
             if inj is not None:
                 inj.kill_worker(self.device_ranks[i], attempt)
                 inj.worker_hang_s(self.device_ranks[i], attempt)
-            lo, hi = self._x_bounds(s, False)
-            out_len = (hi - lo) if op == "spmv_transpose" else s.rows * k
-            sup.ensure_out(i, 8 * max(out_len, 1))
+            sup.ensure_out(i, 8 * max(s.rows * k, 1))
             commands.append((i, self._command(s, op, x, attempt, inj)))
         for (i, cmd), reply in zip(commands, sup.run(commands)):
             if reply is None:

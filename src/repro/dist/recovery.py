@@ -39,13 +39,13 @@ its supervisor and shows up here as a lost device, so one set of
 breakers, one backoff schedule and one quarantine cover both backends;
 a quarantine repartitions onto P-1 worker processes.
 
-Two shapes of shard work go up the ladder.  Shards that return their
-own block (row-disjoint partitions, column-cut ``auto``) are checked
-on that block.  Column-cut fixed-method shards return their decode
-streams and x window instead: the checker recomputes
-``sum(vals * window[cols])`` against the shard's checksum, and the
-verified list feeds the inner engine's per-block operand assembly —
-the same combine the unprotected engine runs.
+Two shapes of shard work go up the ladder.  Shards of a row-disjoint
+partition return their own block and are checked on it.  Column-cut
+shards return their decode stream and x window instead: the checker
+recomputes ``sum(vals * window[cols])`` against the shard's checksum,
+and the verified list feeds the inner engine's per-block operand
+assembly — the same combine the unprotected engine runs.  Every
+checksum reduction runs in the calling thread, never in threaded BLAS.
 
 Exactness: rungs 1, 2 and 4 keep the sharded engine's bit-for-bit
 guarantee — a recovered run equals the single-device product
@@ -71,12 +71,12 @@ import scipy.sparse as sp
 from repro import telemetry as tele
 from repro.core.tilespmv import TileSpMV
 from repro.dist.faults import DeviceLostError
-from repro.dist.reduce import tree_reduce
 from repro.dist.sharded import ShardedSpMV
 from repro.gpu.costmodel import MultiDeviceRunCost, RunCost
 from repro.reliability.abft import CHECK_SLACK
 from repro.reliability.validation import ValidationPolicy, canonicalize_csr
 from repro.serving.breaker import BreakerConfig, BreakerState, CircuitBreaker
+from repro.util.vecops import dot
 
 __all__ = [
     "ShardCheck",
@@ -84,6 +84,11 @@ __all__ = [
     "ShardRecoveryError",
     "RecoverableShardedSpMV",
 ]
+
+
+def _weighted_sum(w: np.ndarray, x: np.ndarray):
+    """``w @ x`` in the calling thread: a float for 1-D ``x``, (k,) for (n, k)."""
+    return dot(w, x) if x.ndim == 1 else np.einsum("i,ik->k", w, x)
 
 
 class ShardRecoveryError(RuntimeError):
@@ -150,12 +155,12 @@ class ShardCheck:
 
     def expected(self, x_local: np.ndarray) -> np.ndarray:
         """``c_p . x_p``: scalar for spmv, (k,) for spmm."""
-        return self.col_sum @ x_local
+        return _weighted_sum(self.col_sum, x_local)
 
     def tolerance(self, x_local: np.ndarray, terms: int | None = None) -> np.ndarray:
         """Roundoff bound; ``terms`` overrides the summand count (used
         with the cross-device total for parity reconstruction)."""
-        scale = np.abs(x_local).T @ self.col_abs_sum
+        scale = _weighted_sum(self.col_abs_sum, np.abs(x_local))
         n_terms = max(terms if terms is not None else self.nnz + self.rows, 1)
         eps = np.finfo(np.float64).eps
         return CHECK_SLACK * n_terms * eps * np.maximum(scale, 1e-300)
@@ -576,14 +581,9 @@ class RecoverableShardedSpMV:
         return x[lo:hi]
 
     def _block_ladder(self, x, k: int | None, depth: int = 0):
-        """spmv/spmm whose shards each return their own block.
-
-        Row-disjoint partitions (1D, C=1 grids) concatenate the verified
-        blocks; column-cut ``auto`` combines them through the
-        fixed-shape tree per row block.
-        """
+        """Row-disjoint spmv/spmm (1D, C=1 grids): every shard returns
+        its own block; the verified blocks concatenate."""
         op = "spmv" if k is None else "spmm"
-        inner = self.inner
 
         def checker(i: int, y_blk) -> bool:
             return self._checks[i].verify_sum(
@@ -593,26 +593,19 @@ class RecoverableShardedSpMV:
         blocks = self._ladder(op, op, x, k, checker, depth)
         if blocks is None:  # repartitioned: recompute over the survivors
             return self._dispatch(x, k, depth + 1)
-        return np.concatenate(
-            [
-                tree_reduce([blocks[i] for i in members])
-                for members in inner._output_blocks(False)
-            ],
-            axis=0,
-        )
+        return np.concatenate(blocks, axis=0)
 
-    def _grid_fixed_product(self, x, k: int | None, depth: int = 0):
-        """Column-cut fixed-method spmv/spmm: verified shard streams and
-        windows, multiplied through the inner engine's block operands."""
+    def _column_cut_product(self, x, k: int | None, depth: int = 0):
+        """Column-cut spmv/spmm: verified shard streams and windows,
+        multiplied through the inner engine's block operands."""
         inner = self.inner
 
         def checker(i: int, task) -> bool:
-            streams, window = task
+            stream, window = task
             observed = 0.0
-            for half in streams:
-                if half is not None:
-                    _, cols, vals = half
-                    observed = observed + vals @ window[cols]
+            if stream is not None:
+                _, cols, vals = stream
+                observed = _weighted_sum(vals, window[cols])
             return self._checks[i].verify_sum(self._x_local(i, x), observed)
 
         tasks = self._ladder("spmv" if k is None else "spmm", "stream_collect",
@@ -622,8 +615,8 @@ class RecoverableShardedSpMV:
         return inner._overlap_product(x, False, tasks)
 
     def _dispatch(self, x, k: int | None, depth: int = 0):
-        if self.inner.grid_cols > 1 and self.inner.method != "auto":
-            return self._grid_fixed_product(x, k, depth)
+        if self.inner.grid_cols > 1:
+            return self._column_cut_product(x, k, depth)
         return self._block_ladder(x, k, depth)
 
     def spmv(self, x: np.ndarray) -> np.ndarray:

@@ -30,34 +30,26 @@ either way — concurrency never decides a combine order (see below).
 
 Exactness: shard boundaries never split a 16 x 16 tile, so each shard's
 plan is the unsharded plan restricted to its block — same tile
-decomposition, same per-tile format selection, same DeferredCOO
-extraction, same decode order.  For the fixed strategies
-(``csr``/``adpt``/``deferred_coo``) every product is **bit-for-bit**
-the single-engine product, on every grid shape:
+decomposition, same per-tile format selection, same decode order.
+Every strategy executes one canonical (row, ascending column) CSR
+operand, so every product is **bit-for-bit** the single-engine product,
+for every method (``auto`` too, whichever strategy each shard's
+arbitration keeps) and on every grid shape:
 
 * Row-disjoint outputs (:meth:`spmv`/:meth:`spmm` on 1D partitions or
   single-column grids) concatenate shard blocks — trivially exact.
 * Overlapping outputs (column-cut :meth:`spmv`/:meth:`spmm`, every
   :meth:`spmv_transpose`) multiply **per-block CSR operands**: one per
-  (row block, half) for forward products, one A.T operand per (column
-  block, half) for transposes, each assembled once from the shards'
-  operand-order decode streams
-  (:meth:`~repro.core.tilespmv.TileSpMV.decode_streams`) by the single
-  engine's own builder (:func:`~repro.core.storage.csr_operand`).  Each
-  block holds exactly the rows of the single-device operand, so every
-  output entry sums its contributions in the single-device sequence,
-  and the halves add as :class:`~repro.core.tilespmv.TileSpMV` adds
-  them.  Summing rounded per-shard partials could never do this —
-  float addition is not associative.  Only the x window crosses a
-  shard boundary, as in Kreutzer et al.'s split of distributed SpMV.
-
-``auto`` may arbitrate ADPT vs DeferredCOO differently per shard (that
-is its job), so no shared operand exists; its partial vectors are
-combined by the fixed-shape binary tree
-(:func:`~repro.dist.reduce.tree_reduce`) instead, whose pairing order
-is a pure function of the grid shape — never of thread completion
-order — so ``auto`` results are still byte-stable across runs and
-worker counts, just not bit-equal to the single-device ``auto`` engine.
+  row block for forward products, one A.T operand per column block for
+  transposes, each assembled once from the shards' operand-order
+  decode streams (:meth:`~repro.core.tilespmv.TileSpMV.decode_streams`)
+  by the single engine's own builder
+  (:func:`~repro.core.storage.csr_operand`).  Each block holds exactly
+  the rows of the single-device operand, so every output entry sums
+  its contributions in the single-device sequence.  Summing rounded
+  per-shard partials could never do this — float addition is not
+  associative.  Only the x window crosses a shard boundary, as in
+  Kreutzer et al.'s split of distributed SpMV.
 """
 
 from __future__ import annotations
@@ -81,7 +73,6 @@ from repro.dist.partition import (
     partition_grid,
     partition_rows,
 )
-from repro.dist.reduce import tree_reduce
 from repro.formats import FormatID
 from repro.gpu import faults
 from repro.gpu.costmodel import MultiDeviceRunCost, RunCost
@@ -118,10 +109,9 @@ class ShardedSpMV:
         with zero modelled interconnect traffic.  Ignored when ``grid``
         names an explicit shape.
     method:
-        TileSpMV strategy per shard.  Default ``adpt`` (not ``auto``):
-        fixed strategies keep the sharded product bit-for-bit equal to
-        the unsharded one, while ``auto`` may legitimately pick
-        different strategies per shard.
+        TileSpMV strategy per shard (default ``adpt``).  ``auto`` may
+        keep different strategies per shard; the products stay
+        bit-for-bit the single-device ones either way.
     grid:
         2D partition shape: an explicit ``(R, C)``, ``"auto"`` (the
         most-square factorization of ``shards``), or an integer to
@@ -428,17 +418,15 @@ class ShardedSpMV:
         return blk
 
     def _shard_op(self, op: str, s, engine, x: np.ndarray):
-        """One shard task: its own product (``spmv``/``spmm``/
-        ``spmv_transpose``), or for ``stream_collect`` the decode
-        streams and x window of a column-cut fixed-method shard."""
+        """One shard task: its own row block (``spmv``/``spmm``), or for
+        ``stream_collect`` the decode stream and x window of a
+        column-cut shard."""
         if op == "stream_collect":
             def fn(s_, e_):
                 return self._shard_streams(s_, e_, x, False)
         else:
-            transpose = op == "spmv_transpose"
-
             def fn(s_, e_):
-                return getattr(e_, op)(self._x_block(s_, x, transpose))
+                return getattr(e_, op)(self._x_block(s_, x, False))
         return self.shard_call(op, s, engine, fn)
 
     def run_shards(self, op: str, x: np.ndarray, indices=None) -> list:
@@ -499,83 +487,68 @@ class ShardedSpMV:
     def _shard_streams(self, s, e, x: np.ndarray, transpose: bool):
         """One shard task of an overlapping-output product.
 
-        Returns ``(streams, window)``: the shard's operand-order decode
-        streams (per half ``None`` or local ``(rows, cols, vals)``) and
-        the x window it consumes.  An armed shard-level campaign
-        corrupts each half's values — the shard's contribution *is* its
-        partial here — and the window (the halo).  Called inside
-        :meth:`shard_call`.
+        Returns ``(stream, window)``: the shard's operand-order decode
+        stream (``None`` or local ``(rows, cols, vals)``) and the x
+        window it consumes.  An armed shard-level campaign corrupts the
+        values — the shard's contribution *is* its partial here — and
+        the window (the halo).  Called inside :meth:`shard_call`.
         """
-        streams = e.decode_streams()
+        stream = e.decode_streams()
         inj = shard_faults.active_injector()
-        if inj is not None:
-            rank = self.device_ranks[s.index]
+        if inj is not None and stream is not None:
             attempt = self.shard_exec_counts[s.index] - 1
-            streams = tuple(
-                None if st is None
-                else (st[0], st[1],
-                      inj.corrupt_partial(rank, attempt, st[2], salt=salt))
-                for salt, st in zip(("tiled", "deferred"), streams)
+            stream = stream[:2] + (
+                inj.corrupt_partial(self.device_ranks[s.index], attempt, stream[2]),
             )
-        return streams, self._x_block(s, x, transpose)
+        return stream, self._x_block(s, x, transpose)
 
     def _assemble(self, streams, transpose: bool) -> list:
-        """Per output block, one CSR operand per half of the plan.
+        """One CSR operand per output block.
 
         Forward blocks hold A's rows over all n columns; transposed
         blocks hold A.T's rows (A's columns) over all m rows.  Either
         way :func:`~repro.core.storage.csr_operand` puts each block in
         canonical order — exactly the rows of the single-device operand
         (or of its A.T operand), so each row sums its entries in the
-        single engine's sequence.  A half present anywhere gets an
-        operand in every block — an empty one where the block has no
-        entries — so the final add sees the reference's bit pattern.  A
-        GPU-substrate campaign corrupts each (row block, half)'s values
-        once, on forward products only, like the single-device kernels.
+        single engine's sequence; a block without entries gets an empty
+        operand.  A GPU-substrate campaign corrupts each row block's
+        values once, on forward products only, like the single-device
+        kernel.
         """
         inj = None if transpose else faults.active_injector()
         shards = self.partition.shards
         length = self._m if transpose else self._n
-        present = [any(st[h] is not None for st in streams) for h in (0, 1)]
+        empty = np.zeros(0, dtype=np.int64)
         blocks = []
         for members in self._output_blocks(transpose):
             lo, hi = self._x_bounds(shards[members[0]], not transpose)
-            ops = []
-            for half, kind in ((0, "tile_payload"), (1, "csr5_payload")):
-                if not present[half]:
+            out_idx, in_idx, vals = [empty], [empty], [np.zeros(0)]
+            for i in members:
+                if streams[i] is None:
                     continue
-                out_idx, in_idx, vals = [], [], []
-                for i in members:
-                    if streams[i][half] is None:
-                        continue
-                    rows, cols, v = streams[i][half]
-                    o, j = (cols, rows) if transpose else (rows, cols)
-                    out_idx.append(o)
-                    in_idx.append(self._x_bounds(shards[i], transpose)[0] + j)
-                    vals.append(v)
-                if not vals:
-                    ops.append(sp.csr_matrix((hi - lo, length)))
-                    continue
-                v = np.concatenate(vals)
-                if inj is not None:
-                    v = inj.corrupt_payload(v, kind=kind)
-                ops.append(csr_operand(np.concatenate(out_idx),
-                                       np.concatenate(in_idx), v,
-                                       (hi - lo, length))[0])
-            blocks.append((hi - lo, ops))
+                rows, cols, v = streams[i]
+                o, j = (cols, rows) if transpose else (rows, cols)
+                out_idx.append(o)
+                in_idx.append(self._x_bounds(shards[i], transpose)[0] + j)
+                vals.append(v)
+            v = np.concatenate(vals)
+            if inj is not None:
+                v = inj.corrupt_payload(v, kind="tile_payload")
+            blocks.append(csr_operand(np.concatenate(out_idx),
+                                      np.concatenate(in_idx), v,
+                                      (hi - lo, length))[0])
         return blocks
 
     def _overlap_product(self, x: np.ndarray, transpose: bool,
                          tasks=None) -> np.ndarray:
-        """Fixed-method product whose output blocks span several shards.
+        """Product whose output blocks span several shards.
 
         Column-cut ``spmv``/``spmm`` and every ``spmv_transpose``: each
-        output block multiplies its per-half operands by the
-        concatenation of its shards' x windows (x itself without a
-        campaign, since the grid's bounds are shared) and adds the
-        halves as :class:`TileSpMV` does — bit-for-bit the single
-        device for 1-D and 2-D x alike.  Fault-free, the operands are
-        built once from the engines' streams and cached until
+        output block multiplies its operand by the concatenation of its
+        shards' x windows (x itself without a campaign, since the
+        grid's bounds are shared) — bit-for-bit the single device for
+        1-D and 2-D x alike.  Fault-free, the operands are built once
+        from the engines' streams and cached until
         :meth:`update_values`, and no shard task runs.  While any
         injector is armed every call runs one :meth:`shard_call`-guarded
         :meth:`_shard_streams` task per shard and assembles fresh
@@ -607,13 +580,7 @@ class ShardedSpMV:
                 np.concatenate([tasks[i][1] for i in members])
                 for members in self._output_blocks(transpose)
             ]
-        out = []
-        for (rows, ops), xb in zip(blocks, xs):
-            y = np.zeros((rows,) + xb.shape[1:]) if not ops else ops[0] @ xb
-            for op in ops[1:]:
-                y += op @ xb
-            out.append(y)
-        return np.concatenate(out, axis=0)
+        return np.concatenate([op @ xb for op, xb in zip(blocks, xs)], axis=0)
 
     def _product(self, x: np.ndarray, transpose: bool) -> np.ndarray:
         """The combine behind :meth:`spmv`, :meth:`spmm` and
@@ -621,23 +588,12 @@ class ShardedSpMV:
 
         Row-disjoint forward products (1D, or C=1 grids) concatenate the
         shard blocks, computed concurrently.  Overlapping outputs go
-        through the block operands for the fixed strategies
-        (bit-for-bit) and through the fixed-shape tree per output block
-        for ``auto`` (deterministic).
+        through the block operands.  Both are bit-for-bit.
         """
-        op = "spmv_transpose" if transpose else ("spmv" if x.ndim == 1 else "spmm")
         if not transpose and self.grid_cols == 1:
+            op = "spmv" if x.ndim == 1 else "spmm"
             return np.concatenate(self._run_shards(op, x), axis=0)
-        if self.method != "auto":
-            return self._overlap_product(x, transpose)
-        parts = self._run_shards(op, x)
-        return np.concatenate(
-            [
-                tree_reduce([parts[i] for i in members])
-                for members in self._output_blocks(transpose)
-            ],
-            axis=0,
-        )
+        return self._overlap_product(x, transpose)
 
     def spmv(self, x: np.ndarray) -> np.ndarray:
         """y = A @ x, combined as :meth:`_product` describes."""
@@ -678,11 +634,9 @@ class ShardedSpMV:
         """y = A.T @ x — bit-for-bit with the single device, at every P.
 
         Every shard contributes to overlapping output ranges, so this is
-        always a cross-shard combine: the per-column-block A.T operands
-        for fixed strategies, the fixed-shape tree per column block for
-        ``auto`` (deterministic, equal to rounding).  An empty partition
-        contributes nothing and the result is a typed float64 zero
-        vector of the full column extent.
+        always a cross-shard combine through the per-column-block A.T
+        operands.  An empty partition contributes nothing and the result
+        is a typed float64 zero vector of the full column extent.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self._m,):

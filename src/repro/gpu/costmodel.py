@@ -315,12 +315,14 @@ class MultiDeviceRunCost:
       stretched by ``ceil(P / links)`` (latency, being per-message
       setup, is not).  ``links = 0`` keeps the dedicated-link legacy.
     * ``reduce_bytes``/``reduce_depth`` price the **fixed-shape tree
-      reduction** of partial-y blocks a column-cut grid performs: after
-      the slowest shard finishes, ``reduce_depth = ceil(log2 C)``
-      pairwise exchange rounds run, each paying one link latency plus
-      the largest partial block over the (contended) link bandwidth —
-      exactly the schedule :func:`repro.dist.reduce.tree_schedule`
-      executes.
+      reduction** of partial-y blocks a column-cut grid performs on P
+      real devices: after the slowest shard finishes,
+      ``reduce_depth = ceil(log2 C)`` pairwise exchange rounds run, each
+      paying one link latency plus the largest partial block over the
+      (contended) link bandwidth.  The reproduction itself never sums
+      partials: :class:`~repro.dist.sharded.ShardedSpMV` multiplies
+      per-block operands, so this term prices the modelled devices'
+      combine, not the host's.
 
     The recovery terms (all zero/absent by default, so a fault-free
     engine prices identically to before they existed) come from

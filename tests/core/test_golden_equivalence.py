@@ -4,7 +4,9 @@ One place that asserts all execution paths of the engine produce the
 same numbers: the lane-accurate warp interpreter, the vectorised spmv,
 the batched spmm (k = 1, 4 and 33 — around and past the warp width),
 cache-hit re-runs through a shared :class:`PlanCache`, and the
-``update_values`` fast path.  Reference is scipy at 1e-12.
+``update_values`` fast path.  Reference is scipy at 1e-12.  Across
+methods the contract is exact: every method executes the same
+canonical operand, so all four return the same bits.
 """
 
 from __future__ import annotations
@@ -86,3 +88,23 @@ class TestGoldenEquivalence:
         engine.update_values(fresh)
         np.testing.assert_allclose(engine.spmv(x), fresh @ x, **TOL)
         np.testing.assert_allclose(engine.spmm(block), fresh @ block, **TOL)
+
+    def test_methods_return_identical_bits(self, zoo_matrix):
+        """csr, adpt, deferred_coo and auto price differently but run
+        one canonical operand: spmv, spmm and spmv_transpose agree bit
+        for bit, before and after ``update_values``."""
+        rng = _rng(zoo_matrix)
+        m, n = zoo_matrix.shape
+        x, block, w = rng.standard_normal(n), rng.standard_normal((n, 4)), rng.standard_normal(m)
+        new = rng.standard_normal(zoo_matrix.nnz)
+        engines = [TileSpMV(zoo_matrix, method=meth) for meth in sorted(METHODS)]
+        for update in (False, True):
+            if update:
+                for engine in engines:
+                    engine.update_values(new)
+            first, *rest = (
+                (e.spmv(x), e.spmm(block), e.spmv_transpose(w)) for e in engines
+            )
+            for outputs in rest:
+                for got, want in zip(outputs, first):
+                    assert got.tobytes() == want.tobytes()

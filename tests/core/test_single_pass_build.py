@@ -15,11 +15,12 @@ import numpy as np
 import pytest
 
 import repro.baselines.common
+import repro.core.deferred
 import repro.core.kernels.costs as costs
+import repro.core.plancache
 import repro.core.selection
 import repro.core.tiling
 import repro.dist.procpool
-import repro.dist.reduce
 import repro.dist.sharded
 import repro.formats.base
 import repro.formats.tile_bitmap
@@ -123,11 +124,12 @@ GUARDED = (
     repro.formats.tile_bitmap,
     repro.core.tiling,
     repro.core.selection,
+    repro.core.deferred,
+    repro.core.plancache,
     costs,
     repro.baselines.common,
     repro.dist.sharded,
     repro.dist.procpool,
-    repro.dist.reduce,
 )
 
 

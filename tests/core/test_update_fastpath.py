@@ -1,17 +1,17 @@
-"""update_values fast path and single-half kernel dispatch regressions.
+"""update_values fast path and one-operand kernel dispatch regressions.
 
 Pins the two hot-loop guarantees added for the sharded engine:
 
-* :meth:`TileSpMV.update_values` refills the CSR operands' data through
-  precomputed slot maps — it must never call a format *encoder* again
-  (the whole point of the fast path), and the refilled engine must be
-  bit-for-bit a freshly built one.  Payload and view values are rebuilt
-  from the operand only when read, never by a product, and equal a
-  fresh build's; repeated updates keep no earlier generation alive.  An
-  armed fault campaign corrupts only a throwaway copy of the operand.
-* :meth:`TileSpMV.spmv`/:meth:`spmm` return the single half's output
-  array directly when the other half is absent — no zero-fill + add
-  pass — and :meth:`spmv_transpose` is instrumented like its siblings.
+* :meth:`TileSpMV.update_values` refills the CSR operands' data without
+  a sort — it must never call a format *encoder* again (the whole point
+  of the fast path), and the refilled engine must be bit-for-bit a
+  freshly built one.  Payload and view values are rebuilt from the
+  operand only when read, never by a product, and equal a fresh
+  build's; repeated updates keep no earlier generation alive.  An armed
+  fault campaign corrupts only a throwaway copy of the operand.
+* :meth:`TileSpMV.spmv`/:meth:`spmm` return the one operand's product
+  array directly, for every method — no zero-fill + add pass — and
+  :meth:`spmv_transpose` is instrumented like its siblings.
 """
 
 import gc
@@ -23,6 +23,7 @@ import pytest
 
 from repro import telemetry as tele
 from repro.core import storage
+from repro.core import tilespmv as tilespmv_module
 from repro.core.serialize import load_tile_matrix, save_tile_matrix
 from repro.core.tilespmv import TileSpMV
 from repro.gpu.faults import FaultPlan, fault_injection
@@ -67,21 +68,13 @@ class TestWithValuesNoReencode:
         fresh.data = new.copy()
         for reorder in (None, "sell:32"):
             engine = TileSpMV(zoo_matrix, method="adpt", reorder=reorder)
-            # Build the transposed operands (the engine's per-half ones
-            # and the tiled half's own) so the update must refill them.
+            # Build the transposed operand so the update must refill it.
             engine.spmv_transpose(w)
-            if engine.tiled is not None:
-                engine.tiled.spmv_transpose(np.zeros(engine.tiled.shape[0]))
             engine.update_values(new)
             rebuilt = TileSpMV(fresh, method="adpt", reorder=reorder)
             assert np.array_equal(engine.spmv(x), rebuilt.spmv(x))
             assert np.array_equal(engine.spmm(xk), rebuilt.spmm(xk))
             assert np.array_equal(engine.spmv_transpose(w), rebuilt.spmv_transpose(w))
-            if engine.tiled is not None:
-                wt = rng.standard_normal(engine.tiled.shape[0])
-                assert np.array_equal(
-                    engine.tiled.spmv_transpose(wt), rebuilt.tiled.spmv_transpose(wt)
-                )
 
     def test_spmm_cache_invalidated_by_update(self, rng):
         a = random_uniform(150, 150, nnz_per_row=5, seed=2)
@@ -204,33 +197,47 @@ class TestFaultsStayOffTheOperand:
         assert np.array_equal(run(x), before)
 
 
+class _Product:
+    """Stands in for the operand: ``@`` returns a fixed array."""
+
+    def __init__(self, out):
+        self.out = out
+
+    def __matmul__(self, x):
+        return self.out
+
+
 class TestSingleHalfDispatch:
-    def test_spmv_returns_tiled_output_directly(self, rng):
+    """Every method multiplies one operand and returns its product."""
+
+    def test_spmv_returns_tiled_output_directly(self, rng, monkeypatch):
         a = random_uniform(180, 180, nnz_per_row=5, seed=3)
         engine = TileSpMV(a, method="adpt")
         assert engine.deferred_engine is None
         sentinel = np.arange(180, dtype=np.float64)
-        engine.tiled.spmv = lambda x: sentinel
+        monkeypatch.setattr(tilespmv_module, "faulted_operand",
+                            lambda op: _Product(sentinel))
         assert engine.spmv(np.zeros(180)) is sentinel
 
-    def test_spmm_returns_tiled_output_directly(self, rng):
+    def test_spmm_returns_tiled_output_directly(self, rng, monkeypatch):
         a = random_uniform(180, 180, nnz_per_row=5, seed=4)
         engine = TileSpMV(a, method="adpt")
         sentinel = np.zeros((180, 2))
-        engine.tiled.spmm = lambda x: sentinel
+        monkeypatch.setattr(tilespmv_module, "faulted_operand",
+                            lambda op: _Product(sentinel))
         assert engine.spmm(np.zeros((180, 2))) is sentinel
 
-    def test_fully_deferred_split_still_correct(self, rng):
+    def test_fully_deferred_split_still_correct(self, rng, monkeypatch):
         # Hypersparse: DeferredCOO extracts everything; the tiled half
-        # is empty and the deferred kernel's output is returned as-is.
+        # is empty and the one operand's output is returned as-is.
         a = hypersparse(640, nnz=80, seed=5)
         engine = TileSpMV(a, method="deferred_coo")
         x = rng.standard_normal(640)
         np.testing.assert_allclose(engine.spmv(x), a @ x, rtol=1e-12, atol=1e-12)
-        if engine.tiled is None:  # the extraction took the whole matrix
-            sentinel = np.zeros(640)
-            engine.deferred_engine.spmv = lambda x: sentinel
-            assert engine.spmv(x) is sentinel
+        sentinel = np.zeros(640)
+        monkeypatch.setattr(tilespmv_module, "faulted_operand",
+                            lambda op: _Product(sentinel))
+        assert engine.spmv(x) is sentinel
 
     def test_mixed_split_still_adds_both_halves(self, rng):
         a = power_law(900, avg_degree=5, seed=6)

@@ -97,12 +97,14 @@ class TestFaultFree:
             assert np.array_equal(eng.spmv(x), reference.spmv(x))
 
     def test_auto_grid_matches_plain_sharded(self, rng):
-        # `auto` is deterministic-tree, not replay: the recoverable
-        # engine must agree with the plain sharded engine byte-for-byte.
+        # `auto` runs the block operands like every method: the
+        # recoverable, the plain sharded and the single-device engine
+        # agree byte-for-byte.
         a = power_law(500, avg_degree=5, seed=82)
         x = rng.standard_normal(500)
+        ref = TileSpMV(a, method="auto").spmv(x)
         with ShardedSpMV(a, grid=(2, 2), method="auto") as plain:
-            ref = plain.spmv(x)
+            assert np.array_equal(plain.spmv(x), ref)
         with RecoverableShardedSpMV(a, grid=(2, 2), method="auto") as eng:
             assert np.array_equal(eng.spmv(x), ref)
 

@@ -1,10 +1,11 @@
 """Metamorphic property: sharding is invisible to the product.
 
-For the fixed strategies, a tile-snapped partition — 1D row blocks or
-a 2D row x column tile grid — must reproduce the single-device result
-*bit-for-bit*: the per-block CSR operands re-run every per-output
-summation in the canonical decode order, whichever shard owns each
-tile.  This is the strongest oracle available: not allclose, but
+For every strategy, ``auto`` included, a tile-snapped partition — 1D
+row blocks or a 2D row x column tile grid — must reproduce the
+single-device result *bit-for-bit*: the per-block CSR operands re-run
+every per-output summation in the canonical decode order, whichever
+shard owns each tile and whichever strategy its ``auto`` arbitration
+keeps.  This is the strongest oracle available: not allclose, but
 ``np.array_equal``, across the whole structural zoo, every shard
 count, and every grid shape, so any change to the partitioner, the
 shard slicing, the reduction order, or the per-shard engines that
@@ -103,16 +104,35 @@ def test_update_values_preserves_bit_equality(matrix):
             assert np.array_equal(eng.spmv(x), ref)
 
 
-def test_auto_stays_allclose():
-    # ``auto`` may pick different strategies per shard — values agree to
-    # rounding, and that weaker contract is all it promises.
-    matrix = g.power_law(800, avg_degree=5, seed=10)
+def test_auto_is_bit_for_bit():
+    # ``auto`` may keep different strategies per shard; every strategy
+    # executes the same canonical operand, so the products still equal
+    # the single-device ``auto`` engine's bits on every count and grid.
+    # The power-law matrix resolves to DeferredCOO; the second pairs a
+    # power-law block with a banded one, so the shards' picks split.
     rng = np.random.default_rng(102)
-    x = rng.standard_normal(matrix.shape[1])
-    ref = TileSpMV(matrix, method="auto").spmv(x)
-    for p in COUNTS:
-        with ShardedSpMV(matrix, shards=p, method="auto") as eng:
-            np.testing.assert_allclose(eng.spmv(x), ref, rtol=1e-10, atol=1e-12)
+    picks = set()
+    for matrix in (
+        g.power_law(800, avg_degree=5, seed=10),
+        sp.block_diag([
+            g.power_law(600, avg_degree=5, seed=10),
+            g.banded(600, half_bandwidth=6, seed=3),
+        ]).tocsr(),
+    ):
+        x = rng.standard_normal(matrix.shape[1])
+        xk = rng.standard_normal((matrix.shape[1], 3))
+        xt = rng.standard_normal(matrix.shape[0])
+        single = TileSpMV(matrix, method="auto")
+        ref = (single.spmv(x), single.spmm(xk), single.spmv_transpose(xt))
+        for p, grid in _grid_configs(include_1d=True):
+            with ShardedSpMV(matrix, shards=p, method="auto", grid=grid) as eng:
+                if len(set(eng.resolved_methods)) > 1:
+                    picks.add(grid)
+                got = (eng.spmv(x), eng.spmm(xk), eng.spmv_transpose(xt))
+            for out, want in zip(got, ref):
+                assert np.array_equal(out, want), f"P={p} grid={grid} diverged"
+    # Not vacuous: some partitions' shards really do pick differently.
+    assert picks
 
 
 @pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=IDS)
@@ -179,7 +199,7 @@ def _check_adversarial(method, backend):
             assert np.array_equal(eng.spmv_transpose(xt), ref_t)
 
 
-@pytest.mark.parametrize("method", ["adpt", "csr", "deferred_coo"])
+@pytest.mark.parametrize("method", ["adpt", "csr", "deferred_coo", "auto"])
 def test_adversarial_magnitudes_bit_for_bit(method):
     # Summing these in any other order visibly changes the rounded
     # result, so bit-equality here proves the sharded engine replays
@@ -188,7 +208,7 @@ def test_adversarial_magnitudes_bit_for_bit(method):
     _check_adversarial(method, "thread")
 
 
-@pytest.mark.parametrize("method", ["adpt", "csr", "deferred_coo"])
+@pytest.mark.parametrize("method", ["adpt", "csr", "deferred_coo", "auto"])
 def test_adversarial_magnitudes_process_backend_bit_for_bit(method):
     # Same oracle with the shards in worker processes.
     _check_adversarial(method, "process")

@@ -59,6 +59,17 @@ def test_shard_command(capsys, mtx_file):
     assert "verification: OK" in out
 
 
+def test_shard_command_auto_is_bit_exact(capsys, mtx_file):
+    # `auto` may arbitrate per shard and must still match the
+    # single-device bits; there is no allclose grade.
+    for grid in ([], ["--grid", "auto"]):
+        assert main(["shard", mtx_file, "--method", "auto",
+                     "--shards", "1,2,4", *grid]) == 0
+        out = capsys.readouterr().out
+        assert out.count("bit-exact") == 3
+        assert "allclose" not in out and "MISMATCH" not in out
+
+
 def test_shard_command_rejects_bad_counts(mtx_file, capsys):
     assert main(["shard", mtx_file, "--shards", "0"]) == 2
     assert main(["shard", mtx_file, "--shards", ","]) == 2

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import repro.apps.solvers as solvers
+import repro.dist.recovery as recovery
 import repro.reliability.abft as abft
 from repro.util.vecops import dot, norm
 
@@ -71,3 +72,9 @@ def test_solvers_use_no_blas_vector_reductions():
 def test_abft_uses_no_blas_vector_reductions():
     """The ABFT tolerance, residual and verify stay off threaded BLAS."""
     assert _blas_reductions(abft, classes=("AbftChecksum",)) == []
+
+
+def test_shard_checks_use_no_blas_vector_reductions():
+    """The per-shard checksums and the column-cut stream checker reduce
+    in the calling thread."""
+    assert _blas_reductions(recovery, classes=("ShardCheck", "RecoverableShardedSpMV")) == []
