@@ -87,7 +87,7 @@ def bench_matrix(name, matrix, device) -> dict:
         protected.spmv(x)
     wall_prot = time.perf_counter() - t0
 
-    # Detection drill: one budgeted corruption per seed, every one must
+    # Detection drill: one transient corruption per seed, every one must
     # be detected and recovered from.
     detected = 0
     recovered = 0

@@ -269,18 +269,19 @@ def _cmd_check(args) -> int:
                 return 2
     sharded = args.shards > 1 or grid is not None
     matrix = read_matrix_market(args.matrix)
-    try:
-        engine = ReliableSpMV(
-            matrix,
-            method=args.method,
-            policy=args.policy,
-            plan_cache=PlanCache(),
-            auto_device=device,
-            shards=args.shards,
-            grid=grid,
-            recovery=True if sharded else None,
-            backend=args.backend,
+
+    def reliable(**kw) -> ReliableSpMV:
+        # A fresh engine per drill: a campaign's transient window is its
+        # devices' first execution (attempt 0).
+        return ReliableSpMV(
+            matrix, method=args.method, policy=args.policy,
+            plan_cache=PlanCache(), auto_device=device, shards=args.shards,
+            grid=grid, recovery=True if sharded else None,
+            backend=args.backend, **kw,
         )
+
+    try:
+        engine = reliable()
     except MatrixValidationError as exc:
         print(f"REJECTED ({exc.reason}): {exc}", file=sys.stderr)
         return 2
@@ -294,18 +295,16 @@ def _cmd_check(args) -> int:
     print(f"verified spmv matches reference: {ok}")
 
     if args.faults:
-        with fault_injection(FaultPlan(seed=args.seed)) as injector:
-            y_f = engine.spmv(x)
+        with reliable() as drill, fault_injection(FaultPlan(seed=args.seed)) as injector:
+            y_f = drill.spmv(x)
         recovered = np.allclose(y_f, ref, rtol=1e-10, atol=1e-12)
         # With the shard-level ladder armed, a substrate fault may be
         # caught and repaired below the engine-level ABFT — both count.
-        shard_detected = (engine.shard_recovery_counters or {}).get(
+        shard_detected = (drill.shard_recovery_counters or {}).get(
             "shard_detected", 0
         )
-        caught = (
-            injector.injected == 0
-            or engine.counters["detected"] > 0
-            or shard_detected > 0
+        caught = injector.injected > 0 and (
+            drill.counters["detected"] > 0 or shard_detected > 0
         )
         print(
             f"fault drill (seed={args.seed}): injected={injector.injected}, "
@@ -318,8 +317,7 @@ def _cmd_check(args) -> int:
         # first partial (and, on the process backend, SIGKILL one
         # worker mid-operation) and require the recovery ladder to
         # retry only that shard — the engine-level ladder above must
-        # never see it.  A fresh engine per drill, so the
-        # transient-fault window (attempt 0) is actually exercised.
+        # never see it.
         from repro.dist import ShardFaultPlan, shard_fault_injection
 
         drills = [("shard drill", ShardFaultPlan(seed=args.seed,
@@ -328,12 +326,7 @@ def _cmd_check(args) -> int:
             drills.append(("worker-kill drill",
                            ShardFaultPlan(seed=args.seed, kill_workers=(0,))))
         for name, plan in drills:
-            with ReliableSpMV(
-                matrix, method=args.method, policy=args.policy,
-                plan_cache=PlanCache(), auto_device=device,
-                shards=args.shards, grid=grid, recovery=True,
-                backend=args.backend,
-            ) as drill:
+            with reliable() as drill:
                 with shard_fault_injection(plan) as sinj:
                     y_s = drill.spmv(x)
                 sc = drill.shard_recovery_counters or {}
@@ -374,12 +367,7 @@ def _cmd_check(args) -> int:
 
         from repro.dist import ShardFaultPlan, ShardRecoveryError, shard_fault_injection
 
-        with ReliableSpMV(
-            matrix, method=args.method, policy=args.policy,
-            plan_cache=PlanCache(), auto_device=device,
-            shards=args.shards, grid=grid, recovery=True, abft=False,
-            backend=args.backend,
-        ) as drill:
+        with reliable(abft=False) as drill:
             ranks = tuple(range(drill.engine.shards))
             plan = ShardFaultPlan(
                 seed=args.seed, corrupt_devices=ranks, fault_attempts=None
@@ -488,11 +476,12 @@ def _cmd_serve_sim(args) -> int:
     )
     if args.faults:
         plan = FaultPlan(
-            seed=args.fault_seed, payload_corruptions=2, max_faults=args.faults
+            seed=args.fault_seed, payload_corruptions=2, fault_attempts=args.faults
         )
         with fault_injection(plan) as injector:
             outcomes = rt.run_trace(trace)
-        print(f"fault campaign: injected={injector.injected} (budget {args.faults})")
+        print(f"fault campaign: injected={injector.injected} "
+              f"(fault_attempts {args.faults})")
     else:
         outcomes = rt.run_trace(trace)
 
@@ -563,11 +552,12 @@ def _cmd_trace(args) -> int:
         )
         if args.faults:
             plan = FaultPlan(
-                seed=args.fault_seed, payload_corruptions=2, max_faults=args.faults
+                seed=args.fault_seed, payload_corruptions=2, fault_attempts=args.faults
             )
             with fault_injection(plan) as injector:
                 rt.run_trace(trace)
-            print(f"fault campaign: injected={injector.injected} (budget {args.faults})")
+            print(f"fault campaign: injected={injector.injected} "
+                  f"(fault_attempts {args.faults})")
         else:
             rt.run_trace(trace)
 
@@ -812,7 +802,8 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("--overload", action="store_true",
                          help="push arrivals past capacity to exercise shedding")
     p_serve.add_argument("--faults", type=int, default=0, metavar="N",
-                         help="arm a fault campaign with budget N during the trace")
+                         help="arm a fault campaign during the trace whose first N "
+                              "attempts of each fault kind fault")
     p_serve.add_argument("--fault-seed", type=int, default=7)
     p_serve.add_argument("--coalesce", type=float, default=None, metavar="SECONDS",
                          help="fuse same-plan requests into batched spmm inside "
@@ -835,7 +826,8 @@ def main(argv: list[str] | None = None) -> int:
     p_trace.add_argument("--overload", action="store_true",
                          help="push arrivals past capacity to exercise shedding")
     p_trace.add_argument("--faults", type=int, default=0, metavar="N",
-                         help="arm a fault campaign with budget N during the trace")
+                         help="arm a fault campaign during the trace whose first N "
+                              "attempts of each fault kind fault")
     p_trace.add_argument("--fault-seed", type=int, default=7)
     p_trace.add_argument("--out", default="trace.json", metavar="PATH",
                          help="trace output (metrics land next to it as *.metrics.json)")

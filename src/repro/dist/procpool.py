@@ -41,12 +41,14 @@ for segments whose owning pid is dead.
 
 Process-level faults (worker kill / worker hang) fire on the worker
 ops only — the parent-side operand products have no worker to kill.
-They are part of the deterministic shard fault model
-(:mod:`repro.dist.faults`): the worker re-derives each decision — and
-the halo and partial corruptions it applies — from the plan shipped
-inside the command, the parent re-derives them for bookkeeping, and
-both sides agree without coordination because every decision is a pure
-function of ``(seed, kind, device rank, attempt)``.
+They are part of the deterministic fault model
+(:mod:`repro.gpu.faults`): every decision is a pure function of
+``(seed, kind, device rank, attempt)``, so a worker re-derives its
+faults from the plans shipped inside the command — the shard plan and
+any GPU-substrate plan, armed at the shard's site — and agrees with the
+thread backend without coordination.  The parent re-derives the kill
+and hang decisions for bookkeeping and records the faults each reply
+says the worker applied.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ import signal
 import threading
 import time
 import traceback
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from multiprocessing import shared_memory as _shm
@@ -256,6 +259,9 @@ def _worker_main(wire: bytes, conn, rank: int) -> None:  # pragma: no cover
     from multiprocessing import resource_tracker
 
     resource_tracker.register = lambda *a, **k: None
+    # A forked worker inherits the parent's armed campaigns; it arms the
+    # plans its commands ship instead.
+    gpu_faults.disarm_inherited()
     block, config = unpack_shard_plan(wire)
     engine = TileSpMV(block, validation="trust", **config)
     attached: dict[str, _shm.SharedMemory] = {}
@@ -350,19 +356,25 @@ def _worker_execute(engine, rank, cmd, attached, attach):  # pragma: no cover
 
     if inj is not None:
         xwin = inj.corrupt_halo(rank, attempt, xwin)
-    if op == "spmv":
-        out = engine.spmv(xwin)
-    elif op == "spmm":
-        out = engine.spmm(xwin)
-    else:
+    if op not in _WORKER_OPS:
         raise ValueError(f"unknown worker op {op!r}")
+    # A shipped substrate plan is armed for this command only, at the
+    # shard's (rank, attempt) site, exactly as the parent's shard_call.
+    gpu_plan = cmd.get("gpu_plan")
+    with gpu_faults.fault_site(rank, attempt), (
+        gpu_faults.fault_injection(gpu_plan) if gpu_plan is not None
+        else nullcontext()
+    ) as ginj:
+        out = getattr(engine, op)(xwin)
     if inj is not None:
         out = inj.corrupt_partial(rank, attempt, out)
     out = np.ascontiguousarray(out, dtype=np.float64)
     out_seg = attach(cmd["out_seg"])
     view = np.ndarray((out.size,), dtype=np.float64, buffer=out_seg.buf)
     view[: out.size] = out.ravel()
-    return {"ok": True, "op": op, "shape": tuple(out.shape)}
+    applied = {key: i.by_kind for key, i in (("plan", inj), ("gpu_plan", ginj))
+               if i is not None}
+    return {"ok": True, "op": op, "shape": tuple(out.shape), "faults": applied}
 
 
 # -- supervisor ------------------------------------------------------------
@@ -670,10 +682,9 @@ class ProcessShardedSpMV(ShardedSpMV):
     :class:`~repro.dist.recovery.RecoverableShardedSpMV` retries, backs
     off and quarantines with the one ladder both backends share.
 
-    Like the thread backend, an armed GPU-substrate fault campaign
-    forces the inherited (sequential) path — its injector is a single
-    consumed RNG stream that cannot be split across processes.  The
-    overlapping-output products (column-cut ``spmv``/``spmm``, every
+    A fault campaign of either domain runs in the workers, which arm
+    the plans each command ships at the shard's (rank, attempt) site.
+    The overlapping-output products (column-cut ``spmv``/``spmm``, every
     ``spmv_transpose``) never ship: they multiply the parent's block
     operands.
     """
@@ -724,9 +735,9 @@ class ProcessShardedSpMV(ShardedSpMV):
         return self._supervisor
 
     def _use_workers(self) -> bool:
-        # The GPU-substrate injector consumes one ordered RNG stream;
-        # only the inherited sequential path preserves it.
-        return self._supervisor is not None and gpu_faults.active_injector() is None
+        # Until close(): every fault is derived, so campaigns of either
+        # domain run in the workers too.
+        return self._supervisor is not None
 
     # -- dispatch plumbing -------------------------------------------------
 
@@ -742,7 +753,7 @@ class ProcessShardedSpMV(ShardedSpMV):
         if tele.ENABLED:
             tele.count("shm_bytes_total", n=float(nbytes))
 
-    def _command(self, s, op: str, x: np.ndarray, attempt: int, inj) -> dict:
+    def _command(self, s, op: str, x: np.ndarray, attempt: int, inj, ginj) -> dict:
         lo, hi = self._x_bounds(s, False)
         cmd = {
             "op": op,
@@ -755,6 +766,7 @@ class ProcessShardedSpMV(ShardedSpMV):
             "x_hi": hi,
             "out_seg": self._supervisor.out_segs[s.index].name,
             "plan": inj.plan if inj is not None else None,
+            "gpu_plan": ginj.plan if ginj is not None else None,
         }
         if x.ndim == 2:
             cmd["k"] = x.shape[1]
@@ -773,10 +785,11 @@ class ProcessShardedSpMV(ShardedSpMV):
         (:meth:`~ShardedSpMV._open_attempt`: counter, loss, straggler),
         which also re-derives the worker's kill and hang decisions for
         the campaign's counters.  Every command is sent before any reply
-        is collected.  A worker the supervisor had to respawn returns
-        its shard's :class:`~repro.dist.faults.DeviceLostError`.  The
-        halo and partial faults a worker applied are recorded as its
-        reply arrives.  ``stream_collect`` tasks, and every task while
+        is collected, shipping the armed plans of both fault domains.  A
+        worker the supervisor had to respawn returns its shard's
+        :class:`~repro.dist.faults.DeviceLostError`.  The faults a worker
+        applied (halo, partial, substrate) are recorded as its reply
+        arrives.  ``stream_collect`` tasks, and every task while
         the workers are unusable, run in-process on the inherited path.
         """
         if op not in _WORKER_OPS or not self._use_workers():
@@ -784,6 +797,7 @@ class ProcessShardedSpMV(ShardedSpMV):
         indices = list(range(len(self.engines)) if indices is None else indices)
         sup = self._supervisor
         inj = shard_faults.active_injector()
+        ginj = gpu_faults.active_injector()
         k = x.shape[1] if x.ndim == 2 else 1
         self._write_x(x)
         out: dict[int, object] = {}
@@ -799,18 +813,16 @@ class ProcessShardedSpMV(ShardedSpMV):
                 inj.kill_worker(self.device_ranks[i], attempt)
                 inj.worker_hang_s(self.device_ranks[i], attempt)
             sup.ensure_out(i, 8 * max(s.rows * k, 1))
-            commands.append((i, self._command(s, op, x, attempt, inj)))
+            commands.append((i, self._command(s, op, x, attempt, inj, ginj)))
         for (i, cmd), reply in zip(commands, sup.run(commands)):
             if reply is None:
                 out[i] = DeviceLostError(cmd["rank"], cmd["attempt"])
                 continue
             shape = tuple(reply["shape"])
             count = int(np.prod(shape))
-            if inj is not None:
-                inj.record_worker_faults(
-                    cmd["rank"], cmd["attempt"],
-                    (cmd["x_hi"] - cmd["x_lo"]) * k, count,
-                )
+            for key, armed in (("plan", inj), ("gpu_plan", ginj)):
+                if armed is not None:
+                    armed.record_worker_faults(reply["faults"].get(key, {}))
             out[i] = self._read_out(i, count).reshape(shape)
         return [out[i] for i in indices]
 

@@ -17,16 +17,15 @@ measured (x window in, y block out, partial-y tree reduction for column
 cuts).
 
 Execution degrades to a sequential loop whenever the telemetry tracer
-or a **GPU-substrate** fault-injection campaign
-(:mod:`repro.gpu.faults`) is armed: both are deliberately
-process-global and order-dependent (byte-deterministic traces, one RNG
-stream), so threading them would corrupt exactly the determinism they
-exist to provide.  Shard-level campaigns (:mod:`repro.dist.faults`)
-derive every fault from ``(seed, device, attempt)`` instead of a
-consumed stream, so they run on the real concurrent path — the
-recovery ladder in :mod:`repro.dist.recovery` is exercised under the
-same threading it must survive in production.  Results are identical
-either way — concurrency never decides a combine order (see below).
+is armed: it is deliberately process-global and order-dependent
+(byte-deterministic traces), so threading it would corrupt exactly the
+determinism it exists to provide.  Fault campaigns of both domains
+(:mod:`repro.gpu.faults`, :mod:`repro.dist.faults`) derive every fault
+from ``(seed, kind, site, attempt)`` instead of a consumed stream, so
+they run on the real concurrent path — the recovery ladder in
+:mod:`repro.dist.recovery` is exercised under the same threading it
+must survive in production.  Results are identical either way —
+concurrency never decides a combine order (see below).
 
 Exactness: shard boundaries never split a 16 x 16 tile, so each shard's
 plan is the unsharded plan restricted to its block — same tile
@@ -337,22 +336,16 @@ class ShardedSpMV:
     def _sequential(self) -> bool:
         """Thread only when process-global state cannot be corrupted.
 
-        The telemetry tracer (virtual clock, ordered span stack) and the
-        **GPU-substrate** fault injector (single RNG stream consumed in
-        execution order) are process-global by design; running shards
-        concurrently under either would destroy the byte-determinism
-        they guarantee.  A shard-level campaign
-        (:mod:`repro.dist.faults`) deliberately does **not** force the
-        sequential loop: its faults are pure functions of
-        ``(seed, device, attempt)``, schedule-independent by
-        construction, so campaigns exercise the real concurrent path.
+        The telemetry tracer (virtual clock, ordered span stack) is
+        process-global by design; running shards concurrently under it
+        would destroy the byte-determinism it guarantees.  Fault
+        campaigns of either domain do **not** force the sequential
+        loop: every fault is a pure function of
+        ``(seed, kind, site, attempt)`` (:mod:`repro.gpu.faults`),
+        schedule-independent by construction, so campaigns exercise the
+        real concurrent path.
         """
-        return (
-            len(self.engines) == 1
-            or self._max_workers == 1
-            or tele.ENABLED
-            or faults.active_injector() is not None
-        )
+        return len(self.engines) == 1 or self._max_workers == 1 or tele.ENABLED
 
     def _open_attempt(self, i: int) -> int:
         """Open one execution of shard ``i``; returns its attempt number.
@@ -379,13 +372,17 @@ class ShardedSpMV:
     def shard_call(self, op: str, s, engine, fn):
         """One in-process shard execution through the fault hooks.
 
-        Opens the attempt (:meth:`_open_attempt`), runs ``fn`` and lets
-        the armed campaign, if any, hand back a corrupted partial.
+        Opens the attempt (:meth:`_open_attempt`), runs ``fn`` as that
+        device's attempt (:func:`~repro.gpu.faults.fault_site`, the
+        site every substrate hook inside derives its faults from) and
+        lets the armed shard campaign, if any, hand back a corrupted
+        partial.
         Halo corruption hits inside :meth:`_x_block`, where the x
         window is actually sliced.
         """
         attempt = self._open_attempt(s.index)
-        out = fn(s, engine)
+        with faults.fault_site(self.device_ranks[s.index], attempt):
+            out = fn(s, engine)
         inj = shard_faults.active_injector()
         if inj is not None and isinstance(out, np.ndarray):
             out = inj.corrupt_partial(self.device_ranks[s.index], attempt, out)
@@ -489,17 +486,23 @@ class ShardedSpMV:
 
         Returns ``(stream, window)``: the shard's operand-order decode
         stream (``None`` or local ``(rows, cols, vals)``) and the x
-        window it consumes.  An armed shard-level campaign corrupts the
-        values — the shard's contribution *is* its partial here — and
-        the window (the halo).  Called inside :meth:`shard_call`.
+        window it consumes.  The shard's contribution *is* its partial
+        here, so an armed campaign corrupts the values — a GPU-substrate
+        one like the kernel payload, on forward products only, and a
+        shard-level one like a partial — and the window (the halo).
+        Called inside :meth:`shard_call`.
         """
         stream = e.decode_streams()
-        inj = shard_faults.active_injector()
-        if inj is not None and stream is not None:
-            attempt = self.shard_exec_counts[s.index] - 1
-            stream = stream[:2] + (
-                inj.corrupt_partial(self.device_ranks[s.index], attempt, stream[2]),
-            )
+        if stream is not None:
+            vals = stream[2]
+            ginj = faults.active_injector()
+            if ginj is not None and not transpose:
+                vals = ginj.corrupt_payload(vals, kind="tile_payload")
+            inj = shard_faults.active_injector()
+            if inj is not None:
+                attempt = self.shard_exec_counts[s.index] - 1
+                vals = inj.corrupt_partial(self.device_ranks[s.index], attempt, vals)
+            stream = stream[:2] + (vals,)
         return stream, self._x_block(s, x, transpose)
 
     def _assemble(self, streams, transpose: bool) -> list:
@@ -511,11 +514,8 @@ class ShardedSpMV:
         canonical order — exactly the rows of the single-device operand
         (or of its A.T operand), so each row sums its entries in the
         single engine's sequence; a block without entries gets an empty
-        operand.  A GPU-substrate campaign corrupts each row block's
-        values once, on forward products only, like the single-device
-        kernel.
+        operand.
         """
-        inj = None if transpose else faults.active_injector()
         shards = self.partition.shards
         length = self._m if transpose else self._n
         empty = np.zeros(0, dtype=np.int64)
@@ -531,11 +531,8 @@ class ShardedSpMV:
                 out_idx.append(o)
                 in_idx.append(self._x_bounds(shards[i], transpose)[0] + j)
                 vals.append(v)
-            v = np.concatenate(vals)
-            if inj is not None:
-                v = inj.corrupt_payload(v, kind="tile_payload")
             blocks.append(csr_operand(np.concatenate(out_idx),
-                                      np.concatenate(in_idx), v,
+                                      np.concatenate(in_idx), np.concatenate(vals),
                                       (hi - lo, length))[0])
         return blocks
 
@@ -549,16 +546,13 @@ class ShardedSpMV:
         grid's bounds are shared) — bit-for-bit the single device for
         1-D and 2-D x alike.  Fault-free, the operands are built once
         from the engines' streams and cached until
-        :meth:`update_values`, and no shard task runs.  While any
-        injector is armed every call runs one :meth:`shard_call`-guarded
-        :meth:`_shard_streams` task per shard and assembles fresh
-        operands; the recovery ladder passes its verified ``tasks``.
+        :meth:`update_values`, and no shard task runs.  While a campaign
+        of either domain is armed every call runs one
+        :meth:`shard_call`-guarded :meth:`_shard_streams` task per shard
+        and assembles fresh operands; the recovery ladder passes its
+        verified ``tasks``.
         """
-        armed = (
-            shard_faults.active_injector() is not None
-            or faults.active_injector() is not None
-        )
-        if not armed:
+        if not faults.any_armed():
             blocks = self._block_ops.get(transpose)
             if blocks is None:
                 blocks = self._assemble(

@@ -30,7 +30,6 @@ import scipy.sparse as sp
 from repro import telemetry as tele
 from repro.baselines.csr_scalar import CsrScalarSpMV
 from repro.core.tilespmv import TileSpMV
-from repro.gpu import faults
 from repro.gpu.costmodel import RunCost
 from repro.reliability.abft import AbftChecksum
 from repro.reliability.validation import (
@@ -270,10 +269,7 @@ class ReliableSpMV:
         are implicated by a detection, so all are invalidated.
         """
         if self.plan_cache is not None:
-            keys = getattr(self.engine, "plan_keys", None)
-            if keys is None:
-                keys = [self.engine.plan_key] if self.engine.plan_key else []
-            for key in keys:
+            for key in self.plan_keys:
                 self.plan_cache.invalidate(key)
         old = self.engine
         self.engine = self._make_engine()
@@ -289,20 +285,13 @@ class ReliableSpMV:
         return self._reference
 
     def _fallback(self, x: np.ndarray, k: int | None) -> np.ndarray:
-        """The trusted host-side path, outside the fault domain."""
+        """The trusted host-side path: the scalar reference runs no
+        fault hook, so it is outside the fault domain by construction."""
         ref = self._reference_engine()
-        inj = faults.active_injector()
-
-        def run() -> np.ndarray:
-            if k is None:
-                return ref.spmv(x)
-            cols = [ref.spmv(x[:, j]) for j in range(k)]
-            return np.stack(cols, axis=1) if cols else np.zeros((self.shape[0], 0))
-
-        if inj is not None:
-            with inj.suppressed():
-                return run()
-        return run()
+        if k is None:
+            return ref.spmv(x)
+        cols = [ref.spmv(x[:, j]) for j in range(k)]
+        return np.stack(cols, axis=1) if cols else np.zeros((self.shape[0], 0))
 
     def _verify(self, x: np.ndarray, y: np.ndarray) -> bool:
         """One checksum check, traced as an ``abft_verify`` span."""

@@ -67,7 +67,6 @@ import numpy as np
 from repro import telemetry as tele
 from repro.baselines.csr_scalar import CsrScalarSpMV
 from repro.core.plancache import PlanCache
-from repro.gpu import faults
 from repro.gpu.device import A100, TITAN_RTX, DeviceSpec
 from repro.reliability.reliable import ReliabilityError, ReliableSpMV
 from repro.reliability.validation import ValidationPolicy
@@ -856,13 +855,9 @@ class ServingRuntime:
             )
 
     def _scalar_verified(self, sm: _Served, x: np.ndarray) -> np.ndarray:
-        """The trust rung: scalar reference outside the fault domain."""
-        inj = faults.active_injector()
-        if inj is not None:
-            with inj.suppressed():
-                y = sm.scalar.spmv(x)
-        else:
-            y = sm.scalar.spmv(x)
+        """The trust rung: the scalar reference runs no fault hook, so it
+        is outside the fault domain by construction."""
+        y = sm.scalar.spmv(x)
         if not sm.engine.checksum.verify(x, y):
             raise ReliabilityError(
                 "scalar fallback failed ABFT verification; "

@@ -140,22 +140,48 @@ class TestEngineIntegration:
     """The engine's hooks fire, and the concurrent path stays concurrent."""
 
     def test_shard_campaign_does_not_force_sequential(self):
-        # The satellite fix: only the GPU-substrate injector (and
-        # telemetry) force the sequential loop; a shard campaign runs
-        # on the real thread pool.
+        # Only telemetry forces the sequential loop; a shard campaign
+        # runs on the real thread pool.
         a = power_law(400, avg_degree=5, seed=31)
         with ShardedSpMV(a, shards=4) as eng:
             assert not eng._sequential()
             with shard_fault_injection(ShardFaultPlan(seed=FAULT_SEED)):
                 assert not eng._sequential()
 
-    def test_gpu_campaign_still_forces_sequential(self):
-        from repro.reliability import FaultPlan, fault_injection
+    def test_gpu_campaign_is_schedule_independent(self, rng):
+        # One GPU-substrate campaign, three schedules: a sequential loop,
+        # the thread pool and the worker processes.  Every fault is a
+        # pure function of (seed, kind, device rank, attempt), so the
+        # answers, the injector's counters and the ladder's counters
+        # are byte-identical, and the concurrent paths stay concurrent.
+        from repro.reliability import FaultPlan, ReliableSpMV, fault_injection
 
         a = power_law(400, avg_degree=5, seed=31)
-        with ShardedSpMV(a, shards=4) as eng:
-            with fault_injection(FaultPlan(seed=FAULT_SEED)):
-                assert eng._sequential()
+        x = rng.standard_normal(400)
+        xs = rng.standard_normal((400, 3))
+        schedules = {
+            "sequential": dict(max_workers=1),
+            "threads": {},
+            "process": dict(backend="process"),
+        }
+        round_trips = 0
+        for grid in (None, (2, 2)):
+            runs = {}
+            for name, kw in schedules.items():
+                with ReliableSpMV(a, shards=4, grid=grid, **kw) as r:
+                    with fault_injection(FaultPlan(seed=FAULT_SEED)) as inj:
+                        if name == "threads":
+                            assert not r.engine._sequential()
+                        ys = [r.spmv(x), r.spmv(x), r.spmm(xs)]
+                    if name == "process":
+                        round_trips += r.engine.supervisor.counters["round_trips"]
+                    runs[name] = (b"".join(y.tobytes() for y in ys),
+                                  inj.stats(), dict(r.counters))
+            assert inj.stats()["injected"] > 0
+            assert runs["threads"] == runs["sequential"] == runs["process"], grid
+        # The (2, 2) grid is column-cut: its products multiply the
+        # parent's block operands, so only the 1D engine reaches workers.
+        assert round_trips > 0
 
     def test_device_loss_raises_from_plain_engine(self):
         a = random_uniform(200, 200, nnz_per_row=5, seed=32)

@@ -460,7 +460,7 @@ class TestReliabilityIntegration:
 
         x = rng.standard_normal(280)
         r = ReliableSpMV(a, shards=3, plan_cache=PlanCache())
-        plan = FaultPlan(seed=5, max_faults=1)
+        plan = FaultPlan(seed=5, fault_attempts=1)
         with fault_injection(plan):
             y = r.spmv(x)
         np.testing.assert_allclose(y, a @ x, rtol=1e-10, atol=1e-12)

@@ -80,7 +80,7 @@ class TestVerifiedOperator:
         op = VerifiedOperator(a)
         x = rhs(a.shape[0], 4)
         with fault_injection(FaultPlan(seed=FAULT_SEED, payload_corruptions=2,
-                                       max_faults=None)):
+                                       fault_attempts=None)):
             y = op.reference_spmv(x)
         assert np.allclose(y, a @ x)
 
@@ -133,7 +133,7 @@ class TestFaultCampaigns:
     """Acceptance: detect every fault, roll back, converge to the clean answer."""
 
     def plan(self, **kw):
-        defaults = dict(seed=FAULT_SEED, payload_corruptions=2, max_faults=4)
+        defaults = dict(seed=FAULT_SEED, payload_corruptions=2, fault_attempts=4)
         defaults.update(kw)
         return FaultPlan(**defaults)
 
@@ -157,7 +157,7 @@ class TestFaultCampaigns:
         b = rhs(a.shape[0], FAULT_SEED)
         clean = checkpointed_cg(VerifiedOperator(a), b, tol=1e-11)
         plan = self.plan(payload_corruptions=0, solver_state_corruptions=1,
-                         max_faults=2)
+                         fault_attempts=2)
         with fault_injection(plan) as injector:
             faulty = checkpointed_cg(VerifiedOperator(a), b, tol=1e-11,
                                      config=CheckpointConfig(interval=5))
@@ -174,7 +174,7 @@ class TestFaultCampaigns:
         a = general_matrix(n=180, seed=FAULT_SEED)
         b = rhs(a.shape[0], FAULT_SEED + 1)
         clean = checkpointed_bicgstab(VerifiedOperator(a), b, tol=1e-11)
-        plan = self.plan(solver_state_corruptions=1, max_faults=5)
+        plan = self.plan(solver_state_corruptions=1, fault_attempts=5)
         with fault_injection(plan) as injector:
             faulty = checkpointed_bicgstab(VerifiedOperator(a), b, tol=1e-11)
         assert injector.injected > 0
@@ -183,12 +183,31 @@ class TestFaultCampaigns:
         assert faulty.recovery.rollbacks >= 1
         assert np.allclose(faulty.result.x, clean.result.x, atol=1e-6)
 
+    def test_bicgstab_recovers_from_one_solver_state_fault(self):
+        # Regression: a rollback kept the watchdog's best residual from
+        # the discarded iterates, so every replay from an earlier
+        # checkpoint tripped "divergence" until the solver gave up.
+        a = general_matrix(n=180, seed=FAULT_SEED)
+        b = rhs(a.shape[0], FAULT_SEED + 1)
+        clean = checkpointed_bicgstab(VerifiedOperator(a), b, tol=1e-11)
+        plan = self.plan(payload_corruptions=0, solver_state_corruptions=1,
+                         fault_attempts=1)
+        with fault_injection(plan) as injector:
+            faulty = checkpointed_bicgstab(VerifiedOperator(a), b, tol=1e-11)
+        assert injector.injected == 1
+        assert faulty.result.converged
+        assert faulty.recovery.rollbacks >= 1
+        assert np.allclose(faulty.result.x, clean.result.x, atol=1e-6)
+
     def test_pagerank_campaign(self):
         t, dangling = make_transition(
             random_uniform(250, 250, 3.0, seed=FAULT_SEED + 2)
         )
         clean = checkpointed_pagerank(VerifiedOperator(t), dangling, tol=1e-12)
-        plan = self.plan(solver_state_corruptions=1, max_faults=5)
+        # Every attempt inside the window faults, back to back at the
+        # first checkpoint: a window of 5 puts 4 solver-state faults
+        # after safe mode, past replay_limit=3 — the designed give-up.
+        plan = self.plan(solver_state_corruptions=1, fault_attempts=3)
         with fault_injection(plan) as injector:
             faulty = checkpointed_pagerank(VerifiedOperator(t), dangling, tol=1e-12)
         assert injector.injected > 0
@@ -210,11 +229,11 @@ class TestFaultCampaigns:
         assert res.recovery.rollbacks >= cfg.replay_limit
 
     def test_unbounded_campaign_still_terminates(self):
-        # max_faults=None: faults on every product forever; the solver
+        # fault_attempts=None: faults on every product forever; the solver
         # must escalate to safe mode rather than livelock
         a = spd_matrix(grid=14, seed=FAULT_SEED + 3)
         b = rhs(a.shape[0], 8)
-        plan = FaultPlan(seed=FAULT_SEED, payload_corruptions=2, max_faults=None)
+        plan = FaultPlan(seed=FAULT_SEED, payload_corruptions=2, fault_attempts=None)
         with fault_injection(plan):
             res = checkpointed_cg(VerifiedOperator(a), b, tol=1e-11,
                                   config=CheckpointConfig(replay_limit=2))

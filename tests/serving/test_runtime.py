@@ -182,7 +182,7 @@ class TestBreakerIntegration:
         gap = 1e-3  # < cooldown: some requests arrive while the breaker is open
         reqs = [Request(i, (i + 1) * gap, "m0", x_seed=FAULT_SEED + i)
                 for i in range(16)]
-        plan = FaultPlan(seed=FAULT_SEED, payload_corruptions=2, max_faults=100)
+        plan = FaultPlan(seed=FAULT_SEED, payload_corruptions=2, fault_attempts=100)
         with fault_injection(plan) as injector:
             # exhaust the budget only after the breaker trips: the
             # unbounded campaign keeps corrupting the fast path, so
@@ -211,7 +211,7 @@ class TestBreakerIntegration:
         trace = synthetic_trace(ids, n_requests=30, seed=FAULT_SEED + 1,
                                 mean_interarrival=1e-4,
                                 deadline_range=(5e-6, 5e-4))
-        plan = FaultPlan(seed=FAULT_SEED, payload_corruptions=1, max_faults=6)
+        plan = FaultPlan(seed=FAULT_SEED, payload_corruptions=1, fault_attempts=6)
         with fault_injection(plan):
             outs = rt.run_trace(trace)
         served = [o for o in outs if o.status == "served"]
@@ -225,7 +225,7 @@ class TestBreakerIntegration:
         register_default(rt, 1)
         clean = rt.submit(Request(0, 0.0, "m0", x_seed=1))
         with fault_injection(FaultPlan(seed=FAULT_SEED, payload_corruptions=1,
-                                       max_faults=1)):
+                                       fault_attempts=1)):
             faulty = rt.submit(Request(1, rt.now + 1.0, "m0", x_seed=1))
         assert faulty.detected >= 1
         assert faulty.recovered >= 1

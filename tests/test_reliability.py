@@ -277,21 +277,89 @@ class TestFaultInjector:
         assert np.abs(out - vals).max() >= 1e3
         assert vals.max() == 0.0  # input never mutated
 
-    def test_budget_limits_total_injections(self):
-        inj = FaultInjector(FaultPlan(seed=0, max_faults=1))
+    def test_fault_attempts_window(self):
+        # Outside a shard task the attempt is the call count of the
+        # kind: attempts [0, fault_attempts) fault, later ones are clean.
+        inj = FaultInjector(FaultPlan(seed=0, fault_attempts=1))
         vals = np.ones(10)
         first = inj.corrupt_payload(vals)
         assert not np.array_equal(first, vals)
-        assert inj.exhausted
-        second = inj.corrupt_payload(vals)
-        assert second is vals  # identity: nothing fired
+        assert inj.corrupt_payload(vals) is vals  # identity: nothing fired
+        persistent = FaultInjector(FaultPlan(seed=0, fault_attempts=None))
+        runs = [persistent.corrupt_payload(vals) for _ in range(3)]
+        assert all(not np.array_equal(r, vals) for r in runs)
+        assert persistent.stats() == {"injected": 3, "by_kind": {"payload": 3}}
 
-    def test_suppressed_context_disables_hooks(self):
-        inj = FaultInjector(FaultPlan(seed=0))
-        vals = np.ones(10)
-        with inj.suppressed():
-            assert inj.corrupt_payload(vals) is vals
-        assert not np.array_equal(inj.corrupt_payload(vals), vals)
+    def test_fault_is_a_function_of_kind_site_and_attempt(self):
+        from repro.gpu.faults import fault_site
+
+        vals = np.arange(1.0, 101.0)
+        a, b = (FaultInjector(FaultPlan(seed=5, fault_attempts=None)) for _ in range(2))
+        with fault_site(3, 1):
+            first = a.corrupt_payload(vals)
+            assert np.array_equal(a.corrupt_payload(vals), first)
+        b.corrupt_payload(vals)  # site 0 calls do not move the shard's draw
+        with fault_site(3, 1):
+            assert np.array_equal(b.corrupt_payload(vals), first)
+        with fault_site(3, 2):
+            assert not np.array_equal(b.corrupt_payload(vals), first)
+
+    def test_concurrent_hooks_lose_no_update(self):
+        # Shard tasks run substrate hooks on the thread pool: the site-0
+        # call counts and the fault counters are shared, lock-protected
+        # state.  More threads than cores and a short switch interval
+        # would expose a lost read-modify-write.
+        import sys
+        import threading
+
+        from repro.gpu.faults import fault_site
+
+        inj = FaultInjector(FaultPlan(seed=1, payload_corruptions=2, fault_attempts=None))
+        vals = np.ones(8)
+        threads, calls = 8, 150
+        outs = [[] for _ in range(threads)]
+
+        def work(t: int) -> None:
+            for i in range(calls):
+                inj.corrupt_payload(vals)  # site 0: the injector's own count
+                with fault_site(t, i):
+                    outs[t].append(inj.corrupt_payload(vals))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=work, args=(t,)) for t in range(threads)]
+            for th in pool:
+                th.start()
+            for th in pool:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in pool)
+        assert inj._calls["payload"] == threads * calls
+        assert inj.stats() == {"injected": 2 * 2 * threads * calls,
+                               "by_kind": {"payload": 2 * 2 * threads * calls}}
+        solo = FaultInjector(inj.plan)
+        with fault_site(threads - 1, calls - 1):
+            assert np.array_equal(solo.corrupt_payload(vals), outs[-1][-1])
+
+    def test_scalar_reference_is_outside_the_fault_domain(self, rng):
+        # Every kind armed at certainty, every attempt faulting: the
+        # scalar reference runs no hook, so it injects nothing.
+        matrix = random_uniform(90, 90, nnz_per_row=5, seed=3).tocsr()
+        ref = CsrScalarSpMV(matrix)
+        x = rng.standard_normal(90)
+        xs = rng.standard_normal((90, 3))
+        plan = FaultPlan(
+            seed=FAULT_SEED, payload_corruptions=4, bitflip_prob=1.0,
+            drop_atomic_prob=1.0, lane_dropout_prob=1.0,
+            fault_attempts=None, solver_state_corruptions=4,
+        )
+        with fault_injection(plan) as inj:
+            y, ys = ref.spmv(x), ref.spmm(xs)
+        assert inj.injected == 0
+        np.testing.assert_allclose(y, matrix @ x, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(ys, matrix @ xs, rtol=1e-12, atol=1e-12)
 
     def test_bitflip_changes_exactly_one_word(self):
         inj = FaultInjector(FaultPlan(seed=3, bitflip_prob=1.0))
@@ -405,7 +473,7 @@ class TestFaultCampaigns:
         matrix = random_uniform(120, 120, nnz_per_row=5, seed=8)
         engine = ReliableSpMV(matrix, plan_cache=PlanCache())
         x = rng.standard_normal(120)
-        with fault_injection(FaultPlan(seed=FAULT_SEED, max_faults=None)):
+        with fault_injection(FaultPlan(seed=FAULT_SEED, fault_attempts=None)):
             y = engine.spmv(x)
         np.testing.assert_allclose(y, matrix @ x, rtol=1e-12, atol=1e-12)
         assert engine.counters["detected"] >= 2  # first run and the retry

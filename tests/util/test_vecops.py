@@ -9,6 +9,7 @@ import pytest
 import repro.apps.solvers as solvers
 import repro.dist.recovery as recovery
 import repro.reliability.abft as abft
+import repro.serving.checkpoint as checkpoint
 from repro.util.vecops import dot, norm
 
 
@@ -78,3 +79,9 @@ def test_shard_checks_use_no_blas_vector_reductions():
     """The per-shard checksums and the column-cut stream checker reduce
     in the calling thread."""
     assert _blas_reductions(recovery, classes=("ShardCheck", "RecoverableShardedSpMV")) == []
+
+
+def test_checkpointed_solvers_use_no_blas_vector_reductions():
+    """The checkpointed CG/BiCGSTAB/PageRank reductions and the
+    checkpoint consistency check reduce in the calling thread."""
+    assert _blas_reductions(checkpoint) == []
