@@ -217,15 +217,13 @@ class Csr5SpMV:
         ``{w*sigma + s : w}``, which are spread across the whole tile's
         span rather than being row-neighbours — CSR5 pays for its
         coalesced value loads with a more scattered ``x`` pattern.  Each
-        warp-level gather step is one coalescing window.
+        warp-level gather step is one coalescing window: its distinct
+        sectors are the value changes of its sorted sector row (padding
+        slots sort first as -1 and count no change).
         """
-        if self.nnz == 0:
-            return 0
-        valid = self.stored_valid
-        step = np.flatnonzero(valid) // OMEGA
-        n_sectors = int(self.stored_col[valid].max()) // 4 + 1
-        key = step * n_sectors + self.stored_col[valid] // 4
-        return int(np.unique(key).size)
+        sectors = np.where(self.stored_valid, self.stored_col // 4, -1).reshape(-1, OMEGA)
+        sectors.sort(axis=1)
+        return int(np.count_nonzero(np.diff(sectors, axis=1, prepend=-1)))
 
     def run_cost(self) -> RunCost:
         """One warp per tile; per-lane work is exactly sigma entries."""

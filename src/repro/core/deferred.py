@@ -10,23 +10,25 @@ tiles.  The paper's SpMV then runs two kernels whose results sum into
 
 Here the split is the representation the cost model prices (two
 launches, each half's payload and schedule).  Execution does not fork:
-:class:`~repro.core.tilespmv.TileSpMV` decodes both halves into one
-canonical CSR operand, the same operand ADPT runs, so DeferredCOO
-products are bit-for-bit ADPT's.
+:class:`~repro.core.tilespmv.TileSpMV` executes the full canonical CSR
+matrix, the same operand ADPT runs, so DeferredCOO products are
+bit-for-bit ADPT's.  Both halves are masks of that matrix in its
+canonical order, so the split sorts nothing and re-tiles nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.core.selection import SelectionConfig, select_formats
-from repro.core.storage import TileMatrix
-from repro.core.tiling import TileSet, tile_decompose
+from repro.core.storage import TileMatrix, masked_csr
+from repro.core.tiling import TileSet
 from repro.formats import FormatID
 from repro.formats.tile_hyb import hyb_split_widths
+from repro.util.segments import lengths_to_offsets
 
 __all__ = ["DeferredSplit", "split_deferred_coo"]
 
@@ -35,22 +37,20 @@ __all__ = ["DeferredSplit", "split_deferred_coo"]
 class DeferredSplit:
     """Result of the DeferredCOO extraction.
 
-    ``tiled`` is the remaining TileMatrix (COO tiles gone, HYB tiles
-    demoted to their ELL part; ``None`` when everything was extracted);
-    ``deferred`` is the extracted canonical CSR matrix (empty when the
-    matrix had no COO-resident data).
+    ``extracted`` masks the extracted entries ``m`` in the canonical
+    order of the full matrix ``c`` (``tileset.csr``).  ``deferred`` is
+    ``c[m]``; ``tiled`` is the TileMatrix of ``c[~m]`` (COO tiles gone,
+    HYB tiles demoted to their ELL part; ``None`` when everything was
+    extracted).
     """
 
     tiled: TileMatrix | None
     deferred: sp.csr_matrix
-    extracted_nnz: int
+    extracted: np.ndarray
 
-
-def _canonical(vals, rows, cols, shape) -> sp.csr_matrix:
-    """Distinct entries as a CSR matrix in (row, ascending column) order."""
-    csr = sp.csr_matrix((vals, (rows, cols)), shape=shape)
-    csr.sort_indices()
-    return csr
+    @property
+    def extracted_nnz(self) -> int:
+        return int(np.count_nonzero(self.extracted))
 
 
 def split_deferred_coo(
@@ -83,25 +83,36 @@ def split_deferred_coo(
         overflow = (entry_fmt == FormatID.HYB) & (pos >= width_of_tile[tile_of_entry])
         extract |= overflow
 
-    grow = tileset.global_rows()
-    gcol = tileset.global_cols()
-    shape = (tileset.m, tileset.n)
-    deferred = _canonical(view.val[extract], grow[extract], gcol[extract], shape)
-    extracted_nnz = int(np.count_nonzero(extract))
+    extracted = np.empty(tileset.nnz, dtype=bool)
+    extracted[tileset.entry_perm] = extract  # view order -> canonical order
+    deferred = masked_csr(tileset.csr, extracted)
     keep = ~extract
     if not keep.any():
-        return DeferredSplit(tiled=None, deferred=deferred, extracted_nnz=extracted_nnz)
+        return DeferredSplit(tiled=None, deferred=deferred, extracted=extracted)
 
-    remaining = _canonical(view.val[keep], grow[keep], gcol[keep], shape)
-    new_tileset = tile_decompose(remaining, tile=tileset.tile)
-    # Carry the original per-tile decisions over by tile coordinate.
-    tile_cols_total = new_tileset.tile_cols
-    old_key = tileset.tile_rowidx * tile_cols_total + tileset.tile_colidx
-    new_key = new_tileset.tile_rowidx * tile_cols_total + new_tileset.tile_colidx
-    pos_in_old = np.searchsorted(old_key, new_key)
-    if not np.array_equal(old_key[pos_in_old], new_key):
-        raise AssertionError("extraction produced a tile absent from the original")
-    new_formats = formats[pos_in_old].copy()
-    new_formats[new_formats == FormatID.HYB] = FormatID.ELL
-    tiled = TileMatrix.build(new_tileset, new_formats)
-    return DeferredSplit(tiled=tiled, deferred=deferred, extracted_nnz=extracted_nnz)
+    # Masking keeps the view's (tile, lrow, lcol) order: dropping the
+    # extracted entries and the tiles left empty is what tiling c[~m]
+    # from scratch yields.
+    rest = view.masked(keep)
+    kept = np.flatnonzero(np.diff(rest.offsets))
+    tile_rowidx = tileset.tile_rowidx[kept]
+    remainder = replace(
+        tileset,
+        tile_ptr=lengths_to_offsets(np.bincount(tile_rowidx, minlength=tileset.tile_rows)),
+        tile_colidx=tileset.tile_colidx[kept],
+        tile_rowidx=tile_rowidx,
+        view=replace(
+            rest,
+            offsets=np.append(rest.offsets[kept], rest.nnz),
+            eff_h=view.eff_h[kept],
+            eff_w=view.eff_w[kept],
+        ),
+        # A kept entry's new canonical slot: kept entries before it.
+        entry_perm=lengths_to_offsets(~extracted)[tileset.entry_perm[keep]],
+        csr=masked_csr(tileset.csr, ~extracted),
+    )
+    # Carry the original per-tile decisions over; HYB keeps its ELL part.
+    formats = formats[kept]
+    formats[formats == FormatID.HYB] = FormatID.ELL
+    tiled = TileMatrix.build(remainder, formats)
+    return DeferredSplit(tiled=tiled, deferred=deferred, extracted=extracted)

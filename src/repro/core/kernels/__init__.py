@@ -13,10 +13,11 @@ Each format has two implementations:
   raw ``x``-gather sectors, and atomic behaviour.  These are the numbers
   the scheduler aggregates into :class:`repro.gpu.costmodel.KernelStats`.
 
-The numeric SpMV itself is performed by the CSR operand the
-:class:`repro.core.storage.TileMatrix` decodes from the payloads at
-build time (the inspector-executor pattern: the format arrays are the
-stored truth, the operand is the 'compiled kernel').
+The numeric SpMV itself is performed by the canonical CSR operand the
+:class:`repro.core.storage.TileMatrix` was built from (the
+inspector-executor pattern: the format arrays are what the kernels
+would read, the operand is the 'compiled kernel'; the payloads must
+decode back to it bit for bit).
 """
 
 from repro.core.kernels.params import KernelCostParams

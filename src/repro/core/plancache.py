@@ -102,13 +102,13 @@ def value_digest(data: np.ndarray) -> str:
 class MethodPlan:
     """Built artifacts for one resolved strategy of a plan.
 
-    ``operand`` executes every product.  For ``csr``/``adpt`` it is the
-    tiled matrix's own operand.  DeferredCOO prices two halves (the
-    tiled matrix and the CSR5 engine) but executes one operand built by
-    :func:`~repro.core.storage.csr_operand` over both halves' decode
-    streams, concatenated; ``slots`` is that call's slot map (operand
-    slot ``q`` holds concatenated-stream entry ``slots[q]``), which
-    carries new values back into the halves.
+    ``operand`` executes every product: the canonical CSR matrix the
+    plan's tile set was cut from.  For ``csr``/``adpt`` it is the tiled
+    matrix's own operand.  DeferredCOO prices two halves (the tiled
+    matrix and the CSR5 engine) but executes the full matrix;
+    ``extracted`` masks, in the operand's canonical order, the entries
+    the CSR5 half holds — the tiled half holds the rest, in the same
+    order — which carries new values into the halves.
     """
 
     method: str
@@ -116,7 +116,7 @@ class MethodPlan:
     deferred: Csr5SpMV | None
     schedule: WarpSchedule | None
     operand: sp.csr_matrix
-    slots: np.ndarray | None = None
+    extracted: np.ndarray | None = None
     build_seconds: float = 0.0
 
     def with_values(self, data: np.ndarray) -> "MethodPlan":
@@ -126,16 +126,14 @@ class MethodPlan:
         planned matrix, so ``data`` is that matrix's CSR value array.
         The caller must not mutate ``data`` afterwards.
         """
-        if self.slots is None:
+        if self.extracted is None:
             tiled = self.tiled.with_operand_data(data)
             return replace(self, tiled=tiled, operand=tiled.operand)
-        stream = np.empty(data.size)
-        stream[self.slots] = data
-        cut = self.tiled.nnz if self.tiled is not None else 0
+        m = self.extracted
         return replace(
             self,
-            tiled=None if self.tiled is None else self.tiled.with_operand_data(stream[:cut]),
-            deferred=None if self.deferred is None else self.deferred.with_values(stream[cut:]),
+            tiled=None if self.tiled is None else self.tiled.with_operand_data(data[~m]),
+            deferred=None if self.deferred is None else self.deferred.with_values(data[m]),
             operand=refill_operand(self.operand, data),
         )
 
@@ -161,13 +159,11 @@ class CachedPlan:
         each method refills through :meth:`MethodPlan.with_values`, the
         refill :meth:`TileSpMV.update_values
         <repro.core.tilespmv.TileSpMV.update_values>` makes too; the
-        plan's own tile set takes the view values eagerly, since later
-        method builds encode from it.
+        plan's own tile set takes the values eagerly, since later
+        method builds encode from it and execute its CSR.
         """
-        if self.tileset.entry_perm is None:
-            raise ValueError("plan tileset lacks entry_perm; cannot refresh values")
         data = np.array(csr_data, dtype=np.float64)
-        self.tileset = self.tileset.with_values(data[self.tileset.entry_perm])
+        self.tileset = self.tileset.with_values(data)
         for name, mp in list(self.methods.items()):
             self.methods[name] = mp.with_values(data)
         self.values_digest = digest

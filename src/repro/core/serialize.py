@@ -4,7 +4,8 @@ Preprocessing is the expensive step (Fig 11); a solver that reuses a
 matrix across runs wants to pay it once.  ``save``/``load`` round-trip a
 built :class:`~repro.core.storage.TileMatrix` through a single ``.npz``
 file holding exactly the paper's arrays — the level-1 structure and the
-per-format payloads — and rebuild the gather indices on load.
+per-format payloads.  Loading decodes the payloads into the operand: the
+one build path that still derives the executing CSR from payloads.
 
 The same ``.npz`` container doubles as the **shard-plan wire format**
 of the process-pool backend (:mod:`repro.dist.procpool`):
@@ -22,13 +23,13 @@ from __future__ import annotations
 
 import io
 import pickle
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.storage import TileMatrix
+from repro.core.storage import TileMatrix, decode_csr
 from repro.core.tiling import TileSet
 from repro.formats import (
     FormatID,
@@ -124,7 +125,7 @@ def load_tile_matrix(path: str | Path) -> TileMatrix:
         eff_w=arrays["view.eff_w"],
         tile=int(arrays["meta.tile"]),
     )
-    tileset = TileSet(
+    structure = TileSet(
         m=int(arrays["meta.m"]),
         n=int(arrays["meta.n"]),
         tile=int(arrays["meta.tile"]),
@@ -132,6 +133,8 @@ def load_tile_matrix(path: str | Path) -> TileMatrix:
         tile_colidx=arrays["level1.tile_colidx"],
         tile_rowidx=arrays["level1.tile_rowidx"],
         view=view,
+        entry_perm=None,
+        csr=None,
     )
     payloads: dict = {}
     tile_ids: dict = {}
@@ -141,6 +144,13 @@ def load_tile_matrix(path: str | Path) -> TileMatrix:
             continue
         tile_ids[fmt] = arrays[key]
         payloads[fmt] = _rebuild_payload(_PAYLOAD_TYPES[fmt], f"payload.{int(fmt)}", arrays)
+    # Canonical slot of every view entry: its rank in (row, column) order.
+    key = structure.global_rows() * structure.n + structure.global_cols()
+    tileset = replace(
+        structure,
+        entry_perm=np.argsort(np.argsort(key, kind="stable")),
+        csr=decode_csr(structure, payloads, tile_ids),
+    )
     return TileMatrix(
         tileset=tileset,
         formats=arrays["level1.formats"],

@@ -3,12 +3,12 @@
 A :class:`TileMatrix` owns the level-1 tile structure (from
 :mod:`repro.core.tiling`), the per-tile format assignment (from
 :mod:`repro.core.selection`) and the seven format payloads (from
-:mod:`repro.formats`).  At build time it decodes the payloads once into
-a single scipy CSR **operand** in canonical (row, ascending column)
-order, which executes every product — the inspector-executor split:
-payloads are the stored truth (and what the cost model prices), the
-operand is the compiled kernel.  A value update refills the operand
-alone; payload and view values are rebuilt from it on first read.
+:mod:`repro.formats`).  Its **operand**, which executes every product,
+is the canonical (row, ascending column) CSR matrix the tile set was cut
+from.  The payloads are what the cost model prices; :meth:`~TileMatrix.validate`
+and the round-trip tests hold their decode to the operand bit for bit.
+A value update refills the operand alone; payload and view values are
+rebuilt from it on first read.
 """
 
 from __future__ import annotations
@@ -36,9 +36,16 @@ from repro.formats import (
 )
 from repro.gpu import faults
 from repro.gpu.costmodel import RunCost
-from repro.util.segments import repeat_offsets
+from repro.util.segments import lengths_to_offsets, repeat_offsets
 
-__all__ = ["TileMatrix", "csr_operand", "faulted_operand", "refill_operand"]
+__all__ = [
+    "TileMatrix",
+    "decode_csr",
+    "faulted_operand",
+    "masked_csr",
+    "refill_operand",
+    "same_csr",
+]
 
 _ENCODERS = {
     FormatID.CSR: encode_csr,
@@ -61,20 +68,44 @@ def _decode_with_tiles(fmt: FormatID, payload) -> tuple[np.ndarray, np.ndarray, 
     return payload.decode()
 
 
-def csr_operand(
-    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int]
-) -> tuple[sp.csr_matrix, np.ndarray]:
-    """CSR operand of distinct ``(rows, cols, vals)`` entries, canonical order.
+def decode_csr(ts: TileSet, payloads: dict, tile_ids: dict) -> sp.csr_matrix:
+    """The matrix the payloads encode, as CSR in canonical order.
 
-    Returns the operand and its slot map ``order``: operand slot ``q``
-    holds input entry ``order[q]``, so values in the input order refill
-    it as ``refill_operand(op, new_vals[order])`` without another sort.
-    Canonical (row, ascending column) order fixes the per-row summation
-    sequence of every product as a function of the structure alone.
+    Every decoder drops its padding slots; one stable sort on the
+    (row, column) key puts the decoded entries in canonical order
+    (duplicates, kept under ``validation="trust"``, in decode order).
     """
-    order = np.argsort(np.asarray(rows, dtype=np.int64) * shape[1] + cols)
-    indptr = np.searchsorted(rows[order], np.arange(shape[0] + 1))
-    return sp.csr_matrix((vals[order], cols[order], indptr), shape=shape), order
+    m, n = ts.m, ts.n
+    rows, cols, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for fmt, payload in payloads.items():
+        t_local, lrow, lcol, val = _decode_with_tiles(fmt, payload)
+        gid = tile_ids[fmt][t_local]
+        rows.append(ts.tile_rowidx[gid] * ts.tile + lrow.astype(np.int64))
+        cols.append(ts.tile_colidx[gid] * ts.tile + lcol.astype(np.int64))
+        vals.append(val)
+    rows, cols, vals = (np.concatenate(p) for p in (rows, cols, vals))
+    order = np.argsort(rows * n + cols, kind="stable")
+    indptr = np.searchsorted(rows[order], np.arange(m + 1))
+    return sp.csr_matrix((vals[order], cols[order], indptr), shape=(m, n))
+
+
+def same_csr(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
+    """``a`` and ``b`` hold the same entries in the same order, bit for bit."""
+    return (
+        a.shape == b.shape
+        and np.array_equal(a.indptr, b.indptr)
+        and np.array_equal(a.indices, b.indices)
+        and np.asarray(a.data, dtype=np.float64).tobytes()
+        == np.asarray(b.data, dtype=np.float64).tobytes()
+    )
+
+
+def masked_csr(csr: sp.csr_matrix, keep: np.ndarray) -> sp.csr_matrix:
+    """The entries of ``csr`` that the boolean ``keep`` selects, in order."""
+    kept_before = lengths_to_offsets(keep)
+    return sp.csr_matrix(
+        (csr.data[keep], csr.indices[keep], kept_before[csr.indptr]), shape=csr.shape
+    )
 
 
 def refill_operand(op: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:
@@ -124,14 +155,15 @@ def _refill_payload(payload, entry: tuple, view_val: np.ndarray):
 class TileMatrix:
     """A sparse matrix in the two-level TileSpMV representation.
 
-    A *built* matrix owns its tile set (level-1 arrays plus the entry
-    values in view order), the encoded payloads and the operand decoded
-    from them.  A *value clone* (:meth:`with_operand_data`) owns only a
-    refilled operand and shares everything structural with the built
-    matrix it came from, its template.  The operand is what executes;
-    a clone's ``tileset`` and ``payloads`` are derived from it on first
-    read — bit for bit what re-encoding the new values would store — so
-    a value update writes only what the products read.
+    A *built* matrix owns its tile set (level-1 arrays, the entry values
+    in view order and the canonical CSR they were cut from), the encoded
+    payloads, and that CSR as its operand.  A *value clone*
+    (:meth:`with_operand_data`) owns only a refilled operand and shares
+    everything structural with the built matrix it came from, its
+    template.  The operand is what executes; a clone's ``tileset`` and
+    ``payloads`` are derived from it on first read — bit for bit what
+    re-encoding the new values would store — so a value update writes
+    only what the products read.
     """
 
     def __init__(self, tileset: TileSet, formats: np.ndarray, payloads: dict, tile_ids: dict) -> None:
@@ -141,13 +173,11 @@ class TileMatrix:
         self._payloads: dict | None = payloads  # FormatID -> payload
         # The built matrix a value clone derives from; None when built.
         self._template: TileMatrix | None = None
-        # Structural maps from view entries to payload value slots and
-        # operand slots, built lazily on the built matrix only.
+        # Structural maps from view entries to payload value slots,
+        # built lazily on the built matrix only.
         self._value_maps: dict | None = None
-        self._decode_perm: np.ndarray | None = None
-        # The executor (``operand``) and its structural companion
-        # ``_op_order``.
-        self._build_operand()
+        # The executor: the canonical CSR the tile set was cut from.
+        self.operand: sp.csr_matrix = tileset.csr
 
     # -- construction ------------------------------------------------------
 
@@ -181,24 +211,21 @@ class TileMatrix:
             tile_ids[fmt] = idx
         return cls(tileset, formats, payloads, tile_ids)
 
-    def _value_slot_maps(self) -> tuple[dict, np.ndarray]:
+    def _value_slot_maps(self) -> dict:
         """Structural maps from view entries to payload value slots.
 
-        Every decoder drops its padding slots (``validate`` checks the
-        decoded sizes against the level-1 counts), so the decoded stream
-        is a pure permutation of the view entries.  Decoding each
-        payload's *index* arrays once recovers, per format, which stored
-        value slot holds which view entry; concatenated across payloads
-        and put in operand order, the same map (``perm``: operand slot
-        ``q`` holds view entry ``perm[q]``) carries values between view
-        and operand order.  Built lazily on the built matrix — a value
-        clone asks its template — and never rebuilt for a fixed
-        structure.
+        Every decoder drops its padding slots (``validate``'s round-trip
+        check holds it to that), so each payload's decode stream is a
+        pure permutation of its tiles' view entries.
+        Decoding each payload's *index* arrays once recovers which
+        stored value slot holds which view entry.  Built lazily on the
+        built matrix — a value clone asks its template — and never
+        rebuilt for a fixed structure.
         """
         if self._template is not None:
             return self._template._value_slot_maps()
         if self._value_maps is not None:
-            return self._value_maps, self._decode_perm
+            return self._value_maps
         tile = self._tileset.tile
         view = self._tileset.view
         # View entries are sorted by (tile, lrow, lcol), so this key is
@@ -209,13 +236,11 @@ class TileMatrix:
             + view.lcol.astype(np.int64)
         )
         maps: dict = {}
-        perm_parts = []
         for fmt, payload in self._payloads.items():
             t_local, lrow, lcol, _ = _decode_with_tiles(fmt, payload)
             gid = self.tile_ids[fmt][t_local]
             keys = gid * (tile * tile) + lrow.astype(np.int64) * tile + lcol.astype(np.int64)
             vidx = np.searchsorted(view_keys, keys)
-            perm_parts.append(vidx)
             if fmt == FormatID.HYB:
                 # HYB decodes its ELL part (mask-compacted) then its COO
                 # part (dense); split the map at the seam.
@@ -225,9 +250,8 @@ class TileMatrix:
                 maps[fmt] = ("masked", np.flatnonzero(payload.valid), vidx)
             else:
                 maps[fmt] = ("dense", vidx)
-        perm = np.concatenate(perm_parts) if perm_parts else np.zeros(0, dtype=np.int64)
-        self._value_maps, self._decode_perm = maps, perm[self._op_order]
-        return self._value_maps, self._decode_perm
+        self._value_maps = maps
+        return maps
 
     def with_operand_data(self, data: np.ndarray) -> "TileMatrix":
         """Same structure, new entry values given in operand order.
@@ -253,43 +277,13 @@ class TileMatrix:
     def _derive_values(self) -> None:
         """Rebuild a value clone's view values and payloads from its operand."""
         tpl = self._template
-        maps, perm = tpl._value_slot_maps()
-        view_val = np.empty(perm.size)
-        view_val[perm] = self.operand.data
+        maps = tpl._value_slot_maps()
+        self._tileset = tpl._tileset.with_values(self.operand.data)
+        view_val = self._tileset.view.val
         self._payloads = {
             fmt: _refill_payload(payload, maps[fmt], view_val)
             for fmt, payload in tpl._payloads.items()
         }
-        self._tileset = tpl._tileset.with_values(view_val)
-
-    def _build_operand(self) -> None:
-        """Decode the payloads into the CSR operand.
-
-        Decoding *from the encoded arrays* (rather than keeping the
-        original entries) means every product exercises the real format
-        round-trip.  The operand's canonical (row, ascending column)
-        order is the only order the kernels define: it is what
-        :meth:`spmv`/:meth:`spmm` accumulate in, and — since any
-        tile-snapped partition of the matrix keeps each row's entries
-        in ascending column order — what `repro.dist` assembles its
-        per-block operands in to reproduce the single-device summation
-        bit for bit.
-        """
-        ts = self.tileset
-        parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
-        for fmt, payload in self.payloads.items():
-            t_local, lrow, lcol, val = _decode_with_tiles(fmt, payload)
-            gid = self.tile_ids[fmt][t_local]
-            parts.append((
-                ts.tile_rowidx[gid] * ts.tile + lrow.astype(np.int64),
-                ts.tile_colidx[gid] * ts.tile + lcol.astype(np.int64),
-                val,
-            ))
-        rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
-        # Every decoded entry in canonical (row, ascending column) order,
-        # and the decode-stream position each operand slot holds
-        # (structural, shared by value clones).
-        self.operand, self._op_order = csr_operand(rows, cols, vals, (ts.m, ts.n))
 
     # -- basic properties ----------------------------------------------------
 
@@ -344,10 +338,11 @@ class TileMatrix:
     def to_csr(self) -> sp.csr_matrix:
         """Reconstruct a scipy CSR matrix from the encoded payloads.
 
-        The operand already is one: decoded from the payloads (every
-        decoder drops its padding slots), sorted, duplicate-free.
+        The cold-path decode: products never run it.  It equals the
+        operand bit for bit (``validate`` and the round-trip tests hold
+        the encoders to that).
         """
-        return self.operand.copy()
+        return decode_csr(self.tileset, self.payloads, self.tile_ids)
 
     # -- accounting ------------------------------------------------------------
 
@@ -461,14 +456,6 @@ class TileMatrix:
         assert covered.size == ts.n_tiles and np.unique(covered).size == ts.n_tiles, (
             "every tile must belong to exactly one format payload"
         )
-        # Decoded entry counts must match the level-1 nonzero counts.
-        counts = ts.view.counts()
-        for fmt, payload in self.payloads.items():
-            t_local, lrow, lcol, val = _decode_with_tiles(fmt, payload)
-            expected = int(counts[self.tile_ids[fmt]].sum())
-            assert val.size == expected, (
-                f"{FormatID(fmt).name}: decoded {val.size} != level-1 {expected}"
-            )
         # The operand: shape, one slot per entry, monotone indptr, and
         # columns in range and strictly ascending within each row — the
         # canonical order every product and the sharded operands rely on.
@@ -485,3 +472,5 @@ class TileMatrix:
             assert np.all(np.diff(cols)[same_row] > 0), (
                 "operand columns must strictly ascend within each row"
             )
+        # The payloads encode exactly the matrix that executes.
+        assert same_csr(self.to_csr(), op), "decoded payloads differ from the operand (round-trip)"

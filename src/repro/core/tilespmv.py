@@ -11,10 +11,11 @@ above):
 
 The strategies differ in what the cost model prices: tile formats,
 payloads, warp schedules, and DeferredCOO's second (CSR5) launch.  They
-do not differ in what executes.  Every plan decodes its payloads into
-one canonical (row, ascending column) scipy CSR operand — DeferredCOO
-concatenates both halves' decode streams first — so every method
-returns the same bits for ``spmv``, ``spmm`` and ``spmv_transpose``.
+do not differ in what executes.  Every plan executes the canonical
+(row, ascending column) scipy CSR matrix it was built from — under a
+reorder, the permuted one — so every method returns the same bits for
+``spmv``, ``spmm`` and ``spmv_transpose``.  The payloads are priced,
+not run; the round-trip tests hold their decode equal to that matrix.
 
 The paper picks between ADPT and DeferredCOO with a fixed nnz threshold
 (1.8M) tuned on its hardware, where the extra kernel launch DeferredCOO
@@ -68,7 +69,7 @@ from repro.matrices.reorder import ReorderPlan, build_reorder
 from repro.reliability.validation import ValidationPolicy, canonicalize_csr
 from repro.core.scheduler import DEFAULT_TBALANCE, build_schedule
 from repro.core.selection import SelectionConfig, select_formats
-from repro.core.storage import TileMatrix, csr_operand, faulted_operand, refill_operand
+from repro.core.storage import TileMatrix, faulted_operand, masked_csr, same_csr
 from repro.core.tiling import tile_decompose
 from repro.formats import FormatID
 from repro.gpu.costmodel import RunCost
@@ -163,26 +164,27 @@ class TileSpMV:
         self.deferred_engine: Csr5SpMV | None = None
         self._schedule = None
         self._op: sp.csr_matrix | None = None
-        # The A.T operand in original coordinates and the operand slot
-        # each of its slots holds, built on the first spmv_transpose.
+        # The A.T operand in original coordinates, built on the first
+        # spmv_transpose.
         self._t_op: sp.csr_matrix | None = None
-        self._t_slots: np.ndarray | None = None
 
         with tele.span("canonicalize", cat="build", policy=str(validation)):
             csr, self.validation_report = canonicalize_csr(matrix, validation)
+            if csr is matrix:
+                # ``trust`` hands back the caller's own matrix; the plan
+                # executes it, so it must not alias the caller's arrays.
+                csr = csr.copy()
 
         # Plan-time reordering: build on the permuted matrix, answer in
         # the caller's original index space (bit-for-bit for row-only
         # transforms — see docs/TUNING.md and the metamorphic suite).
         self.reorder: ReorderPlan | None = None
-        self._orig_indptr: np.ndarray | None = None
-        self._orig_indices: np.ndarray | None = None
+        self._orig_indptr, self._orig_indices = csr.indptr, csr.indices
         self._data_perm: np.ndarray | None = None
         if reorder is not None:
             rp = build_reorder(csr, reorder)
             with tele.span("reorder", cat="build", tag=rp.tag):
                 self.reorder = rp
-                self._orig_indptr, self._orig_indices = csr.indptr, csr.indices
                 self._data_perm = rp.data_permutation(csr)
                 csr = rp.apply(csr)
 
@@ -192,8 +194,6 @@ class TileSpMV:
                 formats_override, dtype=np.uint8
             )
 
-        self._indptr = csr.indptr
-        self._indices = csr.indices
         fp_extra = self._fingerprint_extra()
         plan = None
         if plan_cache is not None:
@@ -331,31 +331,21 @@ class TileSpMV:
         else:  # deferred_coo: reuse the shared selection, never re-select
             split = split_deferred_coo(tileset, self.selection, formats=self._plan_formats(plan))
             tiled = split.tiled
-            deferred = (
-                Csr5SpMV(split.deferred, validation="trust")
-                if split.deferred.nnz
-                else None
-            )
-            # One operand over both halves' decode streams, tiled first.
-            streams = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),)]
-            if tiled is not None:
-                op = tiled.operand
-                streams.append((repeat_offsets(op.indptr), op.indices, op.data))
-            if deferred is not None:
-                streams.append((deferred.entry_rows, deferred.indices, deferred.data))
-            rows, cols, vals = (np.concatenate(p) for p in zip(*streams))
-            operand, slots = csr_operand(rows, cols, vals, (tileset.m, tileset.n))
             mp = MethodPlan(
                 method=name,
                 tiled=tiled,
-                deferred=deferred,
+                deferred=(
+                    Csr5SpMV(split.deferred, validation="trust")
+                    if split.deferred.nnz
+                    else None
+                ),
                 schedule=(
                     build_schedule(tiled.tileset.tile_ptr, self.tbalance)
                     if tiled is not None
                     else None
                 ),
-                operand=operand,
-                slots=slots,
+                operand=tileset.csr,
+                extracted=split.extracted,
             )
         mp.build_seconds = time.perf_counter() - t1
         plan.methods[name] = mp
@@ -427,15 +417,15 @@ class TileSpMV:
     def spmv_transpose(self, x: np.ndarray) -> np.ndarray:
         """y = A.T @ x (needed by transpose-using Krylov methods).
 
-        One A.T operand in *original* coordinates (the reorder
-        permutations map the operand's stream back; without a reorder
-        they are identities), whose rows hold each original column's
-        entries in ascending original row order.  The summation per
-        output entry is therefore a pure function of the original
-        structure, so reordered and sharded plans reproduce it
-        bit-for-bit.  The operand is a structural sort built on the
-        first call and refilled by :meth:`update_values`.  No ABFT check
-        covers a transpose, so it is not a fault site.
+        One A.T operand in *original* coordinates: the CSR of the
+        transpose of the canonical original matrix, whose rows hold each
+        original column's entries in ascending original row order.  The
+        summation per output entry is therefore a pure function of the
+        original structure, so reordered and sharded plans reproduce it
+        bit-for-bit.  The operand is built on the first call by scipy's
+        CSC→CSR conversion (a counting pass, no sort) and rebuilt by
+        :meth:`update_values`.  No ABFT check covers a transpose, so it
+        is not a fault site.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self._shape[0],):
@@ -443,23 +433,21 @@ class TileSpMV:
         with tele.span("kernel_execute", cat="kernel", method=self.method,
                        nnz=self._nnz, transpose=True):
             if self._t_op is None:
-                self._t_op, self._t_slots = self._transposed_operand()
+                self._t_op = self._original_csr().T.tocsr()
             y = self._t_op @ x
         if tele.ENABLED:
             tele.count("tilespmv_spmv_total", method=self.method)
         return y
 
-    def _transposed_operand(self) -> tuple[sp.csr_matrix, np.ndarray]:
-        """The A.T operand in original coordinates, and its slot map."""
-        rp = self.reorder
-        m, n = self._shape
-        op = self._op
-        rows, cols = repeat_offsets(op.indptr), op.indices
-        if rp is not None:
-            rows = rp.row_perm[rows]
-            if rp.col_perm is not None:
-                cols = rp.col_perm[cols]
-        return csr_operand(cols, rows, op.data, (n, m))
+    def _original_csr(self) -> sp.csr_matrix:
+        """The canonical matrix in original coordinates, current values."""
+        if self.reorder is None:
+            return self._op
+        data = np.empty(self._nnz)
+        data[self._data_perm] = self._op.data
+        return sp.csr_matrix(
+            (data, self._orig_indices, self._orig_indptr), shape=self._shape
+        )
 
     def spmm(self, x: np.ndarray) -> np.ndarray:
         """Y = A @ X for a dense block of vectors (batched multi-RHS SpMM).
@@ -490,7 +478,7 @@ class TileSpMV:
         return out
 
     def decode_streams(self):
-        """The operand's contribution stream, or ``None`` when nnz = 0.
+        """The operand's entries as a stream, or ``None`` when nnz = 0.
 
         A ``(rows, cols, vals)`` triple of equal-length arrays listing
         every nonzero in the exact order the operand accumulates them:
@@ -520,24 +508,19 @@ class TileSpMV:
         :meth:`MethodPlan.with_values
         <repro.core.plancache.MethodPlan.with_values>` refills it (and
         DeferredCOO's priced halves) with no sort; a built A.T operand
-        is refilled too.  Payload and view values of the tiled matrix
-        are rebuilt from its operand only if something reads them.
+        is rebuilt by the counting pass that built it.  Payload and view
+        values of the tiled matrix are rebuilt from its operand only if
+        something reads them.
         Returns ``self`` (updated in place; the previous artifacts are
         left untouched for any cached plan sharing them).
         """
-        ref_indptr = (
-            self._orig_indptr if self.reorder is not None else self._indptr
-        )
-        ref_indices = (
-            self._orig_indices if self.reorder is not None else self._indices
-        )
         if sp.issparse(values):
             csr = canonical_csr(values)
             if (
                 csr.shape != self._shape
                 or csr.nnz != self._nnz
-                or not np.array_equal(csr.indptr, ref_indptr)
-                or not np.array_equal(csr.indices, ref_indices)
+                or not np.array_equal(csr.indptr, self._orig_indptr)
+                or not np.array_equal(csr.indices, self._orig_indices)
             ):
                 raise ValueError(
                     "sparsity pattern differs from the prepared matrix; "
@@ -551,8 +534,24 @@ class TileSpMV:
         data = data[self._data_perm] if self._data_perm is not None else data.copy()
         self._adopt(self._mp.with_values(data))
         if self._t_op is not None:
-            self._t_op = refill_operand(self._t_op, data[self._t_slots])
+            self._t_op = self._original_csr().T.tocsr()
         return self
+
+    def validate(self) -> None:
+        """Check that the priced halves encode exactly the operand.
+
+        The tiled half must validate (its payloads decode to its
+        operand) and hold the operand's unextracted entries; the CSR5
+        arrays hold the extracted ones.  Raises ``AssertionError``.
+        """
+        op, tiled, d = self._op, self.tiled, self.deferred_engine
+        m = self._mp.extracted if self._mp.extracted is not None else np.zeros(op.nnz, bool)
+        empty = sp.csr_matrix(op.shape)
+        if tiled is not None:
+            tiled.validate()
+        assert same_csr(tiled.operand if tiled else empty, masked_csr(op, ~m)), "tiled half"
+        csr5 = sp.csr_matrix((d.data, d.indices, d.indptr), shape=op.shape) if d else empty
+        assert same_csr(csr5, masked_csr(op, m)), "CSR5 half"
 
     # -- accounting -----------------------------------------------------------
 

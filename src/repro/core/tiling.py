@@ -5,12 +5,13 @@ three level-1 arrays of §III.B: ``tilePtr`` (offsets of each tile row's
 tiles), ``tileColIdx`` (tile column index of each tile) and ``tileNnz``
 (per-tile nonzero offsets).  Only *occupied* tiles are materialised.
 The nonzero entries come out sorted by (tile, local row, local column),
-which every format encoder relies on.
+which every format encoder relies on.  The tile set keeps the canonical
+CSR matrix it was cut from, which every plan built on it executes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,7 +48,9 @@ class TileSet:
         ``int64 (nnz,)``: permutation mapping canonical-CSR entry order
         to the tile-sorted order (``view.val == csr.data[entry_perm]``).
         This is what lets a plan with the same sparsity pattern take new
-        values without re-sorting (``None`` for hand-built tile sets).
+        values without re-sorting.
+    csr:
+        The canonical CSR matrix the tiles were cut from: the operand.
     """
 
     m: int
@@ -57,7 +60,8 @@ class TileSet:
     tile_colidx: np.ndarray
     tile_rowidx: np.ndarray
     view: TilesView
-    entry_perm: np.ndarray | None = None
+    entry_perm: np.ndarray
+    csr: sp.csr_matrix
 
     @property
     def n_tiles(self) -> int:
@@ -99,37 +103,25 @@ class TileSet:
         starts = np.arange(self.tile_rows, dtype=np.int64) * self.tile
         return np.minimum(self.tile, self.m - starts)
 
-    def with_values(self, new_view_val: np.ndarray) -> "TileSet":
+    def with_values(self, csr_data: np.ndarray) -> "TileSet":
         """A structurally identical tile set carrying new entry values.
 
-        ``new_view_val`` must be in the tile-sorted (view) order.  The
-        level-1 arrays and local coordinates are shared by reference —
-        only the value array is replaced — so this is the cheap half of
-        the ``update_values`` fast path: no sort, no tiling.
+        ``csr_data`` is in canonical CSR order.  The level-1 arrays,
+        local coordinates and CSR index arrays are shared by reference —
+        only the value arrays are replaced — so this is the cheap half
+        of the ``update_values`` fast path: no sort, no tiling.
         """
-        new_view_val = np.asarray(new_view_val, dtype=np.float64)
-        if new_view_val.shape != self.view.val.shape:
+        csr_data = np.asarray(csr_data, dtype=np.float64)
+        if csr_data.shape != self.view.val.shape:
             raise ValueError(
-                f"expected {self.view.val.size} values, got {new_view_val.size}"
+                f"expected {self.view.val.size} values, got {csr_data.size}"
             )
-        view = TilesView(
-            lrow=self.view.lrow,
-            lcol=self.view.lcol,
-            val=new_view_val,
-            offsets=self.view.offsets,
-            eff_h=self.view.eff_h,
-            eff_w=self.view.eff_w,
-            tile=self.view.tile,
-        )
-        return TileSet(
-            m=self.m,
-            n=self.n,
-            tile=self.tile,
-            tile_ptr=self.tile_ptr,
-            tile_colidx=self.tile_colidx,
-            tile_rowidx=self.tile_rowidx,
-            view=view,
-            entry_perm=self.entry_perm,
+        return replace(
+            self,
+            view=replace(self.view, val=csr_data[self.entry_perm]),
+            csr=sp.csr_matrix(
+                (csr_data, self.csr.indices, self.csr.indptr), shape=self.csr.shape
+            ),
         )
 
     def global_rows(self) -> np.ndarray:
@@ -165,7 +157,8 @@ def tile_decompose(
     validation:
         Input-gate policy (see
         :func:`repro.reliability.validation.canonicalize_csr`).  Callers
-        holding an already-canonical matrix pass ``"trust"``.
+        holding an already-canonical matrix pass ``"trust"``; the tile
+        set then keeps that matrix itself as its ``csr``, not a copy.
 
     Returns
     -------
@@ -223,4 +216,5 @@ def tile_decompose(
         tile_rowidx=tile_rowidx,
         view=view,
         entry_perm=order,
+        csr=csr,
     )

@@ -41,9 +41,8 @@ arbitration keeps) and on every grid shape:
   :meth:`spmv_transpose`) multiply **per-block CSR operands**: one per
   row block for forward products, one A.T operand per column block for
   transposes, each assembled once from the shards' operand-order
-  decode streams (:meth:`~repro.core.tilespmv.TileSpMV.decode_streams`)
-  by the single engine's own builder
-  (:func:`~repro.core.storage.csr_operand`).  Each block holds exactly
+  entry streams (:meth:`~repro.core.tilespmv.TileSpMV.decode_streams`),
+  each sorted into canonical order.  Each block holds exactly
   the rows of the single-device operand, so every output entry sums
   its contributions in the single-device sequence.  Summing rounded
   per-shard partials could never do this — float addition is not
@@ -61,7 +60,6 @@ import scipy.sparse as sp
 
 from repro import telemetry as tele
 from repro.core.plancache import PlanCache
-from repro.core.storage import csr_operand
 from repro.core.tilespmv import METHODS, TileSpMV
 from repro.dist import faults as shard_faults
 from repro.dist.faults import DeviceLostError
@@ -510,11 +508,10 @@ class ShardedSpMV:
 
         Forward blocks hold A's rows over all n columns; transposed
         blocks hold A.T's rows (A's columns) over all m rows.  Either
-        way :func:`~repro.core.storage.csr_operand` puts each block in
-        canonical order — exactly the rows of the single-device operand
-        (or of its A.T operand), so each row sums its entries in the
-        single engine's sequence; a block without entries gets an empty
-        operand.
+        way one sort puts each block in canonical order — exactly the
+        rows of the single-device operand (or of its A.T operand), so
+        each row sums its entries in the single engine's sequence; a
+        block without entries gets an empty operand.
         """
         shards = self.partition.shards
         length = self._m if transpose else self._n
@@ -531,9 +528,10 @@ class ShardedSpMV:
                 out_idx.append(o)
                 in_idx.append(self._x_bounds(shards[i], transpose)[0] + j)
                 vals.append(v)
-            blocks.append(csr_operand(np.concatenate(out_idx),
-                                      np.concatenate(in_idx), np.concatenate(vals),
-                                      (hi - lo, length))[0])
+            rows, cols, v = (np.concatenate(p) for p in (out_idx, in_idx, vals))
+            order = np.argsort(rows * length + cols)
+            indptr = np.searchsorted(rows[order], np.arange(hi - lo + 1))
+            blocks.append(sp.csr_matrix((v[order], cols[order], indptr), shape=(hi - lo, length)))
         return blocks
 
     def _overlap_product(self, x: np.ndarray, transpose: bool,

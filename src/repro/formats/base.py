@@ -9,12 +9,13 @@ dataclass; they never see the rest of the matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import IntEnum
 
 import numpy as np
 
 from repro.util.segments import (
+    lengths_to_offsets,
     offsets_to_lengths,
     repeat_offsets,
     segment_histogram,
@@ -130,6 +131,17 @@ class TilesView:
         is_start[1:] = key[1:] != key[:-1]
         run_start = np.maximum.accumulate(np.where(is_start, np.arange(key.size), 0))
         return np.arange(key.size) - run_start
+
+    def masked(self, keep: np.ndarray) -> "TilesView":
+        """The entries the boolean ``keep`` selects; every tile stays."""
+        kept_before = lengths_to_offsets(keep)
+        return replace(
+            self,
+            lrow=self.lrow[keep],
+            lcol=self.lcol[keep],
+            val=self.val[keep],
+            offsets=kept_before[self.offsets],
+        )
 
     def select(self, mask_or_idx: np.ndarray) -> "TilesView":
         """A new view restricted to the given tiles (mask or index array)."""

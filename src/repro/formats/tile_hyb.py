@@ -15,7 +15,6 @@ import numpy as np
 from repro.formats.base import VALUE_BYTES, TilesView
 from repro.formats.tile_coo import TileCOOData, encode_coo
 from repro.formats.tile_ell import TileELLData, encode_ell
-from repro.util.segments import lengths_to_offsets
 
 __all__ = ["TileHYBData", "encode_hyb", "hyb_split_widths"]
 
@@ -87,29 +86,11 @@ def encode_hyb(view: TilesView, widths: np.ndarray | None = None) -> TileHYBData
     if widths is None:
         widths = hyb_split_widths(view)
     widths = np.asarray(widths, dtype=np.int64)
-    tile_of_entry = view.tile_of_entry()
-    pos = view.pos_in_row()
-    to_ell = pos < widths[tile_of_entry]
-
-    def _subview(mask: np.ndarray) -> TilesView:
-        lengths = np.bincount(tile_of_entry[mask], minlength=view.n_tiles)
-        offsets = lengths_to_offsets(lengths)
-        return TilesView(
-            lrow=view.lrow[mask],
-            lcol=view.lcol[mask],
-            val=view.val[mask],
-            offsets=offsets,
-            eff_h=view.eff_h,
-            eff_w=view.eff_w,
-            tile=view.tile,
-        )
-
-    ell_view = _subview(to_ell)
-    coo_view = _subview(~to_ell)
-    ell = encode_ell(ell_view)
+    to_ell = view.pos_in_row() < widths[view.tile_of_entry()]
+    ell = encode_ell(view.masked(to_ell))
     # Force the searched width even when a tile's ELL part is empty but
     # the search still chose w=0 (encode_ell would agree) — assert parity.
     if not np.array_equal(ell.width.astype(np.int64), widths):
         raise AssertionError("ELL part width disagrees with the split search")
-    coo = encode_coo(coo_view)
+    coo = encode_coo(view.masked(~to_ell))
     return TileHYBData(ell=ell, coo=coo)

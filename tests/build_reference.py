@@ -19,7 +19,6 @@ import scipy.sparse as sp
 import repro.baselines.csr_scalar
 import repro.baselines.hyb_global
 import repro.baselines.merge
-import repro.core.deferred
 import repro.core.kernels.costs
 import repro.core.storage
 import repro.core.tilespmv
@@ -103,6 +102,17 @@ def row_gather_sectors(indptr: np.ndarray, indices: np.ndarray) -> int:
     return int(np.unique(key).size)
 
 
+def transposed_gather_sectors(engine) -> int:
+    """CSR5's distinct x sectors per 32-lane gather step, by ``np.unique``."""
+    if engine.nnz == 0:
+        return 0
+    valid = engine.stored_valid
+    step = np.flatnonzero(valid) // WARP_SIZE
+    n_sectors = int(engine.stored_col[valid].max()) // X_SECTOR_DOUBLES + 1
+    key = step * n_sectors + engine.stored_col[valid] // X_SECTOR_DOUBLES
+    return int(np.unique(key).size)
+
+
 # -- encoders -------------------------------------------------------------
 
 
@@ -167,7 +177,8 @@ def tile_decompose(matrix, tile: int = 16, validation: str = "repair") -> TileSe
     """Tile decomposition by ``np.lexsort`` + ``np.unique``."""
     from repro.reliability.validation import canonicalize_csr
 
-    coo = canonicalize_csr(matrix, validation)[0].tocoo()
+    csr = canonicalize_csr(matrix, validation)[0]
+    coo = csr.tocoo()
     m, n = coo.shape
     rows, cols = coo.row.astype(np.int64), coo.col.astype(np.int64)
     lrow = (rows % tile).astype(np.uint8)
@@ -190,8 +201,17 @@ def tile_decompose(matrix, tile: int = 16, validation: str = "repair") -> TileSe
         m=m, n=n, tile=tile,
         tile_ptr=lengths_to_offsets(tiles_per_row),
         tile_colidx=tile_colidx, tile_rowidx=tile_rowidx,
-        view=view, entry_perm=order,
+        view=view, entry_perm=order, csr=csr,
     )
+
+
+def remainder(csr: sp.csr_matrix, drop: np.ndarray) -> sp.csr_matrix:
+    """``csr`` without the entries ``drop`` masks (canonical order), by a
+    row search over the kept entries."""
+    keep = ~drop
+    rows = repeat_offsets(csr.indptr)[keep]
+    indptr = np.searchsorted(rows, np.arange(csr.shape[0] + 1))
+    return sp.csr_matrix((csr.data[keep], csr.indices[keep], indptr), shape=csr.shape)
 
 
 def patch_in(monkeypatch) -> None:
@@ -204,7 +224,6 @@ def patch_in(monkeypatch) -> None:
     monkeypatch.setitem(repro.core.storage._ENCODERS, FormatID.HYB, encode_hyb)
     monkeypatch.setattr(repro.core.storage, "encode_hyb", encode_hyb)
     monkeypatch.setattr(repro.core.tilespmv, "tile_decompose", tile_decompose)
-    monkeypatch.setattr(repro.core.deferred, "tile_decompose", tile_decompose)
     monkeypatch.setattr(costs, "coo_costs", coo_costs)
     monkeypatch.setattr(costs, "dnscol_costs", dnscol_costs)
     for mod in (repro.baselines.csr_scalar, repro.baselines.merge, repro.baselines.hyb_global):

@@ -1,11 +1,13 @@
 """Plan build and pricing without scatters or sort-based distinct counts.
 
-Differential tests of the tiling, selection and kernel-cost helpers
-against the references in :mod:`tests.build_reference`, one end-to-end
-comparison of whole plans built with every reference patched in, and a
-source guard that keeps ``<ufunc>.at``, ``np.unique`` and ``np.lexsort``
-off the plan-build modules and the sharded combine (whose products
-multiply cached block operands instead of re-sorting streams per call).
+Differential tests of the tiling, selection, DeferredCOO split and
+kernel-cost helpers against the references in :mod:`tests.build_reference`,
+one end-to-end comparison of whole plans built with every reference
+patched in, and source guards: one keeps ``<ufunc>.at``, ``np.unique``
+and ``np.lexsort`` off the plan-build modules and the sharded combine
+(whose products multiply cached block operands instead of re-sorting
+streams per call), one keeps ``np.argsort`` off the modules that build
+the executing operand (the canonical input, never re-sorted).
 """
 
 import ast
@@ -15,10 +17,12 @@ import numpy as np
 import pytest
 
 import repro.baselines.common
+import repro.baselines.csr5
 import repro.core.deferred
 import repro.core.kernels.costs as costs
 import repro.core.plancache
 import repro.core.selection
+import repro.core.tilespmv
 import repro.core.tiling
 import repro.dist.procpool
 import repro.dist.sharded
@@ -27,10 +31,13 @@ import repro.formats.tile_bitmap
 import repro.formats.tile_csr
 import repro.formats.tile_hyb
 from repro import TileSpMV
+from repro.baselines.csr5 import Csr5SpMV
 from repro.baselines.csr_scalar import CsrScalarSpMV
+from repro.core.deferred import split_deferred_coo
 from repro.core.selection import SelectionConfig, compute_tile_stats, select_formats
 from repro.core.tiling import tile_decompose
 from repro.formats.base import FormatID
+from repro.matrices import banded, fem_blocks, power_law
 from tests import build_reference as ref
 
 TILED = [(name, a, policy, tile) for name, a, policy in ref.cases() for tile in (4, 8, 16)]
@@ -62,6 +69,31 @@ def test_distinct_sectors_match_unique():
         assert costs._distinct_sectors_per_tile(lcol, offsets) == ref.distinct_sectors_per_tile(
             lcol, offsets
         )
+
+
+@pytest.mark.parametrize("name,a,policy,tile", TILED, ids=TILED_IDS)
+def test_deferred_remainder_matches_fresh_tiling(name, a, policy, tile):
+    """The masked tile set equals tiling the remaining matrix from scratch."""
+    ts = tile_decompose(a, tile=tile, validation=policy)
+    split = split_deferred_coo(ts)
+    c = ts.csr
+    if split.tiled is None:
+        assert split.extracted.all()
+        return
+    want = tile_decompose(ref.remainder(c, split.extracted), tile=tile, validation=policy)
+    assert ref.flat(split.tiled.tileset) == ref.flat(want)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [power_law(3000, avg_degree=8, seed=1), fem_blocks(800, seed=2), banded(2000, 8, seed=3)]
+    + [a for _, a, _ in ref.cases()],
+    ids=["power_law", "fem_blocks", "banded"] + [name for name, _, _ in ref.cases()],
+)
+@pytest.mark.parametrize("sigma", [None, 4, 16])
+def test_csr5_transposed_gather_sectors_match_unique(a, sigma):
+    engine = Csr5SpMV(a, sigma=sigma, validation="trust")
+    assert engine.transposed_gather_sectors() == ref.transposed_gather_sectors(engine)
 
 
 @pytest.mark.parametrize("name,a,policy,tile", TILED, ids=TILED_IDS)
@@ -128,19 +160,25 @@ GUARDED = (
     repro.core.plancache,
     costs,
     repro.baselines.common,
+    repro.baselines.csr5,
+    repro.core.tilespmv,
     repro.dist.sharded,
     repro.dist.procpool,
 )
 
+# The modules that build and refill the executing operand.
+OPERAND_BUILDERS = (repro.core.tilespmv, repro.core.plancache, repro.core.deferred)
 
-def _scatters_and_sorts(source: str) -> list[str]:
-    """``<ufunc>.at(`` scatters and ``np.unique``/``np.lexsort`` calls."""
+
+def _scatters_and_sorts(source: str, names=("at", "unique", "lexsort")) -> list[str]:
+    """Calls of the attributes ``names``: by default ``<ufunc>.at(``
+    scatters and ``np.unique``/``np.lexsort``."""
     offenders = []
     for node in ast.walk(ast.parse(source)):
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("at", "unique", "lexsort")
+            and node.func.attr in names
         ):
             offenders.append(f"{node.lineno}: {ast.unparse(node.func)}")
     return offenders
@@ -149,8 +187,14 @@ def _scatters_and_sorts(source: str) -> list[str]:
 def test_guard_sees_scatters_and_sorts():
     src = "def f(a, i, k):\n    np.add.at(a, i, 1)\n    np.unique(k)\n    return np.lexsort((k, i))\n"
     assert _scatters_and_sorts(src) == ["2: np.add.at", "3: np.unique", "4: np.lexsort"]
+    assert _scatters_and_sorts("o = np.argsort(k)\n", ("argsort",)) == ["1: np.argsort"]
 
 
 @pytest.mark.parametrize("module", GUARDED, ids=[m.__name__ for m in GUARDED])
 def test_plan_build_has_no_scatter_or_sort_count(module):
     assert _scatters_and_sorts(inspect.getsource(module)) == []
+
+
+@pytest.mark.parametrize("module", OPERAND_BUILDERS, ids=[m.__name__ for m in OPERAND_BUILDERS])
+def test_operand_path_has_no_argsort(module):
+    assert _scatters_and_sorts(inspect.getsource(module), ("argsort",)) == []

@@ -8,9 +8,10 @@ touches:
 
 * **row-only** transforms (SELL-C-σ sorting, CMRS blocking): spmv,
   spmm and spmv_transpose are **bit-for-bit** equal to the unreordered
-  plan.  Every format decodes each row's entries in ascending column
-  order, so a row permutation changes neither any row's accumulation
-  sequence (spmv/spmm) nor the canonical (col, row) transpose replay.
+  plan.  The operand is the permuted canonical matrix, each row's
+  entries in ascending column order, so a row permutation changes
+  neither any row's accumulation sequence (spmv/spmm) nor the
+  canonical (col, row) transpose.
 * **column-permuting** chains (anything containing rcm): the transpose
   stays bit-for-bit (the replay sorts by *original* (col, row), the
   same canonical order the unreordered engine accumulates in), while
