@@ -68,8 +68,7 @@ def split_deferred_coo(
     if formats is None:
         formats = select_formats(tileset, config)
     view = tileset.view
-    tile_of_entry = view.tile_of_entry()
-    entry_fmt = formats[tile_of_entry]
+    entry_fmt = view.per_entry(formats)
 
     extract = entry_fmt == FormatID.COO
     hyb_ids = np.flatnonzero(formats == FormatID.HYB)
@@ -80,7 +79,7 @@ def split_deferred_coo(
         width_of_tile = np.zeros(tileset.n_tiles, dtype=np.int64)
         width_of_tile[hyb_ids] = widths
         pos = view.pos_in_row()
-        overflow = (entry_fmt == FormatID.HYB) & (pos >= width_of_tile[tile_of_entry])
+        overflow = (entry_fmt == FormatID.HYB) & (pos >= view.per_entry(width_of_tile))
         extract |= overflow
 
     extracted = np.empty(tileset.nnz, dtype=bool)

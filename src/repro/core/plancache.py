@@ -86,8 +86,9 @@ def structural_fingerprint(
     h.update(repr(selection).encode())
     if extra:
         h.update(extra.encode())
-    h.update(np.ascontiguousarray(csr.indptr, dtype=np.int64).tobytes())
-    h.update(np.ascontiguousarray(csr.indices, dtype=np.int64).tobytes())
+    # hashlib reads each array's buffer in place.
+    h.update(np.ascontiguousarray(csr.indptr, dtype=np.int64))
+    h.update(np.ascontiguousarray(csr.indices, dtype=np.int64))
     return h.hexdigest()
 
 
@@ -144,11 +145,19 @@ class CachedPlan:
 
     key: str
     tileset: TileSet
-    values_digest: str
     formats: np.ndarray | None = None  # ADPT selection vector (lazy)
     schedule: WarpSchedule | None = None  # full-tileset schedule (lazy)
     methods: dict = field(default_factory=dict)  # build method -> MethodPlan
     tilings_saved: int = 0  # constructions served without re-tiling
+    # value_digest of the plan's values; only a cache hit reads it.
+    _digest: str | None = field(default=None, init=False, repr=False)
+
+    def values_digest(self) -> str:
+        """Digest of the values the plan holds, computed on first read
+        from the plan's own tile set (a miss never pays for it)."""
+        if self._digest is None:
+            self._digest = value_digest(self.tileset.csr.data)
+        return self._digest
 
     def refresh_values(self, csr_data: np.ndarray, digest: str) -> None:
         """Swap in a new value array, keeping every structural artifact.
@@ -166,7 +175,7 @@ class CachedPlan:
         self.tileset = self.tileset.with_values(data)
         for name, mp in list(self.methods.items()):
             self.methods[name] = mp.with_values(data)
-        self.values_digest = digest
+        self._digest = digest
 
 
 class PlanCache:

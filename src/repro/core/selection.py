@@ -63,32 +63,41 @@ class TileStats:
 def compute_tile_stats(tileset: TileSet) -> TileStats:
     """Vectorised per-tile statistics over the whole matrix."""
     view = tileset.view
-    counts = view.counts().astype(np.float64)
+    nnz = view.counts()
+    counts = nnz.astype(np.float64)
     eff_h = view.eff_h.astype(np.float64)
-    eff_w_i = view.eff_w.astype(np.int64)
-    eff_h_i = view.eff_h.astype(np.int64)
     rc = view.row_counts()
-    cc = view.col_counts()
-    # Rows beyond eff_h hold zero counts, so plain row sums are exact.
-    sumsq = (rc.astype(np.float64) ** 2).sum(axis=1)
+    # Rows beyond eff_h hold zero counts, so plain row sums are exact;
+    # squared integer counts sum exactly in any order.
+    sumsq = np.square(rc, dtype=np.float64) @ np.ones(view.tile)
     mean = counts / eff_h
     var = np.maximum(sumsq / eff_h - mean**2, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         variation = np.where(mean > 0, np.sqrt(var) / mean, 0.0)
-    rows_all_dense = np.logical_and(
-        counts > 0,
-        np.all((rc == 0) | (rc == eff_w_i[:, None]), axis=1),
-    )
-    cols_all_dense = np.logical_and(
-        counts > 0,
-        np.all((cc == 0) | (cc == eff_h_i[:, None]), axis=1),
-    )
+    # A tile whose occupied rows (columns) are all full holds a whole
+    # number of them: only those few candidates need the per-line test.
+    row_candidates = _whole_lines(nnz, view.eff_w)
+    col_candidates = _whole_lines(nnz, view.eff_h)
     return TileStats(
-        nnz=view.counts(),
+        nnz=nnz,
         variation=variation,
-        rows_all_dense=rows_all_dense,
-        cols_all_dense=cols_all_dense,
+        rows_all_dense=_all_full(rc[row_candidates], view.eff_w[row_candidates], row_candidates),
+        cols_all_dense=_all_full(
+            view.select(col_candidates).col_counts(), view.eff_h[col_candidates], col_candidates
+        ),
     )
+
+
+def _whole_lines(nnz: np.ndarray, length: np.ndarray) -> np.ndarray:
+    return (nnz > 0) & (nnz % length.astype(np.int64) == 0)
+
+
+def _all_full(line_counts: np.ndarray, length: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Per tile: a candidate whose every occupied line holds ``length``."""
+    out = np.zeros(candidates.size, dtype=bool)
+    full = line_counts == length.astype(np.int16)[:, None]
+    out[candidates] = np.all((line_counts == 0) | full, axis=1)
+    return out
 
 
 def select_formats(

@@ -36,7 +36,7 @@ from repro.formats import (
 )
 from repro.gpu import faults
 from repro.gpu.costmodel import RunCost
-from repro.util.segments import lengths_to_offsets, repeat_offsets
+from repro.util.segments import lengths_to_offsets, repeat_offsets, run_starts
 
 __all__ = [
     "TileMatrix",
@@ -152,6 +152,17 @@ def _refill_payload(payload, entry: tuple, view_val: np.ndarray):
     return replace(payload, val=view_val[entry[1]])
 
 
+def _rank_among_equal(keys: np.ndarray) -> np.ndarray:
+    """Rank of each key among the equal keys before it in ``keys``."""
+    order = np.argsort(keys, kind="stable")
+    starts = run_starts(keys[order])
+    ranked = np.arange(keys.size, dtype=np.int64)
+    ranked -= np.repeat(starts, np.diff(starts, append=keys.size))
+    rank = np.empty_like(ranked)
+    rank[order] = ranked
+    return rank
+
+
 class TileMatrix:
     """A sparse matrix in the two-level TileSpMV representation.
 
@@ -229,18 +240,24 @@ class TileMatrix:
         tile = self._tileset.tile
         view = self._tileset.view
         # View entries are sorted by (tile, lrow, lcol), so this key is
-        # strictly increasing over the view — searchsorted inverts it.
+        # non-decreasing over the view — searchsorted inverts it.  Equal
+        # keys are duplicates (kept under ``validation="trust"``); every
+        # decoder emits them in view order, so the k-th decoded one is
+        # the k-th in the view.
         view_keys = (
             view.tile_of_entry() * (tile * tile)
             + view.lrow.astype(np.int64) * tile
             + view.lcol.astype(np.int64)
         )
+        has_duplicates = bool(np.any(view_keys[1:] == view_keys[:-1]))
         maps: dict = {}
         for fmt, payload in self._payloads.items():
             t_local, lrow, lcol, _ = _decode_with_tiles(fmt, payload)
             gid = self.tile_ids[fmt][t_local]
             keys = gid * (tile * tile) + lrow.astype(np.int64) * tile + lcol.astype(np.int64)
             vidx = np.searchsorted(view_keys, keys)
+            if has_duplicates:
+                vidx += _rank_among_equal(keys)
             if fmt == FormatID.HYB:
                 # HYB decodes its ELL part (mask-compacted) then its COO
                 # part (dense); split the map at the seam.
@@ -453,7 +470,8 @@ class TileMatrix:
         assert int(ts.tile_nnz[-1]) == ts.nnz, "tileNnz must cover all entries"
         assert self.formats.size == ts.n_tiles
         covered = np.concatenate([v for v in self.tile_ids.values()]) if self.tile_ids else np.zeros(0, np.int64)
-        assert covered.size == ts.n_tiles and np.unique(covered).size == ts.n_tiles, (
+        in_range = covered.size == 0 or (covered.min() >= 0 and covered.max() < ts.n_tiles)
+        assert in_range and np.all(np.bincount(covered, minlength=ts.n_tiles) == 1), (
             "every tile must belong to exactly one format payload"
         )
         # The operand: shape, one slot per entry, monotone indptr, and

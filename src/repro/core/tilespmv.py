@@ -209,19 +209,18 @@ class TileSpMV:
                 t1 = time.perf_counter()
                 tileset = tile_decompose(csr, tile=tile, validation="trust")
                 build_seconds += time.perf_counter() - t1
-                plan = CachedPlan(
-                    key=self.plan_key or "",
-                    tileset=tileset,
-                    values_digest=value_digest(csr.data) if plan_cache is not None else "",
-                )
+                plan = CachedPlan(key=self.plan_key or "", tileset=tileset)
                 if plan_cache is not None:
                     plan_cache.put(self.plan_key, plan)
-            elif plan.values_digest != value_digest(csr.data):
-                # Same pattern, new numbers: refresh payload values in place
-                # of re-tiling/re-selecting (the update_values fast path).
-                t1 = time.perf_counter()
-                plan.refresh_values(csr.data, value_digest(csr.data))
-                build_seconds += time.perf_counter() - t1
+            else:
+                digest = value_digest(csr.data)
+                if plan.values_digest() != digest:
+                    # Same pattern, new numbers: refresh payload values in
+                    # place of re-tiling/re-selecting (the update_values
+                    # fast path).
+                    t1 = time.perf_counter()
+                    plan.refresh_values(csr.data, digest)
+                    build_seconds += time.perf_counter() - t1
             self._plan = plan
             self._shape = plan.tileset.m, plan.tileset.n
             self._nnz = plan.tileset.nnz

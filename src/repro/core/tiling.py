@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.formats.base import TilesView
-from repro.util.segments import lengths_to_offsets, run_starts
+from repro.util.segments import lengths_to_offsets, run_starts, stable_key_order
 
 __all__ = ["TileSet", "tile_decompose"]
 
@@ -143,14 +143,17 @@ def tile_decompose(
     The tile sort relies on the canonical row-major order the input gate
     returns under every policy: rows in order, column indices
     non-decreasing within each row (``trust`` sorts unsorted rows but
-    keeps duplicates).  One stable sort on the tile key then leaves each
-    tile's entries in (local row, local column) order, duplicates in
-    their CSR order.
+    keeps duplicates).  Each row's entries inside one tile are therefore
+    consecutive: a *segment*.  One stable sort of the segments on the
+    tile key, expanded back to entries, leaves each tile's entries in
+    (local row, local column) order, duplicates in their CSR order — the
+    stable sort of every entry on the tile key, over a fraction of the
+    items.
 
     Parameters
     ----------
     matrix:
-        Any scipy sparse matrix; converted to COO coordinates internally.
+        Any scipy sparse matrix; its canonical CSR is tiled directly.
     tile:
         Tile edge length.  The paper fixes 16; 4/8/16 are supported (the
         4-bit index packing requires <= 16).
@@ -171,37 +174,47 @@ def tile_decompose(
     from repro.reliability.validation import canonicalize_csr
 
     csr, _ = canonicalize_csr(matrix, validation)
-    coo = csr.tocoo()
-    m, n = coo.shape
-    rows = coo.row.astype(np.int64)
-    cols = coo.col.astype(np.int64)
-    vals = coo.data.astype(np.float64)
-    trow = rows // tile
-    tcol = cols // tile
-    lrow = (rows % tile).astype(np.uint8)
-    lcol = (cols % tile).astype(np.uint8)
+    m, n = csr.shape
+    indptr = np.asarray(csr.indptr, dtype=np.int64)
+    indices = csr.indices
+    nnz = int(indptr[-1])
+    tile_rows_total = -(-m // tile)
     tile_cols_total = -(-n // tile)
-    tile_key = trow * tile_cols_total + tcol
-    # Stable: canonical CSR order already sorts each tile's entries.
-    order = np.argsort(tile_key, kind="stable")
-    tile_key = tile_key[order]
-    lrow = lrow[order]
-    lcol = lcol[order]
-    vals = vals[order]
-    starts = run_starts(tile_key)
-    offsets = np.append(starts, tile_key.size)
-    uniq_keys = tile_key[starts]
+    # Per-entry arithmetic stays in the CSR's own (usually int32) dtype.
+    tcol = indices // tile
+    # A segment starts at every row start and wherever the tile column
+    # changes inside a row.
+    is_start = np.empty(nnz, dtype=bool)
+    if nnz:
+        is_start[0] = True
+        np.not_equal(tcol[1:], tcol[:-1], out=is_start[1:])
+        is_start[indptr[:-1][np.diff(indptr) > 0]] = True
+    seg_start = np.flatnonzero(is_start)
+    segs_per_row = np.diff(np.searchsorted(seg_start, indptr))
+    rows = np.arange(m, dtype=np.int64)
+    seg_key = np.repeat((rows // tile) * tile_cols_total, segs_per_row) + tcol[seg_start]
+    # Stable: canonical CSR order already sorts each tile's segments.
+    seg_order = stable_key_order(seg_key, tile_rows_total * tile_cols_total)
+    seg_key = seg_key[seg_order]
+    seg_len = np.diff(seg_start, append=nnz)[seg_order]
+    seg_offsets = lengths_to_offsets(seg_len)
+    # View position p of sorted segment s holds entry
+    # seg_start[s] + (p - seg_offsets[s]).
+    order = np.repeat(seg_start[seg_order] - seg_offsets[:-1], seg_len)
+    order += np.arange(nnz, dtype=np.int64)
+    first_seg = run_starts(seg_key)
+    offsets = np.append(seg_offsets[first_seg], nnz)
+    uniq_keys = seg_key[first_seg]
     tile_rowidx = uniq_keys // tile_cols_total
     tile_colidx = uniq_keys % tile_cols_total
-    tile_rows_total = -(-m // tile)
     tiles_per_row = np.bincount(tile_rowidx, minlength=tile_rows_total)
     tile_ptr = lengths_to_offsets(tiles_per_row)
     eff_h = np.minimum(tile, m - tile_rowidx * tile).astype(np.uint8)
     eff_w = np.minimum(tile, n - tile_colidx * tile).astype(np.uint8)
     view = TilesView(
-        lrow=lrow,
-        lcol=lcol,
-        val=vals,
+        lrow=np.repeat((rows % tile).astype(np.uint8), np.diff(indptr))[order],
+        lcol=(indices - tcol * tile).astype(np.uint8)[order],
+        val=np.asarray(csr.data, dtype=np.float64)[order],
         offsets=offsets,
         eff_h=eff_h,
         eff_w=eff_w,

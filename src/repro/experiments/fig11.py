@@ -7,11 +7,13 @@ CSR -> TileSpMV_DeferredCOO conversion; the serial SpMV is scipy's
 ratio varies from <1x (ldoor) to ~10x (mip1) depending on structure.
 
 The plan build counts, packs and sorts in single passes (``bincount``
-grids, sorted runs, presence grids, one stable tile sort) instead of
-``np.add.at`` scatters and ``np.lexsort``/``np.unique``.  On a 2-vCPU
-host that took the median ratio from 700x to 379x and the total
-preprocessing over the 16 matrices from 12.6 s to 6.9 s (medians of
-three alternating runs each).
+grids, sorted runs, presence grids, one sort of row segments) and
+derives each per-entry array once, in a narrow dtype.  On a 2-vCPU
+host, six alternating runs read a median ratio of 193x when the
+build still sorted every entry on an int64 key, fully inspected clean
+inputs, hashed every value on a cache miss and recomputed row counts
+and tile indices per pass, and 139x after (medians of the six
+runs' medians).
 """
 
 from __future__ import annotations
@@ -61,7 +63,8 @@ def run(scale: str = "small") -> str:
         f"\nRatio range {ratios.min():.1f}x .. {ratios.max():.1f}x (median {np.median(ratios):.1f}x). "
         "Paper: <1x (ldoor) up to ~10x (mip1) — structure dependent. Note our preprocessing "
         "is vectorised NumPy while the serial SpMV is compiled C, so absolute ratios skew high; "
-        "the single-pass plan build halved them (median 700x -> 379x on a 2-vCPU host)."
+        "deriving each per-entry array once took the median from 193x to 139x "
+        "(six alternating runs on a 2-vCPU host)."
     )
 
 

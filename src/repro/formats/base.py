@@ -18,8 +18,6 @@ from repro.util.segments import (
     lengths_to_offsets,
     offsets_to_lengths,
     repeat_offsets,
-    segment_histogram,
-    segment_local_index,
 )
 
 __all__ = ["FormatID", "FORMAT_NAMES", "TilesView", "VALUE_BYTES"]
@@ -88,9 +86,16 @@ class TilesView:
         """View-local tile index of every entry."""
         return repeat_offsets(self.offsets)
 
+    def per_entry(self, per_tile: np.ndarray) -> np.ndarray:
+        """``per_tile[tile_of_entry()]``, in ``per_tile``'s dtype.
+
+        One ``repeat`` over the tile counts: no tile index is built.
+        """
+        return np.repeat(per_tile, self.counts())
+
     def entry_rank(self) -> np.ndarray:
         """Position of each entry within its tile."""
-        return segment_local_index(self.offsets)
+        return np.arange(self.nnz, dtype=np.int64) - self.per_entry(self.offsets[:-1])
 
     def counts(self) -> np.ndarray:
         """Nonzeros per tile."""
@@ -113,24 +118,27 @@ class TilesView:
         return self._local_counts(self.lcol)
 
     def _local_counts(self, local: np.ndarray) -> np.ndarray:
-        return segment_histogram(
-            self.tile_of_entry(), local, self.n_tiles, self.tile
-        ).astype(np.int16)
+        key = self.per_entry(np.arange(0, self.n_tiles * self.tile, self.tile, dtype=np.int64))
+        key += local
+        counts = np.bincount(key, minlength=self.n_tiles * self.tile)
+        return counts.reshape(self.n_tiles, self.tile).astype(np.int16)
 
     def pos_in_row(self) -> np.ndarray:
         """Rank of each entry within its (tile, row) group.
 
         Relies on the (tile, lrow, lcol) sort order: entries of one row
-        are consecutive, so the rank is a running index reset at row
-        starts.
+        are consecutive, so a run starts where the local row changes or
+        a tile begins, and the rank counts from the run's start.
         """
-        t = self.tile_of_entry()
-        key = t * self.tile + self.lrow.astype(np.int64)
-        # Start of each (tile,row) run -> subtract run start from arange.
-        is_start = np.ones(key.size, dtype=bool)
-        is_start[1:] = key[1:] != key[:-1]
-        run_start = np.maximum.accumulate(np.where(is_start, np.arange(key.size), 0))
-        return np.arange(key.size) - run_start
+        n = self.nnz
+        is_start = np.empty(n, dtype=bool)
+        if n:
+            is_start[0] = True
+            np.not_equal(self.lrow[1:], self.lrow[:-1], out=is_start[1:])
+            tile_starts = self.offsets[:-1]
+            is_start[tile_starts[tile_starts < n]] = True
+        starts = np.flatnonzero(is_start)
+        return np.arange(n, dtype=np.int64) - np.repeat(starts, np.diff(starts, append=n))
 
     def masked(self, keep: np.ndarray) -> "TilesView":
         """The entries the boolean ``keep`` selects; every tile stays."""
@@ -149,12 +157,11 @@ class TilesView:
         if idx.dtype == bool:
             idx = np.flatnonzero(idx)
         lengths = self.counts()[idx]
-        new_offsets = np.zeros(idx.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=new_offsets[1:])
-        # Gather entry ranges tile by tile without a Python loop: build
-        # the source index of every kept entry.
-        starts = self.offsets[idx]
-        src = np.repeat(starts, lengths) + segment_local_index(new_offsets)
+        new_offsets = lengths_to_offsets(lengths)
+        # Source of every kept entry: its tile's old start plus its rank,
+        # i.e. the new position shifted by a per-tile constant.
+        src = np.repeat(self.offsets[idx] - new_offsets[:-1], lengths)
+        src += np.arange(src.size, dtype=np.int64)
         return TilesView(
             lrow=self.lrow[src],
             lcol=self.lcol[src],

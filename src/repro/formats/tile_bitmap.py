@@ -64,9 +64,8 @@ def encode_bitmap(view: TilesView) -> TileBitmapData:
     if view.tile != 16:
         raise ValueError("the bitmap format is defined for 16x16 tiles")
     n = view.n_tiles
-    tile_of_entry = view.tile_of_entry()
-    bit = view.lrow.astype(np.int64) * view.tile + view.lcol.astype(np.int64)
-    byte_idx = tile_of_entry * BITMAP_BYTES + bit // 8
+    bit = view.lrow.astype(np.int64) * view.tile + view.lcol
+    byte_idx = view.per_entry(np.arange(0, n * BITMAP_BYTES, BITMAP_BYTES, dtype=np.int64)) + bit // 8
     bitmap = np.zeros(n * BITMAP_BYTES, dtype=np.uint8)
     # Entries are sorted (tile, lrow, lcol) == bit order, so ``byte_idx``
     # is non-decreasing: OR each run of equal bytes into one value.

@@ -116,9 +116,8 @@ def encode_csr(view: TilesView) -> TileCSRData:
     bytes_per_tile = (counts + 1) // 2
     byte_offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(bytes_per_tile, out=byte_offsets[1:])
-    tile_of_entry = view.tile_of_entry()
     rank = view.entry_rank()
-    byte_idx = byte_offsets[tile_of_entry] + rank // 2
+    byte_idx = view.per_entry(byte_offsets[:-1]) + rank // 2
     colidx = np.zeros(int(byte_offsets[-1]), dtype=np.uint8)
     hi = (rank % 2) == 0
     nib = view.lcol.astype(np.uint8)

@@ -62,9 +62,7 @@ def encode_dns(view: TilesView) -> TileDnsData:
     slot_offsets = lengths_to_offsets(slots_per_tile)
     val = np.zeros(int(slot_offsets[-1]), dtype=np.float64)
     valid = np.zeros(val.size, dtype=bool)
-    tile_of_entry = view.tile_of_entry()
-    h = heights[tile_of_entry]
-    dst = slot_offsets[tile_of_entry] + view.lcol.astype(np.int64) * h + view.lrow.astype(np.int64)
+    dst = view.per_entry(slot_offsets[:-1]) + view.lcol * view.per_entry(heights) + view.lrow
     val[dst] = view.val
     valid[dst] = True
     return TileDnsData(

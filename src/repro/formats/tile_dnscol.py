@@ -59,24 +59,34 @@ def encode_dnscol(view: TilesView) -> TileDnsColData:
     """Encode every tile of ``view`` in the DnsCol format.
 
     Requires every occupied column to hold exactly ``eff_h`` entries.
-    Values are re-sorted column-major (the view arrives row-major).
+    Values are stored column-major (the view arrives row-major): each
+    entry's slot follows from its tile's first slot, the occupied
+    columns left of its own, and its row — no sort.
     """
     cc = view.col_counts()  # (n, tile)
     occupied = cc > 0
-    full = cc == view.eff_h.astype(np.int64)[:, None]
+    eff_h = view.eff_h.astype(np.int64)
+    full = cc == eff_h[:, None]
     if not bool(np.all(~occupied | full)):
         raise ValueError("DnsCol tile has a partially-filled column")
     cols_per_tile = occupied.sum(axis=1)
     col_offsets = lengths_to_offsets(cols_per_tile)
-    # Re-sort entries to (tile, lcol, lrow) for column-contiguous storage.
-    tile_of_entry = view.tile_of_entry()
-    order = np.lexsort((view.lrow, view.lcol, tile_of_entry))
     val_offsets = lengths_to_offsets(cc.sum(axis=1))
+    # Rank of each occupied column among its tile's occupied columns.
+    col_rank = np.cumsum(occupied, axis=1) - 1
+    tile_of_entry = view.tile_of_entry()
+    slot = (
+        val_offsets[tile_of_entry]
+        + col_rank[tile_of_entry, view.lcol] * eff_h[tile_of_entry]
+        + view.lrow
+    )
+    val = np.empty(view.nnz, dtype=np.float64)
+    val[slot] = view.val
     tile_grid, col_grid = np.nonzero(occupied)
     return TileDnsColData(
         colidx=col_grid.astype(np.uint8),
         col_offsets=col_offsets,
-        val=np.asarray(view.val, dtype=np.float64)[order].copy(),
+        val=val,
         val_offsets=val_offsets,
         eff_h=view.eff_h.astype(np.uint8),
         tile=view.tile,

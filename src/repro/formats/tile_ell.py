@@ -80,9 +80,7 @@ def encode_ell(view: TilesView) -> TileELLData:
     val = np.zeros(n_slots, dtype=np.float64)
     lcol_slots = np.zeros(n_slots, dtype=np.uint8)
     valid = np.zeros(n_slots, dtype=bool)
-    tile_of_entry = view.tile_of_entry()
-    pos = view.pos_in_row()
-    dst = slot_offsets[tile_of_entry] + pos * t + view.lrow.astype(np.int64)
+    dst = view.per_entry(slot_offsets[:-1]) + view.pos_in_row() * t + view.lrow
     val[dst] = view.val
     lcol_slots[dst] = view.lcol.astype(np.uint8)
     valid[dst] = True

@@ -65,19 +65,28 @@ def hyb_split_widths(view: TilesView) -> np.ndarray:
 
     Scanning from the maximum width down to zero and keeping strict
     improvements yields the smallest width among cost minima, matching
-    the paper's 'until the smallest memory space is found'.
+    the paper's 'until the smallest memory space is found'.  Each step
+    updates per-tile running counts from a histogram of row lengths:
+    narrowing the ELL part by one spills one more entry of every row
+    longer than the new width.
     """
-    rc = view.row_counts().astype(np.int64)  # (n, tile)
-    max_w = int(rc.max()) if rc.size else 0
+    rc = view.row_counts()  # (n, tile)
     n = view.n_tiles
+    max_w = int(rc.max()) if rc.size else 0
+    # rows_of_len[v, t]: rows of tile t holding exactly v entries.
+    key = rc.astype(np.int64) * n + np.arange(n, dtype=np.int64)[:, None]
+    rows_of_len = np.bincount(key.ravel(), minlength=(max_w + 1) * n).reshape(max_w + 1, n)
     best_w = np.zeros(n, dtype=np.int64)
     best_cost = np.full(n, np.iinfo(np.int64).max)
+    longer = np.zeros(n, dtype=np.int64)  # rows holding more than w entries
+    overflow = np.zeros(n, dtype=np.int64)  # COO entries at width w
     for w in range(max_w, -1, -1):
-        overflow = np.maximum(rc - w, 0).sum(axis=1)
-        cost = _ell_bytes(np.full(n, w), view.tile) + overflow * (1 + VALUE_BYTES)
+        overflow += longer
+        cost = _ell_bytes(w, view.tile) + overflow * (1 + VALUE_BYTES)
         better = cost <= best_cost  # <=: prefer the smaller width on ties
         best_cost = np.where(better, cost, best_cost)
-        best_w = np.where(better, w, best_w)
+        best_w[better] = w
+        longer += rows_of_len[w]
     return best_w
 
 
@@ -86,7 +95,7 @@ def encode_hyb(view: TilesView, widths: np.ndarray | None = None) -> TileHYBData
     if widths is None:
         widths = hyb_split_widths(view)
     widths = np.asarray(widths, dtype=np.int64)
-    to_ell = view.pos_in_row() < widths[view.tile_of_entry()]
+    to_ell = view.pos_in_row() < view.per_entry(widths)
     ell = encode_ell(view.masked(to_ell))
     # Force the searched width even when a tile's ELL part is empty but
     # the search still chose w=0 (encode_ell would agree) — assert parity.

@@ -131,6 +131,27 @@ def _entry_rows(indptr: np.ndarray, entry_idx: np.ndarray) -> np.ndarray:
     return np.searchsorted(indptr, entry_idx, side="right") - 1
 
 
+def _is_canonical(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, n: int) -> bool:
+    """No defect of any class: columns in ``[0, n)`` and strictly
+    ascending within each row, every value finite.
+
+    Works in the input's own index dtype, with no per-entry row array.
+    """
+    if indices.size == 0:
+        return True
+    if indices.min() < 0 or indices.max() >= n or not np.isfinite(data).all():
+        return False
+    ascends = np.diff(indices) > 0
+    row_starts = indptr[1:-1]
+    ascends[row_starts[(row_starts > 0) & (row_starts < indices.size)] - 1] = True
+    return bool(ascends.all())
+
+
+def _owned(data: np.ndarray, source: np.ndarray) -> np.ndarray:
+    """``data``, copied if it still shares memory with the caller's ``source``."""
+    return data.copy() if np.may_share_memory(data, source) else data
+
+
 def canonicalize_csr(
     matrix: sp.spmatrix,
     policy: ValidationPolicy | str = ValidationPolicy.REPAIR,
@@ -144,6 +165,10 @@ def canonicalize_csr(
     fixes sorting/duplicates and drops out-of-range or non-finite
     entries, tallying everything in the report; ``trust`` converts to
     CSR and returns without inspecting — the caller owns correctness.
+
+    A clean input — the common case — is recognised by a few passes in
+    its own index dtype and returned as a copy without the rebuild; the
+    arrays, dtypes and report are the full inspection's.
 
     Dimension overflow (any dimension > ``MAX_DIM``, the 32-bit device
     index limit) is never repairable and raises under every policy —
@@ -166,7 +191,7 @@ def canonicalize_csr(
             csr = csr.sorted_indices()
         return csr, CanonicalReport(policy=policy)
 
-    csr = matrix.tocsr().copy()
+    csr = matrix.tocsr()
     report = CanonicalReport(policy=policy)
     bad_rows: list[np.ndarray] = []
 
@@ -181,8 +206,18 @@ def canonicalize_csr(
             f"indptr is not a monotone [0, nnz] offset array of length {m + 1}",
         )
 
-    indices = np.asarray(csr.indices, dtype=np.int64)
     data = np.asarray(csr.data, dtype=np.float64)
+    if _is_canonical(indptr, csr.indices, data, n):
+        # Clean input: the rebuild below would return these very arrays.
+        out = sp.csr_matrix(
+            (_owned(data, csr.data), csr.indices.copy(), _owned(indptr, csr.indptr)),
+            shape=(m, n),
+        )
+        out.has_sorted_indices = True
+        return out, report
+
+    # Some defect: find each class, then rebuild.
+    indices = np.asarray(csr.indices, dtype=np.int64)
 
     # 1. Out-of-range column indices -------------------------------------
     oob = (indices < 0) | (indices >= n)
@@ -251,42 +286,31 @@ def canonicalize_csr(
         bad_rows.append(rows)
 
     # 4. Rebuild canonical CSR from the surviving entries -----------------
-    needs_rebuild = (
-        report.dropped_out_of_range
-        or report.dropped_nonfinite
-        or unsorted_pos.size
-        or dup_pos.size
+    coo = sp.coo_matrix(
+        (data[keep], (entry_row[keep], k_indices)), shape=(m, n)
     )
-    if needs_rebuild:
-        coo = sp.coo_matrix(
-            (data[keep], (entry_row[keep], k_indices)), shape=(m, n)
+    nnz_before_merge = coo.nnz
+    out = coo.tocsr()  # sums duplicates, sorts indices
+    out.sort_indices()
+    report.merged_duplicates = int(nnz_before_merge - out.nnz)
+    # Summing duplicates can itself create non-finite values (two
+    # huge finite entries overflowing to Inf, or +Inf/-Inf pairs
+    # collapsing to NaN) *after* the pre-merge inspection above, so
+    # the merged payload must be re-checked or it silently poisons
+    # the ABFT checksums downstream.  Strict never gets here (it raised
+    # on the first defect), so drop & count.
+    merged_bad = ~np.isfinite(out.data)
+    if merged_bad.any():
+        out_coo = out.tocoo()
+        keep2 = ~merged_bad
+        rows = out_coo.row[merged_bad].astype(np.int64)
+        out = sp.csr_matrix(
+            (out_coo.data[keep2], (out_coo.row[keep2], out_coo.col[keep2])),
+            shape=(m, n),
         )
-        nnz_before_merge = coo.nnz
-        out = coo.tocsr()  # sums duplicates, sorts indices
         out.sort_indices()
-        report.merged_duplicates = int(nnz_before_merge - out.nnz)
-        # Summing duplicates can itself create non-finite values (two
-        # huge finite entries overflowing to Inf, or +Inf/-Inf pairs
-        # collapsing to NaN) *after* the pre-merge inspection above, so
-        # the merged payload must be re-checked or it silently poisons
-        # the ABFT checksums downstream.  Strict never reaches this
-        # branch (it raised on the duplicates already), so drop & count.
-        merged_bad = ~np.isfinite(out.data)
-        if merged_bad.any():
-            out_coo = out.tocoo()
-            keep2 = ~merged_bad
-            rows = out_coo.row[merged_bad].astype(np.int64)
-            out = sp.csr_matrix(
-                (out_coo.data[keep2], (out_coo.row[keep2], out_coo.col[keep2])),
-                shape=(m, n),
-            )
-            out.sort_indices()
-            report.dropped_nonfinite += int(merged_bad.sum())
-            bad_rows.append(rows)
-    else:
-        out = sp.csr_matrix((data, indices, indptr), shape=(m, n))
-        if not out.has_sorted_indices:
-            out.sort_indices()
+        report.dropped_nonfinite += int(merged_bad.sum())
+        bad_rows.append(rows)
 
     if bad_rows:
         report.bad_rows = np.unique(np.concatenate(bad_rows))

@@ -18,6 +18,7 @@ __all__ = [
     "segment_local_index",
     "segment_histogram",
     "run_starts",
+    "stable_key_order",
     "segment_sum",
     "segment_max",
 ]
@@ -87,6 +88,25 @@ def run_starts(keys: np.ndarray) -> np.ndarray:
     is_start = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=is_start[1:])
     return np.flatnonzero(is_start)
+
+
+def stable_key_order(keys: np.ndarray, key_bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer keys in ``[0, key_bound)``.
+
+    When a key and its position fit one ``int64`` together, a plain
+    (SIMD) sort of ``key << bits | position`` yields the stable order
+    several times faster than the stable argsort; otherwise the stable
+    argsort runs.
+    """
+    keys = np.asarray(keys)
+    bits = max(keys.size - 1, 0).bit_length()
+    if max(key_bound - 1, 0).bit_length() + bits > 62:
+        return np.argsort(keys, kind="stable")
+    packed = keys.astype(np.int64) << bits
+    packed |= np.arange(keys.size, dtype=np.int64)
+    packed.sort()
+    packed &= (1 << bits) - 1
+    return packed
 
 
 def segment_sum(values: np.ndarray, seg_ids: np.ndarray, n_segments: int) -> np.ndarray:

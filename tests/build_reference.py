@@ -2,11 +2,12 @@
 
 The plan build counts, packs and sorts in single passes (``bincount``,
 direct assignment, ``reduceat`` over sorted runs, presence grids, one
-stable sort).  Each function here computes the same array the textbook
-way — ``np.add.at``, ``np.bitwise_or.at``, ``np.lexsort`` + ``np.unique``
-— so the differential tests can demand bit-identical results, and
-:func:`patch_in` swaps every reference into the build at once for an
-end-to-end comparison of whole plans.
+sort of row segments).  Each function here computes the same array the
+textbook way — ``np.add.at``, ``np.bitwise_or.at``, ``np.lexsort`` +
+``np.unique``, a stable sort of every entry, a loop over candidate
+widths, full input inspection — so the differential tests can demand
+bit-identical results, and :func:`patch_in` swaps every reference into
+the build at once for an end-to-end comparison of whole plans.
 """
 
 from __future__ import annotations
@@ -19,22 +20,28 @@ import scipy.sparse as sp
 import repro.baselines.csr_scalar
 import repro.baselines.hyb_global
 import repro.baselines.merge
+import repro.core.deferred
 import repro.core.kernels.costs
+import repro.core.selection
 import repro.core.storage
 import repro.core.tilespmv
+import repro.formats.tile_hyb
+import repro.reliability.validation
 from repro.core.kernels.costs import TileKernelCost
 from repro.core.kernels.costs import dnscol_costs as shipped_dnscol_costs
+from repro.core.selection import TileStats
 from repro.core.tiling import TileSet
-from repro.formats.base import FormatID, TilesView
+from repro.formats.base import VALUE_BYTES, FormatID, TilesView
 from repro.formats.tile_bitmap import BITMAP_BYTES, encode_bitmap as shipped_encode_bitmap
 from repro.formats.tile_coo import encode_coo
 from repro.formats.tile_csr import encode_csr as shipped_encode_csr
+from repro.formats.tile_dnscol import encode_dnscol as shipped_encode_dnscol
 from repro.formats.tile_ell import encode_ell
-from repro.formats.tile_hyb import TileHYBData, hyb_split_widths
+from repro.formats.tile_hyb import TileHYBData, _ell_bytes
 from repro.gpu.warp import WARP_SIZE
 from repro.matrices import banded, random_uniform
 from repro.util.packing import unpack_nibble_pairs
-from repro.util.segments import lengths_to_offsets, repeat_offsets
+from repro.util.segments import lengths_to_offsets, repeat_offsets, segment_local_index
 
 X_SECTOR_DOUBLES = 4
 
@@ -58,6 +65,55 @@ def col_counts(view: TilesView) -> np.ndarray:
     counts = np.zeros((view.n_tiles, view.tile), dtype=np.int16)
     np.add.at(counts, (view.tile_of_entry(), view.lcol.astype(np.int64)), 1)
     return counts
+
+
+def select(view: TilesView, mask_or_idx: np.ndarray) -> TilesView:
+    """A sub-view of the given tiles, every entry gathered by its rank."""
+    idx = np.asarray(mask_or_idx)
+    if idx.dtype == bool:
+        idx = np.flatnonzero(idx)
+    lengths = view.counts()[idx]
+    new_offsets = np.zeros(idx.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=new_offsets[1:])
+    src = np.repeat(view.offsets[idx], lengths) + segment_local_index(new_offsets)
+    return TilesView(
+        lrow=view.lrow[src], lcol=view.lcol[src], val=view.val[src], offsets=new_offsets,
+        eff_h=view.eff_h[idx], eff_w=view.eff_w[idx], tile=view.tile,
+    )
+
+
+def pos_in_row(view: TilesView) -> np.ndarray:
+    """Rank within each (tile, row) run, by a running maximum of run starts."""
+    key = view.tile_of_entry() * view.tile + view.lrow.astype(np.int64)
+    is_start = np.ones(key.size, dtype=bool)
+    is_start[1:] = key[1:] != key[:-1]
+    run_start = np.maximum.accumulate(np.where(is_start, np.arange(key.size), 0))
+    return np.arange(key.size) - run_start
+
+
+def entry_rank(view: TilesView) -> np.ndarray:
+    return segment_local_index(view.offsets)
+
+
+def compute_tile_stats(tileset: TileSet) -> TileStats:
+    """Per-tile statistics in float64, dense-row tests over the whole grid."""
+    view = tileset.view
+    counts = view.counts().astype(np.float64)
+    eff_h = view.eff_h.astype(np.float64)
+    eff_w_i = view.eff_w.astype(np.int64)
+    eff_h_i = view.eff_h.astype(np.int64)
+    rc, cc = row_counts(view), col_counts(view)
+    sumsq = (rc.astype(np.float64) ** 2).sum(axis=1)
+    mean = counts / eff_h
+    var = np.maximum(sumsq / eff_h - mean**2, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        variation = np.where(mean > 0, np.sqrt(var) / mean, 0.0)
+    return TileStats(
+        nnz=view.counts(),
+        variation=variation,
+        rows_all_dense=(counts > 0) & np.all((rc == 0) | (rc == eff_w_i[:, None]), axis=1),
+        cols_all_dense=(counts > 0) & np.all((cc == 0) | (cc == eff_h_i[:, None]), axis=1),
+    )
 
 
 def distinct_sectors_per_tile(lcol: np.ndarray, offsets: np.ndarray) -> int:
@@ -146,6 +202,32 @@ def encode_bitmap(view: TilesView):
     return replace(shipped_encode_bitmap(view), bitmap=bitmap_bytes(view))
 
 
+def hyb_split_widths(view: TilesView) -> np.ndarray:
+    """The width search as a loop over every candidate width."""
+    rc = row_counts(view).astype(np.int64)
+    max_w = int(rc.max()) if rc.size else 0
+    n = view.n_tiles
+    best_w = np.zeros(n, dtype=np.int64)
+    best_cost = np.full(n, np.iinfo(np.int64).max)
+    for w in range(max_w, -1, -1):
+        overflow = np.maximum(rc - w, 0).sum(axis=1)
+        cost = _ell_bytes(np.full(n, w), view.tile) + overflow * (1 + VALUE_BYTES)
+        better = cost <= best_cost
+        best_cost = np.where(better, cost, best_cost)
+        best_w = np.where(better, w, best_w)
+    return best_w
+
+
+def dnscol_val(view: TilesView) -> np.ndarray:
+    """DnsCol values, re-sorted column-major by ``np.lexsort``."""
+    order = np.lexsort((view.lrow, view.lcol, view.tile_of_entry()))
+    return np.asarray(view.val, dtype=np.float64)[order]
+
+
+def encode_dnscol(view: TilesView):
+    return replace(shipped_encode_dnscol(view), val=dnscol_val(view))
+
+
 def hyb_split_views(view: TilesView, widths: np.ndarray) -> tuple[TilesView, TilesView]:
     """HYB's ELL and COO sub-views, per-tile lengths by ``np.add.at``."""
     tile_of_entry = view.tile_of_entry()
@@ -205,6 +287,26 @@ def tile_decompose(matrix, tile: int = 16, validation: str = "repair") -> TileSe
     )
 
 
+def structural_fingerprint(csr, tile, selection, tbalance, extra=""):
+    """The plan key over ``tobytes`` copies of the int64 index arrays."""
+    import hashlib
+
+    h = hashlib.blake2b(digest_size=16)
+    h.update(np.array([csr.shape[0], csr.shape[1], tile, tbalance], dtype=np.int64).tobytes())
+    h.update(str(np.dtype(csr.dtype)).encode())
+    h.update(repr(selection).encode())
+    if extra:
+        h.update(extra.encode())
+    h.update(np.ascontiguousarray(csr.indptr, dtype=np.int64).tobytes())
+    h.update(np.ascontiguousarray(csr.indices, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+def full_inspection(monkeypatch) -> None:
+    """Send every input through ``canonicalize_csr``'s full inspection."""
+    monkeypatch.setattr(repro.reliability.validation, "_is_canonical", lambda *args: False)
+
+
 def remainder(csr: sp.csr_matrix, drop: np.ndarray) -> sp.csr_matrix:
     """``csr`` without the entries ``drop`` masks (canonical order), by a
     row search over the kept entries."""
@@ -219,6 +321,15 @@ def patch_in(monkeypatch) -> None:
     costs = repro.core.kernels.costs
     monkeypatch.setattr(TilesView, "row_counts", row_counts)
     monkeypatch.setattr(TilesView, "col_counts", col_counts)
+    monkeypatch.setattr(TilesView, "select", select)
+    monkeypatch.setattr(TilesView, "pos_in_row", pos_in_row)
+    monkeypatch.setattr(TilesView, "entry_rank", entry_rank)
+    monkeypatch.setattr(repro.core.selection, "compute_tile_stats", compute_tile_stats)
+    monkeypatch.setattr(repro.formats.tile_hyb, "hyb_split_widths", hyb_split_widths)
+    monkeypatch.setattr(repro.core.deferred, "hyb_split_widths", hyb_split_widths)
+    monkeypatch.setitem(repro.core.storage._ENCODERS, FormatID.DNSCOL, encode_dnscol)
+    monkeypatch.setattr(repro.core.tilespmv, "structural_fingerprint", structural_fingerprint)
+    full_inspection(monkeypatch)
     monkeypatch.setitem(repro.core.storage._ENCODERS, FormatID.CSR, encode_csr)
     monkeypatch.setitem(repro.core.storage._ENCODERS, FormatID.BITMAP, encode_bitmap)
     monkeypatch.setitem(repro.core.storage._ENCODERS, FormatID.HYB, encode_hyb)

@@ -72,6 +72,15 @@ def test_trusted_duplicates_run_every_method_bit_for_bit(method):
     assert refreshed.spmv(x).tobytes() == (c2 @ x).tobytes()
 
 
+@pytest.mark.parametrize("method", ["csr", "adpt"])
+def test_updated_duplicates_keep_their_own_payload_values(method):
+    """The k-th decoded duplicate takes the k-th duplicate's new value."""
+    c = ref.trusted_duplicates()
+    e = TileSpMV(c, method=method, validation="trust")
+    e.update_values(np.arange(1, c.nnz + 1.0))
+    assert same_csr(e.tiled.to_csr(), e.tiled.operand)
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_plan_does_not_alias_the_callers_arrays(method):
     """Under ``trust`` the gate returns the caller's matrix; the plan copies it."""

@@ -196,6 +196,41 @@ class TestValueRefresh:
                     assert np.array_equal(got, want)
 
 
+class TestLazyValueDigest:
+    """The plan's value digest is computed on the first cache hit, from
+    the plan's own values; the hit, miss and refresh decisions stay."""
+
+    def test_build_same_values_new_values_new_pattern(self):
+        a = _matrix(seed=3)
+        b = a.copy()
+        b.data = b.data * 2.0  # same pattern, new values
+        c = _matrix(seed=4)  # new pattern
+        x = np.random.default_rng(0).standard_normal(a.shape[1])
+        cache = PlanCache()
+        e1 = TileSpMV(a, plan_cache=cache)
+        plan = cache.peek(e1.plan_key)
+        assert plan._digest is None  # a miss never hashes the values
+        e2 = TileSpMV(a.copy(), plan_cache=cache)
+        assert plan._digest == value_digest(a.data)
+        e3 = TileSpMV(b, plan_cache=cache)
+        assert plan._digest == value_digest(b.data)
+        e4 = TileSpMV(c, plan_cache=cache)
+        assert cache.stats() == {
+            "hits": 2, "misses": 2, "evictions": 0, "invalidations": 0,
+            "size": 2, "capacity": 16, "hit_rate": 0.5,
+        }
+        assert plan.tilings_saved == 2
+        assert cache.peek(e4.plan_key).tilings_saved == 0
+        # Same values share every artifact; new values refresh the
+        # value-carrying ones and share the structure.
+        assert e2.tiled is e1.tiled and e2._op is e1._op
+        assert e3.tiled is not e1.tiled and e3._op is not e1._op
+        assert e3.tiled.formats is e1.tiled.formats and e3._schedule is e1._schedule
+        for engine, matrix in ((e1, a), (e2, a), (e3, b), (e4, c)):
+            assert engine.spmv(x).tobytes() == TileSpMV(matrix).spmv(x).tobytes()
+        assert e1.spmv(x).tobytes() == (a @ x).tobytes()
+
+
 class TestAutoTiming:
     def test_build_and_arbitration_reported_separately(self):
         engine = TileSpMV(_matrix(), method="auto", auto_device=A100)

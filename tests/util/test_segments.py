@@ -14,6 +14,7 @@ from repro.util.segments import (
     segment_local_index,
     segment_max,
     segment_sum,
+    stable_key_order,
 )
 
 lengths_strategy = st.lists(st.integers(min_value=0, max_value=20), max_size=50)
@@ -90,3 +91,15 @@ class TestSinglePassCounts:
     def test_run_starts_of_sorted_keys_match_unique(self, keys):
         keys = np.sort(np.array(keys, dtype=np.int64))
         ref.assert_same(run_starts(keys), np.unique(keys, return_index=True)[1])
+
+
+class TestStableKeyOrder:
+    @given(st.lists(st.integers(min_value=0, max_value=40), max_size=200))
+    def test_matches_stable_argsort(self, keys):
+        keys = np.array(keys, dtype=np.int64)
+        want = np.argsort(keys, kind="stable")
+        ref.assert_same(stable_key_order(keys, 41), want)
+
+    def test_keys_too_wide_to_pack_fall_back(self):
+        keys = np.array([5, 2**40, 5, 0, 2**40], dtype=np.int64)
+        ref.assert_same(stable_key_order(keys, 2**60), np.argsort(keys, kind="stable"))
