@@ -1,17 +1,24 @@
-"""Multi-GPU partitioning bench (modelled strong scaling).
+"""Multi-GPU sharding bench (modelled strong scaling).
 
-Sweeps 1-8 model-A100s over NVLink and PCIe for a halo-exchange matrix
-and a global-exchange graph, asserting the textbook shapes: the banded
-matrix strong-scales, the graph saturates, and the faster link always
-helps the communication-bound case.
+Sweeps 1-8 model-A100s over NVLink and PCIe links for a banded matrix
+(x window = own slice + halo) and a power-law graph (x window = nearly
+all of x) through ``ShardedSpMV.multi_device_cost``, asserting the
+textbook shapes: the banded matrix strong-scales over NVLink, the graph
+goes backwards over PCIe, and the faster link always helps the
+communication-bound case.
 """
 
-import pytest
+from dataclasses import replace
 
 from repro import A100
 from repro.analysis.tables import format_table
-from repro.apps.partition import NVLINK, PCIE4, PartitionedSpMV
+from repro.dist import ShardedSpMV
 from repro.matrices import banded, power_law
+
+LINKS = {
+    "NVLink3": replace(A100, link_bandwidth_gbps=300.0, link_latency_us=5.0),
+    "PCIe4 x16": replace(A100, link_bandwidth_gbps=16.0, link_latency_us=10.0),
+}
 
 
 def sweep():
@@ -19,15 +26,17 @@ def sweep():
     graph = power_law(150_000, avg_degree=8, seed=1)
     rows = []
     for name, mat in (("banded", band), ("graph", graph)):
-        for link in (NVLINK, PCIE4):
-            t1 = None
-            for k in (1, 2, 4, 8):
-                engine = PartitionedSpMV(mat, k, method="adpt")
-                t = engine.predicted_time(A100, link)
-                t1 = t1 or t
+        costs = {}
+        for k in (1, 2, 4, 8):
+            with ShardedSpMV(mat, shards=k) as engine:
+                costs[k] = engine.multi_device_cost()
+        for link, device in LINKS.items():
+            t1 = costs[1].time(device)
+            for k, mdc in costs.items():
+                t = mdc.time(device)
                 rows.append(
-                    (name, link.name, k, t * 1e6, t1 / t,
-                     engine.communication_fraction(A100, link))
+                    (name, link, k, t * 1e6, t1 / t,
+                     1.0 - mdc.compute_time(device) / t)
                 )
     return rows
 

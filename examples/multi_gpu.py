@@ -1,46 +1,55 @@
-"""Multi-GPU scaling demo (modelled): when does partitioned SpMV pay?
+"""Multi-GPU scaling demo (modelled): when does sharded SpMV pay?
 
-Partitions two matrices — a banded FEM-style matrix (halo exchange
-only) and a power-law graph (exchanges nearly all of x) — across 1-8
-model-A100s over NVLink and PCIe, printing the predicted step times,
-speedups and communication share.
+Shards two matrices — a banded FEM-style matrix (each shard's x window
+is its own slice plus a halo) and a power-law graph (each shard's
+window spans nearly all of x) —
+across 1-8 model-A100s over NVLink and PCIe links, printing the
+modelled step times, speedups and communication share of
+``ShardedSpMV.multi_device_cost`` through ``modelled_shard_sweep``.
 
 Run:  python examples/multi_gpu.py
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro import A100
-from repro.apps.partition import NVLINK, PCIE4, PartitionedSpMV
+from repro.dist import ShardedSpMV, modelled_shard_sweep
 from repro.matrices import banded, power_law
 
+LINKS = {
+    "NVLink3": replace(A100, link_bandwidth_gbps=300.0, link_latency_us=5.0),
+    "PCIe4 x16": replace(A100, link_bandwidth_gbps=16.0, link_latency_us=10.0),
+}
 
-def sweep(name: str, matrix, link) -> None:
-    print(f"\n--- {name} ({matrix.nnz} nnz) over {link.name} ---")
-    t1 = None
+
+def sweep(name: str, matrix, link: str) -> None:
+    print(f"\n--- {name} ({matrix.nnz} nnz) over {link} ---")
     print(f"{'GPUs':>5s} {'step us':>9s} {'speedup':>8s} {'comm %':>7s}")
-    for k in (1, 2, 4, 8):
-        engine = PartitionedSpMV(matrix, k, method="adpt")
-        t = engine.predicted_time(A100, link)
-        t1 = t1 or t
-        frac = engine.communication_fraction(A100, link)
-        print(f"{k:5d} {t * 1e6:9.2f} {t1 / t:8.2f} {100 * frac:6.1f}%")
-        # Exactness check at every k.
-        x = np.ones(matrix.shape[1])
-        assert np.allclose(engine.spmv(x), matrix @ x)
+    for r in modelled_shard_sweep(matrix, counts=(1, 2, 4, 8), device=LINKS[link]):
+        comm = 1.0 - r["compute_s"] / r["makespan_s"]
+        print(f"{r['shards']:5d} {r['makespan_s'] * 1e6:9.2f} "
+              f"{r['speedup']:8.2f} {100 * comm:6.1f}%")
 
 
 def main() -> None:
     band = banded(300_000, half_bandwidth=16, seed=0)
     graph = power_law(150_000, avg_degree=8, seed=1)
-    sweep("banded (halo exchange)", band, NVLINK)
-    sweep("banded (halo exchange)", band, PCIE4)
-    sweep("power-law graph (global exchange)", graph, NVLINK)
-    sweep("power-law graph (global exchange)", graph, PCIE4)
+    for p in (2, 8):
+        # The sharded products are exact at every count.
+        x = np.ones(graph.shape[1])
+        with ShardedSpMV(graph, shards=p) as engine:
+            assert np.allclose(engine.spmv(x), graph @ x)
+    for link in LINKS:
+        sweep("banded (own slice + halo)", band, link)
+        sweep("power-law graph (all of x)", graph, link)
     print(
-        "\nReading: the banded matrix strong-scales (its exchange is a fixed"
-        "\nhalo); the graph saturates immediately — its x exchange grows with"
-        "\nthe partition count, the textbook distributed-SpMV wall."
+        "\nReading: over NVLink the banded matrix strong-scales (a shard's x"
+        "\nwindow shrinks with its row block); the graph barely scales — every"
+        "\nwindow spans nearly all of x, the textbook distributed-SpMV wall."
+        "\nOver PCIe the shipped windows dominate both matrices: only the"
+        "\nbanded matrix at 8 GPUs beats one device."
     )
 
 

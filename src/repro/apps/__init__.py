@@ -14,7 +14,6 @@ from repro.apps.graph import (
     pagerank_step,
     personalized_pagerank,
 )
-from repro.apps.partition import NVLINK, PCIE4, Interconnect, PartitionedSpMV, row_block_partition
 from repro.apps.solvers import (
     BlockSolveResult,
     ScipyOperator,
@@ -44,9 +43,4 @@ __all__ = [
     "personalized_pagerank",
     "make_transition",
     "connected_component_sizes",
-    "Interconnect",
-    "NVLINK",
-    "PCIE4",
-    "PartitionedSpMV",
-    "row_block_partition",
 ]

@@ -38,6 +38,31 @@ def _get_device(name: str):
     return getattr(dev_mod, _DEVICES[name])
 
 
+class _UsageError(Exception):
+    """A malformed argument that ``main`` reports as exit code 2.
+
+    argparse passes any exception a ``type=`` raises through, except
+    ``ArgumentTypeError``/``TypeError``/``ValueError``, which it turns
+    into its own ``SystemExit``.
+    """
+
+
+def _grid(text: str):
+    """``--grid``: ``auto`` or an ``RxC`` shape with both axes >= 1."""
+    if text == "auto":
+        return text
+    try:
+        r, c = text.lower().split("x")
+        grid = (int(r), int(c))
+    except ValueError:
+        raise _UsageError(
+            f"--grid must be RxC (e.g. 2x2) or 'auto', got {text!r}"
+        ) from None
+    if grid[0] < 1 or grid[1] < 1:
+        raise _UsageError(f"grid axes must be >= 1, got {text!r}")
+    return grid
+
+
 _CSV_COLLECTORS = {
     # experiment name -> callable(scale) returning dataclass rows
     "fig6": lambda scale: __import__("repro.experiments.fig6", fromlist=["collect"]).collect(scale),
@@ -162,23 +187,7 @@ def _cmd_shard(args) -> int:
         print("error: --shards must name at least one shard count", file=sys.stderr)
         return 2
 
-    grid = None
-    if args.grid:
-        if args.grid == "auto":
-            grid = "auto"
-        else:
-            try:
-                r, c = args.grid.lower().split("x")
-                grid = (int(r), int(c))
-            except ValueError:
-                print(f"error: --grid must be RxC (e.g. 2x2) or 'auto', "
-                      f"got {args.grid!r}", file=sys.stderr)
-                return 2
-            if grid[0] < 1 or grid[1] < 1:
-                print(f"error: grid axes must be >= 1, got {args.grid!r}",
-                      file=sys.stderr)
-                return 2
-
+    grid = args.grid
     matrix = read_matrix_market(args.matrix)
     print(f"matrix {args.matrix}: {matrix.shape[0]}x{matrix.shape[1]}, nnz={matrix.nnz}")
     if args.backend == "process":
@@ -251,22 +260,7 @@ def _cmd_check(args) -> int:
     from repro.reliability.reliable import ReliableSpMV
 
     device = _get_device(args.device)
-    grid = None
-    if args.grid:
-        if args.grid == "auto":
-            grid = "auto"
-        else:
-            try:
-                r, c = args.grid.lower().split("x")
-                grid = (int(r), int(c))
-            except ValueError:
-                print(f"error: --grid must be RxC (e.g. 2x2) or 'auto', "
-                      f"got {args.grid!r}", file=sys.stderr)
-                return 2
-            if grid[0] < 1 or grid[1] < 1:
-                print(f"error: grid axes must be >= 1, got {args.grid!r}",
-                      file=sys.stderr)
-                return 2
+    grid = args.grid
     sharded = args.shards > 1 or grid is not None
     matrix = read_matrix_market(args.matrix)
 
@@ -752,7 +746,7 @@ def main(argv: list[str] | None = None) -> int:
     p_shard.add_argument("matrix", help="path to a .mtx file")
     p_shard.add_argument("--shards", default="1,2,4,8", metavar="P,P,...",
                          help="comma-separated shard counts to sweep (default 1,2,4,8)")
-    p_shard.add_argument("--grid", default=None, metavar="RxC",
+    p_shard.add_argument("--grid", type=_grid, default=None, metavar="RxC",
                          help="2D tile-grid partition: explicit shape like 2x2, "
                               "or 'auto' to factor each shard count (default: 1D rows)")
     p_shard.add_argument("--links", type=int, default=0,
@@ -779,7 +773,7 @@ def main(argv: list[str] | None = None) -> int:
     p_check.add_argument("--shards", type=int, default=1, metavar="N",
                          help="check the sharded engine with the shard-level "
                               "recovery ladder armed (default 1 = single device)")
-    p_check.add_argument("--grid", default=None, metavar="RxC",
+    p_check.add_argument("--grid", type=_grid, default=None, metavar="RxC",
                          help="2D tile-grid partition for the sharded check: "
                               "explicit shape like 2x2, or 'auto' (implies sharding)")
     p_check.add_argument("--backend", default="thread", choices=("thread", "process"),
@@ -865,7 +859,11 @@ def main(argv: list[str] | None = None) -> int:
     p_inspect.add_argument("--features", action="store_true", help="also print structural features")
     p_inspect.set_defaults(func=_cmd_inspect)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

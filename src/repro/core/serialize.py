@@ -7,22 +7,18 @@ file holding exactly the paper's arrays — the level-1 structure and the
 per-format payloads.  Loading decodes the payloads into the operand: the
 one build path that still derives the executing CSR from payloads.
 
-The same ``.npz`` container doubles as the **shard-plan wire format**
-of the process-pool backend (:mod:`repro.dist.procpool`):
-:func:`pack_shard_plan` freezes one shard's canonical CSR block plus
-its engine configuration into a ``bytes`` blob a worker process can
-rebuild from deterministically (same block + same kwargs → the same
-:class:`~repro.core.tilespmv.TileSpMV` plan, bit for bit), and
-:func:`unpack_shard_plan` is the worker-side inverse.  Only the
-configuration rides as a pickle; the arrays travel as raw npz entries,
-and the per-call x/y payloads never touch this path at all — they live
-in shared memory.
+The same ``.npz`` container doubles as the **block wire format** of
+the process-pool backend (:mod:`repro.dist.procpool`):
+:func:`pack_shard_plan` freezes one output block's canonical CSR
+operand into a ``bytes`` blob, and :func:`unpack_shard_plan` is the
+worker-side inverse.  The worker multiplies that operand as the parent
+does, so the blob holds nothing else; the per-call x/y payloads never
+touch this path at all — they live in shared memory.
 """
 
 from __future__ import annotations
 
 import io
-import pickle
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -161,19 +157,15 @@ def load_tile_matrix(path: str | Path) -> TileMatrix:
 
 # -- shard-plan wire format (process-pool backend) -------------------------
 
-_WIRE_VERSION = 1
+_WIRE_VERSION = 2
 
 
-def pack_shard_plan(block: sp.csr_matrix, **config) -> bytes:
-    """Freeze one shard's CSR block + engine config into a wire blob.
+def pack_shard_plan(block: sp.csr_matrix) -> bytes:
+    """Freeze one block's CSR operand into a wire blob.
 
     The blob is a plain (uncompressed — spawn latency matters more than
-    wire size on a local socket) ``.npz`` archive holding the block's
-    canonical CSR arrays and a pickled configuration dict.  A worker
-    rebuilding a :class:`~repro.core.tilespmv.TileSpMV` from the
-    unpacked block with the unpacked kwargs produces the identical plan
-    the parent holds — tiling and format selection are deterministic —
-    which is what makes worker results bit-for-bit combinable.
+    wire size on a local socket) ``.npz`` archive of the block's CSR
+    arrays, unpacked bit for bit by :func:`unpack_shard_plan`.
     """
     buf = io.BytesIO()
     np.savez(
@@ -185,25 +177,19 @@ def pack_shard_plan(block: sp.csr_matrix, **config) -> bytes:
             "csr.data": np.asarray(block.data, dtype=np.float64),
             "csr.indices": np.asarray(block.indices, dtype=np.int64),
             "csr.indptr": np.asarray(block.indptr, dtype=np.int64),
-            "wire.config": np.frombuffer(
-                pickle.dumps(config, protocol=pickle.HIGHEST_PROTOCOL),
-                dtype=np.uint8,
-            ),
         },
     )
     return buf.getvalue()
 
 
-def unpack_shard_plan(blob: bytes) -> tuple[sp.csr_matrix, dict]:
+def unpack_shard_plan(blob: bytes) -> sp.csr_matrix:
     """Worker-side inverse of :func:`pack_shard_plan`."""
     with np.load(io.BytesIO(blob), allow_pickle=False) as data:
         version = int(data["wire.version"])
         if version != _WIRE_VERSION:
             raise ValueError(f"unsupported shard-plan wire version {version}")
         shape = (int(data["wire.m"]), int(data["wire.n"]))
-        block = sp.csr_matrix(
+        return sp.csr_matrix(
             (data["csr.data"], data["csr.indices"], data["csr.indptr"]),
             shape=shape,
         )
-        config = pickle.loads(data["wire.config"].tobytes())
-    return block, config

@@ -74,7 +74,6 @@ from repro.core.tiling import tile_decompose
 from repro.formats import FormatID
 from repro.gpu.costmodel import RunCost
 from repro.gpu.device import A100, DeviceSpec
-from repro.util.segments import repeat_offsets
 
 __all__ = ["TileSpMV", "tile_spmv", "METHODS", "AUTO_DEFERRED_NNZ"]
 
@@ -438,6 +437,12 @@ class TileSpMV:
             tele.count("tilespmv_spmv_total", method=self.method)
         return y
 
+    @property
+    def operand(self) -> sp.csr_matrix:
+        """The canonical CSR operand in original coordinates, current
+        values: what :meth:`spmv` multiplies (do not mutate)."""
+        return self._original_csr()
+
     def _original_csr(self) -> sp.csr_matrix:
         """The canonical matrix in original coordinates, current values."""
         if self.reorder is None:
@@ -475,25 +480,6 @@ class TileSpMV:
         if tele.ENABLED:
             tele.count("tilespmv_spmv_total", method=self.method)
         return out
-
-    def decode_streams(self):
-        """The operand's entries as a stream, or ``None`` when nnz = 0.
-
-        A ``(rows, cols, vals)`` triple of equal-length arrays listing
-        every nonzero in the exact order the operand accumulates them:
-        canonical (row, ascending column) order, whatever the method.
-
-        `repro.dist` assembles its bit-for-bit per-block operands from
-        these streams: shards own tile-snapped blocks, so a block's rows
-        hold exactly the single-device operand's entries, and sorting
-        them canonically restores its accumulation sequence.  ``cols``
-        and ``vals`` are live references — valid until the next
-        :meth:`update_values`; do not mutate.
-        """
-        op = self._op
-        if not op.nnz:
-            return None
-        return repeat_offsets(op.indptr), op.indices, op.data
 
     def update_values(self, values) -> "TileSpMV":
         """Fast path: new numbers, unchanged sparsity pattern.

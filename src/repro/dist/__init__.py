@@ -2,11 +2,11 @@
 
 Partitions a matrix into nnz-balanced, tile-snapped shards — 1D row
 blocks or a 2D row x column tile grid (:mod:`repro.dist.partition`) —
-runs one TileSpMV plan per shard with thread-concurrent kernels
-(:mod:`repro.dist.sharded`), combines overlapping outputs through
-per-block CSR operands assembled from the shards' decode streams
-(bit-for-bit equality for every method), and prices the result on P
-modelled devices through the interconnect-aware
+prepares one TileSpMV plan per shard, executes every product as row
+blocks of the canonical operand on thread-concurrent kernels
+(:mod:`repro.dist.sharded`; bit-for-bit equality for every method, no
+sort), and prices the result on P modelled devices through the
+interconnect-aware
 :class:`~repro.gpu.costmodel.MultiDeviceRunCost`.  See
 ``docs/SHARDING.md`` for the design and the exactness argument.
 
@@ -20,10 +20,10 @@ either backend.  See the "Distributed fault tolerance" section of
 ``docs/RELIABILITY.md``.
 
 :mod:`repro.dist.procpool` is the true-parallel execution backend:
-:class:`~repro.dist.procpool.ProcessShardedSpMV` runs each shard in a
-supervised worker process over shared memory
+:class:`~repro.dist.procpool.ProcessShardedSpMV` runs each row block
+in a supervised worker process over shared memory
 (``ShardedSpMV(matrix, backend="process")`` dispatches to it).  Its
-supervisor respawns a crashed or hung worker and reports the shard's
+supervisor respawns a crashed or hung worker and reports the block's
 device lost, which the recovery ladder handles like any other loss.
 See the "Process backend & worker supervision" section of
 ``docs/SHARDING.md``.

@@ -1,31 +1,29 @@
 """Supervised process-pool execution backend.
 
 :class:`ProcessShardedSpMV` is a :class:`~repro.dist.sharded.ShardedSpMV`
-whose shards execute in real worker *processes* instead of threads — the
-backend that makes "heavy traffic on a many-core host" real rather than
-modelled.  Three mechanisms carry the design:
+whose output blocks execute in real worker *processes* instead of
+threads — the backend that makes "heavy traffic on a many-core host"
+real rather than modelled.  Three mechanisms carry the design:
 
-* **Plan wire format** — each shard's canonical CSR block plus its
-  engine configuration is frozen once by
-  :func:`~repro.core.serialize.pack_shard_plan` and shipped to the
-  worker at spawn (and at every respawn).  The worker rebuilds its
-  :class:`~repro.core.tilespmv.TileSpMV` from the wire
-  deterministically, so worker results are bit-for-bit the parent's.
-  Workers run every product whose shards return their own block:
-  row-disjoint ``spmv``/``spmm``, concatenated.  Products with
-  overlapping outputs (column-cut ``spmv``/``spmm``, every
-  ``spmv_transpose``) multiply the parent's cached per-block CSR
-  operands, exactly as the thread backend does.
+* **Block wire format** — each worker holds one output block's operand:
+  rows ``[r0, r1)`` of the canonical CSR over all n columns, frozen by
+  :func:`~repro.core.serialize.pack_shard_plan` and shipped at spawn
+  (and at every respawn).  The worker runs
+  :func:`~repro.dist.sharded.run_block` on it, the call the thread
+  backend makes, so worker results are bit-for-bit the parent's.  There
+  are R workers on an R x C grid (P on a 1D partition): every forward
+  product runs in them, on every grid.  A transpose multiplies the
+  parent's A.T operand.
 * **Shared-memory payloads** — per-call inputs and outputs live in
   :mod:`multiprocessing.shared_memory` segments: the parent writes
-  ``x`` once, every worker reads its window as a zero-copy numpy view,
-  and each worker writes its block into its own output segment.
-  Nothing on the hot path is pickled; the pipes carry only small
-  command/reply dicts.
+  ``x`` once, every worker reads it as a zero-copy numpy view, and
+  each worker writes its block into its own output segment.  Nothing
+  on the hot path is pickled; the pipes carry only small command/reply
+  dicts.
 * **Worker supervision** — :class:`WorkerSupervisor` repairs the
   transport and nothing more: heartbeat liveness probes, detection of
   crashed (exit code) and hung (missed deadline) workers, and respawn
-  from the shard's current wire.  The lost command's shard comes back
+  from the block's current wire.  The lost command's block comes back
   as a :class:`~repro.dist.faults.DeviceLostError`, so a killed or hung
   worker is a lost device — the fault model the thread backend already
   has.  Retry, backoff and quarantine belong to the one recovery ladder
@@ -39,16 +37,14 @@ interpreter exit, and — for the paths no hook can cover (SIGKILL of the
 whole interpreter) — reclaimable by :func:`sweep_orphans`, which scans
 for segments whose owning pid is dead.
 
-Process-level faults (worker kill / worker hang) fire on the worker
-ops only — the parent-side operand products have no worker to kill.
-They are part of the deterministic fault model
-(:mod:`repro.gpu.faults`): every decision is a pure function of
-``(seed, kind, device rank, attempt)``, so a worker re-derives its
-faults from the plans shipped inside the command — the shard plan and
-any GPU-substrate plan, armed at the shard's site — and agrees with the
-thread backend without coordination.  The parent re-derives the kill
-and hang decisions for bookkeeping and records the faults each reply
-says the worker applied.
+Process-level faults (worker kill / worker hang) are part of the
+deterministic fault model (:mod:`repro.gpu.faults`): every decision is a
+pure function of ``(seed, kind, device rank, attempt)``, so a worker
+re-derives its faults from the plans shipped inside the command — the
+shard plan and any GPU-substrate plan, armed for each member cell at
+its (rank, attempt) site — and agrees with the thread backend without
+coordination.  The parent re-derives the kill and hang decisions for
+bookkeeping and records the faults each reply says the worker applied.
 """
 
 from __future__ import annotations
@@ -69,10 +65,9 @@ import numpy as np
 
 from repro import telemetry as tele
 from repro.core.serialize import pack_shard_plan, unpack_shard_plan
-from repro.core.tilespmv import TileSpMV
 from repro.dist import faults as shard_faults
 from repro.dist.faults import DeviceLostError
-from repro.dist.sharded import ShardedSpMV
+from repro.dist.sharded import ShardedSpMV, cell_positions, run_block
 from repro.gpu import faults as gpu_faults
 from repro.gpu.costmodel import MultiDeviceRunCost
 
@@ -240,8 +235,8 @@ def sweep_orphans() -> list[str]:
 # -- worker side -----------------------------------------------------------
 
 
-def _worker_main(wire: bytes, conn, rank: int) -> None:  # pragma: no cover
-    """Worker process entry point: rebuild the shard plan, serve ops.
+def _worker_main(wire: bytes, conn) -> None:  # pragma: no cover
+    """Worker process entry point: unpack the block operand, serve ops.
 
     Runs in a child process (excluded from parent-side coverage).  The
     final ``finally`` only closes *attachments* — segment lifetime is
@@ -262,8 +257,8 @@ def _worker_main(wire: bytes, conn, rank: int) -> None:  # pragma: no cover
     # A forked worker inherits the parent's armed campaigns; it arms the
     # plans its commands ship instead.
     gpu_faults.disarm_inherited()
-    block, config = unpack_shard_plan(wire)
-    engine = TileSpMV(block, validation="trust", **config)
+    op = unpack_shard_plan(wire)
+    positions: dict = {}  # the block's cell windows -> their entries
     attached: dict[str, _shm.SharedMemory] = {}
 
     def attach(name: str) -> _shm.SharedMemory:
@@ -279,21 +274,21 @@ def _worker_main(wire: bytes, conn, rank: int) -> None:  # pragma: no cover
                 cmd = conn.recv()
             except (EOFError, OSError):
                 break
-            op = cmd.get("op")
-            if op == "shutdown":
+            kind = cmd.get("op")
+            if kind == "shutdown":
                 try:
                     conn.send({"ok": True, "op": "shutdown"})
                 except (BrokenPipeError, OSError):
                     pass
                 break
-            if op == "ping":
+            if kind == "ping":
                 try:
                     conn.send({"ok": True, "op": "pong"})
                 except (BrokenPipeError, OSError):
                     break
                 continue
             try:
-                reply = _worker_execute(engine, rank, cmd, attached, attach)
+                reply = _worker_execute(op, cmd, attached, attach, positions)
             except Exception:
                 reply = {"ok": False, "error": traceback.format_exc()}
             try:
@@ -312,8 +307,8 @@ def _worker_main(wire: bytes, conn, rank: int) -> None:  # pragma: no cover
             pass
 
 
-def _worker_execute(engine, rank, cmd, attached, attach):  # pragma: no cover
-    """Execute one shard operation inside the worker (child process)."""
+def _worker_execute(op, cmd, attached, attach, positions):  # pragma: no cover
+    """Execute one block operation inside the worker (child process)."""
     for name in cmd.get("drop", ()):
         seg = attached.pop(name, None)
         if seg is not None:
@@ -321,60 +316,63 @@ def _worker_execute(engine, rank, cmd, attached, attach):  # pragma: no cover
                 seg.close()
             except OSError:
                 pass
-    op = cmd["op"]
-    attempt = int(cmd.get("attempt", 0))
+    kind = cmd["op"]
     plan = cmd.get("plan")
-    inj = shard_faults.ShardFaultInjector(plan) if plan is not None else None
+    cells = [tuple(cell) for cell in cmd.get("cells", ())]
 
     # Process-level faults first: a killed worker dies *mid-operation*
     # (after receiving the command, before replying), a hung one sleeps
     # past the supervisor's deadline.  Decisions are re-derived from the
-    # shipped plan — identical to the parent's bookkeeping derivation.
-    if inj is not None:
-        if inj.kill_worker(rank, attempt):
-            os.kill(os.getpid(), signal.SIGKILL)
-        hang = inj.worker_hang_s(rank, attempt)
-        if hang > 0.0:
-            time.sleep(hang)
+    # shipped plan — identical to the parent's bookkeeping derivation,
+    # which also counts them.
+    if plan is not None:
+        decide = shard_faults.ShardFaultInjector(plan)
+        for rank, attempt, _, _ in cells:
+            if decide.kill_worker(rank, attempt):
+                os.kill(os.getpid(), signal.SIGKILL)
+            hang = decide.worker_hang_s(rank, attempt)
+            if hang > 0.0:
+                time.sleep(hang)
 
     x_seg = attach(cmd["x_seg"])
 
-    if op == "update_values":
+    if kind == "update_values":
         count = int(cmd["count"])
-        view = np.ndarray((count,), dtype=np.float64, buffer=x_seg.buf)
-        engine.update_values(np.array(view))
-        return {"ok": True, "op": "update_values"}
+        op.data[:] = np.ndarray((count,), dtype=np.float64, buffer=x_seg.buf)
+        return {"ok": True, "op": kind}
+    if kind != "run_block":
+        raise ValueError(f"unknown worker op {kind!r}")
 
     x_len = int(cmd["x_len"])
-    lo, hi = int(cmd["x_lo"]), int(cmd["x_hi"])
     k = cmd.get("k")
-    if k is None:
-        xfull = np.ndarray((x_len,), dtype=np.float64, buffer=x_seg.buf)
-    else:
-        xfull = np.ndarray((x_len, int(k)), dtype=np.float64, buffer=x_seg.buf)
-    xwin = xfull[lo:hi]
-
-    if inj is not None:
-        xwin = inj.corrupt_halo(rank, attempt, xwin)
-    if op not in _WORKER_OPS:
-        raise ValueError(f"unknown worker op {op!r}")
-    # A shipped substrate plan is armed for this command only, at the
-    # shard's (rank, attempt) site, exactly as the parent's shard_call.
+    shape = (x_len,) if k is None else (x_len, int(k))
+    x = np.ndarray(shape, dtype=np.float64, buffer=x_seg.buf)
+    pos = None
+    if len(cells) > 1:
+        windows = tuple(cell[2:] for cell in cells)
+        if windows not in positions:
+            positions[windows] = cell_positions(op, windows)
+        pos = positions[windows]
+    # The shipped plans are armed for this command only; run_block puts
+    # each cell's hooks at its (rank, attempt) site, as the parent does.
     gpu_plan = cmd.get("gpu_plan")
-    with gpu_faults.fault_site(rank, attempt), (
+    with (shard_faults.shard_fault_injection(plan) if plan is not None
+          else nullcontext()) as inj, (
         gpu_faults.fault_injection(gpu_plan) if gpu_plan is not None
         else nullcontext()
     ) as ginj:
-        out = getattr(engine, op)(xwin)
-    if inj is not None:
-        out = inj.corrupt_partial(rank, attempt, out)
+        out = run_block(op, x, cells, pos, cmd["cell_sums"])
+    sums = None
+    if cmd["cell_sums"]:
+        out, sums = out
     out = np.ascontiguousarray(out, dtype=np.float64)
     out_seg = attach(cmd["out_seg"])
     view = np.ndarray((out.size,), dtype=np.float64, buffer=out_seg.buf)
     view[: out.size] = out.ravel()
     applied = {key: i.by_kind for key, i in (("plan", inj), ("gpu_plan", ginj))
                if i is not None}
-    return {"ok": True, "op": op, "shape": tuple(out.shape), "faults": applied}
+    return {"ok": True, "op": kind, "shape": tuple(out.shape),
+            "faults": applied, "sums": sums}
 
 
 # -- supervisor ------------------------------------------------------------
@@ -430,8 +428,8 @@ class _Worker:
 class WorkerSupervisor:
     """Owns the worker processes, their segments, and their respawns.
 
-    One worker per shard.  ``wire_provider(i)`` supplies the current
-    wire blob for shard ``i`` at every (re)spawn, so a preceding
+    One worker per output block.  ``wire_provider(i)`` supplies the
+    current wire blob for block ``i`` at every (re)spawn, so a preceding
     ``update_values`` is reflected in respawned workers.  All waits
     (heartbeats, op deadlines) run on the wall clock — processes are
     real.  The supervisor only repairs the transport: a crashed or hung
@@ -485,7 +483,7 @@ class WorkerSupervisor:
         parent, child = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(self._wire_provider(i), child, w.rank),
+            args=(self._wire_provider(i), child),
             daemon=True,
             name=f"repro-shard-{i}",
         )
@@ -616,7 +614,7 @@ class WorkerSupervisor:
         Commands are sent up front so workers overlap, then collected in
         list order.  A worker that crashes or misses ``op_timeout_s``
         mid-operation is killed and respawned from its current wire,
-        and its slot returns ``None``: the caller reports that shard's
+        and its slot returns ``None``: the caller reports that block's
         device lost.
         """
         self.counters["round_trips"] += len(commands)
@@ -661,32 +659,26 @@ class WorkerSupervisor:
 
 # -- the engine ------------------------------------------------------------
 
-# The shard ops a worker executes: every task whose shard returns its
-# own block.  ``stream_collect`` (column-cut shards) runs on the
-# parent's engines.
-_WORKER_OPS = ("spmv", "spmm")
-
 
 class ProcessShardedSpMV(ShardedSpMV):
-    """:class:`ShardedSpMV` executing shards in supervised worker processes.
+    """:class:`ShardedSpMV` executing output blocks in supervised worker
+    processes.
 
     Construct directly, or via ``ShardedSpMV(matrix, backend="process")``
     — the parent class dispatches here.  The parent engines are kept:
-    they provide the cost model, the plan keys, and the block operands
-    of the overlapping-output products.  :meth:`run_shards` is the
-    process implementation of the shard-execution interface.  A worker
-    that crashes or misses its deadline is respawned and its shard
-    reported lost, so a plain engine raises
+    they provide the cost model, the plan keys, the block operands the
+    wire ships and the A.T operand.  :meth:`run_shards` is the process
+    implementation of the block-execution interface.  A worker that
+    crashes or misses its deadline is respawned and its block reported
+    lost, so a plain engine raises
     :class:`~repro.dist.faults.DeviceLostError` exactly as the thread
     backend does (the next call runs on the respawned worker), and
     :class:`~repro.dist.recovery.RecoverableShardedSpMV` retries, backs
     off and quarantines with the one ladder both backends share.
 
     A fault campaign of either domain runs in the workers, which arm
-    the plans each command ships at the shard's (rank, attempt) site.
-    The overlapping-output products (column-cut ``spmv``/``spmm``, every
-    ``spmv_transpose``) never ship: they multiply the parent's block
-    operands.
+    the plans each command ships at each member cell's (rank, attempt)
+    site.
     """
 
     def __init__(
@@ -698,37 +690,28 @@ class ProcessShardedSpMV(ShardedSpMV):
         **kwargs,
     ) -> None:
         self._pcfg = process_config or ProcessConfig()
-        self._shard_blocks: list = []
         self._shm_traffic_bytes = 0.0
         self._supervisor: WorkerSupervisor | None = None
         super().__init__(matrix, *args, backend="thread", **kwargs)
         self.backend = "process"
         # x holds a vector or an update_values payload; an output holds a
-        # shard's row block.
+        # block's rows.
         x_cap = 8 * max(
-            [self._m, self._n, 1]
-            + [s.nnz for s in self.partition.shards]
+            [self._m, self._n, 1] + [hi - lo for lo, hi in self._block_nnz]
         )
-        out_caps = [8 * max(s.rows, 1) for s in self.partition.shards]
+        out_caps = [8 * max(r1 - r0, 1) for r0, r1 in self.row_blocks]
+        blocks = range(len(self.row_blocks))
         self._supervisor = WorkerSupervisor(
             self._make_wire,
-            self.device_ranks,
+            [self.device_ranks[self.block_cells(b)[0]] for b in blocks],
             x_cap,
             out_caps,
             self._pcfg,
         )
         self._supervisor.start()
 
-    def _build_engine(self, s, block, tile: int, **tile_kwargs) -> None:
-        # Stash the canonical shard block: it is the payload of the
-        # plan wire format and the source of truth for update_values.
-        self._shard_blocks.append(block)
-        self._wire_config = dict(tile_kwargs)
-        self._wire_config.update(method=self.method, tile=tile)
-        super()._build_engine(s, block, tile, **tile_kwargs)
-
-    def _make_wire(self, i: int) -> bytes:
-        return pack_shard_plan(self._shard_blocks[i], **self._wire_config)
+    def _make_wire(self, b: int) -> bytes:
+        return pack_shard_plan(self._row_op(b))
 
     @property
     def supervisor(self) -> WorkerSupervisor:
@@ -753,78 +736,79 @@ class ProcessShardedSpMV(ShardedSpMV):
         if tele.ENABLED:
             tele.count("shm_bytes_total", n=float(nbytes))
 
-    def _command(self, s, op: str, x: np.ndarray, attempt: int, inj, ginj) -> dict:
-        lo, hi = self._x_bounds(s, False)
-        cmd = {
-            "op": op,
-            "shard": s.index,
-            "rank": self.device_ranks[s.index],
-            "attempt": attempt,
-            "x_seg": self._supervisor.x_seg.name,
-            "x_len": x.shape[0],
-            "x_lo": lo,
-            "x_hi": hi,
-            "out_seg": self._supervisor.out_segs[s.index].name,
-            "plan": inj.plan if inj is not None else None,
-            "gpu_plan": ginj.plan if ginj is not None else None,
-        }
-        if x.ndim == 2:
-            cmd["k"] = x.shape[1]
-        return cmd
-
-    def _read_out(self, i: int, count: int) -> np.ndarray:
-        seg = self._supervisor.out_segs[i]
+    def _read_out(self, b: int, count: int) -> np.ndarray:
+        seg = self._supervisor.out_segs[b]
         view = np.ndarray((count,), dtype=np.float64, buffer=seg.buf)
         self._count_shm(count * 8)
         return np.array(view)
 
-    def run_shards(self, op: str, x: np.ndarray, indices=None) -> list:
+    def run_shards(self, x: np.ndarray, indices=None,
+                   cell_sums: bool = False) -> list:
         """The process implementation of :meth:`ShardedSpMV.run_shards`.
 
-        Each listed shard's attempt opens in the parent
-        (:meth:`~ShardedSpMV._open_attempt`: counter, loss, straggler),
+        Each listed block's cells open in the parent
+        (:meth:`~ShardedSpMV._open_block`: counter, loss, straggler),
         which also re-derives the worker's kill and hang decisions for
         the campaign's counters.  Every command is sent before any reply
         is collected, shipping the armed plans of both fault domains.  A
-        worker the supervisor had to respawn returns its shard's
-        :class:`~repro.dist.faults.DeviceLostError`.  The faults a worker
-        applied (halo, partial, substrate) are recorded as its reply
-        arrives.  ``stream_collect`` tasks, and every task while
-        the workers are unusable, run in-process on the inherited path.
+        worker the supervisor had to respawn returns its block's
+        :class:`~repro.dist.faults.DeviceLostError`, naming the first
+        cell whose kill or hang fired.  The faults a worker applied
+        (halo, partial, substrate) are recorded as its reply arrives.
+        After :meth:`close` every block runs in-process on the inherited
+        path.
         """
-        if op not in _WORKER_OPS or not self._use_workers():
-            return super().run_shards(op, x, indices)
-        indices = list(range(len(self.engines)) if indices is None else indices)
+        if not self._use_workers():
+            return super().run_shards(x, indices, cell_sums)
+        indices = list(range(len(self.row_blocks)) if indices is None else indices)
         sup = self._supervisor
         inj = shard_faults.active_injector()
         ginj = gpu_faults.active_injector()
         k = x.shape[1] if x.ndim == 2 else 1
         self._write_x(x)
         out: dict[int, object] = {}
+        lost_as: dict[int, tuple[int, int]] = {}
         commands = []
-        for i in indices:
-            s = self.partition.shards[i]
+        for b in indices:
             try:
-                attempt = self._open_attempt(i)
+                cells = self._open_block(b)
             except DeviceLostError as exc:
-                out[i] = exc
+                out[b] = exc
                 continue
+            suspects = []
             if inj is not None:
-                inj.kill_worker(self.device_ranks[i], attempt)
-                inj.worker_hang_s(self.device_ranks[i], attempt)
-            sup.ensure_out(i, 8 * max(s.rows * k, 1))
-            commands.append((i, self._command(s, op, x, attempt, inj, ginj)))
-        for (i, cmd), reply in zip(commands, sup.run(commands)):
+                for rank, attempt, _, _ in cells:
+                    killed = inj.kill_worker(rank, attempt)
+                    hang = inj.worker_hang_s(rank, attempt)
+                    if killed or hang:
+                        suspects.append((rank, attempt))
+            lost_as[b] = (suspects or [cells[0][:2]])[0]
+            r0, r1 = self.row_blocks[b]
+            sup.ensure_out(b, 8 * max((r1 - r0) * k, 1))
+            cmd = {
+                "op": "run_block",
+                "cells": cells,
+                "cell_sums": cell_sums,
+                "x_seg": sup.x_seg.name,
+                "x_len": x.shape[0],
+                "out_seg": sup.out_segs[b].name,
+                "plan": inj.plan if inj is not None else None,
+                "gpu_plan": ginj.plan if ginj is not None else None,
+            }
+            if x.ndim == 2:
+                cmd["k"] = x.shape[1]
+            commands.append((b, cmd))
+        for (b, _), reply in zip(commands, sup.run(commands)):
             if reply is None:
-                out[i] = DeviceLostError(cmd["rank"], cmd["attempt"])
+                out[b] = DeviceLostError(*lost_as[b])
                 continue
-            shape = tuple(reply["shape"])
-            count = int(np.prod(shape))
             for key, armed in (("plan", inj), ("gpu_plan", ginj)):
                 if armed is not None:
                     armed.record_worker_faults(reply["faults"].get(key, {}))
-            out[i] = self._read_out(i, count).reshape(shape)
-        return [out[i] for i in indices]
+            shape = tuple(reply["shape"])
+            y = self._read_out(b, int(np.prod(shape))).reshape(shape)
+            out[b] = (y, reply["sums"]) if cell_sums else y
+        return [out[b] for b in indices]
 
     def spmm(self, x: np.ndarray) -> np.ndarray:
         # The combine is inherited; this class keeps its own attribute
@@ -832,50 +816,22 @@ class ProcessShardedSpMV(ShardedSpMV):
         return super().spmm(x)
 
     def update_values(self, values) -> "ProcessShardedSpMV":
-        super().update_values(values)
-        # Refresh the canonical shard blocks (the wire payload for any
-        # future respawn) and stream the new values to live workers.
-        import scipy.sparse as sp
-
-        from repro.reliability.validation import ValidationPolicy, canonicalize_csr
-
-        if sp.issparse(values):
-            data = np.asarray(
-                canonicalize_csr(values, ValidationPolicy.TRUST)[0].data,
-                dtype=np.float64,
-            )
-        else:
-            data = np.asarray(values, dtype=np.float64)
-        slices = []
-        if self._nnz_idx is not None:
-            for sel in self._nnz_idx:
-                slices.append(data[sel])
-        else:
-            for s in self.partition.shards:
-                slices.append(data[s.nnz_lo:s.nnz_hi])
-        for block, vals in zip(self._shard_blocks, slices):
-            block.data[:] = vals
+        data = self._values(values)
+        super().update_values(data)
         sup = self._supervisor
         if sup is None:
             return self
-        # A worker lost mid-update is respawned from the refreshed wire,
-        # which already holds the new values.
-        for s in self.partition.shards:
-            vals = slices[s.index]
+        # Stream each block's new values to its live worker.  A worker
+        # lost mid-update is respawned from the refreshed wire, which
+        # already holds the new values.
+        for b, (lo, hi) in enumerate(self._block_nnz):
+            vals = data[lo:hi]
             seg = sup.ensure_x(max(vals.nbytes, 8))
             view = np.ndarray((vals.size,), dtype=np.float64, buffer=seg.buf)
             view[: vals.size] = vals
             self._count_shm(vals.nbytes)
-            cmd = {
-                "op": "update_values",
-                "shard": s.index,
-                "rank": self.device_ranks[s.index],
-                "attempt": 0,
-                "x_seg": seg.name,
-                "count": int(vals.size),
-                "plan": None,
-            }
-            sup.run([(s.index, cmd)])
+            cmd = {"op": "update_values", "x_seg": seg.name, "count": int(vals.size)}
+            sup.run([(b, cmd)])
         return self
 
     # -- lifecycle ---------------------------------------------------------

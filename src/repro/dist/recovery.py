@@ -10,14 +10,14 @@ than the one below it:
    (:class:`ShardCheck`): ``sum(y_p) = c_p . x_p`` where ``c_p`` is the
    column-sum vector of shard ``p``'s block.  A corrupted partial, a
    corrupted halo window or a lost device is attributed to exactly one
-   shard; the P-1 clean shards are never re-executed.
-2. **Retry** — only the faulty shard re-executes, behind deterministic
-   exponential backoff (seed-derived jitter, virtual clock, optional
-   deadline budget).  A transient fault costs one shard's work, not P
-   shards'.
+   shard; the clean blocks are never re-executed.
+2. **Retry** — only the faulty shard's output block re-executes, behind
+   deterministic exponential backoff (seed-derived jitter, virtual
+   clock, optional deadline budget).  A transient fault costs one
+   block's work, not all of them.
 3. **Reconstruct** — with an optional parity shard armed
    (``RecoveryConfig(parity=True)``), a single persistently-lost
-   row-block shard's contribution is rebuilt *without recompute*:
+   output block is rebuilt *without recompute*:
    the parity device holds ``A_par = sum_p shift(A_p)`` (every block
    translated to local row 0 — the Huang-Abraham checksum row extended
    to a full checksum *device*), so ``y_q = y_par - sum_{p != q}
@@ -32,27 +32,26 @@ than the one below it:
 
 The ladder runs on either execution backend.  It drives the inner
 engine only through :meth:`~repro.dist.sharded.ShardedSpMV.run_shards`
-— the first pass over every shard, then each single-shard retry — and
-reads a lost shard from the slot that call returns.  On the process
+— the first pass over every block, then each single-block retry — and
+reads a lost device from the slot that call returns.  On the process
 backend a worker that crashed or hung has already been respawned by
 its supervisor and shows up here as a lost device, so one set of
 breakers, one backoff schedule and one quarantine cover both backends;
 a quarantine repartitions onto P-1 worker processes.
 
-Two shapes of shard work go up the ladder.  Shards of a row-disjoint
-partition return their own block and are checked on it.  Column-cut
-shards return their decode stream and x window instead: the checker
-recomputes ``sum(vals * window[cols])`` against the shard's checksum,
-and the verified list feeds the inner engine's per-block operand
-assembly — the same combine the unprotected engine runs.  Every
-checksum reduction runs in the calling thread, never in threaded BLAS.
+The retry unit is the output block the engine executes: a shard on a
+1D or single-column partition, a grid row of C cells otherwise.  A
+block returns its y rows and each cell's contribution sum over its
+entries as executed (``cell_sums``); the checker holds each sum against
+that cell's checksum, so a detection still names the device, and a
+retry re-runs the whole block.  Every checksum reduction is an
+``einsum`` loop, never threaded BLAS.
 
 Exactness: rungs 1, 2 and 4 keep the sharded engine's bit-for-bit
 guarantee — a recovered run equals the single-device product
-*exactly*, because retried shards re-emit the same canonical
-streams/blocks and the combine (concatenation or the block operands)
-is unchanged.  Only parity reconstruction (rung 3) is roundoff-grade,
-and it says so.
+*exactly*, because retried blocks re-run the same operand rows and the
+combine (concatenation) is unchanged.  Only parity reconstruction
+(rung 3) is roundoff-grade, and it says so.
 
 The modelled price of all of this — parity compute, parity traffic,
 retry makespan, rebuild cost — lands in
@@ -71,12 +70,11 @@ import scipy.sparse as sp
 from repro import telemetry as tele
 from repro.core.tilespmv import TileSpMV
 from repro.dist.faults import DeviceLostError
-from repro.dist.sharded import ShardedSpMV
+from repro.dist.sharded import ShardedSpMV, weighted_sum
 from repro.gpu.costmodel import MultiDeviceRunCost, RunCost
 from repro.reliability.abft import CHECK_SLACK
 from repro.reliability.validation import ValidationPolicy, canonicalize_csr
 from repro.serving.breaker import BreakerConfig, BreakerState, CircuitBreaker
-from repro.util.vecops import dot
 
 __all__ = [
     "ShardCheck",
@@ -84,11 +82,6 @@ __all__ = [
     "ShardRecoveryError",
     "RecoverableShardedSpMV",
 ]
-
-
-def _weighted_sum(w: np.ndarray, x: np.ndarray):
-    """``w @ x`` in the calling thread: a float for 1-D ``x``, (k,) for (n, k)."""
-    return dot(w, x) if x.ndim == 1 else np.einsum("i,ik->k", w, x)
 
 
 class ShardRecoveryError(RuntimeError):
@@ -113,8 +106,7 @@ class RecoveryConfig:
         straggler delays).  ``None`` is unbounded; an exhausted budget
         skips remaining retries and escalates.
     parity:
-        Build the sum-of-blocks parity engine (row-disjoint partitions
-        only) enabling rung 3.
+        Build the sum-of-blocks parity engine enabling rung 3.
     breaker:
         Per-device circuit breaker config; ``failure_threshold``
         consecutive failures quarantine the device.  The default never
@@ -155,12 +147,12 @@ class ShardCheck:
 
     def expected(self, x_local: np.ndarray) -> np.ndarray:
         """``c_p . x_p``: scalar for spmv, (k,) for spmm."""
-        return _weighted_sum(self.col_sum, x_local)
+        return weighted_sum(self.col_sum, x_local)
 
     def tolerance(self, x_local: np.ndarray, terms: int | None = None) -> np.ndarray:
         """Roundoff bound; ``terms`` overrides the summand count (used
         with the cross-device total for parity reconstruction)."""
-        scale = _weighted_sum(self.col_abs_sum, np.abs(x_local))
+        scale = weighted_sum(self.col_abs_sum, np.abs(x_local))
         n_terms = max(terms if terms is not None else self.nnz + self.rows, 1)
         eps = np.finfo(np.float64).eps
         return CHECK_SLACK * n_terms * eps * np.maximum(scale, 1e-300)
@@ -181,11 +173,11 @@ class RecoverableShardedSpMV:
     Construction mirrors ``ShardedSpMV`` (same partitioning, same
     per-shard plans, same plan cache, same ``backend``/
     ``process_config``) plus a :class:`RecoveryConfig`.
-    ``spmv``/``spmm`` run all shards — concurrently whenever the inner
-    engine would — then verify each shard's contribution independently
-    and walk the ladder for the failures.  ``spmv_transpose`` delegates
-    unprotected (every shard contributes to overlapping output ranges;
-    protecting it per-shard is future work, see docs/RELIABILITY.md).
+    ``spmv``/``spmm`` run all output blocks — concurrently whenever the
+    inner engine would — then verify each shard's contribution
+    independently and walk the ladder for the failures.
+    ``spmv_transpose`` delegates: a transpose is not a fault site on any
+    engine (see docs/RELIABILITY.md).
 
     Counters (:attr:`counters`): ``shard_detected``, ``shard_retry``,
     ``shard_reconstruct``, ``device_quarantine``, ``repartitions``,
@@ -266,17 +258,12 @@ class RecoverableShardedSpMV:
         indices = np.asarray(self._csr.indices, dtype=np.int64)
         data = np.asarray(self._csr.data, dtype=np.float64)
         checks = []
-        for i, s in enumerate(self.inner.partition.shards):
-            if self.inner._nnz_idx is not None:
-                sel = self.inner._nnz_idx[i]
-                cols = indices[sel] - s.col_lo
-                vals = data[sel]
-                width = s.block_cols
-            else:
-                sel = slice(s.nnz_lo, s.nnz_hi)
-                cols = indices[sel]
-                vals = data[sel]
-                width = self._csr.shape[1]
+        for i, (s, sel) in enumerate(zip(self.inner.partition.shards,
+                                         self.inner._nnz_idx)):
+            lo, hi = self.inner._x_bounds(i)
+            cols = indices[sel] - lo
+            vals = data[sel]
+            width = hi - lo
             checks.append(
                 ShardCheck(
                     col_sum=np.bincount(cols, weights=vals, minlength=width)[:width],
@@ -289,29 +276,40 @@ class RecoverableShardedSpMV:
             )
         self._checks = checks
 
-    def _build_parity(self) -> None:
-        """The parity device's matrix: every row block shifted to row 0.
+    def _block_check(self, b: int) -> ShardCheck:
+        """Output block ``b``'s checksum over all n columns: its cells'
+        checksums side by side (the cell's own on a single-column
+        partition)."""
+        cells = self.inner.block_cells(b)
+        if len(cells) == 1:
+            return self._checks[cells[0]]
+        n = self.shape[1]
+        col_sum, col_abs_sum = np.zeros(n), np.zeros(n)
+        for i in cells:
+            lo, hi = self.inner._x_bounds(i)
+            col_sum[lo:hi] = self._checks[i].col_sum
+            col_abs_sum[lo:hi] = self._checks[i].col_abs_sum
+        r0, r1 = self.inner.row_blocks[b]
+        return ShardCheck(col_sum, col_abs_sum, rows=r1 - r0,
+                          nnz=sum(self._checks[i].nnz for i in cells))
 
-        Only meaningful for row-disjoint partitions (1D or C=1 grids);
-        a column-cut grid silently skips parity — rung 3 is documented
-        as row-block-only.
-        """
+    def _build_parity(self) -> None:
+        """The parity device's matrix: every output block shifted to row 0."""
         self._parity_engine = None
         self._parity_rows = 0
-        if self.inner.grid_cols > 1 or self.inner.shards < 2:
+        blocks = self.inner.row_blocks
+        if len(blocks) < 2:
             return
         csr = self._csr
         m, n = csr.shape
         rows = np.repeat(
             np.arange(m, dtype=np.int64), np.diff(csr.indptr).astype(np.int64)
         )
-        # Translate each global row to its shard-local index.
+        # Translate each global row to its block-local index.
         row_lo = np.zeros(m, dtype=np.int64)
-        heights = []
-        for s in self.inner.partition.shards:
-            row_lo[s.row_lo:s.row_hi] = s.row_lo
-            heights.append(s.rows)
-        self._parity_rows = max(heights) if heights else 0
+        for r0, r1 in blocks:
+            row_lo[r0:r1] = r0
+        self._parity_rows = max(r1 - r0 for r0, r1 in blocks)
         if self._parity_rows == 0:
             return
         local = rows - row_lo[rows] if rows.size else rows
@@ -392,56 +390,79 @@ class RecoverableShardedSpMV:
         if delta > 0:
             self.clock += delta
 
-    def _recover_shard(self, op: str, run_op: str, i: int, x, checker,
-                       reason: str):
-        """Rung 2: localized retry with deadline-budgeted backoff.
+    def _check_block(self, b: int, x, outcome):
+        """Verify one block execution cell by cell.
 
-        Returns the verified result, or ``None`` if the shard stayed
-        faulty (escalation: parity, then quarantine).
+        Returns ``(y, faulty, verified)``: the block's rows (``None``
+        unless every cell verified), the faulty cells as
+        ``(cell, reason)`` and the cells that verified.
+        """
+        if isinstance(outcome, DeviceLostError):
+            lost = self.inner.device_ranks.index(outcome.device)
+            return None, [(lost, "device_loss")], []
+        y, sums = outcome
+        faulty, verified = [], []
+        for i, total in zip(self.inner.block_cells(b), sums):
+            if self._checks[i].verify_sum(self._x_local(i, x), total):
+                verified.append(i)
+            else:
+                faulty.append((i, "abft"))
+        return (None if faulty else y), faulty, verified
+
+    def _recover_block(self, op: str, b: int, x, faulty):
+        """Rung 2: re-run block ``b`` behind deadline-budgeted backoff.
+
+        Every faulty cell's device records each failure; the backoff
+        and the retry log follow the first faulty cell's device.
+        Returns ``(y, [])`` once every cell verifies, else ``(None,
+        faulty)`` with the cells that failed last (escalation: parity,
+        then quarantine).
         """
         cfg = self.config
-        rank = self.inner.device_ranks[i]
-        breaker = self._breaker(rank)
-        self.counters["shard_detected"] += 1
-        if tele.ENABLED:
-            tele.count("shard_detections_total", reason=reason)
-        breaker.record_failure(self.clock, reason)
+        ranks = self.inner.device_ranks
+        for i, reason in faulty:
+            self.counters["shard_detected"] += 1
+            if tele.ENABLED:
+                tele.count("shard_detections_total", reason=reason)
+            self._breaker(ranks[i]).record_failure(self.clock, reason)
         for r in range(cfg.max_shard_retries):
-            if breaker.state is BreakerState.OPEN:
+            if any(self._breaker(ranks[i]).state is BreakerState.OPEN
+                   for i, _ in faulty):
                 break  # persistently failing: stop burning retries
+            lead, reason = faulty[0]
+            rank = ranks[lead]
             delay = self._backoff_delay(rank, r)
             if cfg.deadline_s is not None and self.clock + delay > cfg.deadline_s:
                 self.retry_log.append(
-                    {"device": rank, "shard": i, "retry": r, "delay_s": delay,
+                    {"device": rank, "shard": lead, "retry": r, "delay_s": delay,
                      "reason": "deadline_exhausted", "op": op}
                 )
                 break
             self.clock += delay
             self.counters["shard_retry"] += 1
             self.retry_log.append(
-                {"device": rank, "shard": i, "retry": r, "delay_s": delay,
+                {"device": rank, "shard": lead, "retry": r, "delay_s": delay,
                  "reason": reason, "op": op}
             )
             if tele.ENABLED:
                 tele.count("shard_retries_total")
-            with tele.span("shard_retry", cat="dist", shard=i, device=rank,
+            with tele.span("shard_retry", cat="dist", shard=lead, device=rank,
                            retry=r, op=op):
-                result = self.inner.run_shards(run_op, x, [i])[0]
-                if isinstance(result, DeviceLostError):
-                    reason = "device_loss"
-                    breaker.record_failure(self.clock, reason)
-                    continue
-            if checker(i, result):
-                breaker.record_success(self.clock)
-                return result
-            reason = "abft"
-            breaker.record_failure(self.clock, reason)
-        return None
+                outcome = self.inner.run_shards(x, [b], cell_sums=True)[0]
+            y, failed, _ = self._check_block(b, x, outcome)
+            if not failed:
+                for i, _ in faulty:
+                    self._breaker(ranks[i]).record_success(self.clock)
+                return y, []
+            faulty = failed
+            for i, reason in faulty:
+                self._breaker(ranks[i]).record_failure(self.clock, reason)
+        return None, faulty
 
     def _reconstruct(self, x, k: int | None, failed: int, blocks: list):
-        """Rung 3: rebuild one lost row block from the parity product.
+        """Rung 3: rebuild one lost output block from the parity product.
 
-        ``blocks`` holds the P verified shard blocks (``None`` at
+        ``blocks`` holds the verified block results (``None`` at
         ``failed``).  No recompute: the parity product was part of the
         normal pass, and the survivors' blocks are already in hand.
         Verified against the cross-device roundoff tolerance; the
@@ -459,18 +480,14 @@ class RecoverableShardedSpMV:
             for j, blk in enumerate(blocks):
                 if j == failed or blk is None:
                     continue
-                rows_j = self.inner.partition.shards[j].rows
-                if k is None:
-                    acc[:rows_j] -= blk
-                else:
-                    acc[:rows_j, :] -= blk
-            rows_q = self.inner.partition.shards[failed].rows
-            y_q = acc[:rows_q] if k is None else acc[:rows_q, :]
+                acc[:blk.shape[0]] -= blk
+            r0, r1 = self.inner.row_blocks[failed]
+            y_q = acc[:r1 - r0]
         observed = np.sum(y_q, axis=0)
         # Cross-device tolerance: the reconstruction sums every block's
         # roundoff, so the summand count is the whole matrix's.
-        ok = self._checks[failed].verify_sum(
-            self._x_local(failed, x), observed, terms=self.nnz + self.shape[0]
+        ok = self._block_check(failed).verify_sum(
+            x, observed, terms=self.nnz + self.shape[0]
         )
         if not ok:
             return None
@@ -514,53 +531,49 @@ class RecoverableShardedSpMV:
             # The parity block layout depends on the partition heights.
             self._build_parity()
 
-    def _ladder(self, op: str, run_op: str, x, k: int | None, checker,
-                depth: int = 0):
-        """Run shards, verify each, recover failures, return the blocks.
+    def _ladder(self, op: str, x, k: int | None, depth: int):
+        """Run every block, verify each cell, recover failures.
 
-        ``op`` is the product (``spmv``/``spmm``, as logged); ``run_op``
-        the shard task :meth:`~repro.dist.sharded.ShardedSpMV.run_shards`
-        executes for it.
-
-        Returns ``(blocks, failed_after_parity)`` where ``blocks`` is
-        the per-shard verified result list and the second element names
-        devices that must be quarantined (the caller then repartitions
-        and recomputes).  ``None`` entries only survive when parity
-        reconstructed them is impossible — the caller escalates.
+        ``op`` is the product (``spmv``/``spmm``, as logged) and
+        ``depth`` the repartitions this product has already caused.
+        Returns the verified block results, or ``None`` after a
+        quarantine (the caller recomputes on the repartitioned engine).
         """
+        ranks = self.inner.device_ranks
         before = list(self.inner.shard_delay_s)
-        outcomes = self.inner.run_shards(run_op, x)
+        outcomes = self.inner.run_shards(x, cell_sums=True)
         self._charge_stragglers(before)
-        blocks: list = [None] * self.inner.shards
-        failures: list[tuple[int, str]] = []
-        for i, payload in enumerate(outcomes):
-            if isinstance(payload, DeviceLostError):
-                failures.append((i, "device_loss"))
-            elif checker(i, payload):
-                blocks[i] = payload
-                self._breaker(self.inner.device_ranks[i]).record_success(self.clock)
-            else:
-                failures.append((i, "abft"))
+        blocks: list = [None] * len(outcomes)
+        failures = []
+        for b, outcome in enumerate(outcomes):
+            blocks[b], faulty, verified = self._check_block(b, x, outcome)
+            for i in verified:
+                self._breaker(ranks[i]).record_success(self.clock)
+            if faulty:
+                failures.append((b, faulty))
         if not failures:
             self.counters["verified_ok"] += 1
             return blocks
-        for i, reason in failures:
-            blocks[i] = self._recover_shard(op, run_op, i, x, checker, reason)
-        unrecovered = [i for i in range(self.inner.shards) if blocks[i] is None]
+        bad = []
+        for b, faulty in failures:
+            blocks[b], faulty = self._recover_block(op, b, x, faulty)
+            bad += [i for i, _ in faulty]
+        unrecovered = [b for b, blk in enumerate(blocks) if blk is None]
         if not unrecovered:
             self.counters["verified_ok"] += 1
             return blocks
-        # Rung 3: one lost row block, everything else verified (only
-        # reachable with the parity engine armed, i.e. row-disjoint).
-        if len(unrecovered) == 1 and op in ("spmv", "spmm"):
+        # Rung 3: one lost block, everything else verified (only
+        # reachable with the parity engine armed).
+        if len(unrecovered) == 1:
             y_q = self._reconstruct(x, k, unrecovered[0], blocks)
             if y_q is not None:
                 blocks[unrecovered[0]] = y_q
-                # The device is still bad: quarantine it for *future*
+                # The devices are still bad: quarantine them for *future*
                 # calls, but this product is already complete.
-                rank = self.inner.device_ranks[unrecovered[0]]
-                if self._breaker(rank).state is BreakerState.OPEN:
-                    self._quarantine([rank])
+                tripped = [ranks[i] for i in bad
+                           if self._breaker(ranks[i]).state is BreakerState.OPEN]
+                if tripped:
+                    self._quarantine(tripped)
                 self.counters["verified_ok"] += 1
                 return blocks
         # Rung 4: quarantine + repartition + full recompute on survivors.
@@ -569,55 +582,24 @@ class RecoverableShardedSpMV:
                 "recovery ladder failed to converge; matrix or substrate "
                 "is persistently corrupting every repartition"
             )
-        bad = [self.inner.device_ranks[i] for i in unrecovered]
-        self._quarantine(bad)
-        return None  # signal: recompute on the rebuilt engine
+        self._quarantine([ranks[i] for i in bad])
+        return None
 
     # -- products ----------------------------------------------------------
 
     def _x_local(self, i: int, x):
         """The clean x window shard ``i``'s checksum is taken against."""
-        lo, hi = self.inner._x_bounds(self.inner.partition.shards[i], False)
+        lo, hi = self.inner._x_bounds(i)
         return x[lo:hi]
 
-    def _block_ladder(self, x, k: int | None, depth: int = 0):
-        """Row-disjoint spmv/spmm (1D, C=1 grids): every shard returns
-        its own block; the verified blocks concatenate."""
+    def _product(self, x, k: int | None):
+        """spmv/spmm through the ladder; the verified blocks concatenate
+        (after a quarantine, recomputed over the survivors)."""
         op = "spmv" if k is None else "spmm"
-
-        def checker(i: int, y_blk) -> bool:
-            return self._checks[i].verify_sum(
-                self._x_local(i, x), np.sum(y_blk, axis=0)
-            )
-
-        blocks = self._ladder(op, op, x, k, checker, depth)
-        if blocks is None:  # repartitioned: recompute over the survivors
-            return self._dispatch(x, k, depth + 1)
+        depth = 0
+        while (blocks := self._ladder(op, x, k, depth)) is None:
+            depth += 1
         return np.concatenate(blocks, axis=0)
-
-    def _column_cut_product(self, x, k: int | None, depth: int = 0):
-        """Column-cut spmv/spmm: verified shard streams and windows,
-        multiplied through the inner engine's block operands."""
-        inner = self.inner
-
-        def checker(i: int, task) -> bool:
-            stream, window = task
-            observed = 0.0
-            if stream is not None:
-                _, cols, vals = stream
-                observed = _weighted_sum(vals, window[cols])
-            return self._checks[i].verify_sum(self._x_local(i, x), observed)
-
-        tasks = self._ladder("spmv" if k is None else "spmm", "stream_collect",
-                             x, k, checker, depth)
-        if tasks is None:
-            return self._dispatch(x, k, depth + 1)
-        return inner._overlap_product(x, False, tasks)
-
-    def _dispatch(self, x, k: int | None, depth: int = 0):
-        if self.inner.grid_cols > 1:
-            return self._column_cut_product(x, k, depth)
-        return self._block_ladder(x, k, depth)
 
     def spmv(self, x: np.ndarray) -> np.ndarray:
         """y = A @ x with per-shard verification and localized recovery."""
@@ -626,7 +608,7 @@ class RecoverableShardedSpMV:
             raise ValueError(f"x must have shape ({self.shape[1]},)")
         self.last_exact = True
         with tele.span("recoverable_spmv", cat="dist", shards=self.shards):
-            return self._dispatch(x, None)
+            return self._product(x, None)
 
     __matmul__ = spmv
 
@@ -638,10 +620,10 @@ class RecoverableShardedSpMV:
         self.last_exact = True
         with tele.span("recoverable_spmm", cat="dist", shards=self.shards,
                        k=x.shape[1]):
-            return self._dispatch(x, x.shape[1])
+            return self._product(x, x.shape[1])
 
     def spmv_transpose(self, x: np.ndarray) -> np.ndarray:
-        """y = A.T @ x — delegated to the inner engine, unprotected."""
+        """y = A.T @ x — delegated to the inner engine: not a fault site."""
         return self.inner.spmv_transpose(x)
 
     def update_values(self, values) -> "RecoverableShardedSpMV":
@@ -700,9 +682,10 @@ class RecoverableShardedSpMV:
         """P-device pricing including the recovery and parity terms.
 
         Parity adds the checksum device's compute plus the pairwise
-        parity traffic (every shard's padded block crossing one link);
+        parity traffic (every output block, padded, crossing one link);
         the retry terms replay this engine's actual recovery history
-        (recorded backoff waits + the retried shards' kernel costs), and
+        (recorded backoff waits + each retried block's kernel costs,
+        every cell of it), and
         the rebuild term prices each repartition's full re-execution.
         A fresh engine with no faults prices identically to the plain
         :meth:`ShardedSpMV.multi_device_cost` plus parity (if armed).
@@ -714,15 +697,20 @@ class RecoverableShardedSpMV:
         if self._parity_engine is not None:
             parity_cost = self._parity_engine.run_cost()
             parity_bytes = float(
-                self.shards * self._parity_rows * itemsize
+                len(self.inner.row_blocks) * self._parity_rows * itemsize
             )
         retry_costs = []
         shard_costs = mdc.shard_costs
         for ev in self.retry_log:
             if ev["reason"] == "deadline_exhausted":
                 continue
+            # A retry re-runs the logged shard's whole output block.
             i = min(ev["shard"], len(shard_costs) - 1)
-            retry_costs.append(shard_costs[i])
+            cells = self.inner.block_cells(i // self.inner.grid_cols)
+            cost = shard_costs[cells[0]]
+            for j in cells[1:]:
+                cost = cost + shard_costs[j]
+            retry_costs.append(cost)
         rebuild = None
         for rc in self._rebuild_costs:
             rebuild = rc if rebuild is None else rebuild + rc

@@ -4,17 +4,27 @@
 1D row blocks (:func:`~repro.dist.partition.partition_rows`) or a 2D
 R x C tile grid (:func:`~repro.dist.partition.partition_grid`) — and
 prepares one :class:`~repro.core.tilespmv.TileSpMV` plan per shard.
-All shards may share one :class:`~repro.core.plancache.PlanCache`,
-which is lock-protected for exactly this, and row-disjoint products
-execute concurrently through a
-:class:`~concurrent.futures.ThreadPoolExecutor`.  The shard kernels are
-scipy CSR products that release the GIL, so on a multi-core host the
-shards can overlap; the modelled multi-GPU story comes from
+The plans are what the cost model prices: :meth:`run_cost`, and
 :meth:`multi_device_cost`, whose
 :class:`~repro.gpu.costmodel.MultiDeviceRunCost` makespan combines each
 shard's kernel time with the interconnect traffic the partitioner
 measured (x window in, y block out, partial-y tree reduction for column
-cuts).
+cuts).  All shards may share one
+:class:`~repro.core.plancache.PlanCache`, which is lock-protected for
+exactly this.
+
+The execution unit is the **output block**: a forward product runs R
+row blocks (P on a 1D partition), each a row slice of the canonical
+CSR operand over all n columns, concurrently through a
+:class:`~concurrent.futures.ThreadPoolExecutor` or, on the process
+backend, in worker processes.  On 1D and single-column grids a block
+*is* its shard's operand; on a grid with C > 1 one block operand holds
+the rows of its C cells, as Kreutzer et al. split a distributed row
+block into a local and a remote-x part.  The cells stay the unit that
+is priced and the unit that faults: a block task opens every member
+cell's attempt and applies each cell's fault hooks to that cell's own
+entries and x window (:func:`run_block`).  A transpose multiplies one
+A.T operand; it is not a fault site.
 
 Execution degrades to a sequential loop whenever the telemetry tracer
 is armed: it is deliberately process-global and order-dependent
@@ -22,32 +32,16 @@ is armed: it is deliberately process-global and order-dependent
 determinism it exists to provide.  Fault campaigns of both domains
 (:mod:`repro.gpu.faults`, :mod:`repro.dist.faults`) derive every fault
 from ``(seed, kind, site, attempt)`` instead of a consumed stream, so
-they run on the real concurrent path — the recovery ladder in
-:mod:`repro.dist.recovery` is exercised under the same threading it
-must survive in production.  Results are identical either way —
-concurrency never decides a combine order (see below).
+they run on the real concurrent path.
 
-Exactness: shard boundaries never split a 16 x 16 tile, so each shard's
-plan is the unsharded plan restricted to its block — same tile
-decomposition, same per-tile format selection, same decode order.
-Every strategy executes one canonical (row, ascending column) CSR
-operand, so every product is **bit-for-bit** the single-engine product,
-for every method (``auto`` too, whichever strategy each shard's
-arbitration keeps) and on every grid shape:
-
-* Row-disjoint outputs (:meth:`spmv`/:meth:`spmm` on 1D partitions or
-  single-column grids) concatenate shard blocks — trivially exact.
-* Overlapping outputs (column-cut :meth:`spmv`/:meth:`spmm`, every
-  :meth:`spmv_transpose`) multiply **per-block CSR operands**: one per
-  row block for forward products, one A.T operand per column block for
-  transposes, each assembled once from the shards' operand-order
-  entry streams (:meth:`~repro.core.tilespmv.TileSpMV.decode_streams`),
-  each sorted into canonical order.  Each block holds exactly
-  the rows of the single-device operand, so every output entry sums
-  its contributions in the single-device sequence.  Summing rounded
-  per-shard partials could never do this — float addition is not
-  associative.  Only the x window crosses a shard boundary, as in
-  Kreutzer et al.'s split of distributed SpMV.
+Exactness: every product is **bit-for-bit** the single-engine product,
+for every method and on every grid shape, with no sort anywhere.  A
+block holds exactly rows ``[r0, r1)`` of the single-device operand, in
+its order, so each output entry sums its contributions in the
+single-device sequence, and blocks concatenate.  The A.T operand is
+the single device's (``c.T.tocsr()`` of the same canonical matrix).
+Summing rounded per-cell partials could never do this — float addition
+is not associative.
 """
 
 from __future__ import annotations
@@ -60,6 +54,7 @@ import scipy.sparse as sp
 
 from repro import telemetry as tele
 from repro.core.plancache import PlanCache
+from repro.core.storage import faulted_operand, refill_operand
 from repro.core.tilespmv import METHODS, TileSpMV
 from repro.dist import faults as shard_faults
 from repro.dist.faults import DeviceLostError
@@ -75,6 +70,8 @@ from repro.gpu import faults
 from repro.gpu.costmodel import MultiDeviceRunCost, RunCost
 from repro.gpu.device import A100, DeviceSpec
 from repro.reliability.validation import ValidationPolicy, canonicalize_csr
+from repro.util.segments import lengths_to_offsets, repeat_offsets
+from repro.util.vecops import dot
 
 __all__ = ["ShardedSpMV", "modelled_shard_sweep", "best_shard_count"]
 
@@ -91,6 +88,81 @@ def _coerce_grid(grid, shards: int) -> tuple[int, int] | None:
     if r < 1 or c < 1:
         raise ValueError(f"grid must be >= 1 on both axes, got {grid!r}")
     return (r, c)
+
+
+def weighted_sum(w: np.ndarray, x: np.ndarray):
+    """``w @ x`` in the calling thread: a float for 1-D ``x``, (k,) for (n, k)."""
+    return dot(w, x) if x.ndim == 1 else np.einsum("i,ik->k", w, x)
+
+
+def cell_positions(op: sp.csr_matrix, bounds) -> list[np.ndarray]:
+    """Indices into ``op``'s entries of each ``[lo, hi)`` column window."""
+    idx = op.indices
+    return [np.flatnonzero((idx >= lo) & (idx < hi)) for lo, hi in bounds]
+
+
+def _matmul(op: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """``op @ x``; one column takes the vector path, as ``TileSpMV.spmm`` does."""
+    if x.ndim == 2 and x.shape[1] == 1:
+        return (op @ x[:, 0]).reshape(-1, 1)
+    return op @ x
+
+
+def run_block(op: sp.csr_matrix, x: np.ndarray, cells, positions,
+              cell_sums: bool = False):
+    """One output block's product under the armed fault hooks.
+
+    The block task of both backends: the thread pool and the worker
+    processes run exactly this.  ``cells`` lists the block's cells in
+    column order as ``(rank, attempt, lo, hi)``: the device, the
+    attempt its engine opened and the ``[lo, hi)`` x window it reads.
+    A block of one cell is a shard's own operand, faulted like a
+    single-device product: payload under the device's
+    :func:`~repro.gpu.faults.fault_site`, halo on its x window, partial
+    on its y block.  In a block of several cells each cell's hooks hit
+    only its own entries (``positions``, from :func:`cell_positions`;
+    ``None`` for a block of one cell) and its own x window, in a
+    private copy; its partial is its entries' values, since only their
+    sum is the cell's.
+
+    Returns ``y``, or with ``cell_sums`` ``(y, sums)``: each cell's
+    contribution sum over its entries as executed, which is what the
+    recovery ladder checks per device.
+    """
+    inj = shard_faults.active_injector()
+    if len(cells) == 1:
+        rank, attempt, lo, hi = cells[0]
+        with faults.fault_site(rank, attempt):
+            window = x[lo:hi]
+            if inj is not None:
+                window = inj.corrupt_halo(rank, attempt, window)
+            y = _matmul(faulted_operand(op), window)
+        if inj is not None:
+            y = inj.corrupt_partial(rank, attempt, y)
+        return (y, [np.sum(y, axis=0)]) if cell_sums else y
+    ginj = faults.active_injector()
+    if ginj is None and inj is None and not cell_sums:
+        return _matmul(op, x)
+    data, x_run, sums = None, x, []
+    for (rank, attempt, lo, hi), pos in zip(cells, positions):
+        vals = clean = op.data[pos]
+        window = received = x[lo:hi]
+        with faults.fault_site(rank, attempt):
+            if ginj is not None:
+                vals = ginj.corrupt_payload(vals, kind="tile_payload")
+            if inj is not None:
+                vals = inj.corrupt_partial(rank, attempt, vals)
+                window = inj.corrupt_halo(rank, attempt, window)
+        if vals is not clean:
+            data = op.data.copy() if data is None else data
+            data[pos] = vals
+        if window is not received:
+            x_run = x.copy() if x_run is x else x_run
+            x_run[lo:hi] = window
+        if cell_sums:
+            sums.append(weighted_sum(vals, window[op.indices[pos] - lo]))
+    y = _matmul(op if data is None else refill_operand(op, data), x_run)
+    return (y, sums) if cell_sums else y
 
 
 class ShardedSpMV:
@@ -125,9 +197,9 @@ class ShardedSpMV:
         Canonicalization policy for the input gate (applied once, before
         partitioning; shards are built with ``trust``).
     backend:
-        ``"thread"`` (default) executes shards on the inherited
+        ``"thread"`` (default) executes row blocks on the inherited
         thread-pool path; ``"process"`` dispatches construction to
-        :class:`~repro.dist.procpool.ProcessShardedSpMV`, whose shards
+        :class:`~repro.dist.procpool.ProcessShardedSpMV`, whose blocks
         run in worker processes over shared memory.  Both implement
         :meth:`run_shards`, the interface the recovery ladder drives.
     **tile_kwargs:
@@ -180,10 +252,17 @@ class ShardedSpMV:
         else:
             self.partition = partition_grid(csr, self.grid, tile)
         self.engines: list[TileSpMV] = []
-        # Per-shard gather into the canonical CSR value array, for the
-        # update_values routing.  1D shards own contiguous slices; grid
-        # cells own a scattered subset of their row block's entries.
-        self._nnz_idx: list[np.ndarray] | None = None
+        # Where each shard's values sit in the canonical CSR value array
+        # (update_values routing, per-shard checksums): a slice for a 1D
+        # shard, an index array for a grid cell.
+        self._nnz_idx: list = []
+        # Per output block: its rows and its entries' canonical range.
+        # Blocks of several cells also hold their own operand (rows
+        # r0:r1 over all n columns) and each cell's entries in it.
+        self.row_blocks: list[tuple[int, int]] = []
+        self._block_nnz: list[tuple[int, int]] = []
+        self._row_ops: list[sp.csr_matrix] = []
+        self._cell_pos: list = []
         indptr = np.asarray(csr.indptr, dtype=np.int64)
         with tele.span("sharded_build", cat="build", shards=shards, nnz=self._nnz):
             if self.grid is None:
@@ -196,34 +275,47 @@ class ShardedSpMV:
                         ),
                         shape=(s.rows, self._n),
                     )
+                    self._nnz_idx.append(slice(s.nnz_lo, s.nnz_hi))
+                    self.row_blocks.append((s.row_lo, s.row_hi))
+                    self._block_nnz.append((s.nnz_lo, s.nnz_hi))
                     self._build_engine(s, block, tile, **tile_kwargs)
             else:
-                self._nnz_idx = []
-                for s in self.partition.shards:
-                    lo, hi = int(indptr[s.row_lo]), int(indptr[s.row_hi])
-                    cols = csr.indices[lo:hi]
-                    sel = np.arange(lo, hi, dtype=np.int64)[
-                        (cols >= s.col_lo) & (cols < s.col_hi)
-                    ]
-                    self._nnz_idx.append(sel)
-                    local_rows = np.searchsorted(indptr, sel, side="right") - 1 - s.row_lo
-                    block_indptr = np.concatenate(
-                        [[0], np.cumsum(np.bincount(local_rows, minlength=s.rows))]
-                    ).astype(np.int64)
-                    block = sp.csr_matrix(
-                        (
-                            csr.data[sel],
-                            csr.indices[sel] - s.col_lo,
-                            block_indptr,
-                        ),
-                        shape=(s.rows, s.block_cols),
+                part = self.partition
+                for r in range(part.grid_rows):
+                    r0, r1 = int(part.row_bounds[r]), int(part.row_bounds[r + 1])
+                    lo, hi = int(indptr[r0]), int(indptr[r1])
+                    rows = sp.csr_matrix(
+                        (csr.data[lo:hi], csr.indices[lo:hi], indptr[r0:r1 + 1] - lo),
+                        shape=(r1 - r0, self._n),
                     )
-                    self._build_engine(s, block, tile, **tile_kwargs)
+                    cells = part.row_block(r)
+                    pos = cell_positions(rows, [(s.col_lo, s.col_hi) for s in cells])
+                    local_rows = repeat_offsets(rows.indptr)
+                    for s, p in zip(cells, pos):
+                        self._nnz_idx.append(lo + p)
+                        block = sp.csr_matrix(
+                            (
+                                rows.data[p],
+                                rows.indices[p] - s.col_lo,
+                                lengths_to_offsets(
+                                    np.bincount(local_rows[p], minlength=s.rows)
+                                ),
+                            ),
+                            shape=(s.rows, s.block_cols),
+                        )
+                        self._build_engine(s, block, tile, **tile_kwargs)
+                    self.row_blocks.append((r0, r1))
+                    self._block_nnz.append((lo, hi))
+                    if len(cells) > 1:
+                        self._row_ops.append(rows.copy())
+                        self._cell_pos.append(pos)
         self.build_seconds = sum(e.build_seconds for e in self.engines)
         self.arbitration_seconds = sum(e.arbitration_seconds for e in self.engines)
         self.preprocessing_seconds = self.build_seconds + self.arbitration_seconds
         self._executor: ThreadPoolExecutor | None = None
-        self._max_workers = max_workers or len(self.engines)
+        self._max_workers = max_workers or len(self.row_blocks)
+        # The A.T operand, built on the first transpose.
+        self._t_op: sp.csr_matrix | None = None
         # Model-device identity per shard: the shard-level fault model
         # and the recovery ladder's quarantine bookkeeping key on the
         # *device rank*, which survives a repartition (the recovery
@@ -239,18 +331,14 @@ class ShardedSpMV:
             if device_ranks is not None
             else list(range(len(self.engines)))
         )
-        # Per-shard execution counter: incremented on every shard task
-        # (product, stream collection).  Doubles as the fault model's
-        # attempt number and as the recovery suite's proof that a
-        # localized retry re-executed *only* the faulty shard.
+        # Per-shard execution counter: incremented each time a block
+        # task opens the shard.  Doubles as the fault model's attempt
+        # number and as the recovery suite's proof that a localized
+        # retry re-executed *only* the faulty block.
         self.shard_exec_counts = [0] * len(self.engines)
         # Modelled straggler seconds accumulated per shard (virtual
         # clock; the recovery ladder charges them to its deadline).
         self.shard_delay_s = [0.0] * len(self.engines)
-        # Per-block CSR operands of the overlapping-output products,
-        # keyed by ``transpose``: built on first use on the fault-free
-        # path, dropped by update_values (values live inside them).
-        self._block_ops: dict[bool, list] = {}
         if tele.ENABLED:
             tele.count("sharded_builds_total", shards=shards, method=method)
             tele.set_gauge("sharded_imbalance", self.partition.imbalance())
@@ -323,10 +411,28 @@ class ShardedSpMV:
 
     # -- execution ---------------------------------------------------------
 
+    def block_cells(self, b: int) -> range:
+        """The shards (cells) whose rows make up output block ``b``."""
+        c = self.grid_cols
+        return range(b * c, (b + 1) * c)
+
+    def _row_op(self, b: int) -> sp.csr_matrix:
+        """Block ``b``'s operand: its shard's own on a single-column
+        partition, else the block's rows of the canonical operand."""
+        return self._row_ops[b] if self._row_ops else self.engines[b].operand
+
+    def _x_bounds(self, i: int) -> tuple[int, int]:
+        """The x window shard ``i`` consumes: its column block (all of
+        x on a 1D partition)."""
+        if self.grid is not None:
+            s = self.partition.shards[i]
+            return s.col_lo, s.col_hi
+        return 0, self._n
+
     def _pool(self) -> ThreadPoolExecutor:
         if self._executor is None:
             self._executor = ThreadPoolExecutor(
-                max_workers=min(self._max_workers, len(self.engines)),
+                max_workers=min(self._max_workers, len(self.row_blocks)),
                 thread_name_prefix="shard",
             )
         return self._executor
@@ -335,7 +441,7 @@ class ShardedSpMV:
         """Thread only when process-global state cannot be corrupted.
 
         The telemetry tracer (virtual clock, ordered span stack) is
-        process-global by design; running shards concurrently under it
+        process-global by design; running blocks concurrently under it
         would destroy the byte-determinism it guarantees.  Fault
         campaigns of either domain do **not** force the sequential
         loop: every fault is a pure function of
@@ -343,7 +449,7 @@ class ShardedSpMV:
         schedule-independent by construction, so campaigns exercise the
         real concurrent path.
         """
-        return len(self.engines) == 1 or self._max_workers == 1 or tele.ENABLED
+        return len(self.row_blocks) == 1 or self._max_workers == 1 or tele.ENABLED
 
     def _open_attempt(self, i: int) -> int:
         """Open one execution of shard ``i``; returns its attempt number.
@@ -353,8 +459,7 @@ class ShardedSpMV:
         :class:`~repro.dist.faults.ShardFaultInjector`, if any: the
         device may be lost (raises
         :class:`~repro.dist.faults.DeviceLostError`) or straggle
-        (modelled delay recorded in :attr:`shard_delay_s`).  Both
-        backends open every shard execution here.
+        (modelled delay recorded in :attr:`shard_delay_s`).
         """
         attempt = self.shard_exec_counts[i]
         self.shard_exec_counts[i] = attempt + 1
@@ -367,225 +472,66 @@ class ShardedSpMV:
                 self.shard_delay_s[i] += delay
         return attempt
 
-    def shard_call(self, op: str, s, engine, fn):
-        """One in-process shard execution through the fault hooks.
-
-        Opens the attempt (:meth:`_open_attempt`), runs ``fn`` as that
-        device's attempt (:func:`~repro.gpu.faults.fault_site`, the
-        site every substrate hook inside derives its faults from) and
-        lets the armed shard campaign, if any, hand back a corrupted
-        partial.
-        Halo corruption hits inside :meth:`_x_block`, where the x
-        window is actually sliced.
+    def _open_block(self, b: int) -> list[tuple[int, int, int, int]]:
+        """Open every cell of block ``b``; its cells as :func:`run_block`
+        takes them.  Both backends open every block execution here.  A
+        lost device fails the block, after every member has been opened.
         """
-        attempt = self._open_attempt(s.index)
-        with faults.fault_site(self.device_ranks[s.index], attempt):
-            out = fn(s, engine)
-        inj = shard_faults.active_injector()
-        if inj is not None and isinstance(out, np.ndarray):
-            out = inj.corrupt_partial(self.device_ranks[s.index], attempt, out)
-        return out
-
-    def _x_bounds(self, s, transpose: bool) -> tuple[int, int]:
-        """The x window shard ``s`` consumes: its rows for a transpose,
-        else its column block (all of x on a 1D partition)."""
-        if transpose:
-            return s.row_lo, s.row_hi
-        if self.grid is not None:
-            return s.col_lo, s.col_hi
-        return 0, self._n
-
-    def _x_block(self, s, x: np.ndarray, transpose: bool) -> np.ndarray:
-        """The slice of x a shard's engine consumes.
-
-        An armed shard-level campaign corrupts the window here — the
-        modelled halo exchange is exactly this slice crossing the
-        interconnect.  The corrupted copy is private to the shard; the
-        caller's ``x`` is never mutated.  Called inside
-        :meth:`shard_call`, so the attempt is the count just opened.
-        """
-        lo, hi = self._x_bounds(s, transpose)
-        blk = x[lo:hi]
-        inj = shard_faults.active_injector()
-        if inj is not None:
-            attempt = self.shard_exec_counts[s.index] - 1
-            blk = inj.corrupt_halo(self.device_ranks[s.index], attempt, blk)
-        return blk
-
-    def _shard_op(self, op: str, s, engine, x: np.ndarray):
-        """One shard task: its own row block (``spmv``/``spmm``), or for
-        ``stream_collect`` the decode stream and x window of a
-        column-cut shard."""
-        if op == "stream_collect":
-            def fn(s_, e_):
-                return self._shard_streams(s_, e_, x, False)
-        else:
-            def fn(s_, e_):
-                return getattr(e_, op)(self._x_block(s_, x, False))
-        return self.shard_call(op, s, engine, fn)
-
-    def run_shards(self, op: str, x: np.ndarray, indices=None) -> list:
-        """Run the listed shards' tasks (default: all); per shard, its
-        result or its :class:`~repro.dist.faults.DeviceLostError`.
-
-        The one shard-execution interface: plain products and the
-        recovery ladder (first pass and single-shard retries) both call
-        it, on both backends.  A lost device fills its slot instead of
-        raising, so one loss never hides the other shards' results.
-        Results come back in listed order regardless of completion
-        order, so every combine downstream sees a schedule-independent
-        input.  Here every task runs in-process through
-        :meth:`shard_call`, concurrently when :meth:`_sequential`
-        allows.
-        """
-        indices = list(range(len(self.engines)) if indices is None else indices)
-        shards = self.partition.shards
-
-        def one(i: int):
+        cells, lost = [], None
+        for i in self.block_cells(b):
             try:
-                return self._shard_op(op, shards[i], self.engines[i], x)
+                attempt = self._open_attempt(i)
+            except DeviceLostError as exc:
+                lost = lost or exc
+                continue
+            cells.append((self.device_ranks[i], attempt, *self._x_bounds(i)))
+        if lost is not None:
+            raise lost
+        return cells
+
+    def run_shards(self, x: np.ndarray, indices=None,
+                   cell_sums: bool = False) -> list:
+        """Run the listed output blocks (default: all); per block, its
+        :func:`run_block` result or its
+        :class:`~repro.dist.faults.DeviceLostError`.
+
+        The one block-execution interface: plain products and the
+        recovery ladder (first pass and block retries, with
+        ``cell_sums``) both call it, on both backends.  A lost device
+        fills its block's slot instead of raising, so one loss never
+        hides the other blocks' results.  Results come back in listed
+        order regardless of completion order.  Here every block runs
+        in-process, concurrently when :meth:`_sequential` allows.
+        """
+        indices = list(range(len(self.row_blocks)) if indices is None else indices)
+
+        def one(b: int):
+            try:
+                cells = self._open_block(b)
             except DeviceLostError as exc:
                 return exc
+            positions = self._cell_pos[b] if self._cell_pos else None
+            return run_block(self._row_op(b), x, cells, positions, cell_sums)
 
         if len(indices) > 1 and not self._sequential():
             return list(self._pool().map(one, indices))
         parts = []
-        for i in indices:
-            s = shards[i]
-            with tele.span("shard_execute", cat="kernel", op=op,
-                           shard=s.index, rows=s.rows, nnz=s.nnz):
-                parts.append(one(i))
+        for b in indices:
+            r0, r1 = self.row_blocks[b]
+            lo, hi = self._block_nnz[b]
+            with tele.span("shard_execute", cat="kernel", block=b,
+                           rows=r1 - r0, nnz=hi - lo):
+                parts.append(one(b))
         return parts
 
-    def _run_shards(self, op: str, x: np.ndarray) -> list[np.ndarray]:
-        """Every shard's result for a plain product; a lost shard raises."""
-        parts = self.run_shards(op, x)
+    def _product(self, x: np.ndarray) -> np.ndarray:
+        """The combine behind :meth:`spmv` and :meth:`spmm`: the row
+        blocks' results, concatenated.  A lost device raises."""
+        parts = self.run_shards(x)
         for part in parts:
             if isinstance(part, DeviceLostError):
                 raise part
-        return parts
-
-    # -- overlapping outputs: per-block CSR operands -----------------------
-
-    def _output_blocks(self, transpose: bool) -> list[list[int]]:
-        """Shard indices feeding each output block, in grid order.
-
-        Forward products write row blocks (one per grid row); a
-        transpose writes column blocks (one per grid column — a single
-        block spanning every shard on a 1D partition).
-        """
-        rows, cols = self.grid_rows, self.grid_cols
-        if transpose:
-            return [[r * cols + c for r in range(rows)] for c in range(cols)]
-        return [[r * cols + c for c in range(cols)] for r in range(rows)]
-
-    def _shard_streams(self, s, e, x: np.ndarray, transpose: bool):
-        """One shard task of an overlapping-output product.
-
-        Returns ``(stream, window)``: the shard's operand-order decode
-        stream (``None`` or local ``(rows, cols, vals)``) and the x
-        window it consumes.  The shard's contribution *is* its partial
-        here, so an armed campaign corrupts the values — a GPU-substrate
-        one like the kernel payload, on forward products only, and a
-        shard-level one like a partial — and the window (the halo).
-        Called inside :meth:`shard_call`.
-        """
-        stream = e.decode_streams()
-        if stream is not None:
-            vals = stream[2]
-            ginj = faults.active_injector()
-            if ginj is not None and not transpose:
-                vals = ginj.corrupt_payload(vals, kind="tile_payload")
-            inj = shard_faults.active_injector()
-            if inj is not None:
-                attempt = self.shard_exec_counts[s.index] - 1
-                vals = inj.corrupt_partial(self.device_ranks[s.index], attempt, vals)
-            stream = stream[:2] + (vals,)
-        return stream, self._x_block(s, x, transpose)
-
-    def _assemble(self, streams, transpose: bool) -> list:
-        """One CSR operand per output block.
-
-        Forward blocks hold A's rows over all n columns; transposed
-        blocks hold A.T's rows (A's columns) over all m rows.  Either
-        way one sort puts each block in canonical order — exactly the
-        rows of the single-device operand (or of its A.T operand), so
-        each row sums its entries in the single engine's sequence; a
-        block without entries gets an empty operand.
-        """
-        shards = self.partition.shards
-        length = self._m if transpose else self._n
-        empty = np.zeros(0, dtype=np.int64)
-        blocks = []
-        for members in self._output_blocks(transpose):
-            lo, hi = self._x_bounds(shards[members[0]], not transpose)
-            out_idx, in_idx, vals = [empty], [empty], [np.zeros(0)]
-            for i in members:
-                if streams[i] is None:
-                    continue
-                rows, cols, v = streams[i]
-                o, j = (cols, rows) if transpose else (rows, cols)
-                out_idx.append(o)
-                in_idx.append(self._x_bounds(shards[i], transpose)[0] + j)
-                vals.append(v)
-            rows, cols, v = (np.concatenate(p) for p in (out_idx, in_idx, vals))
-            order = np.argsort(rows * length + cols)
-            indptr = np.searchsorted(rows[order], np.arange(hi - lo + 1))
-            blocks.append(sp.csr_matrix((v[order], cols[order], indptr), shape=(hi - lo, length)))
-        return blocks
-
-    def _overlap_product(self, x: np.ndarray, transpose: bool,
-                         tasks=None) -> np.ndarray:
-        """Product whose output blocks span several shards.
-
-        Column-cut ``spmv``/``spmm`` and every ``spmv_transpose``: each
-        output block multiplies its operand by the concatenation of its
-        shards' x windows (x itself without a campaign, since the
-        grid's bounds are shared) — bit-for-bit the single device for
-        1-D and 2-D x alike.  Fault-free, the operands are built once
-        from the engines' streams and cached until
-        :meth:`update_values`, and no shard task runs.  While a campaign
-        of either domain is armed every call runs one
-        :meth:`shard_call`-guarded :meth:`_shard_streams` task per shard
-        and assembles fresh operands; the recovery ladder passes its
-        verified ``tasks``.
-        """
-        if not faults.any_armed():
-            blocks = self._block_ops.get(transpose)
-            if blocks is None:
-                blocks = self._assemble(
-                    [e.decode_streams() for e in self.engines], transpose
-                )
-                self._block_ops[transpose] = blocks
-            xs = [x] * len(blocks)
-        else:
-            if tasks is None:
-                tasks = [
-                    self.shard_call(
-                        "stream_collect", s, e,
-                        lambda s_, e_: self._shard_streams(s_, e_, x, transpose),
-                    )
-                    for s, e in zip(self.partition.shards, self.engines)
-                ]
-            blocks = self._assemble([t[0] for t in tasks], transpose)
-            xs = [
-                np.concatenate([tasks[i][1] for i in members])
-                for members in self._output_blocks(transpose)
-            ]
-        return np.concatenate([op @ xb for op, xb in zip(blocks, xs)], axis=0)
-
-    def _product(self, x: np.ndarray, transpose: bool) -> np.ndarray:
-        """The combine behind :meth:`spmv`, :meth:`spmm` and
-        :meth:`spmv_transpose`.
-
-        Row-disjoint forward products (1D, or C=1 grids) concatenate the
-        shard blocks, computed concurrently.  Overlapping outputs go
-        through the block operands.  Both are bit-for-bit.
-        """
-        if not transpose and self.grid_cols == 1:
-            op = "spmv" if x.ndim == 1 else "spmm"
-            return np.concatenate(self._run_shards(op, x), axis=0)
-        return self._overlap_product(x, transpose)
+        return np.concatenate(parts, axis=0)
 
     def spmv(self, x: np.ndarray) -> np.ndarray:
         """y = A @ x, combined as :meth:`_product` describes."""
@@ -594,7 +540,7 @@ class ShardedSpMV:
             raise ValueError(f"x must have shape ({self._n},)")
         with tele.span("sharded_spmv", cat="kernel", shards=self.shards,
                        nnz=self._nnz):
-            y = self._product(x, transpose=False)
+            y = self._product(x)
         if tele.ENABLED:
             tele.count("sharded_spmv_total", shards=self.shards)
         return y
@@ -602,7 +548,7 @@ class ShardedSpMV:
     __matmul__ = spmv
 
     def spmm(self, x: np.ndarray) -> np.ndarray:
-        """Y = A @ X, each shard running its native batched product.
+        """Y = A @ X, each block running one batched product.
 
         Same combine contract as :meth:`spmv`.
         """
@@ -617,7 +563,7 @@ class ShardedSpMV:
             return self.spmv(x[:, 0]).reshape(self._m, 1)
         with tele.span("sharded_spmm", cat="kernel", shards=self.shards,
                        nnz=self._nnz, k=x.shape[1]):
-            out = self._product(x, transpose=False)
+            out = self._product(x)
         if tele.ENABLED:
             tele.count("sharded_spmv_total", shards=self.shards)
         return out
@@ -625,20 +571,39 @@ class ShardedSpMV:
     def spmv_transpose(self, x: np.ndarray) -> np.ndarray:
         """y = A.T @ x — bit-for-bit with the single device, at every P.
 
-        Every shard contributes to overlapping output ranges, so this is
-        always a cross-shard combine through the per-column-block A.T
-        operands.  An empty partition contributes nothing and the result
-        is a typed float64 zero vector of the full column extent.
+        One A.T operand, built on the first call as the single device
+        builds its own: ``c.T.tocsr()`` of the canonical matrix ``c``,
+        here the row blocks stacked.  It runs in the calling thread and,
+        like the single-device transpose, is not a fault site: no
+        checksum covers it.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self._m,):
             raise ValueError(f"x must have shape ({self._m},)")
         with tele.span("sharded_spmv_transpose", cat="kernel",
                        shards=self.shards, nnz=self._nnz):
-            y = self._product(x, transpose=True)
+            if self._t_op is None:
+                blocks = [self._row_op(b) for b in range(len(self.row_blocks))]
+                self._t_op = sp.vstack(blocks, format="csr").T.tocsr()
+            y = self._t_op @ x
         if tele.ENABLED:
             tele.count("sharded_spmv_total", shards=self.shards)
         return y
+
+    def _values(self, values) -> np.ndarray:
+        """The canonical-order value array of an update_values argument."""
+        if sp.issparse(values):
+            csr = canonicalize_csr(values, ValidationPolicy.TRUST)[0]
+            if csr.shape != self.shape or int(csr.nnz) != self._nnz:
+                raise ValueError(
+                    "sparsity pattern differs from the prepared matrix; "
+                    "build a new ShardedSpMV instead of update_values"
+                )
+            return np.asarray(csr.data, dtype=np.float64)
+        data = np.asarray(values, dtype=np.float64)
+        if data.shape != (self._nnz,):
+            raise ValueError(f"expected {self._nnz} values, got {data.shape}")
+        return data
 
     def update_values(self, values) -> "ShardedSpMV":
         """Stream new values through every shard's prepared plan.
@@ -648,29 +613,18 @@ class ShardedSpMV:
         slice (``nnz_lo:nnz_hi``); grid cells gather their scattered
         subset of the row block's entries (the per-cell index map built
         at partition time).  Either way each shard takes the
-        :meth:`TileSpMV.update_values` fast path.
+        :meth:`TileSpMV.update_values` fast path; the operands of
+        several-cell blocks take their rows' slice, and the A.T operand
+        is rebuilt on the next transpose.
         """
-        if sp.issparse(values):
-            csr = canonicalize_csr(values, ValidationPolicy.TRUST)[0]
-            if csr.shape != self.shape or int(csr.nnz) != self._nnz:
-                raise ValueError(
-                    "sparsity pattern differs from the prepared matrix; "
-                    "build a new ShardedSpMV instead of update_values"
-                )
-            data = np.asarray(csr.data, dtype=np.float64)
-        else:
-            data = np.asarray(values, dtype=np.float64)
-            if data.shape != (self._nnz,):
-                raise ValueError(f"expected {self._nnz} values, got {data.shape}")
+        data = self._values(values)
         with tele.span("sharded_update_values", cat="build", shards=self.shards):
-            if self._nnz_idx is not None:
-                for sel, engine in zip(self._nnz_idx, self.engines):
-                    engine.update_values(data[sel])
-            else:
-                for s, engine in zip(self.partition.shards, self.engines):
-                    engine.update_values(data[s.nnz_lo:s.nnz_hi])
-        # The cached block operands hold the old values.
-        self._block_ops = {}
+            for sel, engine in zip(self._nnz_idx, self.engines):
+                engine.update_values(data[sel])
+            for b, op in enumerate(self._row_ops):
+                lo, hi = self._block_nnz[b]
+                self._row_ops[b] = refill_operand(op, data[lo:hi].copy())
+        self._t_op = None
         return self
 
     # -- lifecycle ---------------------------------------------------------

@@ -36,8 +36,8 @@ def sharded_conjugate_gradient(
 
     Because the sharded product is bit-for-bit the single-device one
     (fixed methods) — on 1D row partitions *and* on 2D tile grids
-    (``grid=(R, C)`` or ``"auto"``), whose column-cut partials replay
-    the single-device accumulation order — the iterate sequence, and
+    (``grid=(R, C)`` or ``"auto"``), whose row blocks replay the
+    single-device accumulation order — the iterate sequence, and
     therefore the iteration count, is *identical* to the unsharded
     solve, not merely close.
     """

@@ -320,8 +320,8 @@ class MultiDeviceRunCost:
       ``reduce_depth = ceil(log2 C)`` pairwise exchange rounds run, each
       paying one link latency plus the largest partial block over the
       (contended) link bandwidth.  The reproduction itself never sums
-      partials: :class:`~repro.dist.sharded.ShardedSpMV` multiplies
-      per-block operands, so this term prices the modelled devices'
+      partials: :class:`~repro.dist.sharded.ShardedSpMV` multiplies one
+      operand per row block, so this term prices the modelled devices'
       combine, not the host's.
 
     The recovery terms (all zero/absent by default, so a fault-free

@@ -11,10 +11,11 @@ shared-memory loads, atomics and executor lanes (:mod:`repro.gpu.memory`,
 Both follow one rule: **every injected fault is a pure function of
 (seed, kind, site, attempt)** — a ``blake2b`` digest of the four seeds
 the private ``Generator`` that decides and picks the victims — so no
-fault depends on thread scheduling, worker count or any other fault.  Inside a shard task the site is the shard's device rank
-and the attempt is the execution the engine opened (:func:`fault_site`,
-set by :meth:`~repro.dist.sharded.ShardedSpMV.shard_call` and the
-process backend's workers); elsewhere the site is 0 and the attempt is
+fault depends on thread scheduling, worker count or any other fault.
+Inside a block task the site is each shard's device rank and the
+attempt is the execution the engine opened (:func:`fault_site`, set by
+:func:`~repro.dist.sharded.run_block` on both backends); elsewhere the
+site is 0 and the attempt is
 the injector's own call count of that kind.  ``fault_attempts`` bounds
 every kind alike: attempts ``[0, fault_attempts)`` fault, later ones
 are clean (``None``: every attempt faults).  The default of 1 corrupts

@@ -6,10 +6,10 @@ kernel-cost helpers against the references in
 :mod:`tests.build_reference`, one end-to-end comparison of whole plans
 built with every reference patched in, and source guards: one keeps
 ``<ufunc>.at``, ``np.unique`` and ``np.lexsort`` off the plan-build
-modules and the sharded combine (whose products multiply cached block
-operands instead of re-sorting streams per call), one keeps
-``np.argsort`` off the modules that build the executing operand (the
-canonical input, never re-sorted).
+modules and the sharded engines (whose blocks are row slices of the
+canonical operand), one keeps ``np.argsort`` off the modules that
+build, refill and execute the operand (the canonical input, never
+re-sorted, on one device or many).
 """
 
 import ast
@@ -30,6 +30,7 @@ import repro.core.storage
 import repro.core.tilespmv
 import repro.core.tiling
 import repro.dist.procpool
+import repro.dist.recovery
 import repro.dist.sharded
 import repro.formats.base
 import repro.formats.tile_bitmap
@@ -309,8 +310,15 @@ GUARDED = (
     repro.dist.procpool,
 )
 
-# The modules that build and refill the executing operand.
-OPERAND_BUILDERS = (repro.core.tilespmv, repro.core.plancache, repro.core.deferred)
+# The modules that build, refill and execute the operand.
+OPERAND_BUILDERS = (
+    repro.core.tilespmv,
+    repro.core.plancache,
+    repro.core.deferred,
+    repro.dist.sharded,
+    repro.dist.procpool,
+    repro.dist.recovery,
+)
 
 
 def _scatters_and_sorts(source: str, names=("at", "unique", "lexsort")) -> list[str]:

@@ -162,7 +162,9 @@ class TestLocalizedRecovery:
             with RecoverableShardedSpMV(a, grid=(2, 2)) as eng:
                 y = eng.spmv(x)
                 assert np.array_equal(y, y_ref)
-                assert eng.shard_exec_counts == [2, 1, 1, 1]
+                # The retry re-runs device 0's whole row block: cells 0, 1.
+                assert eng.shard_exec_counts == [2, 2, 1, 1]
+                assert eng.counters["shard_detected"] == 1
 
     @BACKENDS
     def test_spmm_recovery_bit_exact(self, matrix, reference, rng, backend):
@@ -187,8 +189,7 @@ class TestLocalizedRecovery:
             with RecoverableShardedSpMV(a, grid=(2, 2)) as eng:
                 y = eng.spmm(xm)
                 assert np.array_equal(y, y_ref)
-                counts = eng.shard_exec_counts
-                assert counts[2] == 2 and sum(counts) == 5
+                assert eng.shard_exec_counts == [1, 1, 2, 2]
 
     def test_straggler_charges_clock_but_stays_exact(self, matrix, reference, rng):
         x = rng.standard_normal(320)
@@ -251,12 +252,27 @@ class TestParityReconstruction:
                     y, reference.spmm(xm), rtol=1e-9, atol=1e-9
                 )
 
-    def test_parity_skipped_for_column_cut_grids(self):
+    @BACKENDS
+    def test_parity_reconstructs_lost_grid_block(self, rng, backend):
+        # Every grid runs row blocks, so rung 3 covers column cuts too:
+        # device 3's block (cells 2, 3) is rebuilt from the parity
+        # product, then the device is quarantined for later calls.
         a = random_uniform(256, 256, nnz_per_row=5, seed=85)
-        with RecoverableShardedSpMV(
-            a, grid=(2, 2), config=RecoveryConfig(parity=True)
-        ) as eng:
-            assert eng._parity_engine is None
+        x = rng.standard_normal(256)
+        with shard_fault_injection(
+            ShardFaultPlan(seed=FAULT_SEED, lose_devices=(3,), fault_attempts=None)
+        ):
+            with RecoverableShardedSpMV(
+                a, grid=(2, 2), config=RecoveryConfig(parity=True),
+                backend=backend,
+            ) as eng:
+                y = eng.spmv(x)
+                assert eng.counters["shard_reconstruct"] == 1
+                assert not eng.last_exact
+                assert eng.quarantined == [3]
+                np.testing.assert_allclose(
+                    y, TileSpMV(a, method="adpt").spmv(x), rtol=1e-9, atol=1e-9
+                )
 
     def test_parity_priced_in_cost(self, matrix):
         with RecoverableShardedSpMV(

@@ -9,10 +9,12 @@ from repro.core.plancache import PlanCache
 from repro.core.tilespmv import TileSpMV
 from repro.dist import (
     ShardedSpMV,
+    ShardFaultPlan,
     best_shard_count,
     modelled_shard_sweep,
     sharded_conjugate_gradient,
     sharded_pagerank,
+    shard_fault_injection,
 )
 from repro.gpu.device import A100
 from repro.gpu.faults import FaultPlan, fault_injection
@@ -44,8 +46,8 @@ class TestExactness:
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 8])
     def test_transpose_bit_exact(self, rng, p):
         # Regression: this used to be allclose-only because per-shard
-        # partials were summed in completion order.  The per-block A.T
-        # operands make the transpose bit-for-bit too.
+        # partials were summed in completion order.  The one A.T operand
+        # makes the transpose bit-for-bit too.
         a = random_uniform(260, 180, nnz_per_row=5, seed=23)
         x = rng.standard_normal(260)
         ref = TileSpMV(a, method="adpt").spmv_transpose(x)
@@ -54,8 +56,8 @@ class TestExactness:
 
     @pytest.mark.parametrize("grid", [None, (2, 2)])
     def test_transpose_is_not_a_fault_site(self, rng, grid):
-        # No ABFT check covers a transpose, so an armed GPU-substrate
-        # campaign leaves both the single-device and the sharded
+        # No ABFT check covers a transpose, so an armed GPU-substrate or
+        # shard campaign leaves both the single-device and the sharded
         # transpose untouched.
         a = power_law(600, avg_degree=6, seed=27)
         x = rng.standard_normal(600)
@@ -66,6 +68,11 @@ class TestExactness:
                 assert np.array_equal(single.spmv_transpose(x), ref)
                 assert np.array_equal(eng.spmv_transpose(x), ref)
             assert inj.injected == 0
+            plan = ShardFaultPlan(seed=0, corrupt_devices=(0,), halo_devices=(1,))
+            with shard_fault_injection(plan) as sinj:
+                assert np.array_equal(eng.spmv_transpose(x), ref)
+            assert sinj.injected == 0
+            assert eng.shard_exec_counts == [0, 0, 0, 0]
 
     def test_transpose_with_empty_shard_is_typed_full_extent(self, rng):
         # 10 rows -> one tile strip: at P=3 two shards are empty and the
@@ -238,10 +245,10 @@ class TestUpdateValues:
 class TestUpdateAfterProduct:
     """A product before update_values must leave no stale operand behind.
 
-    The overlapping-output products (column-cut spmv/spmm, every
-    transpose) cache per-block operands on their first call; the
-    update tests above update before any product, so only these catch
-    a cache that survives the new values.
+    Column-cut grids hold their own row-block operands and every
+    transpose builds an A.T operand on its first call; the update tests
+    above update before any product, so only these catch an operand
+    that survives the new values.
     """
 
     @pytest.mark.parametrize("backend", ["thread", "process"])

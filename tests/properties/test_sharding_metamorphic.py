@@ -2,10 +2,10 @@
 
 For every strategy, ``auto`` included, a tile-snapped partition — 1D
 row blocks or a 2D row x column tile grid — must reproduce the
-single-device result *bit-for-bit*: the per-block CSR operands re-run
-every per-output summation in the canonical decode order, whichever
-shard owns each tile and whichever strategy its ``auto`` arbitration
-keeps.  This is the strongest oracle available: not allclose, but
+single-device result *bit-for-bit*: every output block holds its rows
+of the canonical operand, so each output sum runs in the single-device
+order, whichever shard owns each tile and whichever strategy its
+``auto`` arbitration keeps.  This is the strongest oracle available: not allclose, but
 ``np.array_equal``, across the whole structural zoo, every shard
 count, and every grid shape, so any change to the partitioner, the
 shard slicing, the reduction order, or the per-shard engines that
@@ -21,6 +21,7 @@ import scipy.sparse as sp
 from repro.core.tilespmv import TileSpMV
 from repro.dist import ShardedSpMV
 from repro.matrices import generators as g
+from tests import build_reference as ref
 
 pytestmark = pytest.mark.properties
 
@@ -212,6 +213,42 @@ def test_adversarial_magnitudes_bit_for_bit(method):
 def test_adversarial_magnitudes_process_backend_bit_for_bit(method):
     # Same oracle with the shards in worker processes.
     _check_adversarial(method, "process")
+
+
+def _mixed_magnitude_duplicates(n=3000, dups=196, seed=12):
+    """A ``validation="trust"`` matrix repeating ``dups`` entries, each
+    right after its original, with magnitudes 1e-8 .. 1e8: any reorder
+    of equal (row, column) entries visibly changes the rounded sums."""
+    rng = np.random.default_rng(seed)
+    a = g.random_uniform(n, n, nnz_per_row=5, seed=seed).tocsr()
+    a.sort_indices()
+    rows = np.repeat(np.arange(n), np.diff(a.indptr))
+    pick = rng.choice(a.nnz, size=dups, replace=False)
+    r = np.concatenate([rows, rows[pick]])
+    c = np.concatenate([a.indices, a.indices[pick]])
+    order = np.lexsort((c, r))
+    vals = rng.choice([-1.0, 1.0], r.size) * 10.0 ** rng.uniform(-8, 8, r.size)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(r, minlength=n))])
+    return sp.csr_matrix((vals, c[order], indptr), shape=(n, n))
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_trusted_duplicates_bit_for_bit(backend):
+    # ``trust`` keeps duplicate entries in input order; every partition
+    # must sum them in that order too, forward and transposed.
+    for a in (ref.trusted_duplicates(), _mixed_magnitude_duplicates()):
+        rng = np.random.default_rng(108)
+        x = rng.standard_normal(a.shape[1]) * 10.0 ** rng.uniform(-4, 4, a.shape[1])
+        xk = rng.standard_normal((a.shape[1], 3))
+        xt = rng.standard_normal(a.shape[0])
+        single = TileSpMV(a, method="adpt", validation="trust")
+        want = (single.spmv(x), single.spmm(xk), single.spmv_transpose(xt))
+        for p, grid in ((2, None), (4, None), (2, (1, 2)), (4, (2, 2))):
+            with ShardedSpMV(a, shards=p, grid=grid, validation="trust",
+                             backend=backend) as eng:
+                got = (eng.spmv(x), eng.spmm(xk), eng.spmv_transpose(xt))
+            for out, expect in zip(got, want):
+                assert out.tobytes() == expect.tobytes(), f"P={p} grid={grid}"
 
 
 def test_adversarial_order_sensitivity_is_real():

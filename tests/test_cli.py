@@ -1,11 +1,16 @@
 """CLI behaviour tests."""
 
+import os
+import re
+
 import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.matrices import random_uniform
 from repro.matrices.io import write_matrix_market
+
+FAULT_SEED = int(os.environ.get("FAULT_SEED", "0"))
 
 
 def test_table1(capsys):
@@ -167,11 +172,21 @@ def test_check_sharded_fault_drill(capsys, mtx_file):
     assert "recovered result correct: True" in out
 
 
-def test_check_grid_fault_drill(capsys, mtx_file):
-    assert main(["check", mtx_file, "--faults", "--grid", "2x2"]) == 0
+@pytest.mark.parametrize(
+    "backend", ["thread", pytest.param("process", marks=pytest.mark.faults)]
+)
+def test_check_grid_fault_drill(capsys, mtx_file, backend):
+    # A grid's row blocks run in the workers too, so the process
+    # backend's worker-kill drill really kills one.
+    assert main(["check", mtx_file, "--faults", "--grid", "2x2",
+                 "--backend", backend, "--seed", str(FAULT_SEED)]) == 0
     out = capsys.readouterr().out
     assert "shard drill" in out
     assert "contained below engine ladder: True" in out
+    if backend == "process":
+        kills = re.search(r"worker-kill drill \(seed=\d+\): injected=(\d+)", out)
+        assert kills is not None and int(kills.group(1)) >= 1
+        assert out.count("contained below engine ladder: True") == 2
 
 
 def test_check_rejects_malformed_grid(capsys, mtx_file):
