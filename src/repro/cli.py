@@ -265,8 +265,8 @@ def _cmd_check(args) -> int:
     matrix = read_matrix_market(args.matrix)
 
     def reliable(**kw) -> ReliableSpMV:
-        # A fresh engine per drill: a campaign's transient window is its
-        # devices' first execution (attempt 0).
+        # A fresh engine per drill keeps each drill's counters apart;
+        # every campaign numbers its attempts from 0 on any engine.
         return ReliableSpMV(
             matrix, method=args.method, policy=args.policy,
             plan_cache=PlanCache(), auto_device=device, shards=args.shards,

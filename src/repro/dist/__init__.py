@@ -54,7 +54,6 @@ from repro.dist.procpool import (
 from repro.dist.recovery import (
     RecoverableShardedSpMV,
     RecoveryConfig,
-    ShardCheck,
     ShardRecoveryError,
 )
 from repro.dist.sharded import ShardedSpMV, best_shard_count, modelled_shard_sweep
@@ -77,7 +76,6 @@ __all__ = [
     "ShardFaultPlan",
     "ShardFaultInjector",
     "shard_fault_injection",
-    "ShardCheck",
     "RecoveryConfig",
     "ShardRecoveryError",
     "RecoverableShardedSpMV",

@@ -6,10 +6,12 @@ device lost mid-product (:class:`DeviceLostError`), a corrupted shard
 partial, a straggler on the virtual clock, a corrupted halo exchange
 (the ``x`` window a shard receives) and a killed or hung worker
 process.  Every decision follows the shared model — a pure function of
-(seed, kind, device rank, attempt), the attempt being the shard's
-execution count (``ShardedSpMV.shard_exec_counts``) — so campaigns run
-on the real concurrent path, and every perturbation is large enough
-for the per-shard checksums in :mod:`repro.dist.recovery` to detect.
+(seed, kind, device rank, attempt), the attempt being the one the
+armed campaigns opened at that rank (:func:`repro.gpu.faults.open_attempt`:
+one sequence per rank across every engine, continued by a rebuilt or
+repartitioned engine) — so campaigns run on the real concurrent path,
+and every perturbation is large enough for the per-shard checksums in
+:mod:`repro.dist.recovery` to detect.
 """
 
 from __future__ import annotations

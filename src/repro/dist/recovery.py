@@ -6,9 +6,10 @@ ladder a multi-device deployment needs — each rung strictly cheaper
 than the one below it:
 
 1. **Localize** — every shard's contribution is verified independently
-   with a per-shard Huang-Abraham column checksum
-   (:class:`ShardCheck`): ``sum(y_p) = c_p . x_p`` where ``c_p`` is the
-   column-sum vector of shard ``p``'s block.  A corrupted partial, a
+   against the Huang-Abraham column checksum of its block
+   (:class:`~repro.reliability.abft.AbftChecksum`):
+   ``sum(y_p) = c_p . x_p`` where ``c_p`` is the column-sum vector of
+   shard ``p``'s entries.  A corrupted partial, a
    corrupted halo window or a lost device is attributed to exactly one
    shard; the clean blocks are never re-executed.
 2. **Retry** — only the faulty shard's output block re-executes, behind
@@ -43,8 +44,9 @@ The retry unit is the output block the engine executes: a shard on a
 1D or single-column partition, a grid row of C cells otherwise.  A
 block returns its y rows and each cell's contribution sum over its
 entries as executed (``cell_sums``); the checker holds each sum against
-that cell's checksum, so a detection still names the device, and a
-retry re-runs the whole block.  Every checksum reduction is an
+that cell's checksum — its block's checksum over the cell's column
+window — so a detection still names the device, and a retry re-runs
+the whole block.  Every checksum reduction is an
 ``einsum`` loop, never threaded BLAS.
 
 Exactness: rungs 1, 2 and 4 keep the sharded engine's bit-for-bit
@@ -62,7 +64,7 @@ of :class:`~repro.gpu.costmodel.MultiDeviceRunCost`.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -70,14 +72,13 @@ import scipy.sparse as sp
 from repro import telemetry as tele
 from repro.core.tilespmv import TileSpMV
 from repro.dist.faults import DeviceLostError
-from repro.dist.sharded import ShardedSpMV, weighted_sum
+from repro.dist.sharded import ShardedSpMV
 from repro.gpu.costmodel import MultiDeviceRunCost, RunCost
-from repro.reliability.abft import CHECK_SLACK
+from repro.reliability.abft import AbftChecksum
 from repro.reliability.validation import ValidationPolicy, canonicalize_csr
 from repro.serving.breaker import BreakerConfig, BreakerState, CircuitBreaker
 
 __all__ = [
-    "ShardCheck",
     "RecoveryConfig",
     "ShardRecoveryError",
     "RecoverableShardedSpMV",
@@ -126,45 +127,6 @@ class RecoveryConfig:
             failure_threshold=3, cooldown_seconds=float("inf"), probe_successes=1
         )
     )
-
-
-@dataclass
-class ShardCheck:
-    """Per-shard Huang-Abraham column checksum, in local coordinates.
-
-    ``col_sum``/``col_abs_sum`` span the shard block's local column
-    extent (the full ``n`` for 1D shards, ``block_cols`` for grid
-    cells), so verification is ``sum(contribution) = col_sum . x_local``
-    against the roundoff tolerance built from ``col_abs_sum`` — the
-    global ABFT invariant restricted to one shard's block, which is
-    what lets a detection *localize*.
-    """
-
-    col_sum: np.ndarray
-    col_abs_sum: np.ndarray
-    rows: int
-    nnz: int
-
-    def expected(self, x_local: np.ndarray) -> np.ndarray:
-        """``c_p . x_p``: scalar for spmv, (k,) for spmm."""
-        return weighted_sum(self.col_sum, x_local)
-
-    def tolerance(self, x_local: np.ndarray, terms: int | None = None) -> np.ndarray:
-        """Roundoff bound; ``terms`` overrides the summand count (used
-        with the cross-device total for parity reconstruction)."""
-        scale = weighted_sum(self.col_abs_sum, np.abs(x_local))
-        n_terms = max(terms if terms is not None else self.nnz + self.rows, 1)
-        eps = np.finfo(np.float64).eps
-        return CHECK_SLACK * n_terms * eps * np.maximum(scale, 1e-300)
-
-    def verify_sum(self, x_local: np.ndarray, observed,
-                   terms: int | None = None) -> bool:
-        """Does the observed contribution sum satisfy the invariant?"""
-        observed = np.asarray(observed, dtype=np.float64)
-        if not np.isfinite(observed).all():
-            return False
-        resid = np.abs(observed - self.expected(x_local))
-        return bool(np.all(resid <= self.tolerance(x_local, terms)))
 
 
 class RecoverableShardedSpMV:
@@ -237,11 +199,9 @@ class RecoverableShardedSpMV:
             validation="trust", grid=grid, **self._engine_kwargs,
             **self._tile_kwargs,
         )
-        self._init_checks()
         self._parity_engine = None
         self._parity_rows = 0
-        if self.config.parity:
-            self._build_parity()
+        self._rearm()
 
     # -- per-shard checksums ----------------------------------------------
 
@@ -253,45 +213,21 @@ class RecoverableShardedSpMV:
             self._breakers[rank] = br
         return br
 
-    def _init_checks(self) -> None:
-        """One :class:`ShardCheck` per shard of the current partition."""
-        indices = np.asarray(self._csr.indices, dtype=np.int64)
-        data = np.asarray(self._csr.data, dtype=np.float64)
-        checks = []
-        for i, (s, sel) in enumerate(zip(self.inner.partition.shards,
-                                         self.inner._nnz_idx)):
-            lo, hi = self.inner._x_bounds(i)
-            cols = indices[sel] - lo
-            vals = data[sel]
-            width = hi - lo
-            checks.append(
-                ShardCheck(
-                    col_sum=np.bincount(cols, weights=vals, minlength=width)[:width],
-                    col_abs_sum=np.bincount(
-                        cols, weights=np.abs(vals), minlength=width
-                    )[:width],
-                    rows=s.rows,
-                    nnz=int(vals.size),
-                )
-            )
-        self._checks = checks
+    def _rearm(self) -> None:
+        """Checksums, and the parity device if armed, for the inner
+        engine's current partition and values: one
+        :class:`AbftChecksum` per output block, of its operand."""
+        self._checks = [AbftChecksum.from_csr(self.inner._row_op(b))
+                        for b in range(len(self.inner.row_blocks))]
+        if self.config.parity:
+            self._build_parity()
 
-    def _block_check(self, b: int) -> ShardCheck:
-        """Output block ``b``'s checksum over all n columns: its cells'
-        checksums side by side (the cell's own on a single-column
-        partition)."""
-        cells = self.inner.block_cells(b)
-        if len(cells) == 1:
-            return self._checks[cells[0]]
-        n = self.shape[1]
-        col_sum, col_abs_sum = np.zeros(n), np.zeros(n)
-        for i in cells:
-            lo, hi = self.inner._x_bounds(i)
-            col_sum[lo:hi] = self._checks[i].col_sum
-            col_abs_sum[lo:hi] = self._checks[i].col_abs_sum
-        r0, r1 = self.inner.row_blocks[b]
-        return ShardCheck(col_sum, col_abs_sum, rows=r1 - r0,
-                          nnz=sum(self._checks[i].nnz for i in cells))
+    def _cell_check(self, i: int) -> AbftChecksum:
+        """Cell ``i``'s checksum: its block's over the cell's column
+        window, with the cell's own entries and rows as the term count."""
+        return self._checks[i // self.inner.grid_cols].window(
+            *self.inner._x_bounds(i), self.inner.partition.shards[i].nnz
+        )
 
     def _build_parity(self) -> None:
         """The parity device's matrix: every output block shifted to row 0."""
@@ -403,7 +339,7 @@ class RecoverableShardedSpMV:
         y, sums = outcome
         faulty, verified = [], []
         for i, total in zip(self.inner.block_cells(b), sums):
-            if self._checks[i].verify_sum(self._x_local(i, x), total):
+            if self._cell_check(i).verify_sums(self._x_local(i, x), total):
                 verified.append(i)
             else:
                 faulty.append((i, "abft"))
@@ -483,13 +419,10 @@ class RecoverableShardedSpMV:
                 acc[:blk.shape[0]] -= blk
             r0, r1 = self.inner.row_blocks[failed]
             y_q = acc[:r1 - r0]
-        observed = np.sum(y_q, axis=0)
         # Cross-device tolerance: the reconstruction sums every block's
         # roundoff, so the summand count is the whole matrix's.
-        ok = self._block_check(failed).verify_sum(
-            x, observed, terms=self.nnz + self.shape[0]
-        )
-        if not ok:
+        check = replace(self._checks[failed], m=self.shape[0], nnz=self.nnz)
+        if not check.verify(x, y_q):
             return None
         self.counters["shard_reconstruct"] += 1
         self.last_exact = False
@@ -524,12 +457,9 @@ class RecoverableShardedSpMV:
             **self._tile_kwargs,
         )
         old.close()
-        self._init_checks()
         self.counters["repartitions"] += 1
         self._rebuild_costs.append(self.inner.run_cost())
-        if self.config.parity:
-            # The parity block layout depends on the partition heights.
-            self._build_parity()
+        self._rearm()
 
     def _ladder(self, op: str, x, k: int | None, depth: int):
         """Run every block, verify each cell, recover failures.
@@ -636,9 +566,7 @@ class RecoverableShardedSpMV:
             self._csr = sp.csr_matrix(
                 (data, self._csr.indices, self._csr.indptr), shape=self._csr.shape
             )
-        self._init_checks()
-        if self.config.parity:
-            self._build_parity()
+        self._rearm()
         return self
 
     # -- lifecycle ---------------------------------------------------------

@@ -71,7 +71,7 @@ from repro.gpu.costmodel import MultiDeviceRunCost, RunCost
 from repro.gpu.device import A100, DeviceSpec
 from repro.reliability.validation import ValidationPolicy, canonicalize_csr
 from repro.util.segments import lengths_to_offsets, repeat_offsets
-from repro.util.vecops import dot
+from repro.util.vecops import weighted_sum
 
 __all__ = ["ShardedSpMV", "modelled_shard_sweep", "best_shard_count"]
 
@@ -88,11 +88,6 @@ def _coerce_grid(grid, shards: int) -> tuple[int, int] | None:
     if r < 1 or c < 1:
         raise ValueError(f"grid must be >= 1 on both axes, got {grid!r}")
     return (r, c)
-
-
-def weighted_sum(w: np.ndarray, x: np.ndarray):
-    """``w @ x`` in the calling thread: a float for 1-D ``x``, (k,) for (n, k)."""
-    return dot(w, x) if x.ndim == 1 else np.einsum("i,ik->k", w, x)
 
 
 def cell_positions(op: sp.csr_matrix, bounds) -> list[np.ndarray]:
@@ -332,9 +327,9 @@ class ShardedSpMV:
             else list(range(len(self.engines)))
         )
         # Per-shard execution counter: incremented each time a block
-        # task opens the shard.  Doubles as the fault model's attempt
-        # number and as the recovery suite's proof that a localized
-        # retry re-executed *only* the faulty block.
+        # task opens the shard; the recovery suite's proof that a
+        # localized retry re-executed *only* the faulty block.  The
+        # fault model's attempt numbers belong to the armed campaigns.
         self.shard_exec_counts = [0] * len(self.engines)
         # Modelled straggler seconds accumulated per shard (virtual
         # clock; the recovery ladder charges them to its deadline).
@@ -454,18 +449,19 @@ class ShardedSpMV:
     def _open_attempt(self, i: int) -> int:
         """Open one execution of shard ``i``; returns its attempt number.
 
-        Increments the shard's execution counter (= the fault model's
-        attempt number), then consults the armed
+        Counts the execution, then asks the armed campaigns for the next
+        attempt at the shard's device rank
+        (:func:`~repro.gpu.faults.open_attempt`) and consults the armed
         :class:`~repro.dist.faults.ShardFaultInjector`, if any: the
         device may be lost (raises
         :class:`~repro.dist.faults.DeviceLostError`) or straggle
         (modelled delay recorded in :attr:`shard_delay_s`).
         """
-        attempt = self.shard_exec_counts[i]
-        self.shard_exec_counts[i] = attempt + 1
+        self.shard_exec_counts[i] += 1
+        rank = self.device_ranks[i]
+        attempt = faults.open_attempt(rank)
         inj = shard_faults.active_injector()
         if inj is not None:
-            rank = self.device_ranks[i]
             inj.raise_if_lost(rank, attempt)
             delay = inj.straggler_delay(rank, attempt)
             if delay:

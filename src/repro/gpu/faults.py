@@ -12,14 +12,21 @@ Both follow one rule: **every injected fault is a pure function of
 (seed, kind, site, attempt)** — a ``blake2b`` digest of the four seeds
 the private ``Generator`` that decides and picks the victims — so no
 fault depends on thread scheduling, worker count or any other fault.
-Inside a block task the site is each shard's device rank and the
-attempt is the execution the engine opened (:func:`fault_site`, set by
-:func:`~repro.dist.sharded.run_block` on both backends); elsewhere the
-site is 0 and the attempt is
-the injector's own call count of that kind.  ``fault_attempts`` bounds
-every kind alike: attempts ``[0, fault_attempts)`` fault, later ones
-are clean (``None``: every attempt faults).  The default of 1 corrupts
-a kernel's first run and leaves its retry clean, which is how
+The armed campaigns own the attempt numbers: their registry keeps one
+counter per device rank, shared by both domains, and one per hook kind
+at site 0, created when the first campaign is armed and dropped when
+the last is disarmed (:func:`open_attempt`).  Inside a block task the
+site is each shard's device rank and the attempt is the one the engine
+opened there (:func:`fault_site`, set by
+:func:`~repro.dist.sharded.run_block` on both backends), so a rebuilt
+or repartitioned engine continues its devices' sequence and an engine
+that ran before the campaign starts it fresh, as a single device does.
+Elsewhere the site is 0 and the attempt counts the calls of that kind;
+an injector that is not armed runs every call as attempt 0.
+``fault_attempts`` bounds every kind alike: attempts
+``[0, fault_attempts)`` fault, later ones are clean (``None``: every
+attempt faults).  The default of 1 corrupts a kernel's first run and
+leaves its retry clean, which is how
 :class:`~repro.reliability.reliable.ReliableSpMV` proves its
 detect-then-retry ladder.
 
@@ -70,7 +77,6 @@ class Injector:
     plan: object
     injected: int = 0
     by_kind: dict = field(default_factory=dict)
-    _calls: dict = field(default_factory=dict, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     metric = "faults_injected_total"
 
@@ -98,14 +104,9 @@ class Injector:
 
     def _site_attempt(self, kind: str) -> tuple[int, int]:
         """The running shard task's (rank, attempt), else site 0 and
-        this kind's call count."""
+        this kind's next attempt."""
         current = _SITE.get()
-        if current is not None:
-            return current
-        with self._lock:
-            attempt = self._calls.get(kind, 0)
-            self._calls[kind] = attempt + 1
-        return 0, attempt
+        return current if current is not None else (0, open_attempt(kind))
 
     def _record(self, kind: str, n: int = 1) -> None:
         with self._lock:
@@ -150,30 +151,52 @@ class Injector:
 
 
 ARMED: dict = {}  # campaign name -> its armed injector
+# The armed campaigns' next attempt per device rank and per site-0 hook
+# kind; ``None`` while no campaign is armed.
+_ATTEMPTS: dict | None = None
+_ATTEMPTS_LOCK = threading.Lock()
+
+
+def open_attempt(key) -> int:
+    """Open the next attempt at ``key`` (a device rank, or a hook kind
+    at site 0) and return its number; 0, uncounted, with no campaign
+    armed."""
+    with _ATTEMPTS_LOCK:
+        if _ATTEMPTS is None:
+            return 0
+        attempt = _ATTEMPTS.get(key, 0)
+        _ATTEMPTS[key] = attempt + 1
+    return attempt
 
 
 @contextmanager
 def arm(name: str, injector):
     """Arm ``injector`` as the ``name`` campaign for the context; yields
     it.  Nesting is rejected: it would make attempt counts ambiguous."""
+    global _ATTEMPTS
     if name in ARMED:
         raise RuntimeError(f"{name} is already active; nesting is not supported")
-    ARMED[name] = injector
+    with _ATTEMPTS_LOCK:
+        if not ARMED:
+            _ATTEMPTS = {}
+        ARMED[name] = injector
     try:
         yield injector
     finally:
-        del ARMED[name]
-
-
-def any_armed() -> bool:
-    """Is a campaign of either domain armed?"""
-    return bool(ARMED)
+        with _ATTEMPTS_LOCK:
+            del ARMED[name]
+            if not ARMED:
+                _ATTEMPTS = None
 
 
 def disarm_inherited() -> None:
-    """Forget every armed campaign: a forked worker process inherits
-    the parent's but arms the plans its commands ship."""
+    """Forget every armed campaign and its attempts: a forked worker
+    process inherits the parent's but arms the plans its commands ship.
+    The lock is new too: a parent thread may have held it at the fork."""
+    global _ATTEMPTS, _ATTEMPTS_LOCK
     ARMED.clear()
+    _ATTEMPTS = None
+    _ATTEMPTS_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)

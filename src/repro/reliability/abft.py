@@ -27,32 +27,21 @@ protected engines report it honestly instead of hiding it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.gpu.costmodel import RunCost
-from repro.util.vecops import dot
+from repro.util.vecops import weighted_sum
 
-__all__ = ["AbftChecksum", "CHECK_SLACK"]
+__all__ = ["AbftChecksum"]
 
 # Safety factor over the roundoff bound.  Summing N float64 terms in any
 # order keeps the error under ~N * eps * sum|terms|; the slack covers
 # the constant without letting real corruption (orders of magnitude
 # larger by the FaultPlan's min_magnitude contract) slip through.
 CHECK_SLACK = 64.0
-
-
-def _dots(v: np.ndarray, x: np.ndarray):
-    """``v . x`` for a vector, ``v . x[:, j]`` per column for a block.
-
-    ``einsum`` in the calling thread: ``@`` would be threaded BLAS
-    (``ddot``/``dgemv``), whose tail latency dwarfs the check itself.
-    """
-    if x.ndim == 1:
-        return dot(v, x)
-    return np.einsum("i,ik->k", v, x)
 
 
 def _column_sums(y: np.ndarray):
@@ -77,7 +66,8 @@ class AbftChecksum:
     col_abs_sum:
         ``r = 1^T |A|`` (length ``n``) — the roundoff scale.
     m, n, nnz:
-        Dimensions of the protected matrix.
+        Dimensions of the protected matrix; ``nnz + m`` is the term
+        count of the tolerance.
     """
 
     col_sum: np.ndarray
@@ -102,21 +92,26 @@ class AbftChecksum:
             nnz=int(csr.nnz),
         )
 
+    def window(self, lo: int, hi: int, nnz: int) -> "AbftChecksum":
+        """The checksum of columns ``[lo, hi)``, which hold ``nnz`` of
+        the entries: both vectors sliced (views), the rows kept.  The
+        shard recovery ladder checks each grid cell against its window
+        of its row block's checksum."""
+        return replace(self, col_sum=self.col_sum[lo:hi],
+                       col_abs_sum=self.col_abs_sum[lo:hi], n=hi - lo, nnz=nnz)
+
     def tolerance(self, x: np.ndarray) -> np.ndarray:
         """Roundoff bound on the residual for input ``x`` (per column).
 
-        ``CHECK_SLACK * (nnz + m) * eps * (r . |x|)``: the number of
-        terms in the doubly-summed comparison times machine epsilon
-        times the magnitude of what was summed.
+        The module's safety slack times ``(nnz + m) * eps * (r . |x|)``: the
+        number of terms in the doubly-summed comparison times machine
+        epsilon times the magnitude of what was summed.  The one
+        tolerance of every checksum check, whole-matrix or per block.
         """
-        scale = _dots(self.col_abs_sum, np.abs(x))  # scalar or (k,) for 2-D x
+        scale = weighted_sum(self.col_abs_sum, np.abs(x))  # scalar or (k,) for 2-D x
         terms = max(self.nnz + self.m, 1)
         eps = np.finfo(np.float64).eps
         return CHECK_SLACK * terms * eps * np.maximum(scale, 1e-300)
-
-    def residual(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """``|sum(y) - c . x|`` per column (scalar for a vector product)."""
-        return np.abs(_column_sums(y) - _dots(self.col_sum, x))
 
     def verify(self, x: np.ndarray, y: np.ndarray) -> bool:
         """Does ``y`` satisfy the checksum invariant for ``A @ x``?
@@ -126,9 +121,15 @@ class AbftChecksum:
         scan over ``y``: a non-finite entry makes its column sum, and so
         its residual, non-finite.
         """
-        x = np.asarray(x, dtype=np.float64)
         with np.errstate(invalid="ignore"):  # inf - inf: rejected below
-            residual = self.residual(x, np.asarray(y, dtype=np.float64))
+            return self.verify_sums(np.asarray(x, dtype=np.float64),
+                                    _column_sums(np.asarray(y, dtype=np.float64)))
+
+    def verify_sums(self, x: np.ndarray, sums) -> bool:
+        """Does an observed ``sum(y)`` (per column for a block) satisfy
+        ``sum(y) = c . x`` within :meth:`tolerance`?  A non-finite sum
+        always fails."""
+        residual = np.abs(sums - weighted_sum(self.col_sum, x))
         if not np.isfinite(residual).all():
             return False
         return bool(np.all(residual <= self.tolerance(x)))

@@ -38,7 +38,7 @@ from repro.reliability.validation import (
     canonicalize_csr,
 )
 
-__all__ = ["ReliableSpMV", "ReliabilityError"]
+__all__ = ["ReliableSpMV", "ReliabilityError", "verified_reference"]
 
 
 class ReliabilityError(RuntimeError):
@@ -47,6 +47,27 @@ class ReliabilityError(RuntimeError):
     This cannot happen for finite inputs — it indicates the protected
     matrix or the verifier itself was corrupted in host memory.
     """
+
+
+def verified_reference(ref: CsrScalarSpMV, x: np.ndarray, verify) -> np.ndarray:
+    """``ref``'s product of ``x`` (a vector, or a block column by
+    column), checked by ``verify(x, y)``.
+
+    The trusted host-side path of every verified engine: the scalar
+    reference runs no fault hook, so it is outside the fault domain by
+    construction, and a failed check can only mean the matrix or the
+    checksum state is corrupted in host memory.
+    """
+    if x.ndim == 1:
+        y = ref.spmv(x)
+    else:
+        y = np.stack([ref.spmv(x[:, j]) for j in range(x.shape[1])], axis=1)
+    if not verify(x, y):
+        raise ReliabilityError(
+            "reference product failed ABFT verification; "
+            "the matrix or checksum state is corrupted in host memory"
+        )
+    return y
 
 
 class ReliableSpMV:
@@ -279,19 +300,13 @@ class ReliableSpMV:
         if close is not None:
             close()
 
-    def _reference_engine(self) -> CsrScalarSpMV:
+    @property
+    def reference(self) -> CsrScalarSpMV:
+        """The scalar reference engine over the current canonical matrix
+        (:func:`verified_reference` runs it), built on first use."""
         if self._reference is None:
             self._reference = CsrScalarSpMV(self._csr, validation="trust")
         return self._reference
-
-    def _fallback(self, x: np.ndarray, k: int | None) -> np.ndarray:
-        """The trusted host-side path: the scalar reference runs no
-        fault hook, so it is outside the fault domain by construction."""
-        ref = self._reference_engine()
-        if k is None:
-            return ref.spmv(x)
-        cols = [ref.spmv(x[:, j]) for j in range(k)]
-        return np.stack(cols, axis=1) if cols else np.zeros((self.shape[0], 0))
 
     def _verify(self, x: np.ndarray, y: np.ndarray) -> bool:
         """One checksum check, traced as an ``abft_verify`` span."""
@@ -328,12 +343,7 @@ class ReliableSpMV:
         self.counters["fallbacks"] += 1
         if tele.ENABLED:
             tele.count("reliability_fallbacks_total")
-        y = self._fallback(x, k)
-        if not self._verify(x, y):
-            raise ReliabilityError(
-                "reference fallback failed ABFT verification; "
-                "the matrix or checksum state is corrupted in host memory"
-            )
+        y = verified_reference(self.reference, x, self._verify)
         self.counters["verified_ok"] += 1
         return y
 

@@ -56,7 +56,7 @@ from repro.core.tilespmv import TileSpMV
 from repro.gpu import faults
 from repro.gpu.costmodel import RunCost
 from repro.reliability.abft import AbftChecksum
-from repro.reliability.reliable import ReliabilityError
+from repro.reliability.reliable import verified_reference
 from repro.reliability.validation import ValidationPolicy, canonicalize_csr
 from repro.util.vecops import dot, norm
 
@@ -153,14 +153,7 @@ class VerifiedOperator:
     def _reference_product(self, x: np.ndarray) -> np.ndarray:
         if self._reference is None:
             self._reference = CsrScalarSpMV(self._csr, validation="trust")
-        # The scalar reference runs no fault hook: outside the fault domain.
-        y = self._reference.spmv(x)
-        if not self.checksum.verify(x, y):
-            raise ReliabilityError(
-                "reference product failed ABFT verification; "
-                "the matrix or checksum state is corrupted in host memory"
-            )
-        return y
+        return verified_reference(self._reference, x, self.checksum.verify)
 
     def enter_safe_mode(self) -> None:
         self.safe_mode = True

@@ -65,10 +65,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import telemetry as tele
-from repro.baselines.csr_scalar import CsrScalarSpMV
 from repro.core.plancache import PlanCache
 from repro.gpu.device import A100, TITAN_RTX, DeviceSpec
-from repro.reliability.reliable import ReliabilityError, ReliableSpMV
+from repro.reliability.reliable import ReliableSpMV, verified_reference
 from repro.reliability.validation import ValidationPolicy
 from repro.serving.breaker import BreakerConfig, BreakerState, CircuitBreaker
 from repro.serving.coalesce import BatchQueue, CoalesceConfig, OpenBatch
@@ -178,7 +177,7 @@ class MigrationOutcome:
 
 
 class _Served:
-    """Registration record: engine, scalar twin, costs, breaker key."""
+    """Registration record: engine, costs, breaker key."""
 
     def __init__(self, matrix_id: str, engine: ReliableSpMV, device: DeviceSpec,
                  config: RuntimeConfig, generation: int = 1) -> None:
@@ -186,13 +185,12 @@ class _Served:
         self.engine = engine
         self.device = device
         self.generation = generation
-        self.scalar = CsrScalarSpMV(engine._csr, validation="trust")
         self.plan_key = engine.plan_key or matrix_id
         # Cache-warm probes: per-shard fingerprints for a sharded engine,
         # [plan_key] otherwise — the fast path is warm iff all are cached.
         self.probe_keys = engine.plan_keys or [self.plan_key]
         self.t_fast = engine.run_cost().time(device)
-        scalar_cost = self.scalar.run_cost() + engine.checksum.verify_cost(1)
+        scalar_cost = engine.reference.run_cost() + engine.checksum.verify_cost(1)
         self.t_scalar = scalar_cost.time(device)
         self.build_surcharge = (
             config.build_base_seconds + config.build_seconds_per_nnz * engine.nnz
@@ -855,15 +853,9 @@ class ServingRuntime:
             )
 
     def _scalar_verified(self, sm: _Served, x: np.ndarray) -> np.ndarray:
-        """The trust rung: the scalar reference runs no fault hook, so it
-        is outside the fault domain by construction."""
-        y = sm.scalar.spmv(x)
-        if not sm.engine.checksum.verify(x, y):
-            raise ReliabilityError(
-                "scalar fallback failed ABFT verification; "
-                "host memory is corrupted"
-            )
-        return y
+        """The trust rung: the engine's scalar reference, outside the
+        fault domain (:func:`~repro.reliability.reliable.verified_reference`)."""
+        return verified_reference(sm.engine.reference, x, sm.engine.checksum.verify)
 
     def run_trace(self, requests: list[Request]) -> list[RequestOutcome]:
         """Replay a trace in arrival order; returns per-request outcomes.

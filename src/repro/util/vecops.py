@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-__all__ = ["dot", "norm"]
+__all__ = ["dot", "norm", "weighted_sum"]
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -28,3 +28,9 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
 def norm(a: np.ndarray) -> float:
     """Euclidean norm of a 1-D vector (``sqrt(dot(a, a))``, as numpy's)."""
     return math.sqrt(dot(a, a))
+
+
+def weighted_sum(w: np.ndarray, x: np.ndarray):
+    """``w @ x`` in the calling thread: a float for 1-D ``x``, one value
+    per column for an (n, k) block (``@`` would be a threaded ``dgemv``)."""
+    return dot(w, x) if x.ndim == 1 else np.einsum("i,ik->k", w, x)

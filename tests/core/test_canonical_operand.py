@@ -81,6 +81,20 @@ def test_updated_duplicates_keep_their_own_payload_values(method):
     assert same_csr(e.tiled.to_csr(), e.tiled.operand)
 
 
+@pytest.mark.parametrize("method", ["csr", "adpt"])
+def test_validate_accepts_duplicates_and_rejects_descending_columns(method):
+    """Equal neighbouring columns are a legal ``trust`` operand; a
+    descending pair within a row is not."""
+    c = ref.trusted_duplicates()
+    e = TileSpMV(c, method=method, validation="trust")
+    e.validate()
+    e.tiled.validate()
+    op = e.tiled.operand
+    op.indices[:3] = op.indices[:3][::-1]  # row 0: [1, 1, 18] -> [18, 1, 1]
+    with pytest.raises(AssertionError, match="columns must ascend"):
+        e.tiled.validate()
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_plan_does_not_alias_the_callers_arrays(method):
     """Under ``trust`` the gate returns the caller's matrix; the plan copies it."""

@@ -164,9 +164,8 @@ class TestEngineIntegration:
             "threads": {},
             "process": dict(backend="process"),
         }
-        round_trips = 0
         for grid in (None, (2, 2)):
-            runs = {}
+            runs, round_trips = {}, 0
             for name, kw in schedules.items():
                 with ReliableSpMV(a, shards=4, grid=grid, **kw) as r:
                     with fault_injection(FaultPlan(seed=FAULT_SEED)) as inj:
@@ -179,9 +178,8 @@ class TestEngineIntegration:
                                   inj.stats(), dict(r.counters))
             assert inj.stats()["injected"] > 0
             assert runs["threads"] == runs["sequential"] == runs["process"], grid
-        # The (2, 2) grid is column-cut: its products multiply the
-        # parent's block operands, so only the 1D engine reaches workers.
-        assert round_trips > 0
+            # Every grid runs its row blocks in the worker processes.
+            assert round_trips > 0, grid
 
     def test_device_loss_raises_from_plain_engine(self):
         a = random_uniform(200, 200, nnz_per_row=5, seed=32)
@@ -270,3 +268,89 @@ class TestEngineIntegration:
                 with pytest.raises(DeviceLostError) as exc:
                     eng.spmv(np.ones(100))
             assert exc.value.device == 9
+
+
+@pytest.mark.faults
+class TestCampaignOwnsAttempts:
+    """The armed campaign, not the engine, numbers each device's
+    attempts: a rebuilt engine continues its devices' sequence and an
+    engine that ran before the campaign starts it fresh, so a sharded
+    engine faults like a single device."""
+
+    GRIDS = pytest.mark.parametrize("layout", [dict(shards=2), dict(grid=(2, 2))],
+                                    ids=["1d", "2x2"])
+    BACKENDS = pytest.mark.parametrize("backend", ["thread", "process"])
+
+    @staticmethod
+    def _campaigns():
+        from repro.reliability import FaultPlan, fault_injection
+
+        return {
+            "gpu": lambda: fault_injection(FaultPlan(seed=FAULT_SEED)),
+            "shard": lambda: shard_fault_injection(
+                ShardFaultPlan(seed=FAULT_SEED, corrupt_devices=(1,))
+            ),
+        }
+
+    @GRIDS
+    @BACKENDS
+    def test_transient_campaign_is_served_by_the_retry(self, layout, backend):
+        # The retry rung rebuilds the engine; its devices' next attempt
+        # is 1, outside the transient window, so the retry is clean.
+        from repro.reliability import ReliableSpMV
+
+        a = random_uniform(400, 400, nnz_per_row=5, seed=39)
+        x = np.linspace(-1.0, 1.0, 400)
+        ref = TileSpMV(a, method="adpt").spmv(x)
+        for name, campaign in self._campaigns().items():
+            with ReliableSpMV(a, backend=backend, **layout) as r:
+                with campaign() as inj:
+                    y = r.spmv(x)
+                assert inj.injected > 0, name
+                assert (r.counters["detected"], r.counters["retries"],
+                        r.counters["fallbacks"]) == (1, 1, 0), name
+                assert np.array_equal(y, ref), name
+
+    @pytest.mark.parametrize("layout", [dict(shards=1), dict(shards=2), dict(grid=(2, 2))],
+                             ids=["single", "1d", "2x2"])
+    def test_engine_used_before_arming_still_faults(self, layout):
+        from repro.reliability import ReliableSpMV
+
+        a = random_uniform(400, 400, nnz_per_row=5, seed=39)
+        x = np.linspace(-1.0, 1.0, 400)
+        ref = TileSpMV(a, method="adpt").spmv(x)
+        campaigns = self._campaigns()
+        if layout == dict(shards=1):
+            del campaigns["shard"]  # one device: no shard-level site
+        for name, campaign in campaigns.items():
+            with ReliableSpMV(a, **layout) as r:
+                assert np.array_equal(r.spmv(x), ref)  # clean, unarmed
+                with campaign() as inj:
+                    y = r.spmv(x)
+                assert inj.injected > 0, name
+                assert r.counters["detected"] == 1, name
+                assert r.counters["fallbacks"] == 0, name
+                assert np.array_equal(y, ref), name
+
+    def test_repartitioned_survivors_continue_their_attempts(self):
+        # Rank 0 is lost and quarantined at once; ranks 1 and 2 straggle
+        # on their first attempt.  The repartitioned engine's recompute
+        # is each survivor's second attempt, outside the window.
+        from repro.dist import RecoverableShardedSpMV, RecoveryConfig
+        from repro.serving import BreakerConfig
+
+        a = random_uniform(400, 400, nnz_per_row=5, seed=39)
+        x = np.linspace(-1.0, 1.0, 400)
+        ref = TileSpMV(a, method="adpt").spmv(x)
+        cfg = RecoveryConfig(breaker=BreakerConfig(
+            failure_threshold=1, cooldown_seconds=float("inf"), probe_successes=1))
+        with RecoverableShardedSpMV(a, shards=3, config=cfg) as eng:
+            with shard_fault_injection(ShardFaultPlan(
+                seed=FAULT_SEED, lose_devices=(0,), straggle_devices=(1, 2),
+            )) as inj:
+                y = eng.spmv(x)
+            assert eng.quarantined == [0]
+            assert eng.inner.device_ranks == [1, 2]
+            assert inj.stats()["by_kind"] == {"device_loss": 1, "straggler": 2}
+            assert eng.inner.shard_delay_s == [0.0, 0.0]
+            assert np.array_equal(y, ref)

@@ -45,14 +45,16 @@ def reference(matrix):
 
 
 class TestShardChecks:
+    """The per-shard checks: each output block's ``AbftChecksum``,
+    restricted to a cell's column window."""
+
     def test_clean_shards_verify(self, matrix, rng):
         eng = RecoverableShardedSpMV(matrix, shards=4)
         x = rng.standard_normal(320)
-        for i, (s, e) in enumerate(
-            zip(eng.inner.partition.shards, eng.inner.engines)
-        ):
+        for i, e in enumerate(eng.inner.engines):
             y_blk = e.spmv(x)
-            assert eng._checks[i].verify_sum(x, np.sum(y_blk))
+            assert eng._cell_check(i).verify_sums(x, np.sum(y_blk))
+            assert eng._checks[i].verify(x, y_blk)
         eng.close()
 
     def test_corrupted_block_detected(self, matrix, rng):
@@ -60,12 +62,12 @@ class TestShardChecks:
         x = rng.standard_normal(320)
         y_blk = eng.inner.engines[1].spmv(x)
         y_blk[3] += 1e4
-        assert not eng._checks[1].verify_sum(x, np.sum(y_blk))
+        assert not eng._cell_check(1).verify_sums(x, np.sum(y_blk))
         eng.close()
 
     def test_nonfinite_block_detected(self, matrix):
         eng = RecoverableShardedSpMV(matrix, shards=2)
-        assert not eng._checks[0].verify_sum(np.ones(320), np.nan)
+        assert not eng._cell_check(0).verify_sums(np.ones(320), np.nan)
         eng.close()
 
     def test_grid_checks_use_local_windows(self, rng):
@@ -73,8 +75,12 @@ class TestShardChecks:
         eng = RecoverableShardedSpMV(a, grid=(2, 2))
         x = rng.standard_normal(256)
         for i, s in enumerate(eng.inner.partition.shards):
+            check = eng._cell_check(i)
+            assert (check.n, check.nnz, check.m) == (s.block_cols, s.nnz, s.rows)
             y_blk = eng.inner.engines[i].spmv(x[s.col_lo:s.col_hi])
-            assert eng._checks[i].verify_sum(x[s.col_lo:s.col_hi], np.sum(y_blk))
+            assert check.verify_sums(x[s.col_lo:s.col_hi], np.sum(y_blk))
+            y_blk[0] += 1e4
+            assert not check.verify_sums(x[s.col_lo:s.col_hi], np.sum(y_blk))
         eng.close()
 
 

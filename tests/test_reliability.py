@@ -278,17 +278,21 @@ class TestFaultInjector:
         assert vals.max() == 0.0  # input never mutated
 
     def test_fault_attempts_window(self):
-        # Outside a shard task the attempt is the call count of the
-        # kind: attempts [0, fault_attempts) fault, later ones are clean.
-        inj = FaultInjector(FaultPlan(seed=0, fault_attempts=1))
+        # Outside a shard task the attempt is the armed campaign's call
+        # count of the kind: attempts [0, fault_attempts) fault, later
+        # ones are clean.
         vals = np.ones(10)
-        first = inj.corrupt_payload(vals)
-        assert not np.array_equal(first, vals)
-        assert inj.corrupt_payload(vals) is vals  # identity: nothing fired
-        persistent = FaultInjector(FaultPlan(seed=0, fault_attempts=None))
-        runs = [persistent.corrupt_payload(vals) for _ in range(3)]
+        with fault_injection(FaultPlan(seed=0, fault_attempts=1)) as inj:
+            first = inj.corrupt_payload(vals)
+            assert not np.array_equal(first, vals)
+            assert inj.corrupt_payload(vals) is vals  # identity: nothing fired
+        with fault_injection(FaultPlan(seed=0, fault_attempts=None)) as persistent:
+            runs = [persistent.corrupt_payload(vals) for _ in range(3)]
         assert all(not np.array_equal(r, vals) for r in runs)
         assert persistent.stats() == {"injected": 3, "by_kind": {"payload": 3}}
+        # A campaign owns its attempts: re-arming starts them afresh.
+        with fault_injection(FaultPlan(seed=0, fault_attempts=1)) as again:
+            assert np.array_equal(again.corrupt_payload(vals), first)
 
     def test_fault_is_a_function_of_kind_site_and_attempt(self):
         from repro.gpu.faults import fault_site
@@ -305,38 +309,40 @@ class TestFaultInjector:
             assert not np.array_equal(b.corrupt_payload(vals), first)
 
     def test_concurrent_hooks_lose_no_update(self):
-        # Shard tasks run substrate hooks on the thread pool: the site-0
-        # call counts and the fault counters are shared, lock-protected
-        # state.  More threads than cores and a short switch interval
-        # would expose a lost read-modify-write.
+        # Shard tasks run substrate hooks on the thread pool: the
+        # campaign's site-0 call counts and the fault counters are
+        # shared, lock-protected state.  More threads than cores and a
+        # short switch interval would expose a lost read-modify-write.
         import sys
         import threading
 
-        from repro.gpu.faults import fault_site
+        from repro.gpu.faults import fault_site, open_attempt
 
-        inj = FaultInjector(FaultPlan(seed=1, payload_corruptions=2, fault_attempts=None))
+        plan = FaultPlan(seed=1, payload_corruptions=2, fault_attempts=None)
         vals = np.ones(8)
         threads, calls = 8, 150
         outs = [[] for _ in range(threads)]
 
         def work(t: int) -> None:
             for i in range(calls):
-                inj.corrupt_payload(vals)  # site 0: the injector's own count
+                inj.corrupt_payload(vals)  # site 0: the campaign's count
                 with fault_site(t, i):
                     outs[t].append(inj.corrupt_payload(vals))
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            pool = [threading.Thread(target=work, args=(t,)) for t in range(threads)]
-            for th in pool:
-                th.start()
-            for th in pool:
-                th.join(timeout=60)
+            with fault_injection(plan) as inj:
+                pool = [threading.Thread(target=work, args=(t,)) for t in range(threads)]
+                for th in pool:
+                    th.start()
+                for th in pool:
+                    th.join(timeout=60)
+                next_payload = open_attempt("payload")
         finally:
             sys.setswitchinterval(old)
         assert not any(th.is_alive() for th in pool)
-        assert inj._calls["payload"] == threads * calls
+        assert next_payload == threads * calls
         assert inj.stats() == {"injected": 2 * 2 * threads * calls,
                                "by_kind": {"payload": 2 * 2 * threads * calls}}
         solo = FaultInjector(inj.plan)

@@ -79,8 +79,8 @@ class TestReliableClose:
 
     def test_detection_retry_does_not_leak(self):
         # A fault-triggered rebuild mid-flight closes the old engine.
-        # The campaign faults each device's first execution (attempt 0),
-        # so it is armed before the engine runs anything.
+        # The campaign faults each device's first attempt under it; the
+        # rebuilt engine continues the sequence, so the retry is clean.
         r = ReliableSpMV(_matrix(), shards=2, backend="process")
         x = np.ones(r.shape[1])
         with fault_injection(FaultPlan(seed=7)):

@@ -10,6 +10,7 @@ import repro.apps.solvers as solvers
 import repro.dist.recovery as recovery
 import repro.reliability.abft as abft
 import repro.serving.checkpoint as checkpoint
+import repro.util.vecops as vecops
 from repro.util.vecops import dot, norm
 
 
@@ -76,9 +77,12 @@ def test_abft_uses_no_blas_vector_reductions():
 
 
 def test_shard_checks_use_no_blas_vector_reductions():
-    """The per-shard checksums and the column-cut stream checker reduce
-    in the calling thread."""
-    assert _blas_reductions(recovery, classes=("ShardCheck", "RecoverableShardedSpMV")) == []
+    """The recovery ladder's per-shard checks — block checksums
+    restricted to a cell's window, and the weighted sum behind them —
+    reduce in the calling thread."""
+    assert _blas_reductions(recovery, classes=("RecoverableShardedSpMV",)) == []
+    assert _blas_reductions(abft, classes=("AbftChecksum",)) == []
+    assert _blas_reductions(vecops) == []
 
 
 def test_checkpointed_solvers_use_no_blas_vector_reductions():
