@@ -47,7 +47,7 @@ def matrix_format_counts(
     """
     tileset = tile_decompose(matrix, tile=tile)
     formats = select_formats(tileset, config)
-    counts = tileset.view.counts()
+    counts = tileset.pattern.counts()
     tiles = {f: int((formats == f).sum()) for f in FormatID}
     nnz = {f: int(counts[formats == f].sum()) for f in FormatID}
     return FormatShare(tiles=tiles, nnz=nnz)

@@ -30,11 +30,22 @@ class CsrScalarSpMV:
     name = "CSR-scalar"
 
     def __init__(self, matrix: sp.spmatrix, validation: str = "repair") -> None:
+        # The canonical CSR's own arrays, not copies: under ``trust`` a
+        # verified engine's reference reads its operand's memory.
         csr, self.validation_report = canonicalize_csr(matrix, validation)
-        self.indptr = csr.indptr.astype(np.int64)
-        self.indices = csr.indices.astype(np.int64)
-        self.data = csr.data.astype(np.float64)
+        self.indptr = csr.indptr
+        self.indices = csr.indices
+        self.data = np.asarray(csr.data, dtype=np.float64)
         self.m, self.n = csr.shape
+        self._gather: np.ndarray | None = None
+
+    def _columns(self) -> np.ndarray:
+        """``indices`` as ``intp``, widened on the first product and kept:
+        numpy gathers through an ``intp`` index about twice as fast as
+        through an ``int32`` one.  Pricing never needs it."""
+        if self._gather is None:
+            self._gather = np.asarray(self.indices, dtype=np.intp)
+        return self._gather
 
     @property
     def nnz(self) -> int:
@@ -42,7 +53,7 @@ class CsrScalarSpMV:
 
     def spmv(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        products = self.data * x[self.indices]
+        products = self.data * x[self._columns()]
         # Row sums via reduceat; empty rows handled by masking.
         y = np.zeros(self.m)
         lens = np.diff(self.indptr)
@@ -67,7 +78,7 @@ class CsrScalarSpMV:
             return np.zeros((self.m, 0))
         if k == 1:
             return self.spmv(x[:, 0]).reshape(self.m, 1)
-        products = self.data[:, None] * x[self.indices]
+        products = self.data[:, None] * x[self._columns()]
         y = np.zeros((self.m, k))
         lens = np.diff(self.indptr)
         nonempty = lens > 0

@@ -28,7 +28,7 @@ from repro.core.storage import TileMatrix, masked_csr
 from repro.core.tiling import TileSet
 from repro.formats import FormatID
 from repro.formats.tile_hyb import hyb_split_widths
-from repro.util.segments import lengths_to_offsets
+from repro.util.segments import index_dtype, lengths_to_offsets
 
 __all__ = ["DeferredSplit", "split_deferred_coo"]
 
@@ -67,7 +67,7 @@ def split_deferred_coo(
     config = config or SelectionConfig()
     if formats is None:
         formats = select_formats(tileset, config)
-    view = tileset.view
+    view = tileset.pattern
     entry_fmt = view.per_entry(formats)
 
     extract = entry_fmt == FormatID.COO
@@ -94,20 +94,22 @@ def split_deferred_coo(
     # from scratch yields.
     rest = view.masked(keep)
     kept = np.flatnonzero(np.diff(rest.offsets))
-    tile_rowidx = tileset.tile_rowidx[kept]
+    # The dtypes tiling c[~m] picks (see tile_decompose).
+    idx = index_dtype(max(rest.nnz, tileset.m, tileset.n))
+    tile_rowidx = tileset.tile_rowidx[kept].astype(idx)
     remainder = replace(
         tileset,
         tile_ptr=lengths_to_offsets(np.bincount(tile_rowidx, minlength=tileset.tile_rows)),
-        tile_colidx=tileset.tile_colidx[kept],
+        tile_colidx=tileset.tile_colidx[kept].astype(idx),
         tile_rowidx=tile_rowidx,
-        view=replace(
+        pattern=replace(
             rest,
-            offsets=np.append(rest.offsets[kept], rest.nnz),
+            offsets=np.append(rest.offsets[kept], rest.nnz).astype(idx),
             eff_h=view.eff_h[kept],
             eff_w=view.eff_w[kept],
         ),
         # A kept entry's new canonical slot: kept entries before it.
-        entry_perm=lengths_to_offsets(~extracted)[tileset.entry_perm[keep]],
+        entry_perm=lengths_to_offsets(~extracted)[tileset.entry_perm[keep]].astype(idx),
         csr=masked_csr(tileset.csr, ~extracted),
     )
     # Carry the original per-tile decisions over; HYB keeps its ELL part.

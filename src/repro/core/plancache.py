@@ -36,9 +36,11 @@ import scipy.sparse as sp
 
 from repro import telemetry as tele
 from repro.baselines.csr5 import Csr5SpMV
+from repro.core.kernels.params import KernelCostParams
 from repro.core.scheduler import WarpSchedule
 from repro.core.storage import TileMatrix, refill_operand
 from repro.core.tiling import TileSet
+from repro.gpu.costmodel import RunCost
 
 __all__ = [
     "PlanCache",
@@ -109,7 +111,9 @@ class MethodPlan:
     matrix and the CSR5 engine) but executes the full matrix;
     ``extracted`` masks, in the operand's canonical order, the entries
     the CSR5 half holds — the tiled half holds the rest, in the same
-    order — which carries new values into the halves.
+    order — which carries new values into the halves.  ``costs``
+    memoizes :meth:`run_cost` per pricing setting; no price reads a
+    value, so every value generation shares it.
     """
 
     method: str
@@ -119,6 +123,27 @@ class MethodPlan:
     operand: sp.csr_matrix
     extracted: np.ndarray | None = None
     build_seconds: float = 0.0
+    costs: dict = field(default_factory=dict, repr=False)
+
+    def run_cost(self, params: KernelCostParams, tbalance: int) -> RunCost:
+        """Device-independent cost of one SpMV with these artifacts: the
+        tiled kernel plus, for a DeferredCOO split, the CSR5 kernel.
+
+        Priced once per ``(params, tbalance)``; each call returns a
+        fresh copy, since callers set its ``label``.
+        """
+        cost = self.costs.get((params, tbalance))
+        if cost is None:
+            parts: list[RunCost] = []
+            if self.tiled is not None:
+                parts.append(self.tiled.run_cost(params, tbalance, schedule=self.schedule))
+            if self.deferred is not None:
+                parts.append(self.deferred.run_cost())
+            cost = RunCost(label="TileSpMV(empty)") if not parts else parts[0]
+            for p in parts[1:]:
+                cost = cost + p
+            self.costs[(params, tbalance)] = cost
+        return replace(cost)
 
     def with_values(self, data: np.ndarray) -> "MethodPlan":
         """Same structure, new values in operand order.

@@ -62,7 +62,7 @@ class TileStats:
 
 def compute_tile_stats(tileset: TileSet) -> TileStats:
     """Vectorised per-tile statistics over the whole matrix."""
-    view = tileset.view
+    view = tileset.pattern
     nnz = view.counts()
     counts = nnz.astype(np.float64)
     eff_h = view.eff_h.astype(np.float64)
@@ -123,7 +123,7 @@ def select_formats(
 
     # Rule 2: at least half full -> Dns.  The 128 cut is defined against
     # the full 256-slot tile; boundary tiles scale proportionally.
-    eff_slots = tileset.view.eff_h.astype(np.int64) * tileset.view.eff_w.astype(np.int64)
+    eff_slots = tileset.pattern.eff_h.astype(np.int64) * tileset.pattern.eff_w.astype(np.int64)
     dns_cut = config.dns_nnz_min * eff_slots / (tileset.tile * tileset.tile)
     dns = undecided & (stats.nnz >= dns_cut)
     fmt[dns] = FormatID.DNS

@@ -5,16 +5,16 @@ A :class:`TileMatrix` owns the level-1 tile structure (from
 :mod:`repro.core.selection`) and the seven format payloads (from
 :mod:`repro.formats`).  Its **operand**, which executes every product,
 is the canonical (row, ascending column) CSR matrix the tile set was cut
-from.  The payloads are what the cost model prices; :meth:`~TileMatrix.validate`
-and the round-trip tests hold their decode to the operand bit for bit.
-A value update refills the operand alone; payload and view values are
-rebuilt from it on first read.
+from, and the only array of entry values a plan holds.  The payloads are
+what the cost model prices, and pricing reads their structure alone;
+:meth:`~TileMatrix.validate` and the round-trip tests hold their decode
+to the operand bit for bit.  A value update refills the operand alone;
+view and payload values are derived from it on first read.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,6 +25,7 @@ from repro.core.scheduler import DEFAULT_TBALANCE, WarpSchedule, build_schedule
 from repro.core.tiling import TileSet
 from repro.formats import (
     FormatID,
+    TilesView,
     encode_bitmap,
     encode_coo,
     encode_csr,
@@ -36,7 +37,7 @@ from repro.formats import (
 )
 from repro.gpu import faults
 from repro.gpu.costmodel import RunCost
-from repro.util.segments import lengths_to_offsets, repeat_offsets, run_starts
+from repro.util.segments import index_dtype, lengths_to_offsets, repeat_offsets
 
 __all__ = [
     "TileMatrix",
@@ -80,8 +81,8 @@ def decode_csr(ts: TileSet, payloads: dict, tile_ids: dict) -> sp.csr_matrix:
     for fmt, payload in payloads.items():
         t_local, lrow, lcol, val = _decode_with_tiles(fmt, payload)
         gid = tile_ids[fmt][t_local]
-        rows.append(ts.tile_rowidx[gid] * ts.tile + lrow.astype(np.int64))
-        cols.append(ts.tile_colidx[gid] * ts.tile + lcol.astype(np.int64))
+        rows.append(ts.tile_rowidx[gid].astype(np.int64) * ts.tile + lrow)
+        cols.append(ts.tile_colidx[gid].astype(np.int64) * ts.tile + lcol)
         vals.append(val)
     rows, cols, vals = (np.concatenate(p) for p in (rows, cols, vals))
     order = np.argsort(rows * n + cols, kind="stable")
@@ -128,67 +129,57 @@ def faulted_operand(op: sp.csr_matrix) -> sp.csr_matrix:
     return op
 
 
-def _refill_payload(payload, entry: tuple, view_val: np.ndarray):
-    """``payload`` with its value slots refilled from view-ordered values.
+def encode_payloads(view: TilesView, formats: np.ndarray, hyb_widths: np.ndarray | None = None):
+    """``(payloads, tile_ids)``: every tile of ``view`` in its format.
 
-    ``entry`` is the payload's map from :meth:`TileMatrix._value_slot_maps`;
-    padding slots of the masked formats stay zero, as the encoders leave
-    them.
+    ``tile_ids`` maps each used ``FormatID`` to its tiles' indices.  A
+    structure-only ``view`` (``val is None``) yields structure-only
+    payloads.  ``hyb_widths`` pins the HYB tiles' split widths.
     """
-    if entry[0] == "hyb":
-        _, ell_slots, ell_vidx, coo_vidx = entry
-        ell_val = np.zeros_like(payload.ell.val)
-        ell_val[ell_slots] = view_val[ell_vidx]
-        return replace(
-            payload,
-            ell=replace(payload.ell, val=ell_val),
-            coo=replace(payload.coo, val=view_val[coo_vidx]),
-        )
-    if entry[0] == "masked":
-        _, slots, vidx = entry
-        val = np.zeros_like(payload.val)
-        val[slots] = view_val[vidx]
-        return replace(payload, val=val)
-    return replace(payload, val=view_val[entry[1]])
-
-
-def _rank_among_equal(keys: np.ndarray) -> np.ndarray:
-    """Rank of each key among the equal keys before it in ``keys``."""
-    order = np.argsort(keys, kind="stable")
-    starts = run_starts(keys[order])
-    ranked = np.arange(keys.size, dtype=np.int64)
-    ranked -= np.repeat(starts, np.diff(starts, append=keys.size))
-    rank = np.empty_like(ranked)
-    rank[order] = ranked
-    return rank
+    payloads: dict = {}
+    tile_ids: dict = {}
+    idx_dtype = index_dtype(formats.size)
+    for fmt in FormatID:
+        idx = np.flatnonzero(formats == fmt)
+        if idx.size == 0:
+            continue
+        sub = view.select(idx)
+        if fmt == FormatID.HYB and hyb_widths is not None:
+            payloads[fmt] = encode_hyb(sub, widths=hyb_widths)
+        else:
+            payloads[fmt] = _ENCODERS[fmt](sub)
+        tile_ids[fmt] = idx.astype(idx_dtype)
+    return payloads, tile_ids
 
 
 class TileMatrix:
     """A sparse matrix in the two-level TileSpMV representation.
 
-    A *built* matrix owns its tile set (level-1 arrays, the entry values
-    in view order and the canonical CSR they were cut from), the encoded
-    payloads, and that CSR as its operand.  A *value clone*
-    (:meth:`with_operand_data`) owns only a refilled operand and shares
-    everything structural with the built matrix it came from, its
-    template.  The operand is what executes; a clone's ``tileset`` and
-    ``payloads`` are derived from it on first read — bit for bit what
-    re-encoding the new values would store — so a value update writes
-    only what the products read.
+    A matrix holds its tile set (level-1 arrays, the tile-sorted entry
+    structure and the canonical CSR they were cut from), its format
+    vector, and each format's payload as *structure*: every array but
+    the values.  That CSR is the operand, the one holder of the values;
+    it executes every product.  Pricing (:meth:`kernel_costs`,
+    :meth:`run_cost`, :meth:`nbytes_model`, :meth:`format_histogram`)
+    reads structure only.  :attr:`payloads`, the full encoded payloads,
+    are encoded from the operand's values on first read: bit for bit
+    what an eager encode stores.  A *value clone*
+    (:meth:`with_operand_data`) shares every structural array and owns
+    only a refilled operand, so a value update writes only what the
+    products read.
     """
 
-    def __init__(self, tileset: TileSet, formats: np.ndarray, payloads: dict, tile_ids: dict) -> None:
+    def __init__(self, tileset: TileSet, formats: np.ndarray, structure: dict, tile_ids: dict) -> None:
         self.formats = formats  # uint8 FormatID per tile
         self.tile_ids = tile_ids  # FormatID -> global tile idx
-        self._tileset: TileSet | None = tileset
-        self._payloads: dict | None = payloads  # FormatID -> payload
-        # The built matrix a value clone derives from; None when built.
-        self._template: TileMatrix | None = None
-        # Structural maps from view entries to payload value slots,
-        # built lazily on the built matrix only.
-        self._value_maps: dict | None = None
-        # The executor: the canonical CSR the tile set was cut from.
-        self.operand: sp.csr_matrix = tileset.csr
+        self.tileset = tileset
+        self.structure = structure  # FormatID -> payload without values
+        self._payloads: dict | None = None  # encoded on first read
+
+    @property
+    def operand(self) -> sp.csr_matrix:
+        """The executor: the canonical CSR the tile set was cut from."""
+        return self.tileset.csr
 
     # -- construction ------------------------------------------------------
 
@@ -199,7 +190,7 @@ class TileMatrix:
         formats: np.ndarray,
         hyb_widths: np.ndarray | None = None,
     ) -> "TileMatrix":
-        """Encode every tile into its assigned format.
+        """Encode every tile's structure in its assigned format.
 
         ``hyb_widths`` (per-HYB-tile split widths) lets the DeferredCOO
         strategy pin widths decided before extraction; by default the
@@ -208,112 +199,40 @@ class TileMatrix:
         formats = np.asarray(formats, dtype=np.uint8)
         if formats.size != tileset.n_tiles:
             raise ValueError("one format per tile required")
-        payloads: dict = {}
-        tile_ids: dict = {}
-        for fmt in FormatID:
-            idx = np.flatnonzero(formats == fmt)
-            if idx.size == 0:
-                continue
-            view = tileset.view.select(idx)
-            if fmt == FormatID.HYB and hyb_widths is not None:
-                payloads[fmt] = encode_hyb(view, widths=hyb_widths)
-            else:
-                payloads[fmt] = _ENCODERS[fmt](view)
-            tile_ids[fmt] = idx
-        return cls(tileset, formats, payloads, tile_ids)
-
-    def _value_slot_maps(self) -> dict:
-        """Structural maps from view entries to payload value slots.
-
-        Every decoder drops its padding slots (``validate``'s round-trip
-        check holds it to that), so each payload's decode stream is a
-        pure permutation of its tiles' view entries.
-        Decoding each payload's *index* arrays once recovers which
-        stored value slot holds which view entry.  Built lazily on the
-        built matrix — a value clone asks its template — and never
-        rebuilt for a fixed structure.
-        """
-        if self._template is not None:
-            return self._template._value_slot_maps()
-        if self._value_maps is not None:
-            return self._value_maps
-        tile = self._tileset.tile
-        view = self._tileset.view
-        # View entries are sorted by (tile, lrow, lcol), so this key is
-        # non-decreasing over the view — searchsorted inverts it.  Equal
-        # keys are duplicates (kept under ``validation="trust"``); every
-        # decoder emits them in view order, so the k-th decoded one is
-        # the k-th in the view.
-        view_keys = (
-            view.tile_of_entry() * (tile * tile)
-            + view.lrow.astype(np.int64) * tile
-            + view.lcol.astype(np.int64)
-        )
-        has_duplicates = bool(np.any(view_keys[1:] == view_keys[:-1]))
-        maps: dict = {}
-        for fmt, payload in self._payloads.items():
-            t_local, lrow, lcol, _ = _decode_with_tiles(fmt, payload)
-            gid = self.tile_ids[fmt][t_local]
-            keys = gid * (tile * tile) + lrow.astype(np.int64) * tile + lcol.astype(np.int64)
-            vidx = np.searchsorted(view_keys, keys)
-            if has_duplicates:
-                vidx += _rank_among_equal(keys)
-            if fmt == FormatID.HYB:
-                # HYB decodes its ELL part (mask-compacted) then its COO
-                # part (dense); split the map at the seam.
-                n_ell = int(np.count_nonzero(payload.ell.valid))
-                maps[fmt] = ("hyb", np.flatnonzero(payload.ell.valid), vidx[:n_ell], vidx[n_ell:])
-            elif fmt in (FormatID.ELL, FormatID.DNS):
-                maps[fmt] = ("masked", np.flatnonzero(payload.valid), vidx)
-            else:
-                maps[fmt] = ("dense", vidx)
-        self._value_maps = maps
-        return maps
+        structure, tile_ids = encode_payloads(tileset.pattern, formats, hyb_widths)
+        return cls(tileset, formats, structure, tile_ids)
 
     def with_operand_data(self, data: np.ndarray) -> "TileMatrix":
         """Same structure, new entry values given in operand order.
 
-        The one refill: the clone shares the template's structure (the
-        built matrix, never a previous clone, so repeated updates form
-        no chain) and owns a refilled operand.  Its ``tileset`` and
-        ``payloads`` are rebuilt from the operand on first read.  No
-        encoder runs and nothing is sorted; the caller must not mutate
-        ``data`` afterwards.  Returns a new object (cached plans may
-        share this one).
+        The one refill: the clone shares every structural array and
+        owns a refilled operand; its view values and payloads are
+        derived from it on first read.  No encoder runs and nothing is
+        sorted; the caller must not mutate ``data`` afterwards.  Returns
+        a new object (cached plans may share this one).
         """
         data = np.asarray(data, dtype=np.float64)
         if data.shape != (self.nnz,):
             raise ValueError(f"expected {self.nnz} values, got {data.size}")
-        tpl = self._template or self
-        clone = copy.copy(tpl)  # structure shared by reference
-        clone._template = tpl
-        clone._tileset = clone._payloads = None
-        clone.operand = refill_operand(tpl.operand, data)
+        clone = copy.copy(self)  # structure shared by reference
+        clone.tileset = self.tileset.with_values(data)
+        clone._payloads = None
         return clone
 
     def _derive_values(self) -> None:
-        """Rebuild a value clone's view values and payloads from its operand."""
-        tpl = self._template
-        maps = tpl._value_slot_maps()
-        self._tileset = tpl._tileset.with_values(self.operand.data)
-        view_val = self._tileset.view.val
-        self._payloads = {
-            fmt: _refill_payload(payload, maps[fmt], view_val)
-            for fmt, payload in tpl._payloads.items()
-        }
+        """Encode the payloads from the operand's values, the structure's
+        HYB split widths pinned so the encode matches it."""
+        hyb = self.structure.get(FormatID.HYB)
+        self._payloads, _ = encode_payloads(
+            self.tileset.view, self.formats, None if hyb is None else hyb.ell.width
+        )
 
     # -- basic properties ----------------------------------------------------
 
     @property
-    def tileset(self) -> TileSet:
-        """Level-1 structure and view-ordered entry values (derived in a clone)."""
-        if self._tileset is None:
-            self._derive_values()
-        return self._tileset
-
-    @property
     def payloads(self) -> dict:
-        """``FormatID`` -> encoded payload (derived in a clone)."""
+        """``FormatID`` -> encoded payload, values included (derived on
+        first read; pricing reads :attr:`structure`)."""
         if self._payloads is None:
             self._derive_values()
         return self._payloads
@@ -366,12 +285,12 @@ class TileMatrix:
     def nbytes_model(self) -> int:
         """Modelled device footprint: level-1 arrays + all payloads."""
         return self.tileset.level1_nbytes_model() + sum(
-            p.nbytes_model() for p in self.payloads.values()
+            p.nbytes_model() for p in self.structure.values()
         )
 
     def format_histogram(self) -> dict[FormatID, dict[str, int]]:
         """Per-format tile and nonzero counts (Fig 7's two ratios)."""
-        counts = self.tileset.view.counts()
+        counts = self.tileset.pattern.counts()
         out: dict[FormatID, dict[str, int]] = {}
         for fmt in FormatID:
             mask = self.formats == fmt
@@ -386,9 +305,9 @@ class TileMatrix:
     def kernel_costs(self, params: KernelCostParams | None = None) -> dict[FormatID, TileKernelCost]:
         """Per-format kernel cost accounting (vectorised over tiles)."""
         params = params or KernelCostParams()
-        eff_w = self.tileset.view.eff_w
+        eff_w = self.tileset.pattern.eff_w
         out = {}
-        for fmt, payload in self.payloads.items():
+        for fmt, payload in self.structure.items():
             out[fmt] = costs_for_format(FormatID(fmt), payload, params, eff_w[self.tile_ids[fmt]])
         return out
 
@@ -465,9 +384,10 @@ class TileMatrix:
     def validate(self) -> None:
         """Check the storage invariants; raises ``AssertionError`` on breakage."""
         ts = self.tileset
+        view = ts.view  # the entries as the payloads are encoded from them
         assert np.all(np.diff(ts.tile_ptr) >= 0), "tilePtr must be monotone"
-        assert np.all(np.diff(ts.tile_nnz) > 0), "occupied tiles must be nonempty"
-        assert int(ts.tile_nnz[-1]) == ts.nnz, "tileNnz must cover all entries"
+        assert np.all(np.diff(view.offsets) > 0), "occupied tiles must be nonempty"
+        assert int(view.offsets[-1]) == ts.nnz, "tileNnz must cover all entries"
         assert self.formats.size == ts.n_tiles
         covered = np.concatenate([v for v in self.tile_ids.values()]) if self.tile_ids else np.zeros(0, np.int64)
         in_range = covered.size == 0 or (covered.min() >= 0 and covered.max() < ts.n_tiles)

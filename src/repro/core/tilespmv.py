@@ -350,21 +350,11 @@ class TileSpMV:
         return mp, mp.build_seconds
 
     def _method_cost(self, mp: MethodPlan, label: str | None = None) -> RunCost:
-        """Device-independent cost of one SpMV with these artifacts: the
-        tiled kernel plus, for a DeferredCOO split, the CSR5 kernel."""
-        parts: list[RunCost] = []
-        if mp.tiled is not None:
-            parts.append(mp.tiled.run_cost(self.params, self.tbalance, schedule=mp.schedule))
-        if mp.deferred is not None:
-            parts.append(mp.deferred.run_cost())
-        if not parts:
-            return RunCost(label="TileSpMV(empty)")
-        total = parts[0]
-        for p in parts[1:]:
-            total = total + p
-        if label is not None:
-            total.label = label
-        return total
+        """The plan's memoized cost under this engine's pricing setting."""
+        cost = mp.run_cost(self.params, self.tbalance)
+        if label is not None and (mp.tiled is not None or mp.deferred is not None):
+            cost.label = label  # an empty plan keeps its own label
+        return cost
 
     def _adopt(self, mp: MethodPlan) -> None:
         self._mp = mp
@@ -565,7 +555,8 @@ class TileSpMV:
         The matrix payload streams once for all ``k`` columns (see
         :meth:`RunCost.batched <repro.gpu.costmodel.RunCost.batched>`),
         which is where batching beats ``k`` sequential :meth:`spmv`
-        calls on memory-bound matrices.
+        calls on memory-bound matrices.  The plan is priced once; each
+        width only rescales that price.
         """
         cost = self.run_cost().batched(k)
         cost.label = f"TileSpMV_{self.method}[k={k}]"

@@ -6,18 +6,21 @@ tiles), ``tileColIdx`` (tile column index of each tile) and ``tileNnz``
 (per-tile nonzero offsets).  Only *occupied* tiles are materialised.
 The nonzero entries come out sorted by (tile, local row, local column),
 which every format encoder relies on.  The tile set keeps the canonical
-CSR matrix it was cut from, which every plan built on it executes.
+CSR matrix it was cut from, which every plan built on it executes, and
+holds the tile-sorted entries as structure only: their values are that
+matrix's, read through ``entry_perm`` when :attr:`TileSet.view` is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.formats.base import TilesView
-from repro.util.segments import lengths_to_offsets, run_starts, stable_key_order
+from repro.util.segments import index_dtype, lengths_to_offsets, run_starts, stable_key_order
 
 __all__ = ["TileSet", "tile_decompose"]
 
@@ -25,6 +28,10 @@ __all__ = ["TileSet", "tile_decompose"]
 @dataclass
 class TileSet:
     """Level-1 tile structure plus the tile-sorted nonzero entries.
+
+    The per-tile arrays and ``entry_perm`` are ``int32`` whenever their
+    values fit (:func:`~repro.util.segments.index_dtype`), ``int64``
+    otherwise; arithmetic on them widens to ``int64`` where it is used.
 
     Attributes
     ----------
@@ -36,21 +43,23 @@ class TileSet:
         ``int64 (tile_rows + 1)``: per-tile-row offsets into the tile
         list (the paper's ``tilePtr``).
     tile_colidx:
-        ``int64 (n_tiles,)``: tile column of each occupied tile
+        ``(n_tiles,)``: tile column of each occupied tile
         (``tileColIdx``).
     tile_rowidx:
-        ``int64 (n_tiles,)``: tile row of each tile (implied by
-        ``tile_ptr``; kept explicit for vectorised kernels).
-    view:
-        All tiles' entries as a :class:`~repro.formats.base.TilesView`;
-        ``view.offsets`` is the paper's ``tileNnz``.
+        ``(n_tiles,)``: tile row of each tile (implied by ``tile_ptr``;
+        kept explicit for vectorised kernels).
+    pattern:
+        All tiles' entries as a structure-only
+        :class:`~repro.formats.base.TilesView` (``val`` is ``None``);
+        ``pattern.offsets`` is the paper's ``tileNnz``.
     entry_perm:
-        ``int64 (nnz,)``: permutation mapping canonical-CSR entry order
-        to the tile-sorted order (``view.val == csr.data[entry_perm]``).
-        This is what lets a plan with the same sparsity pattern take new
+        ``(nnz,)``: permutation mapping canonical-CSR entry order to the
+        tile-sorted order (``view.val == csr.data[entry_perm]``).  This
+        is what lets a plan with the same sparsity pattern take new
         values without re-sorting.
     csr:
-        The canonical CSR matrix the tiles were cut from: the operand.
+        The canonical CSR matrix the tiles were cut from: the operand,
+        and the only holder of the entry values.
     """
 
     m: int
@@ -59,9 +68,16 @@ class TileSet:
     tile_ptr: np.ndarray
     tile_colidx: np.ndarray
     tile_rowidx: np.ndarray
-    view: TilesView
+    pattern: TilesView
     entry_perm: np.ndarray
     csr: sp.csr_matrix
+
+    @cached_property
+    def view(self) -> TilesView:
+        """:attr:`pattern` with the values in tile-sorted order, gathered
+        from :attr:`csr` on first read (pricing never reads them)."""
+        val = np.asarray(self.csr.data, dtype=np.float64)[self.entry_perm]
+        return replace(self.pattern, val=val)
 
     @property
     def n_tiles(self) -> int:
@@ -77,12 +93,12 @@ class TileSet:
 
     @property
     def nnz(self) -> int:
-        return self.view.nnz
+        return self.pattern.nnz
 
     @property
     def tile_nnz(self) -> np.ndarray:
         """The paper's ``tileNnz`` offsets array."""
-        return self.view.offsets
+        return self.pattern.offsets
 
     def level1_nbytes_model(self) -> int:
         """Device footprint of the level-1 arrays.
@@ -106,19 +122,16 @@ class TileSet:
     def with_values(self, csr_data: np.ndarray) -> "TileSet":
         """A structurally identical tile set carrying new entry values.
 
-        ``csr_data`` is in canonical CSR order.  The level-1 arrays,
-        local coordinates and CSR index arrays are shared by reference —
-        only the value arrays are replaced — so this is the cheap half
-        of the ``update_values`` fast path: no sort, no tiling.
+        ``csr_data`` is in canonical CSR order.  Everything structural
+        is shared by reference and only the CSR's value array is
+        replaced, so this is the cheap half of the ``update_values``
+        fast path: no sort, no tiling, no gather.
         """
         csr_data = np.asarray(csr_data, dtype=np.float64)
-        if csr_data.shape != self.view.val.shape:
-            raise ValueError(
-                f"expected {self.view.val.size} values, got {csr_data.size}"
-            )
+        if csr_data.shape != (self.nnz,):
+            raise ValueError(f"expected {self.nnz} values, got {csr_data.size}")
         return replace(
             self,
-            view=replace(self.view, val=csr_data[self.entry_perm]),
             csr=sp.csr_matrix(
                 (csr_data, self.csr.indices, self.csr.indptr), shape=self.csr.shape
             ),
@@ -126,13 +139,13 @@ class TileSet:
 
     def global_rows(self) -> np.ndarray:
         """Global row index of every entry (tile-sorted order)."""
-        t = self.view.tile_of_entry()
-        return self.tile_rowidx[t] * self.tile + self.view.lrow.astype(np.int64)
+        rows = self.pattern.per_entry(self.tile_rowidx).astype(np.int64)
+        return rows * self.tile + self.pattern.lrow
 
     def global_cols(self) -> np.ndarray:
         """Global column index of every entry (tile-sorted order)."""
-        t = self.view.tile_of_entry()
-        return self.tile_colidx[t] * self.tile + self.view.lcol.astype(np.int64)
+        cols = self.pattern.per_entry(self.tile_colidx).astype(np.int64)
+        return cols * self.tile + self.pattern.lcol
 
 
 def tile_decompose(
@@ -211,11 +224,15 @@ def tile_decompose(
     tile_ptr = lengths_to_offsets(tiles_per_row)
     eff_h = np.minimum(tile, m - tile_rowidx * tile).astype(np.uint8)
     eff_w = np.minimum(tile, n - tile_colidx * tile).astype(np.uint8)
-    view = TilesView(
+    # What the plan holds narrows to int32 when it fits; ``nnz`` bounds
+    # every value (tile indices and offsets included: each tile holds
+    # an entry) except a tile index of an empty-tiled axis, ``max(m, n)``.
+    idx = index_dtype(max(nnz, m, n))
+    pattern = TilesView(
         lrow=np.repeat((rows % tile).astype(np.uint8), np.diff(indptr))[order],
         lcol=(indices - tcol * tile).astype(np.uint8)[order],
-        val=np.asarray(csr.data, dtype=np.float64)[order],
-        offsets=offsets,
+        val=None,
+        offsets=offsets.astype(idx),
         eff_h=eff_h,
         eff_w=eff_w,
         tile=tile,
@@ -225,9 +242,9 @@ def tile_decompose(
         n=n,
         tile=tile,
         tile_ptr=tile_ptr,
-        tile_colidx=tile_colidx,
-        tile_rowidx=tile_rowidx,
-        view=view,
-        entry_perm=order,
+        tile_colidx=tile_colidx.astype(idx),
+        tile_rowidx=tile_rowidx.astype(idx),
+        pattern=pattern,
+        entry_perm=order.astype(idx),
         csr=csr,
     )

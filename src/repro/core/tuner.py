@@ -157,10 +157,10 @@ def greedy_scores(
     n = tileset.n_tiles
     if byte_weight is None:
         byte_weight = default_byte_weight(device)
-    eff_w = tileset.view.eff_w
+    eff_w = tileset.pattern.eff_w
     scores = np.full((len(_UNIVERSAL), n), np.inf)
     for k, fmt in enumerate(_UNIVERSAL):
-        payload = _ENCODERS[fmt](tileset.view)
+        payload = _ENCODERS[fmt](tileset.pattern)
         cost = costs_for_format(fmt, payload, params, eff_w)
         per_tile_bytes = _per_tile_bytes(fmt, payload, tileset)
         scores[k] = cost.cycles + byte_weight * per_tile_bytes
@@ -189,7 +189,7 @@ def greedy_per_tile(
 
 def _per_tile_bytes(fmt: FormatID, payload, tileset: TileSet) -> np.ndarray:
     """Approximate per-tile payload footprint for the greedy score."""
-    counts = tileset.view.counts().astype(np.float64)
+    counts = tileset.pattern.counts().astype(np.float64)
     t = tileset.tile
     if fmt == FormatID.CSR:
         return counts * 8.5 + t
@@ -203,8 +203,8 @@ def _per_tile_bytes(fmt: FormatID, payload, tileset: TileSet) -> np.ndarray:
         return ell + coo_counts * 9.0
     if fmt == FormatID.DNS:
         return (
-            tileset.view.eff_h.astype(np.float64)
-            * tileset.view.eff_w.astype(np.float64)
+            tileset.pattern.eff_h.astype(np.float64)
+            * tileset.pattern.eff_w.astype(np.float64)
             * 8.0
         )
     raise ValueError(fmt)

@@ -20,7 +20,7 @@ from repro.util.segments import (
     repeat_offsets,
 )
 
-__all__ = ["FormatID", "FORMAT_NAMES", "TilesView", "VALUE_BYTES"]
+__all__ = ["FormatID", "FORMAT_NAMES", "TilesView", "VALUE_BYTES", "copied_values", "scattered_values"]
 
 VALUE_BYTES = 8  # float64 throughout, matching the paper's double precision.
 
@@ -43,6 +43,21 @@ class FormatID(IntEnum):
 FORMAT_NAMES = {f: f.name for f in FormatID}
 
 
+def copied_values(view: "TilesView") -> np.ndarray | None:
+    """The view's values as an owned float64 array (``None`` stays ``None``)."""
+    return None if view.val is None else np.asarray(view.val, dtype=np.float64).copy()
+
+
+def scattered_values(view: "TilesView", dst: np.ndarray, n_slots: int) -> np.ndarray | None:
+    """``n_slots`` float64 slots, zero except the view's values at ``dst``
+    (``None`` for a structure-only view)."""
+    if view.val is None:
+        return None
+    val = np.zeros(n_slots, dtype=np.float64)
+    val[dst] = view.val
+    return val
+
+
 @dataclass
 class TilesView:
     """A selected group of tiles and their entries, tile-locally indexed.
@@ -56,7 +71,8 @@ class TilesView:
     lrow, lcol:
         Tile-local coordinates of each entry, in ``[0, tile)``.
     val:
-        Entry values.
+        Entry values, or ``None`` in a structure-only view (the
+        encoders then emit structure-only payloads, ``val=None``).
     offsets:
         Per-tile entry offsets, length ``n_tiles + 1``.
     eff_h, eff_w:
@@ -68,7 +84,7 @@ class TilesView:
 
     lrow: np.ndarray
     lcol: np.ndarray
-    val: np.ndarray
+    val: np.ndarray | None
     offsets: np.ndarray
     eff_h: np.ndarray
     eff_w: np.ndarray
@@ -147,7 +163,7 @@ class TilesView:
             self,
             lrow=self.lrow[keep],
             lcol=self.lcol[keep],
-            val=self.val[keep],
+            val=None if self.val is None else self.val[keep],
             offsets=kept_before[self.offsets],
         )
 
@@ -157,7 +173,7 @@ class TilesView:
         if idx.dtype == bool:
             idx = np.flatnonzero(idx)
         lengths = self.counts()[idx]
-        new_offsets = lengths_to_offsets(lengths)
+        new_offsets = lengths_to_offsets(lengths, dtype=self.offsets.dtype)
         # Source of every kept entry: its tile's old start plus its rank,
         # i.e. the new position shifted by a per-tile constant.
         src = np.repeat(self.offsets[idx] - new_offsets[:-1], lengths)
@@ -165,7 +181,7 @@ class TilesView:
         return TilesView(
             lrow=self.lrow[src],
             lcol=self.lcol[src],
-            val=self.val[src],
+            val=None if self.val is None else self.val[src],
             offsets=new_offsets,
             eff_h=self.eff_h[idx],
             eff_w=self.eff_w[idx],

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.formats.base import VALUE_BYTES, TilesView
+from repro.formats.base import VALUE_BYTES, TilesView, copied_values
 from repro.util.segments import run_starts
 
 __all__ = ["TileBitmapData", "encode_bitmap", "bitmap_nbytes"]
@@ -35,7 +35,7 @@ class TileBitmapData:
     """
 
     bitmap: np.ndarray  # uint8, 32 * n_tiles
-    val: np.ndarray
+    val: np.ndarray | None
     offsets: np.ndarray
     tile: int = 16
 
@@ -74,7 +74,7 @@ def encode_bitmap(view: TilesView) -> TileBitmapData:
     bitmap[byte_idx[starts]] = np.bitwise_or.reduceat(bits, starts)
     return TileBitmapData(
         bitmap=bitmap,
-        val=np.asarray(view.val, dtype=np.float64).copy(),
+        val=copied_values(view),
         offsets=view.offsets.copy(),
         tile=view.tile,
     )

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.formats.base import VALUE_BYTES, TilesView
+from repro.formats.base import VALUE_BYTES, TilesView, copied_values
 from repro.util.packing import pack_nibble_pairs, unpack_nibble_pairs
 
 __all__ = ["TileCOOData", "encode_coo"]
@@ -26,8 +26,8 @@ class TileCOOData:
     """
 
     rowcol: np.ndarray  # uint8, packed (lrow << 4) | lcol
-    val: np.ndarray  # float64
-    offsets: np.ndarray  # int64, per-tile entry offsets
+    val: np.ndarray | None  # float64; None when structure-only
+    offsets: np.ndarray  # per-tile entry offsets
 
     @property
     def n_tiles(self) -> int:
@@ -53,6 +53,6 @@ def encode_coo(view: TilesView) -> TileCOOData:
         raise ValueError("COO nibble packing requires tile size <= 16")
     return TileCOOData(
         rowcol=pack_nibble_pairs(view.lrow, view.lcol),
-        val=np.asarray(view.val, dtype=np.float64).copy(),
+        val=copied_values(view),
         offsets=view.offsets.copy(),
     )

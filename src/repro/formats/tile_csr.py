@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.formats.base import VALUE_BYTES, TilesView
+from repro.formats.base import VALUE_BYTES, TilesView, copied_values
 from repro.util.segments import repeat_offsets, segment_local_index
 
 __all__ = ["TileCSRData", "encode_csr"]
@@ -34,7 +34,8 @@ class TileCSRData:
     byte_offsets:
         Per-tile offsets into ``colidx`` (``n_tiles + 1``).
     val:
-        Values, row-major within each tile.
+        Values, row-major within each tile (``None`` in a
+        structure-only payload).
     offsets:
         Per-tile entry offsets into ``val`` (``n_tiles + 1``) — the
         in-memory stand-in for the level-1 ``tileNnz`` slice.
@@ -45,7 +46,7 @@ class TileCSRData:
     rowptr: np.ndarray
     colidx: np.ndarray
     byte_offsets: np.ndarray
-    val: np.ndarray
+    val: np.ndarray | None
     offsets: np.ndarray
     tile: int = 16
 
@@ -127,7 +128,7 @@ def encode_csr(view: TilesView) -> TileCSRData:
         rowptr=rowptr.astype(np.uint8).ravel(),
         colidx=colidx,
         byte_offsets=byte_offsets,
-        val=np.asarray(view.val, dtype=np.float64).copy(),
+        val=copied_values(view),
         offsets=view.offsets.copy(),
         tile=t,
     )

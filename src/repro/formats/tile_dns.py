@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.formats.base import VALUE_BYTES, TilesView
+from repro.formats.base import VALUE_BYTES, TilesView, scattered_values
 from repro.util.segments import lengths_to_offsets
 
 __all__ = ["TileDnsData", "encode_dns"]
@@ -22,7 +22,7 @@ __all__ = ["TileDnsData", "encode_dns"]
 class TileDnsData:
     """All Dns tiles' payloads, concatenated column-major rectangles."""
 
-    val: np.ndarray  # float64, per tile eff_h*eff_w values, column-major
+    val: np.ndarray | None  # float64, per tile eff_h*eff_w values, column-major
     slot_offsets: np.ndarray  # int64 (n_tiles + 1)
     eff_h: np.ndarray  # uint8 per tile
     eff_w: np.ndarray  # uint8 per tile
@@ -60,13 +60,12 @@ def encode_dns(view: TilesView) -> TileDnsData:
     widths = view.eff_w.astype(np.int64)
     slots_per_tile = heights * widths
     slot_offsets = lengths_to_offsets(slots_per_tile)
-    val = np.zeros(int(slot_offsets[-1]), dtype=np.float64)
-    valid = np.zeros(val.size, dtype=bool)
+    n_slots = int(slot_offsets[-1])
+    valid = np.zeros(n_slots, dtype=bool)
     dst = view.per_entry(slot_offsets[:-1]) + view.lcol * view.per_entry(heights) + view.lrow
-    val[dst] = view.val
     valid[dst] = True
     return TileDnsData(
-        val=val,
+        val=scattered_values(view, dst, n_slots),
         slot_offsets=slot_offsets,
         eff_h=view.eff_h.astype(np.uint8),
         eff_w=view.eff_w.astype(np.uint8),

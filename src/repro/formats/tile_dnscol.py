@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.formats.base import VALUE_BYTES, TilesView
+from repro.formats.base import VALUE_BYTES, TilesView, scattered_values
 from repro.util.segments import lengths_to_offsets
 
 __all__ = ["TileDnsColData", "encode_dnscol"]
@@ -23,7 +23,7 @@ class TileDnsColData:
 
     colidx: np.ndarray  # uint8: local index of each dense column
     col_offsets: np.ndarray  # int64 (n_tiles + 1): dense columns per tile
-    val: np.ndarray  # float64: columns' values back-to-back
+    val: np.ndarray | None  # float64: columns' values back-to-back
     val_offsets: np.ndarray  # int64 (n_tiles + 1)
     eff_h: np.ndarray  # uint8 per tile: dense-column length
     tile: int = 16
@@ -80,13 +80,11 @@ def encode_dnscol(view: TilesView) -> TileDnsColData:
         + col_rank[tile_of_entry, view.lcol] * eff_h[tile_of_entry]
         + view.lrow
     )
-    val = np.empty(view.nnz, dtype=np.float64)
-    val[slot] = view.val
     tile_grid, col_grid = np.nonzero(occupied)
     return TileDnsColData(
         colidx=col_grid.astype(np.uint8),
         col_offsets=col_offsets,
-        val=val,
+        val=scattered_values(view, slot, view.nnz),
         val_offsets=val_offsets,
         eff_h=view.eff_h.astype(np.uint8),
         tile=view.tile,

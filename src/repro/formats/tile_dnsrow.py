@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.formats.base import VALUE_BYTES, TilesView
+from repro.formats.base import VALUE_BYTES, TilesView, copied_values
 from repro.util.segments import lengths_to_offsets
 
 __all__ = ["TileDnsRowData", "encode_dnsrow"]
@@ -24,7 +24,7 @@ class TileDnsRowData:
 
     rowidx: np.ndarray  # uint8: local index of each dense row
     row_offsets: np.ndarray  # int64 (n_tiles + 1): dense rows per tile
-    val: np.ndarray  # float64: rows' values back-to-back, row-major
+    val: np.ndarray | None  # float64: rows' values back-to-back, row-major
     val_offsets: np.ndarray  # int64 (n_tiles + 1): value offsets per tile
     eff_w: np.ndarray  # uint8 per tile: dense-row length
     tile: int = 16
@@ -77,7 +77,7 @@ def encode_dnsrow(view: TilesView) -> TileDnsRowData:
     return TileDnsRowData(
         rowidx=rowidx,
         row_offsets=row_offsets,
-        val=np.asarray(view.val, dtype=np.float64).copy(),
+        val=copied_values(view),
         val_offsets=val_offsets,
         eff_w=view.eff_w.astype(np.uint8),
         tile=view.tile,

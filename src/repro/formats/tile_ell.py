@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.formats.base import VALUE_BYTES, TilesView
+from repro.formats.base import VALUE_BYTES, TilesView, scattered_values
 from repro.util.segments import lengths_to_offsets
 
 __all__ = ["TileELLData", "encode_ell", "ell_widths"]
@@ -32,7 +32,7 @@ class TileELLData:
     width: np.ndarray  # uint8 per tile
     colidx: np.ndarray  # packed 4-bit, per tile ceil(width*tile/2) bytes
     byte_offsets: np.ndarray
-    val: np.ndarray  # float64 slots (padded)
+    val: np.ndarray | None  # float64 slots (padded); None when structure-only
     slot_offsets: np.ndarray
     valid: np.ndarray  # bool per slot: real nonzero vs padding
     tile: int = 16
@@ -77,11 +77,9 @@ def encode_ell(view: TilesView) -> TileELLData:
     slots_per_tile = widths * t
     slot_offsets = lengths_to_offsets(slots_per_tile)
     n_slots = int(slot_offsets[-1])
-    val = np.zeros(n_slots, dtype=np.float64)
     lcol_slots = np.zeros(n_slots, dtype=np.uint8)
     valid = np.zeros(n_slots, dtype=bool)
     dst = view.per_entry(slot_offsets[:-1]) + view.pos_in_row() * t + view.lrow
-    val[dst] = view.val
     lcol_slots[dst] = view.lcol.astype(np.uint8)
     valid[dst] = True
     # Pack column nibbles two-per-byte; every tile's slot count is a
@@ -96,7 +94,7 @@ def encode_ell(view: TilesView) -> TileELLData:
         width=widths.astype(np.uint8),
         colidx=colidx[: int(byte_offsets[-1])],
         byte_offsets=byte_offsets,
-        val=val,
+        val=scattered_values(view, dst, n_slots),
         slot_offsets=slot_offsets,
         valid=valid,
         tile=t,

@@ -79,7 +79,7 @@ def lane_accurate_spmv(
         local_idx[ids] = np.arange(ids.size)
     schedule = schedule or build_schedule(ts.tile_ptr, tbalance)
     profiler = tele.profiler() if tele.ENABLED else None
-    tile_nnz = ts.view.counts() if profiler is not None else None
+    tile_nnz = ts.pattern.counts() if profiler is not None else None
     y = np.zeros(ts.m)
     with tele.span("kernel_execute", cat="executor", warps=schedule.n_warps,
                    tiles=ts.n_tiles, nnz=ts.nnz):

@@ -93,8 +93,8 @@ def extract_features(matrix: sp.spmatrix, tile: int = 16) -> MatrixFeatures:
     diag_dominance = float(np.mean(diag >= off)) if k else 0.0
     # Tile-level profile.
     ts = tile_decompose(csr, tile=tile)
-    counts = ts.view.counts().astype(np.float64)
-    slots = ts.view.eff_h.astype(np.float64) * ts.view.eff_w.astype(np.float64)
+    counts = ts.pattern.counts().astype(np.float64)
+    slots = ts.pattern.eff_h.astype(np.float64) * ts.pattern.eff_w.astype(np.float64)
     fill = counts / slots if counts.size else np.zeros(0)
     return MatrixFeatures(
         rows=m,

@@ -114,11 +114,13 @@ class VerifiedOperator:
         **tile_kwargs,
     ) -> None:
         csr, self.validation_report = canonicalize_csr(matrix, policy)
-        self._csr = csr
         if engine is None:
             engine = TileSpMV(
                 csr, method=method, plan_cache=plan_cache, validation="trust", **tile_kwargs
             )
+            # The engine copied it: its operand is the one canonical copy.
+            csr = engine.operand
+        self._csr = csr
         self.engine = engine
         self.checksum = AbftChecksum.from_csr(csr)
         self._reference: CsrScalarSpMV | None = None

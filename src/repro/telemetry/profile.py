@@ -106,7 +106,7 @@ def profile_tile_matrix(tile_matrix, params=None, tbalance: int = 8,
 
     params = params or KernelCostParams()
     ts = tile_matrix.tileset
-    counts = ts.view.counts()
+    counts = ts.pattern.counts()
     costs = tile_matrix.kernel_costs(params)
     records: list[TileRecord] = []
     for fmt, cost in costs.items():

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "index_dtype",
     "lengths_to_offsets",
     "offsets_to_lengths",
     "repeat_offsets",
@@ -22,6 +23,11 @@ __all__ = [
     "segment_sum",
     "segment_max",
 ]
+
+
+def index_dtype(bound: int) -> type:
+    """The narrowest of ``int32``/``int64`` holding every index <= ``bound``."""
+    return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
 
 
 def lengths_to_offsets(lengths: np.ndarray, dtype=np.int64) -> np.ndarray:

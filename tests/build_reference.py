@@ -73,13 +73,18 @@ def select(view: TilesView, mask_or_idx: np.ndarray) -> TilesView:
     if idx.dtype == bool:
         idx = np.flatnonzero(idx)
     lengths = view.counts()[idx]
-    new_offsets = np.zeros(idx.size + 1, dtype=np.int64)
+    new_offsets = np.zeros(idx.size + 1, dtype=view.offsets.dtype)
     np.cumsum(lengths, out=new_offsets[1:])
     src = np.repeat(view.offsets[idx], lengths) + segment_local_index(new_offsets)
     return TilesView(
-        lrow=view.lrow[src], lcol=view.lcol[src], val=view.val[src], offsets=new_offsets,
+        lrow=view.lrow[src], lcol=view.lcol[src], val=_values(view, src), offsets=new_offsets,
         eff_h=view.eff_h[idx], eff_w=view.eff_w[idx], tile=view.tile,
     )
+
+
+def _values(view: TilesView, sel) -> np.ndarray | None:
+    """``view.val[sel]``, or ``None`` for a structure-only view."""
+    return None if view.val is None else view.val[sel]
 
 
 def pos_in_row(view: TilesView) -> np.ndarray:
@@ -221,7 +226,7 @@ def hyb_split_widths(view: TilesView) -> np.ndarray:
 def dnscol_val(view: TilesView) -> np.ndarray:
     """DnsCol values, re-sorted column-major by ``np.lexsort``."""
     order = np.lexsort((view.lrow, view.lcol, view.tile_of_entry()))
-    return np.asarray(view.val, dtype=np.float64)[order]
+    return _values(view, order)
 
 
 def encode_dnscol(view: TilesView):
@@ -237,7 +242,7 @@ def hyb_split_views(view: TilesView, widths: np.ndarray) -> tuple[TilesView, Til
         lengths = np.zeros(view.n_tiles, dtype=np.int64)
         np.add.at(lengths, tile_of_entry[mask], 1)
         return TilesView(
-            lrow=view.lrow[mask], lcol=view.lcol[mask], val=view.val[mask],
+            lrow=view.lrow[mask], lcol=view.lcol[mask], val=_values(view, mask),
             offsets=lengths_to_offsets(lengths),
             eff_h=view.eff_h, eff_w=view.eff_w, tile=view.tile,
         )
@@ -256,7 +261,8 @@ def encode_hyb(view: TilesView, widths: np.ndarray | None = None):
 
 
 def tile_decompose(matrix, tile: int = 16, validation: str = "repair") -> TileSet:
-    """Tile decomposition by ``np.lexsort`` + ``np.unique``."""
+    """Tile decomposition by ``np.lexsort`` + ``np.unique``; index arrays
+    in int32 when every index fits."""
     from repro.reliability.validation import canonicalize_csr
 
     csr = canonicalize_csr(matrix, validation)[0]
@@ -271,9 +277,10 @@ def tile_decompose(matrix, tile: int = 16, validation: str = "repair") -> TileSe
     uniq_keys, counts = np.unique(tile_key[order], return_counts=True)
     tile_rowidx = uniq_keys // tile_cols_total
     tile_colidx = uniq_keys % tile_cols_total
-    view = TilesView(
-        lrow=lrow[order], lcol=lcol[order], val=coo.data.astype(np.float64)[order],
-        offsets=lengths_to_offsets(counts),
+    idx = np.int32 if max(coo.nnz, m, n) < 2**31 else np.int64
+    pattern = TilesView(
+        lrow=lrow[order], lcol=lcol[order], val=None,
+        offsets=lengths_to_offsets(counts).astype(idx),
         eff_h=np.minimum(tile, m - tile_rowidx * tile).astype(np.uint8),
         eff_w=np.minimum(tile, n - tile_colidx * tile).astype(np.uint8),
         tile=tile,
@@ -282,8 +289,8 @@ def tile_decompose(matrix, tile: int = 16, validation: str = "repair") -> TileSe
     return TileSet(
         m=m, n=n, tile=tile,
         tile_ptr=lengths_to_offsets(tiles_per_row),
-        tile_colidx=tile_colidx, tile_rowidx=tile_rowidx,
-        view=view, entry_perm=order, csr=csr,
+        tile_colidx=tile_colidx.astype(idx), tile_rowidx=tile_rowidx.astype(idx),
+        pattern=pattern, entry_perm=order.astype(idx), csr=csr,
     )
 
 
