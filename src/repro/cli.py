@@ -283,7 +283,7 @@ def _cmd_check(args) -> int:
     print(engine.validation_report.describe())
 
     x = np.ones(engine.shape[1])
-    ref = reference_spmv(engine._csr, x)
+    ref = reference_spmv(engine.canonical_csr(), x)
     y = engine.spmv(x)
     ok = np.allclose(y, ref, rtol=1e-10, atol=1e-12)
     print(f"verified spmv matches reference: {ok}")
@@ -566,7 +566,7 @@ def _cmd_trace(args) -> int:
         # One warm rebuild through the runtime's plan cache (the hit path).
         from repro.core.tilespmv import TileSpMV
 
-        TileSpMV(sm.engine._csr, plan_cache=rt.plan_cache, validation="trust")
+        TileSpMV(sm.engine.canonical_csr(), plan_cache=rt.plan_cache, validation="trust")
 
         out = Path(args.out)
         tracer.export(out)

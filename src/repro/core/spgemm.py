@@ -109,8 +109,10 @@ def tile_spgemm(
     local = segment_local_index(pair_offsets)
     pair_b_pos = b_row_ptr[a_tile_col[pair_a]] + local
     pair_b = pat_b.data[pair_b_pos] - 1  # stored tile index
-    pair_cj = pat_b.indices[pair_b_pos]
-    pair_ci = a_tile_row[pair_a]
+    # Widened: a tile set's indices may be int32, and the C-tile key
+    # (tile row x tile columns) can pass 2**31 on a large grid.
+    pair_cj = pat_b.indices[pair_b_pos].astype(np.int64)
+    pair_ci = a_tile_row[pair_a].astype(np.int64)
 
     # Numeric phase: batched dense tile products, accumulated per C tile.
     dense_a = _dense_tiles(ts_a)

@@ -347,12 +347,13 @@ def _worker_execute(op, cmd, attached, attach, positions):  # pragma: no cover
     k = cmd.get("k")
     shape = (x_len,) if k is None else (x_len, int(k))
     x = np.ndarray(shape, dtype=np.float64, buffer=x_seg.buf)
-    pos = None
-    if len(cells) > 1:
+
+    def cell_pos():
         windows = tuple(cell[2:] for cell in cells)
         if windows not in positions:
             positions[windows] = cell_positions(op, windows)
-        pos = positions[windows]
+        return positions[windows]
+
     # The shipped plans are armed for this command only; run_block puts
     # each cell's hooks at its (rank, attempt) site, as the parent does.
     gpu_plan = cmd.get("gpu_plan")
@@ -361,7 +362,7 @@ def _worker_execute(op, cmd, attached, attach, positions):  # pragma: no cover
         gpu_faults.fault_injection(gpu_plan) if gpu_plan is not None
         else nullcontext()
     ) as ginj:
-        out = run_block(op, x, cells, pos, cmd["cell_sums"])
+        out = run_block(op, x, cells, cell_pos, cmd["cell_sums"])
     sums = None
     if cmd["cell_sums"]:
         out, sums = out

@@ -392,7 +392,7 @@ class ServingRuntime:
             from repro.tuning import OnlineTuner
 
             tuner = tuner or OnlineTuner(device=self.device)
-            proposal = tuner.propose(eng._csr, engine=eng.engine, collector=collector)
+            proposal = tuner.propose(eng.canonical_csr(), engine=eng.engine, collector=collector)
             if proposal.is_incumbent:
                 self._publish_migration(out)
                 return out
@@ -414,7 +414,7 @@ class ServingRuntime:
         if formats_override is not None:
             tile_kwargs["formats_override"] = formats_override
         candidate = ReliableSpMV(
-            eng._csr, method=eng._method, policy=eng.policy,
+            eng.canonical_csr(), method=eng._method, policy=eng.policy,
             abft=eng.checksum is not None, max_retries=eng.max_retries,
             plan_cache=self.plan_cache, **tile_kwargs,
         )

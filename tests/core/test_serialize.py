@@ -2,11 +2,13 @@
 
 import numpy as np
 
+from repro import TileSpMV
 from repro.core.selection import select_formats
 from repro.core.serialize import load_tile_matrix, save_tile_matrix
 from repro.core.storage import TileMatrix
 from repro.core.tiling import tile_decompose
 from repro.formats import FormatID
+from tests import build_reference as ref
 
 
 def build(matrix):
@@ -50,6 +52,21 @@ class TestRoundtrip:
                 )
             else:
                 np.testing.assert_array_equal(back.payloads[fmt].val, tm.payloads[fmt].val)
+
+    def test_loaded_plan_is_built_like_any_other(self, zoo_matrix, tmp_path):
+        """Structure only until its payloads are read; then every array
+        equals the saved plan's byte for byte (a DeferredCOO tiled half
+        included: its HYB split widths are pinned)."""
+        for tm in (build(zoo_matrix), TileSpMV(zoo_matrix, method="deferred_coo").tiled):
+            if tm is None:
+                continue
+            path = tmp_path / "m.npz"
+            save_tile_matrix(path, tm)
+            back = load_tile_matrix(path)
+            assert back._payloads is None
+            assert ref.flat(back.structure) == ref.flat(tm.structure)
+            assert ref.flat(back.tile_ids) == ref.flat(tm.tile_ids)
+            assert ref.flat(back.payloads) == ref.flat(tm.payloads)
 
     def test_run_cost_identical(self, zoo_matrix, tmp_path):
         tm = build(zoo_matrix)

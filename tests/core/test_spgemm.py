@@ -48,6 +48,14 @@ class TestCorrectness:
         assert tile_spgemm(a, b).nnz == 0
         assert tile_spgemm(b, a).nnz == 0
 
+    def test_large_tile_grid(self):
+        """A C-tile key (tile row x tile columns + tile column) past 2**31:
+        the int32 tile indices of a tile set widen before the product."""
+        n = 800_000
+        a = sp.csr_matrix(([2.0, 3.0], ([700_000, 5], [5, 9])), shape=(n, n))
+        b = sp.csr_matrix(([5.0, 7.0], ([5, 9], [700_000, 799_999])), shape=(n, n))
+        assert_equal_sparse(tile_spgemm(a, b), (a @ b).tocsr())
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             tile_spgemm(sp.csr_matrix((4, 5)), sp.csr_matrix((6, 4)))
