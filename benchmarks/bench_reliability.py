@@ -6,7 +6,8 @@ matrix:
 * modelled verification overhead: ``ReliableSpMV.run_cost`` vs the bare
   engine, for one SpMV and a k=32 SpMM (the checksum is k-independent,
   so amortisation should push the relative overhead down),
-* wall-time overhead of the verified numeric path,
+* wall-time overhead of the verified numeric path at k = 1, 3 and 8:
+  the median of alternated protected and bare calls (one product each),
 * canonicalization gate cost (strict inspection of a clean matrix) vs
   the ``trust`` fast path,
 * a detection drill: a seeded fault-injection campaign per matrix; the
@@ -41,6 +42,26 @@ from repro.reliability.reliable import ReliableSpMV
 from repro.reliability.validation import canonicalize_csr
 
 DETECTION_SEEDS = (0, 1, 2)
+WALL_WIDTHS = (1, 3, 8)
+WALL_CALLS = 21  # per engine and width, alternated with the other engine's
+
+
+def wall_overhead(bare, protected, k: int, rng) -> float:
+    """Median protected wall time over median bare wall time, minus one,
+    for a k-column product (``spmv`` at k = 1).  The two engines' calls
+    alternate, and which runs first alternates too, so host drift lands
+    on both sides alike."""
+    n = bare.shape[1]
+    x = rng.standard_normal(n) if k == 1 else rng.standard_normal((n, k))
+    runs = (bare.spmv, protected.spmv) if k == 1 else (bare.spmm, protected.spmm)
+    walls = ([], [])
+    for call in range(WALL_CALLS + 1):  # call 0 warms both
+        for side in ((0, 1) if call % 2 else (1, 0)):
+            t0 = time.perf_counter()
+            runs[side](x)
+            if call:
+                walls[side].append(time.perf_counter() - t0)
+    return float(np.median(walls[1]) / np.median(walls[0]) - 1.0)
 
 
 def _matrices(quick: bool):
@@ -77,15 +98,8 @@ def bench_matrix(name, matrix, device) -> dict:
     spmm_bare = bare.spmm_cost(32).time(device)
     spmm_prot = protected.spmm_cost(32).time(device)
 
-    # Wall time of the verified numeric path.
-    t0 = time.perf_counter()
-    for _ in range(5):
-        bare.spmv(x)
-    wall_bare = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    for _ in range(5):
-        protected.spmv(x)
-    wall_prot = time.perf_counter() - t0
+    # Wall time of the verified numeric path, per width.
+    wall = {str(k): wall_overhead(bare, protected, k, rng) for k in WALL_WIDTHS}
 
     # Detection drill: one transient corruption per seed, every one must
     # be detected and recovered from.
@@ -109,7 +123,7 @@ def bench_matrix(name, matrix, device) -> dict:
         "trust_gate_seconds": trust_s,
         "spmv_model_overhead": spmv_prot / spmv_bare - 1.0,
         "spmm32_model_overhead": spmm_prot / spmm_bare - 1.0,
-        "spmv_wall_overhead": wall_prot / wall_bare - 1.0 if wall_bare > 0 else 0.0,
+        "wall_overhead": wall,
         "campaigns": len(DETECTION_SEEDS),
         "detected": detected,
         "recovered": recovered,
@@ -131,7 +145,9 @@ def main(argv=None) -> int:
         print(
             f"{name:18s} verify overhead: spmv {row['spmv_model_overhead'] * 100:6.2f}%  "
             f"spmm32 {row['spmm32_model_overhead'] * 100:6.2f}% (model)  "
-            f"wall {row['spmv_wall_overhead'] * 100:6.2f}%  "
+            f"wall k=1/3/8 "
+            + "/".join(f"{v * 100:.0f}%" for v in row["wall_overhead"].values())
+            + "  "
             f"faults {row['detected']}/{row['campaigns']} detected, "
             f"{row['recovered']}/{row['campaigns']} recovered"
         )

@@ -26,6 +26,8 @@ the cost model prices the protection instead of pretending it is free.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -241,13 +243,21 @@ class ReliableSpMV:
 
     def _check_x(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if self.policy is not ValidationPolicy.TRUST and not np.isfinite(x).all():
+        if self.policy is ValidationPolicy.TRUST:
+            return x
+        # A finite sum proves every entry finite; only a non-finite one
+        # (a NaN/Inf entry, or finite entries overflowing) pays the scan.
+        # einsum's plain sum is one pass with no boolean temporary and no
+        # overflow warning; on a 20000 x 3 block it took 15 µs against
+        # 22 µs for ``np.sum`` or ``isfinite().all()`` (2-vCPU host).
+        if not math.isfinite(np.einsum("i->", x.reshape(-1))):
             bad = np.flatnonzero(~np.isfinite(x).reshape(x.shape[0], -1).all(axis=1))
-            raise MatrixValidationError(
-                "nonfinite",
-                f"input vector contains NaN/Inf at {bad.size} positions",
-                rows=bad,
-            )
+            if bad.size:
+                raise MatrixValidationError(
+                    "nonfinite",
+                    f"input vector contains NaN/Inf at {bad.size} positions",
+                    rows=bad,
+                )
         return x
 
     def _make_engine(self, csr: sp.csr_matrix):

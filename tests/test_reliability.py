@@ -41,6 +41,7 @@ from repro.reliability import (
     ValidationPolicy,
     canonicalize_csr,
 )
+from repro.util.vecops import column_sums, weighted_sum
 from tests.conftest import overflow_matrix
 
 # The seed CI varies across its fault-campaign matrix jobs.
@@ -247,6 +248,93 @@ class TestAbft:
         assert not check.verify(x, y)
         assert check.verify(x, csr @ x)
 
+    # -- the acceptance bound: a cheap accept, every decision the full bound's
+
+    @staticmethod
+    def _full_bound(check, x, sums) -> bool:
+        """The decision of the full bound alone: a finite residual within
+        ``tolerance(x)`` in every column."""
+        residual = np.abs(sums - weighted_sum(check.col_sum, x))
+        return bool(np.isfinite(residual).all() and np.all(residual <= check.tolerance(x)))
+
+    @pytest.mark.parametrize("k", [None, 1, 3])
+    @pytest.mark.parametrize("factor", [0.99, 1.01])
+    def test_residual_at_the_tolerance_decided_by_full_bound(self, rng, k, factor):
+        """A residual just inside ``tolerance(x)`` passes and one just
+        outside fails, at k = 1 (a vector) and on a block, whichever
+        column carries it."""
+        csr = random_uniform(600, 600, nnz_per_row=5, seed=4).tocsr()
+        check = AbftChecksum.from_csr(csr)
+        x = rng.standard_normal(600 if k is None else (600, k))
+        cx = weighted_sum(check.col_sum, x)
+        sums = cx + factor * check.tolerance(x)
+        if k is not None:
+            sums = np.where(np.arange(k) == k - 1, sums, cx)
+        assert check.verify_sums(x, sums) is (factor < 1)
+        assert check.verify_sums(x, sums) is self._full_bound(check, x, sums)
+
+    def test_clean_product_accepted_without_the_full_bound(self, rng, monkeypatch):
+        csr = random_uniform(600, 600, nnz_per_row=5, seed=4).tocsr()
+        check = AbftChecksum.from_csr(csr)
+        calls = []
+        full = AbftChecksum.tolerance
+        monkeypatch.setattr(AbftChecksum, "tolerance",
+                            lambda self, x: calls.append(x) or full(self, x))
+        for x in (rng.standard_normal(600), rng.standard_normal((600, 4))):
+            assert check.verify(x, csr @ x)
+        assert calls == []
+
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_zero_column_sums_fall_through_to_full_bound(self, rng, monkeypatch, k):
+        """A graph Laplacian has ``c = 0``: ``c . x`` is 0, so the cheap
+        bound is ~1e-300 and every check is decided by the full bound,
+        exactly as before it existed."""
+        adj = sp.random(300, 300, density=0.03, random_state=5, format="csr")
+        adj.data[:] = 1.0  # integer weights: every column sums to exactly 0
+        adj = adj + adj.T
+        lap = (sp.diags(np.asarray(adj.sum(axis=0)).ravel()) - adj).tocsr()
+        check = AbftChecksum.from_csr(lap)
+        assert np.all(check.col_sum == 0.0)
+        calls = []
+        full = AbftChecksum.tolerance
+        monkeypatch.setattr(AbftChecksum, "tolerance",
+                            lambda self, x: calls.append(x) or full(self, x))
+        x = rng.standard_normal(300 if k is None else (300, k))
+        y = lap @ x
+        for delta in (0.0, 0.5, 0.99, 1.01, 2.0):
+            bad = y.copy()
+            bad[7] += delta * np.max(check.tolerance(x))
+            sums = column_sums(bad)
+            assert check.verify(x, bad) is self._full_bound(check, x, sums)
+        assert check.verify(x, y)
+        assert len(calls) > 0
+
+    @pytest.mark.parametrize("k", [None, 1, 3])
+    @pytest.mark.parametrize("row", [0, 300, 599])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_result_rejected_anywhere(self, rng, k, row, bad):
+        """Non-finite ``y`` fails whether the entry falls inside a reduced
+        chunk or among the remainder rows (600 = 2 x 256 + 88)."""
+        csr = random_uniform(600, 600, nnz_per_row=5, seed=4).tocsr()
+        check = AbftChecksum.from_csr(csr)
+        x = rng.standard_normal(600 if k is None else (600, k))
+        y = csr @ x
+        if k is None:
+            y[row] = bad
+        else:
+            y[row, k - 1] = bad
+        assert not check.verify(x, y)
+
+    def test_overflowing_checksum_product_rejected(self):
+        """An ``x`` that overflows ``c . x`` makes the cheap bound infinite;
+        the finite ``y`` beside it is still rejected."""
+        csr = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        check = AbftChecksum.from_csr(csr)
+        x = np.full(2, 1e308)
+        with np.errstate(over="ignore"):
+            assert not check.verify(x, np.ones(2))
+            assert not check.verify(x[:, None] * np.ones((1, 3)), np.ones((2, 3)))
+
     def test_verify_cost_is_pure_overhead(self):
         csr = random_uniform(200, 200, nnz_per_row=5, seed=1).tocsr()
         check = AbftChecksum.from_csr(csr)
@@ -421,6 +509,24 @@ class TestReliableLadder:
         with pytest.raises(MatrixValidationError) as err:
             engine.spmv(x)
         assert err.value.reason == "nonfinite"
+
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_nonfinite_x_rows_named(self, k):
+        engine = ReliableSpMV(random_uniform(40, 40, nnz_per_row=3, seed=5))
+        x = np.ones(40 if k is None else (40, k))
+        x[7] = np.nan
+        x[30] = -np.inf
+        with pytest.raises(MatrixValidationError) as err:
+            engine.spmv(x) if k is None else engine.spmm(x)
+        assert err.value.reason == "nonfinite"
+        assert list(err.value.rows) == [7, 30]
+
+    def test_x_whose_sum_overflows_is_finite(self):
+        """Finite entries whose sum overflows are not a non-finite input
+        (the huge entries meet empty columns, so the product is small)."""
+        matrix = sp.diags([0.0, 0.0, 1.0, 2.0], format="csr")
+        x = np.array([1e308, 1e308, 1.0, 1.0])
+        np.testing.assert_array_equal(ReliableSpMV(matrix).spmv(x), [0.0, 0.0, 1.0, 2.0])
 
     def test_wrong_shape_rejected(self):
         engine = ReliableSpMV(random_uniform(40, 50, nnz_per_row=3, seed=5))

@@ -11,7 +11,7 @@ import repro.dist.recovery as recovery
 import repro.reliability.abft as abft
 import repro.serving.checkpoint as checkpoint
 import repro.util.vecops as vecops
-from repro.util.vecops import dot, norm
+from repro.util.vecops import CHUNK_ELEMS, SUM_ROWS, column_sums, dot, norm, weighted_sum
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 18000])
@@ -38,6 +38,86 @@ def test_independent_of_alignment():
         shifted = raw[off:off + a.nbytes].view(np.float64)
         shifted[:] = a
         assert dot(shifted, b) == ref
+
+
+def _layouts(x: np.ndarray):
+    """``x`` as a C-order block, an F-order block and a strided view."""
+    wide = np.zeros((2 * x.shape[0], 2 * x.shape[1]))
+    strided = wide[::2, ::2]
+    strided[:] = x
+    return {"C": np.ascontiguousarray(x), "F": np.asfortranarray(x), "strided": strided}
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_block_reductions_match_columns(k):
+    """The chunked block forms equal the per-column 1-D reductions to
+    1e-12 of the summed magnitudes, whatever the block's layout, for
+    blocks of one row, of 20000 rows, and of a chunk's rows and one
+    row either side (each reduction's chunk)."""
+    chunks = (SUM_ROWS, vecops._gemv_rows(k))
+    for n in sorted({1, 20000, *(c + d for c in chunks for d in (-1, 0, 1))}):
+        rng = np.random.default_rng(1000 * k + n)
+        w, x = rng.standard_normal(n), rng.standard_normal((n, k))
+        ref_ws = np.array([dot(w, x[:, j]) for j in range(k)])
+        ref_cs = np.array([np.sum(x[:, j]) for j in range(k)])
+        for layout, blk in _layouts(x).items():
+            ws, cs = weighted_sum(w, blk), column_sums(blk)
+            assert ws.shape == cs.shape == (k,), (n, layout)
+            np.testing.assert_allclose(ws, ref_ws, rtol=1e-12,
+                                       atol=1e-12 * np.abs(w) @ np.abs(x).max(axis=1))
+            np.testing.assert_allclose(cs, ref_cs, rtol=1e-12,
+                                       atol=1e-12 * np.abs(x).sum())
+
+
+def test_one_dimensional_forms_keep_their_bits():
+    """The solvers' reductions are einsum's and numpy's own, bit for bit:
+    chunking applies to blocks only."""
+    rng = np.random.default_rng(7)
+    for n in (0, 1, SUM_ROWS + 1, 18000):
+        a, b = rng.standard_normal(n), rng.standard_normal(n)
+        assert dot(a, b) == float(np.einsum("i,i->", a, b))
+        assert weighted_sum(a, b) == dot(a, b)
+        assert column_sums(b) == np.sum(b)
+
+
+def test_block_reductions_of_empty_blocks():
+    assert weighted_sum(np.ones(0), np.ones((0, 3))).tolist() == [0.0] * 3
+    assert column_sums(np.ones((0, 3))).tolist() == [0.0] * 3
+    assert weighted_sum(np.ones(5), np.ones((5, 0))).shape == (0,)
+    assert column_sums(np.ones((5, 0))).shape == (0,)
+
+
+# OpenBLAS 0.3.31 on a 2-vCPU host: the smallest ``gemv`` seen on its
+# thread pool held 2.6e5 values; 256 x 1024 (1.3e5) ran in the caller.
+GEMV_SERIAL_LIMIT = 131072
+
+
+def test_chunk_size_is_pinned():
+    """A chunk's product stays under the size at which OpenBLAS threads a
+    ``gemv``: an edit that grows the chunk fails here."""
+    assert (CHUNK_ELEMS, SUM_ROWS) == (8192, 256)
+    assert CHUNK_ELEMS <= GEMV_SERIAL_LIMIT
+
+
+@pytest.mark.parametrize("k", [1, 3, 8, 256, 300, 2048])
+def test_every_chunk_product_is_serial_sized(monkeypatch, k):
+    """Record the operand of every ``np.matmul`` a block reduction makes."""
+    sizes = []
+
+    class RecordingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def matmul(a, b):
+            sizes.append(b.shape[-2] * b.shape[-1])
+            return np.matmul(a, b)
+
+    monkeypatch.setattr(vecops, "np", RecordingNumpy())
+    n = 20000 if k <= 8 else 600
+    rng = np.random.default_rng(k)
+    weighted_sum(rng.standard_normal(n), rng.standard_normal((n, k)))
+    assert sizes and max(sizes) <= CHUNK_ELEMS
 
 
 def _blas_reductions(module, classes: tuple[str, ...] = ()) -> list[str]:
