@@ -1,38 +1,20 @@
 """Conjugate-gradient solver driven by TileSpMV.
 
 SpMV inside iterative solvers is the paper's headline motivation; this
-example solves a 2D Poisson problem with an unpreconditioned CG whose
-only matrix operation is ``TileSpMV.spmv``, and reports the modelled GPU
-time an A100 would spend in SpMV across the solve.
+example solves a 2D Poisson problem with the library's unpreconditioned
+CG (:func:`repro.apps.conjugate_gradient`), whose only matrix operation
+is ``TileSpMV.spmv``, and reports the modelled GPU time an A100 would
+spend in SpMV across the solve.
 
 Run:  python examples/cg_solver.py
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro import A100, TileSpMV
+from repro.apps import conjugate_gradient
 from repro.matrices import stencil_2d
-
-
-def conjugate_gradient(engine: TileSpMV, b: np.ndarray, tol: float = 1e-8, max_iter: int = 2000):
-    """Textbook CG on a symmetric positive-definite operator."""
-    x = np.zeros_like(b)
-    r = b - engine.spmv(x)
-    p = r.copy()
-    rs = r @ r
-    spmv_calls = 1
-    for it in range(max_iter):
-        ap = engine.spmv(p)
-        spmv_calls += 1
-        alpha = rs / (p @ ap)
-        x += alpha * p
-        r -= alpha * ap
-        rs_new = r @ r
-        if np.sqrt(rs_new) < tol * np.linalg.norm(b):
-            return x, it + 1, spmv_calls
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return x, max_iter, spmv_calls
 
 
 def main() -> None:
@@ -42,8 +24,6 @@ def main() -> None:
     a = stencil_2d(grid, points=5, seed=3)
     a = a + a.T  # symmetrise values
     diag = np.asarray(np.abs(a).sum(axis=1)).ravel() + 1.0
-    import scipy.sparse as sp
-
     a_spd = sp.diags(diag) - a * 0.5
     a_spd = a_spd.tocsr()
 
@@ -52,7 +32,8 @@ def main() -> None:
     x_true = rng.standard_normal(a_spd.shape[0])
     b = engine.spmv(x_true)
 
-    x, iters, calls = conjugate_gradient(engine, b)
+    res = conjugate_gradient(engine, b, tol=1e-8, max_iter=2000)
+    x, iters, calls = res.x, res.iterations, res.spmv_calls
     err = np.linalg.norm(x - x_true) / np.linalg.norm(x_true)
     print(f"grid {grid}x{grid} -> n={a_spd.shape[0]}, nnz={a_spd.nnz}")
     print(f"CG converged in {iters} iterations ({calls} SpMV calls), rel err {err:.2e}")

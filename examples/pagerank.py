@@ -1,52 +1,26 @@
 """PageRank on a scale-free graph via TileSpMV_DeferredCOO.
 
 Graph matrices are the COO-tile-dominated class that motivates the
-paper's DeferredCOO strategy; this example runs power iteration with
-both ADPT and DeferredCOO engines, checks they agree, and compares the
-modelled GPU time per iteration.
+paper's DeferredCOO strategy; this example runs the library's
+power-iteration PageRank (:func:`repro.apps.pagerank`) with both ADPT
+and DeferredCOO engines, checks they agree, and compares the modelled
+GPU time per iteration.
 
 Run:  python examples/pagerank.py
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro import A100, TileSpMV
+from repro.apps import make_transition, pagerank
 from repro.matrices import power_law
-
-
-def pagerank(
-    engine: TileSpMV,
-    dangling: np.ndarray,
-    damping: float = 0.85,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-):
-    """Power iteration on the column-stochastic transition operator.
-
-    ``dangling`` marks nodes without out-links; their rank mass is
-    redistributed uniformly each step.
-    """
-    n = dangling.size
-    rank = np.full(n, 1.0 / n)
-    for it in range(max_iter):
-        spread = engine.spmv(rank) + rank[dangling].sum() / n
-        new = damping * spread + (1 - damping) / n
-        if np.abs(new - rank).sum() < tol:
-            return new, it + 1
-        rank = new
-    return rank, max_iter
 
 
 def main() -> None:
     n = 60_000
     adj = power_law(n, avg_degree=8, seed=7)
-    # Column-normalise: P[i, j] = A[i, j] / outdeg(j); drop dangling columns.
-    outdeg = np.asarray(adj.sum(axis=0)).ravel()
-    scale = np.where(outdeg > 0, 1.0 / np.maximum(outdeg, 1e-300), 0.0)
-    transition = (adj @ sp.diags(scale)).tocsr()
-
-    dangling = outdeg == 0
+    # Column-normalise: P[i, j] = A[i, j] / outdeg(j); dangling columns stay 0.
+    transition, dangling = make_transition(adj)
     results = {}
     for method in ("adpt", "deferred_coo"):
         engine = TileSpMV(transition, method=method)

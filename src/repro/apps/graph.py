@@ -1,11 +1,23 @@
-"""Graph analytics on top of SpMV — the GraphBLAS-style consumers the
-paper's introduction cites (PageRank via power iteration, reachability
-via repeated SpMV over the boolean semiring emulated in float64)."""
+"""Graph analytics on top of SpMV, the GraphBLAS-style consumers the
+paper's introduction cites.
+
+PageRank is one damped power-iteration step (:func:`pagerank_step`, the
+``step`` of :class:`PageRankState`) under the solvers' driver
+(:func:`repro.apps.solvers.run`): on one rank vector (:func:`pagerank`),
+on k personalised ones in lockstep (:func:`personalized_pagerank`), and
+checkpointed (:func:`repro.serving.checkpoint.checkpointed_pagerank`).
+Reachability is repeated SpMV over the boolean semiring in float64.
+"""
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 import scipy.sparse as sp
+
+from repro.apps.solvers import BlockLanes, Lanes, product, run
+from repro.util.vecops import column_sums, masked_sums
 
 __all__ = [
     "pagerank",
@@ -16,88 +28,66 @@ __all__ = [
 ]
 
 
-def pagerank_step(
-    engine, rank: np.ndarray, dangling: np.ndarray, seeds: np.ndarray, damping: float
-) -> np.ndarray:
+def pagerank_step(engine, rank: np.ndarray, dangling: np.ndarray, seeds: np.ndarray,
+                  damping: float) -> np.ndarray:
     """One damped power-iteration step: ``d·(P r + mass/n) + (1-d)·s``.
 
-    Shared by :func:`pagerank` and the checkpointed fault-tolerant
-    variant in :mod:`repro.serving.checkpoint`, so the two cannot drift.
-    ``seeds`` is the restart distribution (uniform for global PageRank).
+    ``rank`` is a vector or an (n, k) block of them, ``seeds`` the
+    restart distribution (uniform for global PageRank) and ``mass`` the
+    rank held by ``dangling`` nodes, summed per column.
     """
-    spread = engine.spmv(rank) + rank[dangling].sum() / dangling.size
+    spread = product(engine, rank) + masked_sums(dangling, rank) / dangling.size
     return damping * spread + (1.0 - damping) * seeds
 
 
-def pagerank(
-    engine,
-    dangling: np.ndarray,
-    damping: float = 0.85,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> tuple[np.ndarray, int]:
-    """Power-iteration PageRank over a column-stochastic operator.
+class PageRankState(namedtuple("PageRankState", "rank seeds dangling damping")):
+    """PageRank: the rank vector(s), and the fixed restarts, dangling mask
+    and damping.  A step converges when it moves the rank by at most
+    ``tol`` (1-norm); the watchdog has no baseline before a first step."""
 
-    ``engine.spmv`` must apply the column-normalised adjacency;
-    ``dangling`` marks nodes with no out-links, whose mass is spread
-    uniformly each step.
-    """
+    power = 2
+    residual = watch = np.inf
+    x = property(lambda self: self.rank)
+
+    def step(self, lanes: Lanes, it: int) -> PageRankState:
+        new = lanes.corrupt(
+            pagerank_step(lanes, self.rank, self.dangling, self.seeds, self.damping))
+        delta = column_sums(np.abs(new - self.rank))
+        lanes.screen(delta, new)
+        rank = lanes.keep(new, self.rank)
+        lanes.converge(delta, lambda: new)
+        return self._replace(rank=rank)
+
+
+def pagerank(engine, dangling: np.ndarray, damping: float = 0.85, tol: float = 1e-10,
+             max_iter: int = 200) -> tuple[np.ndarray, int]:
+    """Power-iteration PageRank: ``engine.spmv`` applies the column-normalised
+    adjacency, and the rank of ``dangling`` nodes (no out-links) is spread
+    uniformly each step."""
     n = dangling.size
-    rank = np.full(n, 1.0 / n)
-    uniform = np.full(n, 1.0 / n)
-    for it in range(1, max_iter + 1):
-        new = pagerank_step(engine, rank, dangling, uniform, damping)
-        if np.abs(new - rank).sum() <= tol:
-            return new, it
-        rank = new
-    return rank, max_iter
+    state = PageRankState(np.full(n, 1.0 / n), np.full(n, 1.0 / n), dangling, damping)
+    out = run(Lanes(engine, tol), state, max_iter)
+    return out.x, out.iterations
 
 
-def personalized_pagerank(
-    engine,
-    dangling: np.ndarray,
-    seeds: np.ndarray,
-    damping: float = 0.85,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> tuple[np.ndarray, np.ndarray]:
+def personalized_pagerank(engine, dangling: np.ndarray, seeds: np.ndarray, damping: float = 0.85,
+                          tol: float = 1e-10, max_iter: int = 200) -> tuple[np.ndarray, np.ndarray]:
     """k personalised PageRank vectors in one batched power iteration.
 
     ``seeds`` is an ``(n, k)`` column-stochastic personalisation matrix
-    (each column a restart distribution — e.g. one-hot per query node).
-    Every step applies the operator to all k rank vectors at once via
-    ``engine.spmm``, so the transition matrix streams from memory once
-    per iteration instead of once per query; converged columns are
-    frozen.  Returns ``(ranks, iterations)`` with shapes ``(n, k)`` and
-    ``(k,)``.
+    (each column a restart distribution, e.g. one-hot per query node).
+    One ``engine.spmm`` per step streams the matrix once for all k
+    queries; converged columns are frozen.  Returns ``(ranks,
+    iterations)`` of shapes ``(n, k)`` and ``(k,)``.
     """
     seeds = np.asarray(seeds, dtype=np.float64)
     if seeds.ndim != 2 or seeds.shape[0] != dangling.size:
         raise ValueError(f"seeds must have shape ({dangling.size}, k)")
-    k = seeds.shape[1]
-    colsum = seeds.sum(axis=0)
-    if not np.allclose(colsum, 1.0):
+    if not np.allclose(seeds.sum(axis=0), 1.0):
         raise ValueError("each seed column must sum to 1")
-    spmm = engine.spmm if hasattr(engine, "spmm") else (
-        lambda block: np.column_stack(
-            [engine.spmv(block[:, j]) for j in range(block.shape[1])]
-        )
-    )
-    rank = seeds.copy()
-    active = np.ones(k, dtype=bool)
-    iterations = np.zeros(k, dtype=np.int64)
-    for it in range(1, max_iter + 1):
-        spread = spmm(rank) + dangling @ rank / dangling.size
-        new = damping * spread + (1.0 - damping) * seeds
-        delta = np.abs(new - rank).sum(axis=0)
-        rank = np.where(active, new, rank)
-        done = active & (delta <= tol)
-        iterations[done] = it
-        active &= ~done
-        iterations[active] = it
-        if not active.any():
-            break
-    return rank, iterations
+    state = PageRankState(seeds.copy(), seeds, dangling, damping)
+    out = run(BlockLanes(engine, tol), state, max_iter)
+    return out.x, out.iterations
 
 
 def make_transition(adjacency: sp.spmatrix) -> tuple[sp.csr_matrix, np.ndarray]:

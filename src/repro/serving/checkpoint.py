@@ -1,56 +1,44 @@
-"""Checkpoint/rollback fault tolerance for iterative solvers.
+"""Checkpoint/rollback fault tolerance for the iterative solvers.
 
-PR 2 made a *single* product trustworthy; an iterative solver runs
-thousands, and one transient fault mid-iteration silently corrupts
-every subsequent iterate.  This module lifts the per-kernel guarantee to
-the solve level with three cooperating mechanisms:
+One transient fault mid-solve corrupts every later iterate, so a
+per-product guarantee is not enough.  The checkpointed solvers are the
+solvers' own steps (:class:`~repro.apps.solvers.CgState`,
+:class:`~repro.apps.solvers.BicgstabState`,
+:class:`~repro.apps.graph.PageRankState`) under their own driver
+(:func:`~repro.apps.solvers.run`), in lanes that switch on:
 
-1. **Verified products** — :class:`VerifiedOperator` ABFT-checks every
-   SpMV and, unlike :class:`~repro.reliability.reliable.ReliableSpMV`,
-   does *not* silently retry: it raises :class:`SpmvFault` so the solver
-   owns recovery.  A detected product fault costs a rollback, not a
-   poisoned Krylov space.
-2. **Periodic verified checkpoints** — every ``interval`` iterations the
-   solver stores its state (CG: ``x, r, p, rs``; BiCGSTAB adds
-   ``v, rho, alpha, omega``; PageRank: the rank vector) *after* proving
-   it consistent: the recurrence residual must match the true residual
-   ``b - A x`` recomputed through the trusted reference path (for
-   PageRank, mass conservation ``sum(rank) == 1`` plays this role, for
-   free).  A checkpoint that fails the proof is itself a detection.
-3. **Divergence watchdog + rollback-and-replay** — every iterate is
-   screened for NaN/Inf, residual explosion beyond
-   ``divergence_factor`` of the best seen, and mass drift (PageRank);
-   any detection (watchdog, failed checkpoint, or :class:`SpmvFault`)
-   rolls the solver back to the last verified checkpoint and replays.
-   Convergence is only ever declared after a trusted *exit
-   verification* — the returned answer is never an unverified iterate.
+1. **Verified products**: :class:`VerifiedOperator` ABFT-checks every
+   SpMV and raises :class:`SpmvFault` instead of retrying, so a detected
+   fault costs a rollback, not a poisoned Krylov space.
+2. **A watchdog** on every new iterate: NaN/Inf, PageRank's mass
+   conservation, a residual beyond ``divergence_factor`` of the best,
+   and no new best for ``stagnation_window`` iterations (a give-up).
+3. **Verified checkpoints** every ``interval`` iterations, stored once
+   the recurrence residual is proven to match ``b - A x`` on the
+   trusted reference path; and a trusted *exit verification*, so the
+   answer is never an unverified iterate.
+4. **Rollback-and-replay** to the last checkpoint on any detection;
+   after ``replay_limit`` rollbacks at one checkpoint (or
+   ``max_rollbacks`` in all) the operator drops to **safe mode**, the
+   scalar reference path outside the simulated fault domain.
 
-Persistent faults cannot livelock the solver: after ``replay_limit``
-consecutive rollbacks at one checkpoint (or ``max_rollbacks`` total)
-the operator drops to **safe mode** — the scalar reference path outside
-the simulated fault domain — and the replay proceeds clean.
-
-Host-memory corruption of the solver's own vectors (the fault class no
-per-product checksum can see) is injected by
-:meth:`~repro.gpu.faults.FaultInjector.corrupt_solver_state` when a
-campaign arms ``solver_state_corruptions``; the consistency proofs and
-the exit verification are what catch it.
-
-Every recovery action is counted in :class:`RecoveryLog`
-(checkpoints, rollbacks, iterations lost, product faults, watchdog
-events), so fault campaigns measure *iterations-lost and recovery
-success* instead of just per-kernel detection.
+:meth:`~repro.gpu.faults.FaultInjector.corrupt_solver_state` injects
+host-memory corruption of the solver's vectors, which no per-product
+checksum sees; the watchdog, the proofs and the exit verification catch
+it.  :class:`RecoveryLog` counts every recovery action.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from copy import deepcopy
+from dataclasses import asdict, dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.apps.graph import pagerank_step
-from repro.apps.solvers import SolveResult, denominator_breakdown
+from repro.apps.graph import PageRankState, pagerank_step
+from repro.apps.solvers import BicgstabState, CgState, Lanes, SolveResult, Stop, run
 from repro.baselines.csr_scalar import CsrScalarSpMV
 from repro.core.tilespmv import TileSpMV
 from repro.gpu import faults
@@ -58,7 +46,7 @@ from repro.gpu.costmodel import RunCost
 from repro.reliability.abft import AbftChecksum
 from repro.reliability.reliable import verified_reference
 from repro.reliability.validation import ValidationPolicy, canonicalize_csr
-from repro.util.vecops import dot, norm
+from repro.util.vecops import norm
 
 __all__ = [
     "SpmvFault",
@@ -73,46 +61,30 @@ __all__ = [
     "modelled_checkpoint_overhead",
 ]
 
-_TINY = 1e-30
-
 
 class SpmvFault(RuntimeError):
     """A verified product failed its ABFT check — the caller must recover.
 
-    Deliberately *not* absorbed by an internal retry: the raising
-    operator has already counted the detection, and the checkpointed
-    solvers answer with a rollback, which is the recovery that also
-    repairs any state the fault may have reached.
+    Not retried inside: the checkpointed solvers answer with a rollback,
+    the recovery that also repairs any state the fault may have reached.
     """
 
 
 class _WatchdogFault(RuntimeError):
-    """Internal: a solver-state screen (not a product check) fired."""
-
-    def __init__(self, kind: str) -> None:
-        super().__init__(kind)
-        self.kind = kind
+    """Internal: a state screen (not a product check) fired; its arg names it."""
 
 
 class VerifiedOperator:
     """An engine whose every product is ABFT-verified or *signalled*.
 
-    Parameters mirror :class:`~repro.core.tilespmv.TileSpMV`; pass an
-    already-built engine (anything with ``.spmv``) via ``engine`` to
-    protect it instead.  ``safe_mode`` permanently reroutes products to
-    the scalar reference path outside the simulated fault domain — the
-    escalation of last resort for persistent faults.
+    Parameters mirror :class:`~repro.core.tilespmv.TileSpMV`; ``engine``
+    protects an already-built one instead.  ``safe_mode`` reroutes every
+    product to the scalar reference path outside the fault domain.
     """
 
-    def __init__(
-        self,
-        matrix: sp.spmatrix,
-        method: str = "adpt",
-        policy: ValidationPolicy | str = ValidationPolicy.REPAIR,
-        plan_cache=None,
-        engine=None,
-        **tile_kwargs,
-    ) -> None:
+    def __init__(self, matrix: sp.spmatrix, method: str = "adpt",
+                 policy: ValidationPolicy | str = ValidationPolicy.REPAIR, plan_cache=None,
+                 engine=None, **tile_kwargs) -> None:
         csr, self.validation_report = canonicalize_csr(matrix, policy)
         if engine is None:
             engine = TileSpMV(
@@ -160,8 +132,6 @@ class VerifiedOperator:
     def enter_safe_mode(self) -> None:
         self.safe_mode = True
 
-    # -- accounting --------------------------------------------------------
-
     def fast_cost(self) -> RunCost:
         """Modelled cost of one verified fast-path product."""
         return self.engine.run_cost() + self.checksum.verify_cost(1)
@@ -178,9 +148,8 @@ class CheckpointConfig:
     Attributes
     ----------
     interval:
-        Iterations between verified checkpoints.  Smaller loses less
-        work per rollback but pays the consistency product more often
-        (see :func:`modelled_checkpoint_overhead`).
+        Iterations between verified checkpoints: smaller loses less work
+        per rollback, but pays the consistency product more often.
     max_rollbacks:
         Total rollbacks before the operator escalates to safe mode.
     replay_limit:
@@ -196,8 +165,7 @@ class CheckpointConfig:
         Checkpoint proof tolerance: ``|(b - A x) - r| <= slack * |b|``.
     exit_slack:
         Exit verification accepts a true residual up to
-        ``exit_slack * tol * |b|`` (recurrence and true residuals
-        legitimately drift apart by roundoff).
+        ``exit_slack * tol * |b|`` (the two residuals drift by roundoff).
     mass_slack:
         PageRank mass-conservation tolerance on ``|sum(rank) - 1|``.
     """
@@ -212,12 +180,9 @@ class CheckpointConfig:
     mass_slack: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.interval < 1:
-            raise ValueError("interval must be >= 1")
-        if self.replay_limit < 1:
-            raise ValueError("replay_limit must be >= 1")
-        if self.max_rollbacks < 1:
-            raise ValueError("max_rollbacks must be >= 1")
+        for name in ("interval", "replay_limit", "max_rollbacks"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass
@@ -240,15 +205,7 @@ class RecoveryLog:
         return self.product_faults + sum(self.watchdog_events.values())
 
     def as_dict(self) -> dict:
-        return {
-            "checkpoints": self.checkpoints,
-            "checkpoint_rejects": self.checkpoint_rejects,
-            "rollbacks": self.rollbacks,
-            "iterations_lost": self.iterations_lost,
-            "product_faults": self.product_faults,
-            "watchdog_events": dict(self.watchdog_events),
-            "safe_mode_entered": self.safe_mode_entered,
-        }
+        return asdict(self)
 
     def describe(self) -> str:
         return (
@@ -275,319 +232,142 @@ class FtPageRankResult:
     recovery: RecoveryLog
 
 
-class _Recovery:
-    """Checkpoint store + rollback accounting shared by the solvers."""
+class _CheckedLanes(Lanes):
+    """One right-hand side with checkpointing on.  A converged iterate is
+    accepted once its trusted ``exit_error`` is at most ``exit_bound``;
+    ``consistent`` proves a state to checkpoint; ``drifted`` checks mass."""
 
-    def __init__(self, op: VerifiedOperator, cfg: CheckpointConfig, log: RecoveryLog) -> None:
-        self.op, self.cfg, self.log = op, cfg, log
-        self.ckpt_it = 0
-        self.ckpt_state: tuple = ()
-        self.replays = 0
+    faults = (SpmvFault, _WatchdogFault)
 
-    @staticmethod
-    def _copy(state: tuple) -> tuple:
-        return tuple(np.copy(s) if isinstance(s, np.ndarray) else s for s in state)
+    def __init__(self, op: VerifiedOperator, cfg: CheckpointConfig, tol_b: float,
+                 exit_error, exit_bound: float, consistent=None, drifted=None) -> None:
+        super().__init__(op, tol_b)
+        self.cfg, self.log = cfg, RecoveryLog()
+        self.exit_error, self.exit_bound = exit_error, exit_bound
+        self.consistent, self.drifted = consistent, drifted
 
-    def checkpoint(self, it: int, *state) -> None:
-        self.ckpt_it = it
-        self.ckpt_state = self._copy(state)
-        self.replays = 0
+    def start(self, state) -> None:
+        self.power, self.best, self.since = state.power, state.watch, 0
+        self._checkpoint(0, state)
+        super().start(state)
+
+    def corrupt(self, v: np.ndarray) -> np.ndarray:
+        inj = faults.active_injector()
+        return v if inj is None else inj.corrupt_solver_state(v)
+
+    def screen(self, measure, x: np.ndarray) -> None:
+        if not (np.isfinite(measure) and np.isfinite(x).all()):
+            raise _WatchdogFault("nonfinite_state")
+        if self.drifted is not None and self.drifted(x):
+            raise _WatchdogFault("mass_drift")
+        if measure**self.power > self.cfg.divergence_factor * max(self.best**self.power, 1e-30):
+            raise _WatchdogFault("divergence")
+        self.measure = measure
+
+    def converge(self, residual, x) -> None:
+        if residual <= self.tol_b:
+            x = x()
+            error = self.exit_error(x)
+            if not error <= self.exit_bound:
+                raise _WatchdogFault("false_convergence")
+            raise Stop(x, error, True)
+
+    def commit(self, state, it: int):
+        if it % self.cfg.interval == 0:
+            if self.consistent is not None and not self.consistent(state):
+                self.log.checkpoint_rejects += 1
+                raise _WatchdogFault("inconsistent_state")
+            self._checkpoint(it, state)
+        if self.measure < self.best:
+            self.best, self.since = self.measure, 0
+        else:
+            self.since += 1
+            if self.since >= self.cfg.stagnation_window:
+                self.log.note("stagnation")
+                raise Stop(state.x, state.residual)
+        return state
+
+    def _checkpoint(self, it: int, state) -> None:
+        self.ckpt_it, self.ckpt_state, self.replays = it, deepcopy(state), 0
         self.log.checkpoints += 1
 
-    def rollback(self, it: int, exc: Exception) -> tuple[int, tuple] | None:
-        """Account for a detection; returns (restart_it, state) or
-        ``None`` when recovery is impossible even from safe mode."""
+    def recover(self, it: int, exc: Exception):
+        """Account for a detection: (restart iteration, state), or ``None``
+        when even safe mode cannot recover."""
+        log, cfg = self.log, self.cfg
         if isinstance(exc, SpmvFault):
-            self.log.product_faults += 1
+            log.product_faults += 1
         else:
-            self.log.note(exc.kind)  # type: ignore[attr-defined]
-        self.log.rollbacks += 1
-        self.log.iterations_lost += it - self.ckpt_it
+            log.note(exc.args[0])
+        log.rollbacks += 1
+        log.iterations_lost += it - self.ckpt_it
         self.replays += 1
-        if self.replays > self.cfg.replay_limit or self.log.rollbacks >= self.cfg.max_rollbacks:
-            if self.op.safe_mode:
-                self.log.note("unrecoverable")
+        if self.replays > cfg.replay_limit or log.rollbacks >= cfg.max_rollbacks:
+            if self.engine.safe_mode:
+                log.note("unrecoverable")
                 return None
-            self.op.enter_safe_mode()
-            self.log.safe_mode_entered = True
+            self.engine.enter_safe_mode()
+            log.safe_mode_entered = True
             self.replays = 0
-        return self.ckpt_it + 1, self._copy(self.ckpt_state)
+        state = deepcopy(self.ckpt_state)
+        # The watchdog's baseline restarts at the restored state: a
+        # residual reached only by discarded iterates would flag every
+        # replay from an earlier checkpoint as divergence.
+        self.best, self.since = state.watch, 0
+        return self.ckpt_it + 1, state
+
+    def result(self, x, iterations, residual, converged=False, reason=""):
+        out = super().result(x, iterations, residual, converged, reason)
+        out.spmv_calls = self.engine.products
+        return FtSolveResult(out, self.log)
 
 
-def _consistent(
-    op: VerifiedOperator, b: np.ndarray, x: np.ndarray, r: np.ndarray,
-    bn: float, cfg: CheckpointConfig,
-) -> bool:
-    """Does the recurrence residual match the trusted true residual?"""
-    r_true = b - op.reference_spmv(x)
-    return norm(r_true - r) <= cfg.consistency_slack * bn
+def _solve(state_cls, op: VerifiedOperator, b: np.ndarray, tol: float, max_iter: int,
+           config: CheckpointConfig | None) -> FtSolveResult:
+    """A checkpointed solve of ``A x = b`` from ``x = 0``: the proof and
+    the exit verification recompute ``b - A x`` on the trusted path."""
+    cfg = config or CheckpointConfig()
+    b = np.asarray(b, dtype=np.float64)
+    bn = norm(b) or 1.0
+    lanes = _CheckedLanes(
+        op, cfg, tol * bn, lambda x: norm(b - op.reference_spmv(x)), cfg.exit_slack * tol * bn,
+        consistent=lambda s: norm(b - op.reference_spmv(s.x) - s.r) <= cfg.consistency_slack * bn)
+    return run(lanes, state_cls.start(np.zeros_like(b), b.copy()), max_iter)
 
 
-def checkpointed_cg(
-    op: VerifiedOperator,
-    b: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 1000,
-    config: CheckpointConfig | None = None,
-) -> FtSolveResult:
+def checkpointed_cg(op: VerifiedOperator, b: np.ndarray, tol: float = 1e-10, max_iter: int = 1000,
+                    config: CheckpointConfig | None = None) -> FtSolveResult:
     """Fault-tolerant CG: verified products, checkpoints, rollback-replay."""
-    cfg = config or CheckpointConfig()
-    log = RecoveryLog()
-    rec = _Recovery(op, cfg, log)
-    b = np.asarray(b, dtype=np.float64)
-    bn = norm(b) or 1.0
-
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rs = dot(r, r)
-    rec.checkpoint(0, x, r, p, rs)
-    if np.sqrt(rs) <= tol * bn:
-        return FtSolveResult(SolveResult(x, 0, np.sqrt(rs), True, op.products), log)
-    best_rs = rs
-    since_best = 0
-    it = 1
-    while it <= max_iter:
-        try:
-            ap = op.spmv(p)
-            denom = dot(p, ap)
-            if denominator_breakdown(denom, norm(p) * norm(ap)):
-                return FtSolveResult(
-                    SolveResult(x, it, np.sqrt(rs), False, op.products,
-                                breakdown=True, breakdown_reason="pAp"),
-                    log,
-                )
-            alpha = rs / denom
-            x_new = x + alpha * p
-            r_new = r - alpha * ap
-            inj = faults.active_injector()
-            if inj is not None:
-                x_new = inj.corrupt_solver_state(x_new)
-                r_new = inj.corrupt_solver_state(r_new)
-            rs_new = dot(r_new, r_new)
-            if not (np.isfinite(rs_new) and np.isfinite(x_new).all()):
-                raise _WatchdogFault("nonfinite_state")
-            if rs_new > cfg.divergence_factor * max(best_rs, _TINY):
-                raise _WatchdogFault("divergence")
-            if np.sqrt(rs_new) <= tol * bn:
-                true_res = norm(b - op.reference_spmv(x_new))
-                if true_res <= cfg.exit_slack * tol * bn:
-                    return FtSolveResult(
-                        SolveResult(x_new, it, true_res, True, op.products), log
-                    )
-                raise _WatchdogFault("false_convergence")
-            p_next = r_new + (rs_new / rs) * p
-            if it % cfg.interval == 0:
-                if _consistent(op, b, x_new, r_new, bn, cfg):
-                    rec.checkpoint(it, x_new, r_new, p_next, rs_new)
-                else:
-                    log.checkpoint_rejects += 1
-                    raise _WatchdogFault("inconsistent_state")
-            x, r, p, rs = x_new, r_new, p_next, rs_new
-            if rs < best_rs:
-                best_rs, since_best = rs, 0
-            else:
-                since_best += 1
-                if since_best >= cfg.stagnation_window:
-                    log.note("stagnation")
-                    return FtSolveResult(
-                        SolveResult(x, it, np.sqrt(rs), False, op.products), log
-                    )
-            it += 1
-        except (SpmvFault, _WatchdogFault) as exc:
-            restart = rec.rollback(it, exc)
-            if restart is None:
-                return FtSolveResult(
-                    SolveResult(x, it, np.sqrt(rs), False, op.products), log
-                )
-            it, (x, r, p, rs) = restart
-            # The watchdog's baseline restarts at the restored state: a
-            # residual reached only by discarded iterates would flag
-            # every replay from an earlier checkpoint as divergence.
-            best_rs = rs
-            since_best = 0
-    return FtSolveResult(SolveResult(x, max_iter, np.sqrt(rs), False, op.products), log)
+    return _solve(CgState, op, b, tol, max_iter, config)
 
 
-def checkpointed_bicgstab(
-    op: VerifiedOperator,
-    b: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 1000,
-    config: CheckpointConfig | None = None,
-) -> FtSolveResult:
+def checkpointed_bicgstab(op: VerifiedOperator, b: np.ndarray, tol: float = 1e-10,
+                          max_iter: int = 1000,
+                          config: CheckpointConfig | None = None) -> FtSolveResult:
     """Fault-tolerant BiCGSTAB (two verified products per iteration)."""
+    return _solve(BicgstabState, op, b, tol, max_iter, config)
+
+
+def checkpointed_pagerank(op: VerifiedOperator, dangling: np.ndarray, damping: float = 0.85,
+                          tol: float = 1e-10, max_iter: int = 200,
+                          config: CheckpointConfig | None = None) -> FtPageRankResult:
+    """Fault-tolerant PageRank over a column-stochastic operator.  Mass
+    conservation is checked on every iterate at no product's cost, so a
+    checkpoint needs no proof; the exit verification is a trusted step."""
     cfg = config or CheckpointConfig()
-    log = RecoveryLog()
-    rec = _Recovery(op, cfg, log)
-    b = np.asarray(b, dtype=np.float64)
-    bn = norm(b) or 1.0
-
-    x = np.zeros_like(b)
-    r = b.copy()
-    r_hat = r.copy()  # fixed shadow vector; never rolled back
-    rhat_norm = norm(r_hat)
-    rho = alpha = omega = 1.0
-    v = np.zeros_like(b)
-    p = np.zeros_like(b)
-    rec.checkpoint(0, x, r, p, v, rho, alpha, omega)
-    res = norm(r)
-    if res <= tol * bn:
-        return FtSolveResult(SolveResult(x, 0, res, True, op.products), log)
-    best_res = res
-    since_best = 0
-    it = 1
-    while it <= max_iter:
-        try:
-            rho_new = dot(r_hat, r)
-            if denominator_breakdown(rho_new, rhat_norm * norm(r)):
-                return FtSolveResult(
-                    SolveResult(x, it, norm(r), False, op.products,
-                                breakdown=True, breakdown_reason="rho"),
-                    log,
-                )
-            beta = (rho_new / rho) * (alpha / omega)
-            p_new = r + beta * (p - omega * v)
-            v_new = op.spmv(p_new)
-            rv = dot(r_hat, v_new)
-            if denominator_breakdown(rv, rhat_norm * norm(v_new)):
-                return FtSolveResult(
-                    SolveResult(x, it, norm(r), False, op.products,
-                                breakdown=True, breakdown_reason="rhat_v"),
-                    log,
-                )
-            alpha_new = rho_new / rv
-            s = r - alpha_new * v_new
-            s_norm = norm(s)
-            if s_norm <= tol * bn:
-                x_mid = x + alpha_new * p_new
-                true_res = norm(b - op.reference_spmv(x_mid))
-                if true_res <= cfg.exit_slack * tol * bn:
-                    return FtSolveResult(
-                        SolveResult(x_mid, it, true_res, True, op.products), log
-                    )
-                raise _WatchdogFault("false_convergence")
-            t = op.spmv(s)
-            tt = dot(t, t)
-            omega_new = dot(t, s) / tt if tt > 0 else 0.0
-            x_new = x + alpha_new * p_new + omega_new * s
-            r_new = s - omega_new * t
-            inj = faults.active_injector()
-            if inj is not None:
-                x_new = inj.corrupt_solver_state(x_new)
-                r_new = inj.corrupt_solver_state(r_new)
-            res_new = norm(r_new)
-            if not (np.isfinite(res_new) and np.isfinite(x_new).all()):
-                raise _WatchdogFault("nonfinite_state")
-            if res_new**2 > cfg.divergence_factor * max(best_res**2, _TINY):
-                raise _WatchdogFault("divergence")
-            if res_new <= tol * bn:
-                true_res = norm(b - op.reference_spmv(x_new))
-                if true_res <= cfg.exit_slack * tol * bn:
-                    return FtSolveResult(
-                        SolveResult(x_new, it, true_res, True, op.products), log
-                    )
-                raise _WatchdogFault("false_convergence")
-            if denominator_breakdown(omega_new, 1.0):
-                return FtSolveResult(
-                    SolveResult(x_new, it, res_new, False, op.products,
-                                breakdown=True, breakdown_reason="omega"),
-                    log,
-                )
-            if it % cfg.interval == 0:
-                if _consistent(op, b, x_new, r_new, bn, cfg):
-                    rec.checkpoint(it, x_new, r_new, p_new, v_new, rho_new, alpha_new, omega_new)
-                else:
-                    log.checkpoint_rejects += 1
-                    raise _WatchdogFault("inconsistent_state")
-            x, r, p, v = x_new, r_new, p_new, v_new
-            rho, alpha, omega = rho_new, alpha_new, omega_new
-            if res_new < best_res:
-                best_res, since_best = res_new, 0
-            else:
-                since_best += 1
-                if since_best >= cfg.stagnation_window:
-                    log.note("stagnation")
-                    return FtSolveResult(
-                        SolveResult(x, it, res_new, False, op.products), log
-                    )
-            it += 1
-        except (SpmvFault, _WatchdogFault) as exc:
-            restart = rec.rollback(it, exc)
-            if restart is None:
-                return FtSolveResult(
-                    SolveResult(x, it, norm(r), False, op.products), log
-                )
-            it, (x, r, p, v, rho, alpha, omega) = restart
-            best_res = norm(r)  # baseline restarts at the restored state
-            since_best = 0
-    return FtSolveResult(
-        SolveResult(x, max_iter, norm(r), False, op.products), log
-    )
+    seeds = np.full(dangling.size, 1.0 / dangling.size)
+    reference = SimpleNamespace(spmv=op.reference_spmv)
+    lanes = _CheckedLanes(
+        op, cfg, tol,
+        lambda rank: np.abs(pagerank_step(reference, rank, dangling, seeds, damping) - rank).sum(),
+        cfg.exit_slack * max(tol, 1e-15),
+        drifted=lambda rank: abs(float(rank.sum()) - 1.0) > cfg.mass_slack)
+    out = run(lanes, PageRankState(seeds.copy(), seeds, dangling, damping), max_iter)
+    return FtPageRankResult(out.result.x, out.result.iterations, out.result.converged, out.recovery)
 
 
-def checkpointed_pagerank(
-    op: VerifiedOperator,
-    dangling: np.ndarray,
-    damping: float = 0.85,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-    config: CheckpointConfig | None = None,
-) -> FtPageRankResult:
-    """Fault-tolerant PageRank over a column-stochastic operator.
-
-    Mass conservation (``sum(rank) == 1`` after every damped step) is
-    the checkpoint invariant — it comes free of extra products, which is
-    why PageRank checkpoints are so much cheaper than the solvers'.
-    """
-    cfg = config or CheckpointConfig()
-    log = RecoveryLog()
-    rec = _Recovery(op, cfg, log)
-    n = dangling.size
-    seeds = np.full(n, 1.0 / n)
-    rank = seeds.copy()
-    rec.checkpoint(0, rank)
-    best_delta = np.inf
-    it = 1
-    while it <= max_iter:
-        try:
-            new = pagerank_step(op, rank, dangling, seeds, damping)
-            inj = faults.active_injector()
-            if inj is not None:
-                new = inj.corrupt_solver_state(new)
-            if not np.isfinite(new).all():
-                raise _WatchdogFault("nonfinite_state")
-            if abs(float(new.sum()) - 1.0) > cfg.mass_slack:
-                raise _WatchdogFault("mass_drift")
-            delta = float(np.abs(new - rank).sum())
-            if delta**2 > cfg.divergence_factor * max(best_delta**2 if np.isfinite(best_delta) else delta**2, _TINY):
-                raise _WatchdogFault("divergence")
-            if delta <= tol:
-                spread = op.reference_spmv(new) + new[dangling].sum() / n
-                true_new = damping * spread + (1.0 - damping) * seeds
-                if float(np.abs(true_new - new).sum()) <= cfg.exit_slack * max(tol, 1e-15):
-                    return FtPageRankResult(new, it, True, log)
-                raise _WatchdogFault("false_convergence")
-            if it % cfg.interval == 0:
-                rec.checkpoint(it, new)
-            rank = new
-            best_delta = min(best_delta, delta)
-            it += 1
-        except (SpmvFault, _WatchdogFault) as exc:
-            restart = rec.rollback(it, exc)
-            if restart is None:
-                return FtPageRankResult(rank, it, False, log)
-            it, (rank,) = restart
-            best_delta = np.inf
-    return FtPageRankResult(rank, max_iter, False, log)
-
-
-def modelled_checkpoint_overhead(
-    op: VerifiedOperator,
-    config: CheckpointConfig | None = None,
-    device=None,
-    products_per_iteration: int = 1,
-) -> float:
+def modelled_checkpoint_overhead(op: VerifiedOperator, config: CheckpointConfig | None = None,
+                                 device=None, products_per_iteration: int = 1) -> float:
     """Fractional modelled-time overhead of the consistency products.
 
     One trusted reference product per ``interval`` iterations, relative

@@ -26,7 +26,10 @@ import math
 
 import numpy as np
 
-__all__ = ["column_sums", "dot", "norm", "weighted_sum"]
+__all__ = [
+    "axpy", "column_dots", "column_norms", "column_sums", "dot", "masked_sums", "norm",
+    "weighted_sum",
+]
 
 # Values per chunk of ``w @ X`` (rows * k): at n = 20000 and k = 2..8,
 # 8192-value chunks took half the time of 256-row ones.
@@ -43,6 +46,36 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
 def norm(a: np.ndarray) -> float:
     """Euclidean norm of a 1-D vector (``sqrt(dot(a, a))``, as numpy's)."""
     return math.sqrt(dot(a, a))
+
+
+def axpy(a, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``y + a * x`` in one fresh array, with the expression's bits.
+
+    The expression allocates a temporary for ``a * x`` besides its
+    result; on a solver's vectors (n = 18 000) each fresh array can
+    cost page faults when the allocator has just returned freed memory
+    to the system, which made a CG iteration a third slower.
+    """
+    out = np.multiply(a, x)
+    out += y
+    return out
+
+
+def column_dots(a: np.ndarray, b: np.ndarray):
+    """``a · b``: :func:`dot` for two vectors, ``einsum("ij,ij->j")`` per
+    column of two (n, k) blocks.  Each form keeps its own bits: a k = 1
+    block solve does not round like the 1-D solve."""
+    if a.ndim == 1:
+        return dot(a, b)
+    return np.einsum("ij,ij->j", a, b)
+
+
+def column_norms(a: np.ndarray):
+    """:func:`norm` for a vector, ``np.linalg.norm(axis=0)`` per column
+    of an (n, k) block."""
+    if a.ndim == 1:
+        return norm(a)
+    return np.linalg.norm(a, axis=0)
 
 
 def _gemv_rows(k: int) -> int:
@@ -87,3 +120,13 @@ def column_sums(y: np.ndarray):
     if full < n:
         out += y[full:].sum(axis=0)
     return out
+
+
+def masked_sums(mask: np.ndarray, x: np.ndarray):
+    """The sum of ``x`` over the rows ``mask`` selects: ``x[mask].sum()``
+    for a vector, one value per column of an (n, k) block by
+    :func:`weighted_sum` (gathering the rows of a block first took four
+    times as long at n = 20000, k = 4)."""
+    if x.ndim == 1:
+        return x[mask].sum()
+    return weighted_sum(mask, x)

@@ -327,3 +327,58 @@ class TestBreakdownGuards:
         assert denominator_breakdown(1e-18, 1.0)
         assert not denominator_breakdown(1e-3, 1.0)
         assert not denominator_breakdown(-5.0, 1.0)
+
+
+def _zero_residual_solve(form, method, a, b, x0):
+    """One solve of ``a x = b`` from ``x0`` in the given form; returns
+    ``(x, iterations, converged, breakdown)`` as 1-D/scalars."""
+    from repro.apps import block_bicgstab, block_conjugate_gradient
+    from repro.serving import VerifiedOperator, checkpointed_bicgstab, checkpointed_cg
+
+    if form == "checkpointed":
+        solve = checkpointed_cg if method == "cg" else checkpointed_bicgstab
+        res = solve(VerifiedOperator(a), b).result
+        return res.x, res.iterations, res.converged, res.breakdown
+    if form == "block":
+        solve = block_conjugate_gradient if method == "cg" else block_bicgstab
+        res = solve(ScipyOperator(a), b[:, None], x0=None if x0 is None else x0[:, None])
+        return res.x[:, 0], res.iterations[0], res.converged[0], res.breakdown[0]
+    solve = conjugate_gradient if method == "cg" else bicgstab
+    res = solve(ScipyOperator(a), b, x0=x0)
+    return res.x, res.iterations, res.converged, res.breakdown
+
+
+@pytest.mark.parametrize("method", ["cg", "bicgstab"])
+@pytest.mark.parametrize("form, start", [
+    ("vector", "zero_b"), ("vector", "exact_x0"), ("block", "zero_b"), ("block", "exact_x0"),
+    ("checkpointed", "zero_b"),  # the checkpointed solvers always start from x = 0
+])
+def test_zero_initial_residual_converges_at_iteration_zero(form, method, start):
+    """A start that already meets the tolerance is the answer, in every
+    form of both solvers (the vector ones used to report a pAp/rho
+    breakdown on it)."""
+    a = spd_matrix(grid=8) if method == "cg" else general_matrix(n=60)
+    n = a.shape[0]
+    if start == "zero_b":
+        b, x0 = np.zeros(n), None
+    else:
+        x0 = np.random.default_rng(4).standard_normal(n)
+        b = a @ x0  # x0 is the solution, up to roundoff
+    x, iterations, converged, breakdown = _zero_residual_solve(form, method, a, b, x0)
+    assert converged and iterations == 0 and not breakdown
+    np.testing.assert_array_equal(x, np.zeros(n) if x0 is None else x0)
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_block_bicgstab_spends_the_vector_products(n):
+    """At k = 1 the block solve runs the vector solve's products: no SpMM
+    after every column converged at the half step (n = 200 ends there)."""
+    from repro.apps import block_bicgstab
+
+    a = sp.diags([-1.0, 4.0, -2.0], [-1, 0, 1], shape=(n, n), format="csr")
+    b = np.random.default_rng(0).standard_normal(n)
+    vec = bicgstab(ScipyOperator(a), b)
+    blk = block_bicgstab(ScipyOperator(a), b[:, None])
+    assert blk.converged[0] and vec.converged
+    assert blk.iterations[0] == vec.iterations
+    assert blk.spmm_calls == vec.spmv_calls

@@ -6,6 +6,7 @@ import inspect
 import numpy as np
 import pytest
 
+import repro.apps.graph as graph
 import repro.apps.solvers as solvers
 import repro.dist.recovery as recovery
 import repro.reliability.abft as abft
@@ -120,18 +121,19 @@ def test_every_chunk_product_is_serial_sized(monkeypatch, k):
     assert sizes and max(sizes) <= CHUNK_ELEMS
 
 
-def _blas_reductions(module, classes: tuple[str, ...] = ()) -> list[str]:
+def _blas_reductions(
+    module, classes: tuple[str, ...] = (), skip: tuple[str, ...] = ()
+) -> list[str]:
     """Bare ``@`` and axis-less ``np.linalg.norm`` in ``module``'s functions.
 
-    Scans the module-level functions and the methods of ``classes``.  On
-    length-n vectors either is a threaded BLAS ``ddot`` (a block operand
-    makes ``@`` a threaded ``dgemv``).
+    Scans the module-level functions but those in ``skip``, and the whole
+    bodies of ``classes``.  On length-n vectors either is a threaded BLAS
+    ``ddot`` (a block operand makes ``@`` a threaded ``dgemv``).
     """
     tree = ast.parse(inspect.getsource(module))
-    functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef) and node.name in classes:
-            functions += [n for n in node.body if isinstance(n, ast.FunctionDef)]
+    functions = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name not in skip]
+    functions += [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name in classes]
+    assert {n.name for n in functions} >= set(classes), "a class to scan is missing"
     offenders = []
     for fn in functions:
         for node in ast.walk(fn):
@@ -147,8 +149,17 @@ def _blas_reductions(module, classes: tuple[str, ...] = ()) -> list[str]:
 
 
 def test_solvers_use_no_blas_vector_reductions():
-    """Every 1-D reduction in the solvers goes through ``repro.util.vecops``."""
-    assert _blas_reductions(solvers) == []
+    """Every reduction in the solvers, their driver and their steps goes
+    through ``repro.util.vecops``."""
+    assert _blas_reductions(
+        solvers, classes=("Lanes", "BlockLanes", "CgState", "BicgstabState")) == []
+
+
+def test_pagerank_uses_no_blas_reductions():
+    """PageRank's step sums the dangling mass per column: ``dangling @
+    rank`` on an (n, k) block would be a threaded ``dgemv``.
+    ``make_transition``'s ``@`` is a sparse-by-sparse product."""
+    assert _blas_reductions(graph, classes=("PageRankState",), skip=("make_transition",)) == []
 
 
 def test_abft_uses_no_blas_vector_reductions():
@@ -168,4 +179,4 @@ def test_shard_checks_use_no_blas_vector_reductions():
 def test_checkpointed_solvers_use_no_blas_vector_reductions():
     """The checkpointed CG/BiCGSTAB/PageRank reductions and the
     checkpoint consistency check reduce in the calling thread."""
-    assert _blas_reductions(checkpoint) == []
+    assert _blas_reductions(checkpoint, classes=("_CheckedLanes",)) == []
