@@ -383,19 +383,22 @@ def power_iteration(
 ) -> tuple[float, np.ndarray, int]:
     """Dominant eigenvalue/vector by power iteration.
 
-    Returns ``(eigenvalue, eigenvector, iterations)``.
+    Returns ``(eigenvalue, eigenvector, iterations)``.  One product per
+    iteration: ``A · v_new`` gives the Rayleigh quotient and is the next
+    iteration's ``w``.
     """
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)
     v /= norm(v)
     lam = 0.0
+    w = engine.spmv(v)
     for it in range(1, max_iter + 1):
-        w = engine.spmv(v)
         w_norm = norm(w)
         if w_norm == 0.0:
             return 0.0, v, it
         v_new = w / w_norm
-        lam_new = dot(v_new, engine.spmv(v_new))
+        w = engine.spmv(v_new)
+        lam_new = dot(v_new, w)
         if abs(lam_new - lam) <= tol * max(abs(lam_new), 1.0):
             return lam_new, v_new, it
         v, lam = v_new, lam_new

@@ -12,10 +12,10 @@ above):
 The strategies differ in what the cost model prices: tile formats,
 payloads, warp schedules, and DeferredCOO's second (CSR5) launch.  They
 do not differ in what executes.  Every plan executes the canonical
-(row, ascending column) scipy CSR matrix it was built from — under a
-reorder, the permuted one — so every method returns the same bits for
-``spmv``, ``spmm`` and ``spmv_transpose``.  The payloads are priced,
-not run; the round-trip tests hold their decode equal to that matrix.
+(row, ascending column) scipy CSR matrix it was built from, so every
+method returns the same bits for ``spmv``, ``spmm`` and
+``spmv_transpose``.  The payloads are priced, not run; the round-trip
+tests hold their decode equal to that matrix.
 
 The paper picks between ADPT and DeferredCOO with a fixed nnz threshold
 (1.8M) tuned on its hardware, where the extra kernel launch DeferredCOO
@@ -65,7 +65,7 @@ from repro.core.plancache import (
     structural_fingerprint,
     value_digest,
 )
-from repro.matrices.reorder import ReorderPlan, build_reorder
+from repro.matrices.reorder import Reorderable, ReorderPlan
 from repro.reliability.validation import ValidationPolicy, canonicalize_csr
 from repro.core.scheduler import DEFAULT_TBALANCE, build_schedule
 from repro.core.selection import SelectionConfig, select_formats
@@ -81,7 +81,7 @@ METHODS = ("csr", "adpt", "deferred_coo", "auto")
 AUTO_DEFERRED_NNZ = 1_800_000  # the paper's observed crossover (Fig 6)
 
 
-class TileSpMV:
+class TileSpMV(Reorderable):
     """A sparse matrix prepared for tiled SpMV.
 
     Parameters
@@ -116,12 +116,11 @@ class TileSpMV:
         Optional plan-time reordering: a
         :class:`~repro.matrices.reorder.ReorderPlan`, a spec string
         (``"rcm"``, ``"sell:32"``, ``"cmrs:16/64"``, chains via ``+``)
-        or a token list.  The plan is built on the permuted matrix;
-        ``spmv``/``spmm``/``spmv_transpose`` accept and return vectors
-        in the *original* index order (bit-for-bit equal to the
-        unreordered plan for the row-only transforms).  The reorder tag
-        joins the structural fingerprint, so reordered plans never alias
-        natural-order ones.
+        or a token list.  Construction then returns a
+        :class:`~repro.matrices.reorder.ReorderedSpMV` over a plain plan
+        of the permuted matrix; it accepts and returns vectors in the
+        *original* index order (bit-for-bit equal to the unreordered
+        plan for the row-only transforms).
     formats_override:
         Optional per-tile format vector (uint8 ``FormatID`` values, one
         per occupied tile) replacing the ADPT flowchart's selection —
@@ -163,8 +162,7 @@ class TileSpMV:
         self.deferred_engine: Csr5SpMV | None = None
         self._schedule = None
         self._op: sp.csr_matrix | None = None
-        # The A.T operand in original coordinates, built on the first
-        # spmv_transpose.
+        # The A.T operand, built on the first spmv_transpose.
         self._t_op: sp.csr_matrix | None = None
 
         with tele.span("canonicalize", cat="build", policy=str(validation)):
@@ -173,19 +171,6 @@ class TileSpMV:
                 # ``trust`` hands back the caller's own matrix; the plan
                 # executes it, so it must not alias the caller's arrays.
                 csr = csr.copy()
-
-        # Plan-time reordering: build on the permuted matrix, answer in
-        # the caller's original index space (bit-for-bit for row-only
-        # transforms — see docs/TUNING.md and the metamorphic suite).
-        self.reorder: ReorderPlan | None = None
-        self._orig_indptr, self._orig_indices = csr.indptr, csr.indices
-        self._data_perm: np.ndarray | None = None
-        if reorder is not None:
-            rp = build_reorder(csr, reorder)
-            with tele.span("reorder", cat="build", tag=rp.tag):
-                self.reorder = rp
-                self._data_perm = rp.data_permutation(csr)
-                csr = rp.apply(csr)
 
         self._formats_override: np.ndarray | None = None
         if formats_override is not None:
@@ -256,22 +241,21 @@ class TileSpMV:
     # -- plan construction ---------------------------------------------------
 
     def _fingerprint_extra(self) -> str:
-        """Reorder tag + format-override digest for the plan key.
+        """The format-override digest for the plan key.
 
-        Both change what the built plan *is* without changing the input
-        pattern, so they must be part of the structural fingerprint —
-        a tuned candidate plan and its incumbent may share a matrix but
-        never a cache slot or a circuit breaker.
+        An override changes what the built plan *is* without changing
+        the input pattern, so it must be part of the structural
+        fingerprint — a tuned candidate plan and its incumbent may share
+        a matrix but never a cache slot or a circuit breaker.  (A
+        reorder needs no such term: its plan is built on the permuted
+        matrix, whose pattern the fingerprint already reads.)
         """
-        parts = []
-        if self.reorder is not None:
-            parts.append(f"reorder={self.reorder.tag}")
-        if self._formats_override is not None:
-            digest = hashlib.blake2b(
-                self._formats_override.tobytes(), digest_size=8
-            ).hexdigest()
-            parts.append(f"formats={digest}")
-        return ";".join(parts)
+        if self._formats_override is None:
+            return ""
+        digest = hashlib.blake2b(
+            self._formats_override.tobytes(), digest_size=8
+        ).hexdigest()
+        return f"formats={digest}"
 
     def _plan_formats(self, plan: CachedPlan) -> np.ndarray:
         """The ADPT format vector, selected once per plan.
@@ -374,28 +358,17 @@ class TileSpMV:
         return self._nnz
 
     def spmv(self, x: np.ndarray) -> np.ndarray:
-        """y = A @ x (in original index order when the plan is reordered).
+        """y = A @ x.
 
-        A reordered plan gathers ``x`` into the permuted column order,
-        multiplies the permuted operand, and scatters the result back
-        through the inverse row permutation — pure index gathers, so for
-        the row-only transforms the summation per output row is the
-        exact sequence the unreordered plan runs (the operand holds each
-        row's entries in ascending column order) and the result is
-        bit-for-bit identical.  The operand's product array is returned
-        as is — no zero-fill or add pass over ``y``.
+        The operand's product array is returned as is — no zero-fill or
+        add pass over ``y``.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self._shape[1],):
             raise ValueError(f"x must have shape ({self._shape[1]},)")
-        rp = self.reorder
-        if rp is not None and rp.col_perm is not None:
-            x = x[rp.col_perm]
         with tele.span("kernel_execute", cat="kernel", method=self.method,
                        nnz=self._nnz):
             y = faulted_operand(self._op) @ x
-        if rp is not None:
-            y = y[rp.inv_row]
         if tele.ENABLED:
             tele.count("tilespmv_spmv_total", method=self.method)
         return y
@@ -405,14 +378,13 @@ class TileSpMV:
     def spmv_transpose(self, x: np.ndarray) -> np.ndarray:
         """y = A.T @ x (needed by transpose-using Krylov methods).
 
-        One A.T operand in *original* coordinates: the CSR of the
-        transpose of the canonical original matrix, whose rows hold each
-        original column's entries in ascending original row order.  The
-        summation per output entry is therefore a pure function of the
-        original structure, so reordered and sharded plans reproduce it
-        bit-for-bit.  The operand is built on the first call by scipy's
-        CSC→CSR conversion (a counting pass, no sort) and rebuilt by
-        :meth:`update_values`.  No ABFT check covers a transpose, so it
+        One A.T operand: the CSR of the transpose of the canonical
+        matrix, whose rows hold each column's entries in ascending row
+        order.  The summation per output entry is therefore a pure
+        function of the structure, so reordered and sharded engines
+        reproduce it bit-for-bit.  The operand is built on the first
+        call by scipy's CSC→CSR conversion (a counting pass, no sort)
+        and rebuilt by :meth:`update_values`.  No ABFT check covers a transpose, so it
         is not a fault site.
         """
         x = np.asarray(x, dtype=np.float64)
@@ -421,7 +393,7 @@ class TileSpMV:
         with tele.span("kernel_execute", cat="kernel", method=self.method,
                        nnz=self._nnz, transpose=True):
             if self._t_op is None:
-                self._t_op = self._original_csr().T.tocsr()
+                self._t_op = self._op.T.tocsr()
             y = self._t_op @ x
         if tele.ENABLED:
             tele.count("tilespmv_spmv_total", method=self.method)
@@ -429,19 +401,13 @@ class TileSpMV:
 
     @property
     def operand(self) -> sp.csr_matrix:
-        """The canonical CSR operand in original coordinates, current
-        values: what :meth:`spmv` multiplies (do not mutate)."""
-        return self._original_csr()
+        """The canonical CSR operand, current values: what :meth:`spmv`
+        multiplies (do not mutate)."""
+        return self._op
 
-    def _original_csr(self) -> sp.csr_matrix:
-        """The canonical matrix in original coordinates, current values."""
-        if self.reorder is None:
-            return self._op
-        data = np.empty(self._nnz)
-        data[self._data_perm] = self._op.data
-        return sp.csr_matrix(
-            (data, self._orig_indices, self._orig_indptr), shape=self._shape
-        )
+    def canonical_csr(self) -> sp.csr_matrix:
+        """:attr:`operand`, as the sharded engines name it."""
+        return self._op
 
     def spmm(self, x: np.ndarray) -> np.ndarray:
         """Y = A @ X for a dense block of vectors (batched multi-RHS SpMM).
@@ -455,18 +421,12 @@ class TileSpMV:
         if x.shape[1] == 0:
             return np.zeros((self._shape[0], 0))
         if x.shape[1] == 1:
-            # Degenerate batch: route through the exact spmv path
-            # (including any reorder handling) so a batch of one is
-            # bit-for-bit a standalone product.
+            # Degenerate batch: route through the exact spmv path so a
+            # batch of one is bit-for-bit a standalone product.
             return self.spmv(x[:, 0]).reshape(self._shape[0], 1)
-        rp = self.reorder
-        if rp is not None and rp.col_perm is not None:
-            x = x[rp.col_perm]
         with tele.span("kernel_execute", cat="kernel", method=self.method,
                        nnz=self._nnz, k=x.shape[1]):
             out = faulted_operand(self._op) @ x
-        if rp is not None:
-            out = out[rp.inv_row]
         if tele.ENABLED:
             tele.count("tilespmv_spmv_total", method=self.method)
         return out
@@ -478,8 +438,7 @@ class TileSpMV:
         the length-``nnz`` value array in canonical CSR order.  The tile
         decomposition, format selection, DeferredCOO extraction and warp
         schedule are all kept.  The operand is canonical CSR of the
-        planned matrix, so the values reach it through one map — none,
-        or a reorder's data permutation — and
+        planned matrix, so the values reach it as given and
         :meth:`MethodPlan.with_values
         <repro.core.plancache.MethodPlan.with_values>` refills it (and
         DeferredCOO's priced halves) with no sort; a built A.T operand
@@ -494,8 +453,8 @@ class TileSpMV:
             if (
                 csr.shape != self._shape
                 or csr.nnz != self._nnz
-                or not np.array_equal(csr.indptr, self._orig_indptr)
-                or not np.array_equal(csr.indices, self._orig_indices)
+                or not np.array_equal(csr.indptr, self._op.indptr)
+                or not np.array_equal(csr.indices, self._op.indices)
             ):
                 raise ValueError(
                     "sparsity pattern differs from the prepared matrix; "
@@ -506,10 +465,9 @@ class TileSpMV:
         if data.shape != (self._nnz,):
             raise ValueError(f"expected {self._nnz} values, got {data.shape}")
         # The copy keeps the operand independent of the caller's array.
-        data = data[self._data_perm] if self._data_perm is not None else data.copy()
-        self._adopt(self._mp.with_values(data))
+        self._adopt(self._mp.with_values(data.copy()))
         if self._t_op is not None:
-            self._t_op = self._original_csr().T.tocsr()
+            self._t_op = self._op.T.tocsr()
         return self
 
     def validate(self) -> None:
@@ -576,8 +534,6 @@ class TileSpMV:
                 else ""
             )
         ]
-        if self.reorder is not None:
-            lines.append(self.reorder.describe())
         if self._formats_override is not None:
             lines.append("per-tile formats: tuned override")
         hist = self.format_histogram()

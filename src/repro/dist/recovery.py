@@ -74,6 +74,7 @@ from repro.core.tilespmv import TileSpMV
 from repro.dist.faults import DeviceLostError
 from repro.dist.sharded import ShardedSpMV
 from repro.gpu.costmodel import MultiDeviceRunCost, RunCost
+from repro.matrices.reorder import Reorderable
 from repro.reliability.abft import AbftChecksum
 from repro.reliability.validation import ValidationPolicy, canonicalize_csr
 from repro.serving.breaker import BreakerConfig, BreakerState, CircuitBreaker
@@ -129,7 +130,7 @@ class RecoveryConfig:
     )
 
 
-class RecoverableShardedSpMV:
+class RecoverableShardedSpMV(Reorderable):
     """A :class:`ShardedSpMV` behind the shard-level recovery ladder.
 
     Construction mirrors ``ShardedSpMV`` (same partitioning, same
@@ -147,7 +148,9 @@ class RecoverableShardedSpMV:
     ``(device, shard, retry, delay_s, reason, op)`` — which is what the
     backoff-determinism suite snapshots.  :attr:`last_exact` reports
     whether the most recent product is bit-for-bit (False only after a
-    parity reconstruction).
+    parity reconstruction).  ``reorder=spec`` returns a
+    :class:`~repro.matrices.reorder.ReorderedSpMV` over a recoverable
+    engine of the permuted matrix, as ``ShardedSpMV`` does.
     """
 
     def __init__(

@@ -69,6 +69,7 @@ from repro.formats import FormatID
 from repro.gpu import faults
 from repro.gpu.costmodel import MultiDeviceRunCost, RunCost
 from repro.gpu.device import A100, DeviceSpec
+from repro.matrices.reorder import Reorderable
 from repro.reliability.validation import ValidationPolicy, canonicalize_csr
 from repro.util.segments import lengths_to_offsets, repeat_offsets
 from repro.util.vecops import weighted_sum
@@ -161,7 +162,7 @@ def run_block(op: sp.csr_matrix, x: np.ndarray, cells, positions,
     return (y, sums) if cell_sums else y
 
 
-class ShardedSpMV:
+class ShardedSpMV(Reorderable):
     """A sparse matrix partitioned into P shards, one plan each.
 
     Parameters
@@ -198,17 +199,26 @@ class ShardedSpMV:
         :class:`~repro.dist.procpool.ProcessShardedSpMV`, whose blocks
         run in worker processes over shared memory.  Both implement
         :meth:`run_shards`, the interface the recovery ladder drives.
+    reorder:
+        Optional plan-time reorder (a spec or
+        :class:`~repro.matrices.reorder.ReorderPlan`, as
+        :class:`TileSpMV` takes it).  Construction then returns a
+        :class:`~repro.matrices.reorder.ReorderedSpMV` over a plain
+        sharded engine of the permuted matrix, on either backend: the
+        partition cuts the permuted rows, and products come back in the
+        original order, bit-for-bit the single-device reordered plan's.
     **tile_kwargs:
         Forwarded to every shard's :class:`TileSpMV` (``tile``,
         ``selection``, ``tbalance``, ``params``, ``auto_device``).
     """
 
     def __new__(cls, *args, backend: str = "thread", **kwargs):
-        if backend == "process" and cls is ShardedSpMV:
+        if (backend == "process" and cls is ShardedSpMV
+                and kwargs.get("reorder") is None):
             from repro.dist.procpool import ProcessShardedSpMV
 
-            return super().__new__(ProcessShardedSpMV)
-        return super().__new__(cls)
+            cls = ProcessShardedSpMV
+        return super().__new__(cls, *args, backend=backend, **kwargs)
 
     def __init__(
         self,

@@ -28,15 +28,21 @@ window, bandwidth grows by at most ``window - 1`` — the monotonicity
 bound that makes them safe to chain after RCM.
 
 :class:`ReorderPlan` packages the composed permutations plus a
-canonical ``tag`` (part of the plan-cache fingerprint);
-:func:`build_reorder` parses specs like ``"rcm"``, ``"sell:32"``,
-``"cmrs:16/64"`` or chains like ``"rcm+sell:32"``.
+canonical ``tag``; :func:`build_reorder` parses specs like ``"rcm"``,
+``"sell:32"``, ``"cmrs:16/64"`` or chains like ``"rcm+sell:32"``.
+:class:`ReorderedSpMV` is the one place a reorder executes: any engine
+(single device, 1D or 2D sharded, either backend, with or without shard
+recovery) built on the permuted matrix, behind one gather of ``x`` and
+one scatter of ``y``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+
+from repro import telemetry as tele
+from repro.reliability.validation import ValidationPolicy, canonicalize_csr
 
 __all__ = [
     "reverse_cuthill_mckee",
@@ -45,6 +51,8 @@ __all__ = [
     "sort_rows_by_length",
     "blocking_reorder",
     "ReorderPlan",
+    "ReorderedSpMV",
+    "Reorderable",
     "build_reorder",
 ]
 
@@ -263,17 +271,24 @@ class ReorderPlan:
         out.sort_indices()
         return out
 
-    def data_permutation(self, csr: sp.csr_matrix) -> np.ndarray:
-        """Map canonical original entries to canonical permuted entries.
+    def permute(self, csr: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
+        """``(apply(csr), perm)`` from one permutation pass.
 
-        ``permuted.data == csr.data[data_permutation(csr)]`` — the hook
-        ``update_values`` uses to accept values in original entry order.
+        The pass permutes a copy of ``csr`` tagged with its entry
+        positions; its structure is the permuted matrix's, and its data
+        is ``perm``, so ``apply(csr).data == csr.data[perm]`` — the map
+        that carries values given in original entry order into the
+        permuted matrix.
         """
-        tagged = sp.csr_matrix(
+        tagged = self.apply(sp.csr_matrix(
             (np.arange(csr.nnz, dtype=np.int64), csr.indices, csr.indptr),
             shape=csr.shape,
+        ))
+        perm = np.asarray(tagged.data, dtype=np.int64)
+        permuted = sp.csr_matrix(
+            (csr.data[perm], tagged.indices, tagged.indptr), shape=csr.shape
         )
-        return np.asarray(self.apply(tagged).data, dtype=np.int64)
+        return permuted, perm
 
     def describe(self) -> str:
         kind = "rows" if self.is_row_only else "rows+cols"
@@ -350,3 +365,161 @@ def build_reorder(matrix: sp.spmatrix, spec) -> ReorderPlan:
             row_perm = row_perm[p]
             tags.append(f"cmrs:{b}/{w}")
     return ReorderPlan("+".join(tags), row_perm, col_perm)
+
+
+class ReorderedSpMV:
+    """An SpMV engine built on a reordered matrix, answering in original order.
+
+    The matrix is canonicalized and permuted once
+    (:meth:`ReorderPlan.permute`); ``inner`` is any engine built on the
+    permuted matrix — a ``TileSpMV``, a ``ShardedSpMV`` of either
+    backend or grid, or a ``RecoverableShardedSpMV``.  :meth:`spmv` and
+    :meth:`spmm` gather ``x`` by ``col_perm``, run the inner product and
+    scatter ``y`` by ``inv_row``: pure index gathers, so under a row-only
+    reorder each output row sums its entries in the sequence the
+    unreordered engine runs, and the result is bit-for-bit identical.
+    :meth:`spmv_transpose` multiplies one A.T operand in original
+    coordinates, built on the first call, so it is bit-for-bit under
+    every reorder.  Pricing, plan keys, ``close`` and every other
+    attribute are the inner engine's.
+
+    The engine classes derive from :class:`Reorderable`, so
+    ``TileSpMV``, ``ShardedSpMV`` (either backend) and
+    ``RecoverableShardedSpMV`` return this wrapper when constructed with
+    ``reorder=spec``; ``ReliableSpMV`` thereby wraps whatever engine it
+    builds.
+    """
+
+    def __init__(self, reorder: ReorderPlan, inner, indptr: np.ndarray,
+                 indices: np.ndarray, data_perm: np.ndarray,
+                 validation_report=None) -> None:
+        self.reorder = reorder
+        self.inner = inner
+        self.validation_report = validation_report
+        self._indptr, self._indices, self._data_perm = indptr, indices, data_perm
+        self._t_op: sp.csr_matrix | None = None
+
+    @classmethod
+    def build(cls, matrix: sp.spmatrix, spec, make,
+              validation: ValidationPolicy | str = ValidationPolicy.REPAIR,
+              ) -> "ReorderedSpMV":
+        """Canonicalize ``matrix`` per ``validation``, permute it by
+        ``spec`` (see :func:`build_reorder`) and wrap ``make(permuted)``.
+
+        ``make`` builds the inner engine from the canonical permuted
+        matrix (with ``validation="trust"``).
+        """
+        csr, report = canonicalize_csr(matrix, validation)
+        indptr, indices = csr.indptr, csr.indices
+        if csr is matrix:
+            # ``trust`` hands back the caller's own matrix.
+            indptr, indices = indptr.copy(), indices.copy()
+        rp = build_reorder(csr, spec)
+        with tele.span("reorder", cat="build", tag=rp.tag):
+            permuted, perm = rp.permute(csr)
+        del csr
+        return cls(rp, make(permuted), indptr, indices, perm, report)
+
+    def __getattr__(self, name: str):
+        # Only reached for attributes this wrapper does not define.
+        if name.startswith("__") or name == "inner":
+            raise AttributeError(name)
+        return getattr(self.inner, name)
+
+    def spmv(self, x: np.ndarray) -> np.ndarray:
+        """y = A @ x in original order: gather, inner product, scatter."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.shape[1],):
+            raise ValueError(f"x must have shape ({self.shape[1]},)")
+        rp = self.reorder
+        if rp.col_perm is not None:
+            x = x[rp.col_perm]
+        return self.inner.spmv(x)[rp.inv_row]
+
+    __matmul__ = spmv
+
+    def spmm(self, x: np.ndarray) -> np.ndarray:
+        """Y = A @ X in original order, as :meth:`spmv` does it."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[0] != self.shape[1]:
+            raise ValueError(f"X must have shape ({self.shape[1]}, k)")
+        rp = self.reorder
+        if rp.col_perm is not None:
+            x = x[rp.col_perm]
+        return self.inner.spmm(x)[rp.inv_row]
+
+    def spmv_transpose(self, x: np.ndarray) -> np.ndarray:
+        """y = A.T @ x through the A.T operand of the original matrix:
+        its rows hold each column's entries in ascending original row
+        order, so the result is the unreordered engine's bit for bit."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.shape[0],):
+            raise ValueError(f"x must have shape ({self.shape[0]},)")
+        if self._t_op is None:
+            self._t_op = self.canonical_csr().T.tocsr()
+        return self._t_op @ x
+
+    def canonical_csr(self) -> sp.csr_matrix:
+        """The canonical matrix in original order, current values (a new
+        O(nnz) matrix per call)."""
+        data = np.empty(self.nnz)
+        data[self._data_perm] = self.inner.canonical_csr().data
+        return sp.csr_matrix((data, self._indices, self._indptr), shape=self.shape)
+
+    @property
+    def operand(self) -> sp.csr_matrix:
+        """:meth:`canonical_csr`, as ``TileSpMV.operand`` names it."""
+        return self.canonical_csr()
+
+    def update_values(self, values) -> "ReorderedSpMV":
+        """New values, same pattern: a same-pattern sparse matrix or the
+        length-``nnz`` array in the original canonical order, carried
+        into the permuted order by the data permutation."""
+        if sp.issparse(values):
+            csr = canonicalize_csr(values, ValidationPolicy.TRUST)[0]
+            if (
+                csr.shape != self.shape
+                or csr.nnz != self.nnz
+                or not np.array_equal(csr.indptr, self._indptr)
+                or not np.array_equal(csr.indices, self._indices)
+            ):
+                raise ValueError(
+                    "sparsity pattern differs from the prepared matrix; "
+                    "build a new engine instead of update_values"
+                )
+            values = csr.data
+        data = np.asarray(values, dtype=np.float64)
+        if data.shape != (self.nnz,):
+            raise ValueError(f"expected {self.nnz} values, got {data.shape}")
+        self.inner.update_values(data[self._data_perm])
+        self._t_op = None
+        return self
+
+    def close(self) -> None:
+        close = getattr(self.inner, "close", None)
+        if close is not None:
+            close()
+
+    def __enter__(self) -> "ReorderedSpMV":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def describe(self) -> str:
+        return f"{self.inner.describe()}\n{self.reorder.describe()}"
+
+
+class Reorderable:
+    """Base of every engine class: ``cls(matrix, ..., reorder=spec)``
+    returns a :class:`ReorderedSpMV` over ``cls`` built on the permuted
+    matrix, so an engine's ``__init__`` never sees a reorder."""
+
+    def __new__(cls, matrix=None, *args, reorder=None,
+                validation=ValidationPolicy.REPAIR, **kwargs):
+        if reorder is None:
+            return super().__new__(cls)
+        return ReorderedSpMV.build(
+            matrix, reorder,
+            lambda p: cls(p, *args, validation="trust", **kwargs), validation,
+        )

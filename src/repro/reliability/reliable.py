@@ -127,7 +127,13 @@ class ReliableSpMV:
         detected exactly like a corrupted partial).
     method, plan_cache, **tile_kwargs:
         Forwarded to :class:`~repro.core.tilespmv.TileSpMV` (or the
-        sharded engine).
+        sharded engine).  A ``reorder`` spec applies to whichever engine
+        is built — single device, 1D or 2D sharded, either backend, with
+        or without ``recovery``: the engine is built on the permuted
+        matrix behind one
+        :class:`~repro.matrices.reorder.ReorderedSpMV`, and the checksum,
+        the retries and the scalar fallback all work in the original
+        order.
     """
 
     def __init__(
@@ -147,14 +153,6 @@ class ReliableSpMV:
         if backend not in ("thread", "process"):
             raise ValueError(
                 f"backend must be 'thread' or 'process', got {backend!r}"
-            )
-        if (shards > 1 or grid is not None or backend == "process") and (
-            "reorder" in tile_kwargs or "formats_override" in tile_kwargs
-        ):
-            raise ValueError(
-                "reorder/formats_override apply to the single-device engine "
-                "only: a per-shard reorder would permute each shard "
-                "independently and break the global result order"
             )
         self.policy = ValidationPolicy.coerce(policy)
         self.max_retries = int(max_retries)
@@ -186,10 +184,8 @@ class ReliableSpMV:
 
     def canonical_csr(self) -> sp.csr_matrix:
         """The canonical matrix, read from the engine: a single device's
-        operand itself, not a copy; a sharded engine's row blocks stacked,
-        a new O(nnz) copy per call.  A caller reads it once."""
-        if isinstance(self.engine, TileSpMV):
-            return self.engine.operand
+        operand itself, not a copy; a sharded or reordered engine's a new
+        O(nnz) matrix per call.  A caller reads it once."""
         return self.engine.canonical_csr()
 
     @property
@@ -263,46 +259,23 @@ class ReliableSpMV:
     def _make_engine(self, csr: sp.csr_matrix):
         """Build the protected engine over the canonical ``csr``: sharded
         when ``shards > 1``, a 2D grid was requested, or the process
-        backend was picked; recoverable when ``recovery`` opts in."""
-        if self._shards > 1 or self._grid is not None or self._backend == "process":
-            if self._recovery:
-                from repro.dist.recovery import RecoverableShardedSpMV, RecoveryConfig
-
-                config = (
-                    self._recovery
-                    if isinstance(self._recovery, RecoveryConfig)
-                    else None
-                )
-                return RecoverableShardedSpMV(
-                    csr,
-                    shards=self._shards,
-                    method=self._method,
-                    grid=self._grid,
-                    plan_cache=self.plan_cache,
-                    validation="trust",
-                    config=config,
-                    backend=self._backend,
-                    **self._tile_kwargs,
-                )
+        backend was picked; recoverable when ``recovery`` opts in.  Each
+        engine's constructor returns the reorder wrapper when
+        ``tile_kwargs`` name a reorder."""
+        kwargs = dict(method=self._method, plan_cache=self.plan_cache,
+                      validation="trust", **self._tile_kwargs)
+        if self._shards == 1 and self._grid is None and self._backend == "thread":
+            return TileSpMV(csr, **kwargs)
+        kwargs.update(shards=self._shards, grid=self._grid, backend=self._backend)
+        if not self._recovery:
             from repro.dist.sharded import ShardedSpMV
 
-            return ShardedSpMV(
-                csr,
-                shards=self._shards,
-                method=self._method,
-                grid=self._grid,
-                plan_cache=self.plan_cache,
-                validation="trust",
-                backend=self._backend,
-                **self._tile_kwargs,
-            )
-        return TileSpMV(
-            csr,
-            method=self._method,
-            plan_cache=self.plan_cache,
-            validation="trust",
-            **self._tile_kwargs,
-        )
+            return ShardedSpMV(csr, **kwargs)
+        from repro.dist.recovery import RecoverableShardedSpMV, RecoveryConfig
+
+        if isinstance(self._recovery, RecoveryConfig):
+            kwargs["config"] = self._recovery
+        return RecoverableShardedSpMV(csr, **kwargs)
 
     def _rebuild_engine(self) -> None:
         """Fresh plan: drop every (suspect) cached entry, re-prepare.

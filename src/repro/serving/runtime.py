@@ -154,7 +154,6 @@ class MigrationOutcome:
     candidate_time: float     # same for the candidate (== incumbent when none built)
     label: str = ""           # tuner proposal label, or "explicit"
     reorder: str | None = None
-    retiled: int = 0          # tiles whose format the candidate re-arbitrated
     plan_key_old: str = ""
     plan_key_new: str = ""
 
@@ -171,7 +170,6 @@ class MigrationOutcome:
             f"modelled {self.candidate_time * 1e6:.1f} us vs "
             f"{self.incumbent_time * 1e6:.1f} us (gain {self.gain:.2f}x"
             + (f", reorder {self.reorder}" if self.reorder else "")
-            + (f", {self.retiled} tiles re-arbitrated" if self.retiled else "")
             + ")"
         )
 
@@ -345,32 +343,30 @@ class ServingRuntime:
         matrix_id: str,
         tuner=None,
         reorder: str | None = None,
-        formats_override=None,
         collector=None,
     ) -> MigrationOutcome:
         """Re-tune one registration and migrate live traffic onto it.
 
-        Without explicit ``reorder``/``formats_override`` an
+        Without an explicit ``reorder`` an
         :class:`~repro.tuning.online.OnlineTuner` (``tuner``, or a
         default on this runtime's device) proposes the candidate from
         the incumbent's residuals (scaled by ``collector`` measurements
-        when given).  The candidate plan is built and cached *warm* —
-        the virtual clock never advances, no request is paused or shed —
-        then swapped in atomically; requests already priced against the
-        old plan complete on it, and the old record is only released
-        (engine closed, cached plan dropped unless shared) once the
-        virtual work queued at swap time has completed.  A candidate
-        whose modelled fast path is no better than the incumbent's is
-        rolled back instead, leaving the incumbent serving.
+        when given).  Only a proposal's reorder is applied: a per-tile
+        format vector changes the modelled price, never the operand a
+        product executes, so a proposal without a new reorder returns
+        ``no_improvement``.  The candidate is built with the
+        registration's own shards, grid, backend and recovery, and
+        cached *warm* — the virtual clock never advances, no request is
+        paused or shed — then swapped in atomically; requests already
+        priced against the old plan complete on it, and the old record
+        is only released (engine closed, cached plans dropped unless
+        shared) once the virtual work queued at swap time has
+        completed.  A candidate whose modelled fast path is no better
+        than the incumbent's is rolled back instead, leaving the
+        incumbent serving.
         """
         sm = self._served(matrix_id)
         eng = sm.engine
-        if eng._shards > 1 or eng._grid is not None or eng._backend == "process":
-            raise ValueError(
-                "retune applies to single-device registrations only: "
-                "reorder/formats_override cannot be pushed into a sharded "
-                "or process-backed engine"
-            )
         if self._batches is not None:
             # A batch never forms across a migration boundary: the open
             # batch (admitted against the incumbent generation) flushes
@@ -385,39 +381,41 @@ class ServingRuntime:
             incumbent_time=sm.t_fast, candidate_time=sm.t_fast,
             plan_key_old=sm.plan_key, plan_key_new=sm.plan_key,
         )
-        if reorder is not None or formats_override is not None:
+        csr = eng.canonical_csr()
+        if reorder is not None:
             out.label = "explicit"
-            out.reorder = reorder
         else:
             from repro.tuning import OnlineTuner
 
             tuner = tuner or OnlineTuner(device=self.device)
-            proposal = tuner.propose(eng.canonical_csr(), engine=eng.engine, collector=collector)
-            if proposal.is_incumbent:
+            # A sharded incumbent is priced on one device, tiled as its
+            # shards are.
+            pricing = {k: v for k, v in eng._tile_kwargs.items()
+                       if k in ("tile", "selection", "tbalance", "params")}
+            proposal = tuner.propose(csr, engine=eng.engine,
+                                     collector=collector, **pricing)
+            if not proposal.is_incumbent:
+                out.label = proposal.label
+            serving = getattr(eng.engine, "reorder", None)
+            if proposal.reorder in (None, getattr(serving, "tag", None)):
                 self._publish_migration(out)
                 return out
-            out.label = proposal.label
-            out.reorder = proposal.reorder
-            out.retiled = proposal.retiled
-            kwargs = proposal.engine_kwargs()
-            reorder = kwargs.get("reorder")
-            formats_override = kwargs.get("formats_override")
+            reorder = proposal.reorder
+        out.reorder = reorder
 
         # Build the candidate warm, off the request path (the virtual
         # clock does not advance): the plan lands in this runtime's
-        # cache before any request can route to it.
-        tile_kwargs = dict(eng._tile_kwargs)
-        tile_kwargs.pop("reorder", None)
+        # cache before any request can route to it.  A format override
+        # is bound to the incumbent's tiling, so it does not carry over.
+        tile_kwargs = dict(eng._tile_kwargs, reorder=reorder)
         tile_kwargs.pop("formats_override", None)
-        if reorder is not None:
-            tile_kwargs["reorder"] = reorder
-        if formats_override is not None:
-            tile_kwargs["formats_override"] = formats_override
         candidate = ReliableSpMV(
-            eng.canonical_csr(), method=eng._method, policy=eng.policy,
+            csr, method=eng._method, policy=eng.policy,
             abft=eng.checksum is not None, max_retries=eng.max_retries,
-            plan_cache=self.plan_cache, **tile_kwargs,
+            plan_cache=self.plan_cache, shards=eng._shards, grid=eng._grid,
+            recovery=eng._recovery, backend=eng._backend, **tile_kwargs,
         )
+        del csr
         cand = _Served(
             matrix_id, candidate, self.device, self.config,
             generation=sm.generation + 1,

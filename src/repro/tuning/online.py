@@ -30,7 +30,9 @@ The loop (documented with the state machine in ``docs/TUNING.md``):
    and priced by the cost model; :meth:`OnlineTuner.propose` returns
    the best as a :class:`TuningProposal` scored against the incumbent.
    Nothing is adopted here — the caller (``repro tune``, or
-   ``ServingRuntime.retune`` with its rollback gate) decides.
+   ``ServingRuntime.retune`` with its rollback gate) decides.  A format
+   vector changes only the modelled price (every plan executes its
+   canonical operand), so ``retune`` applies a proposal's reorder alone.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from repro.core.scheduler import DEFAULT_TBALANCE
 from repro.core.tilespmv import TileSpMV
 from repro.core.tuner import _UNIVERSAL, default_byte_weight, greedy_scores
 from repro.gpu.device import A100, DeviceSpec
+from repro.matrices.reorder import ReorderedSpMV
 from repro.telemetry.profile import ProfileCollector, profile_tile_matrix
 
 __all__ = [
@@ -301,24 +304,30 @@ class OnlineTuner:
         """Score candidate plans against the incumbent; return the best.
 
         ``matrix`` is the matrix in its *original* order (candidates
-        carry their own reorders).  When ``engine`` is given it is the
-        incumbent and its method/tile/selection settings seed the
-        candidates; otherwise an incumbent is built from
-        ``method``/``tile``/``build_kwargs``.  The returned proposal is
-        the incumbent itself when nothing beats it by ``min_gain``.
+        carry their own reorders).  When ``engine`` is a single-device
+        plan (reordered or not) it is the incumbent and its
+        method/tile/selection settings seed the candidates; otherwise
+        (none, or a sharded engine, priced here on one device) an
+        incumbent is built from ``method``/``tile``/``build_kwargs``
+        under the engine's reorder.  The returned proposal is the
+        incumbent itself when nothing beats it by ``min_gain``.
         """
         base_reorder: str | None = None
-        if engine is None:
-            engine = TileSpMV(matrix, method=method, tile=tile, **build_kwargs)
+        if isinstance(engine, ReorderedSpMV):
+            # An already-reordered incumbent: its residuals (and any
+            # format override derived from them) live in the permuted
+            # tiling, so the formats-only candidate must rebuild under
+            # the same reorder.  The tag round-trips as a spec.
+            base_reorder = engine.reorder.tag
+            engine = engine.inner
+        if not isinstance(engine, TileSpMV):
+            method = getattr(engine, "method", method)
+            engine = TileSpMV(matrix, method=method, tile=tile,
+                              reorder=base_reorder, **build_kwargs)
+            engine = getattr(engine, "inner", engine)
         else:
             method = engine.method
             tile = engine._plan.tileset.tile
-            if engine.reorder is not None:
-                # An already-reordered incumbent: its residuals (and any
-                # format override derived from them) live in the permuted
-                # tiling, so the formats-only candidate must rebuild under
-                # the same reorder.  The tag round-trips as a spec.
-                base_reorder = engine.reorder.tag
             build_kwargs = {
                 "selection": engine.selection,
                 "tbalance": engine.tbalance,

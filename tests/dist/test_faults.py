@@ -354,3 +354,37 @@ class TestCampaignOwnsAttempts:
             assert inj.stats()["by_kind"] == {"device_loss": 1, "straggler": 2}
             assert eng.inner.shard_delay_s == [0.0, 0.0]
             assert np.array_equal(y, ref)
+
+
+@pytest.mark.faults
+class TestReorderedShardCampaigns:
+    """A reorder sits above the sharded engine and its ladders: under a
+    transient shard campaign and a transient GPU-substrate campaign the
+    reordered engine detects, recovers without the scalar fallback and
+    answers bit-for-bit the clean unreordered product (``sell:0`` is a
+    row-only reorder)."""
+
+    @pytest.mark.parametrize("layout", [
+        dict(shards=2, recovery=True),
+        dict(grid=(2, 2), backend="process", recovery=True),
+        dict(grid=(2, 2), backend="process"),
+    ], ids=["1d_recovery", "2x2_process_recovery", "2x2_process"])
+    def test_transient_campaigns_recovered_in_original_order(self, layout):
+        from repro.reliability import ReliableSpMV
+
+        a = power_law(400, avg_degree=5, seed=31)
+        x = np.linspace(-1.0, 1.0, 400)
+        xs = np.stack([x, x[::-1], 2.0 * x], axis=1)
+        base = TileSpMV(a, method="adpt")
+        for name, campaign in TestCampaignOwnsAttempts._campaigns().items():
+            for op, arg, ref in (("spmv", x, base.spmv(x)),
+                                 ("spmm", xs, base.spmm(xs))):
+                with ReliableSpMV(a, reorder="sell:0", **layout) as r:
+                    assert not r.engine.reorder.is_identity
+                    with campaign() as inj:
+                        y = getattr(r, op)(arg)
+                    shard = r.shard_recovery_counters or {}
+                    assert inj.injected > 0, (name, op)
+                    assert r.counters["detected"] + shard.get("shard_detected", 0) > 0, (name, op)
+                    assert r.counters["fallbacks"] == 0, (name, op)
+                    assert np.array_equal(y, ref), (name, op)

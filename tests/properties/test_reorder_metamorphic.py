@@ -22,17 +22,28 @@ touches:
 permutation shifts, so its priced halves move — but its operand does
 not, so it is graded exactly like ``adpt``.
 
+A reorder is one permutation above any engine, so the same grading
+holds for every engine built under it — the single device, 1D and 2D
+sharded engines on both backends, and ``ReliableSpMV`` over the shard
+recovery ladder — each against the *unreordered single device*.
+
 Tile sizes {8, 16} are exercised.  The issue's nominal {16, 32} pair is
 impossible here: local indices are 4-bit packed, so ``tile_decompose``
 hard-caps tiles at 16 — 8 exercises the same "reorder crosses tile
 boundaries differently" axis from below instead.
 """
 
+from contextlib import closing
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from repro.core.tilespmv import TileSpMV
+from repro.dist.sharded import ShardedSpMV
+from repro.reliability.reliable import ReliableSpMV
+from tests import build_reference as ref
 from repro.matrices import stencil_2d
 from repro.matrices.reorder import (
     ReorderPlan,
@@ -52,6 +63,36 @@ TILES = (8, 16)
 EXACT_METHODS = ("csr", "adpt")
 
 
+# Every engine a reorder can sit above.
+ENGINES = {
+    "single": TileSpMV,
+    "shards2": partial(ShardedSpMV, shards=2),
+    "grid2x2": partial(ShardedSpMV, grid=(2, 2)),
+    "grid1x3": partial(ShardedSpMV, grid=(1, 3)),
+    "shards2_process": partial(ShardedSpMV, shards=2, backend="process"),
+    "grid2x2_process": partial(ShardedSpMV, grid=(2, 2), backend="process"),
+    "grid1x3_process": partial(ShardedSpMV, grid=(1, 3), backend="process"),
+    "reliable_recovery": partial(ReliableSpMV, shards=2, recovery=True),
+}
+
+
+def _cases(tile):
+    """(engine, methods) graded at ``tile``: the single device at both
+    tile sizes, every other engine at 16 (the sharding suite grades each
+    partition per tile size), the process engines with ``adpt`` only —
+    every method executes the same canonical operand, and each worker
+    spawn costs ~60 ms."""
+    if tile != 16:
+        return [("single", EXACT_METHODS)]
+    return [(name, ("adpt",) if name.endswith("_process") else EXACT_METHODS)
+            for name in ENGINES]
+
+
+def _transpose(eng, w):
+    """``A.T @ w``: ``ReliableSpMV`` leaves transposes to its engine."""
+    return getattr(eng, "engine", eng).spmv_transpose(w)
+
+
 def _vectors(matrix, seed=7):
     rng = np.random.default_rng(seed)
     return (
@@ -61,33 +102,50 @@ def _vectors(matrix, seed=7):
     )
 
 
+def _unreordered(matrix, tile, x, X, w):
+    """Each method's unreordered single-device (spmv, spmm, transpose)."""
+    out = {}
+    for method in EXACT_METHODS:
+        base = TileSpMV(matrix, method=method, tile=tile)
+        out[method] = base.spmv(x), base.spmm(X), base.spmv_transpose(w)
+    return out
+
+
 @pytest.mark.parametrize("tile", TILES)
 @pytest.mark.parametrize("spec", ROW_ONLY)
 def test_row_only_reorder_is_bit_for_bit(zoo_matrix, spec, tile):
-    """spmv, spmm and spmv_transpose all bit-identical under row sorts."""
+    """spmv, spmm and spmv_transpose all bit-identical under row sorts,
+    on every engine."""
     x, X, w = _vectors(zoo_matrix)
-    for method in EXACT_METHODS:
-        base = TileSpMV(zoo_matrix, method=method, tile=tile)
-        eng = TileSpMV(zoo_matrix, method=method, tile=tile, reorder=spec)
-        assert np.array_equal(eng.spmv(x), base.spmv(x))
-        assert np.array_equal(eng.spmm(X), base.spmm(X))
-        assert np.array_equal(eng.spmv_transpose(w), base.spmv_transpose(w))
+    ref = _unreordered(zoo_matrix, tile, x, X, w)
+    for name, methods in _cases(tile):
+        for method in methods:
+            with closing(ENGINES[name](zoo_matrix, method=method, tile=tile,
+                                       reorder=spec)) as eng:
+                y, Y, t = ref[method]
+                assert np.array_equal(eng.spmv(x), y), name
+                assert np.array_equal(eng.spmm(X), Y), name
+                assert np.array_equal(_transpose(eng, w), t), name
 
 
 @pytest.mark.parametrize("tile", TILES)
 @pytest.mark.parametrize("spec", COL_PERM)
 def test_rcm_chain_transpose_exact_spmv_allclose(zoo_matrix, spec, tile):
-    """Column permutations: canonical transpose replay stays exact."""
+    """Column permutations: canonical transpose replay stays exact, on
+    every engine."""
     if zoo_matrix.shape[0] != zoo_matrix.shape[1]:
         pytest.skip("rcm needs a square matrix")
     x, X, w = _vectors(zoo_matrix)
-    for method in EXACT_METHODS:
-        base = TileSpMV(zoo_matrix, method=method, tile=tile)
-        eng = TileSpMV(zoo_matrix, method=method, tile=tile, reorder=spec)
-        assert np.array_equal(eng.spmv_transpose(w), base.spmv_transpose(w))
-        # Each row's sum re-associates in the permuted column order.
-        np.testing.assert_allclose(eng.spmv(x), base.spmv(x), rtol=1e-12, atol=1e-13)
-        np.testing.assert_allclose(eng.spmm(X), base.spmm(X), rtol=1e-12, atol=1e-13)
+    ref = _unreordered(zoo_matrix, tile, x, X, w)
+    for name, methods in _cases(tile):
+        for method in methods:
+            with closing(ENGINES[name](zoo_matrix, method=method, tile=tile,
+                                       reorder=spec)) as eng:
+                y, Y, t = ref[method]
+                assert np.array_equal(_transpose(eng, w), t), name
+                # Each row's sum re-associates in the permuted column order.
+                np.testing.assert_allclose(eng.spmv(x), y, rtol=1e-12, atol=1e-13)
+                np.testing.assert_allclose(eng.spmm(X), Y, rtol=1e-12, atol=1e-13)
 
 
 @pytest.mark.parametrize("spec", ROW_ONLY + ["rcm+sell:0"])
@@ -129,16 +187,47 @@ def test_permutation_round_trip(zoo_matrix, spec):
         assert np.array_equal(np.sort(plan.col_perm), np.arange(zoo_matrix.shape[1]))
 
 
+def _same_csr(a, b):
+    return (a.shape == b.shape and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and a.data.dtype == b.data.dtype and np.array_equal(a.data, b.data))
+
+
+@pytest.mark.parametrize("spec", ROW_ONLY + COL_PERM)
+def test_permute_is_apply_in_one_pass(zoo_matrix, spec):
+    """``permute`` returns ``apply``'s matrix bit for bit, and its data
+    permutation carries original-order values into it."""
+    if "rcm" in spec and zoo_matrix.shape[0] != zoo_matrix.shape[1]:
+        pytest.skip("rcm needs a square matrix")
+    plan = build_reorder(zoo_matrix, spec)
+    permuted, perm = plan.permute(zoo_matrix)
+    assert _same_csr(permuted, plan.apply(zoo_matrix))
+    assert np.array_equal(permuted.data, zoo_matrix.data[perm])
+
+
+@pytest.mark.parametrize("spec", ROW_ONLY)
+def test_permute_keeps_trusted_duplicates(spec):
+    """A ``trust`` input may repeat a column in a row; the tagged pass
+    orders the repeats exactly as permuting the values does."""
+    m = ref.trusted_duplicates()
+    plan = build_reorder(m, spec)
+    permuted, perm = plan.permute(m)
+    assert _same_csr(permuted, plan.apply(m))
+    assert np.array_equal(permuted.data, m.data[perm])
+
+
 def test_data_permutation_tracks_update_values():
-    """Streaming new values through a reordered plan stays bit-for-bit."""
+    """Streaming new values through a reordered plan stays bit-for-bit,
+    on every engine."""
     m = stencil_2d(14, points=9, seed=3)
     x = np.random.default_rng(11).standard_normal(m.shape[1])
-    eng = TileSpMV(m, method="adpt", reorder="rcm+sell:0")
     m2 = m.copy()
     m2.data = m2.data * 1.7 + 0.3
-    eng.update_values(m2)
-    fresh = TileSpMV(m2, method="adpt", reorder="rcm+sell:0")
-    assert np.array_equal(eng.spmv(x), fresh.spmv(x))
+    for name, build in ENGINES.items():
+        with closing(build(m, method="adpt", reorder="rcm+sell:0")) as eng, \
+                closing(build(m2, method="adpt", reorder="rcm+sell:0")) as fresh:
+            eng.update_values(m2)
+            assert np.array_equal(eng.spmv(x), fresh.spmv(x)), name
 
 
 class TestBandwidthMonotonicity:

@@ -141,13 +141,6 @@ class TestMigrationStorm:
 
 
 class TestRetunePolicies:
-    def test_retune_rejects_sharded_registrations(self):
-        rt = ServingRuntime()
-        rt.register("sh", _matrix(), shards=2)
-        with pytest.raises(ValueError, match="single-device"):
-            rt.retune("sh")
-        rt.close()
-
     def test_retune_unknown_matrix(self):
         rt = ServingRuntime()
         with pytest.raises(KeyError):
@@ -202,6 +195,86 @@ class TestRetunePolicies:
         for key in keys - {live}:
             assert rt.plan_cache.peek(key) is None
         assert rt.plan_cache.peek(live) is not None
+        rt.close()
+
+
+# Every engine a registration can serve from: reorder, sharding, backend
+# and recovery stack under one retune.
+REGISTRATIONS = {
+    "shards2": dict(shards=2),
+    "grid2x2": dict(grid=(2, 2)),
+    "process": dict(shards=2, backend="process"),
+    "recovery": dict(shards=2, recovery=True),
+}
+
+
+class TestShardedMigration:
+    @pytest.mark.parametrize("config", REGISTRATIONS.values(), ids=REGISTRATIONS)
+    def test_storm_migrates_every_registration(self, config):
+        """The storm on a sharded, grid, process-backed or recoverable
+        registration: it migrates to the reorder, each response is
+        bit-for-bit a fresh engine of its generation's configuration, and
+        the drained and rolled-back plans leave nothing in the cache."""
+        matrix = _matrix()
+        with ServingRuntime(RuntimeConfig(queue_limit=8)) as rt:
+            rt.register("pl", matrix, **config)
+            old_keys = set(rt._served("pl").probe_keys)
+            outcomes, good, bad = _run_storm(rt)
+            assert good.status == "migrated" and good.reorder == GOOD_REORDER
+            assert bad.status == "rolled_back"
+            assert [o.plan_generation for o in outcomes] == [1] * 6 + [2] * 7
+            with ReliableSpMV(matrix, method="adpt", **config) as gen1, \
+                    ReliableSpMV(matrix, method="adpt", reorder=GOOD_REORDER,
+                                 **config) as gen2:
+                by_gen = {1: gen1, 2: gen2}
+                for o in outcomes:
+                    expected = by_gen[o.plan_generation].spmv(_x(o.rid, matrix.shape[1]))
+                    assert np.array_equal(o.y, expected)
+            assert rt.counters["plans_drained"] == 1
+            assert rt.stats()["draining"] == 0
+            live = set(rt._served("pl").probe_keys)
+            assert not old_keys & live
+            assert all(rt.plan_cache.peek(k) is not None for k in live)
+            assert len(rt.plan_cache) == len(live)
+
+    @pytest.mark.parametrize("config", [
+        {}, dict(shards=2), dict(reorder=GOOD_REORDER),
+        dict(shards=2, reorder=GOOD_REORDER),
+    ], ids=["single", "shards2", "reordered", "reordered_shards2"])
+    def test_format_only_proposal_is_no_improvement(self, config):
+        """A per-tile format vector changes the modelled price, never the
+        executed operand: retune reports it under its label and keeps the
+        incumbent.  On a reordered registration the formats candidate
+        carries the reorder already serving."""
+        from repro.tuning import TuningProposal
+
+        class FormatsTuner:
+            def propose(self, matrix, engine=None, collector=None, **kwargs):
+                return TuningProposal(
+                    label="formats", reorder=config.get("reorder"),
+                    formats=np.zeros(4, dtype=np.uint8),
+                    modelled_time=1e-6, incumbent_time=2e-6, retiled=4,
+                )
+
+        rt = ServingRuntime()
+        rt.register("pl", _matrix(), **config)
+        key = rt._served("pl").plan_key
+        out = rt.retune("pl", tuner=FormatsTuner())
+        assert (out.status, out.label, out.reorder) == ("no_improvement", "formats", None)
+        assert rt._served("pl").generation == 1
+        assert rt._served("pl").plan_key == key
+        assert rt.counters["migrations_completed"] == 0
+        rt.close()
+
+    def test_tuner_driven_retune_of_sharded_registration(self):
+        from repro.tuning import OnlineTuner, TuningConfig
+
+        rt = ServingRuntime()
+        rt.register("pl", _matrix(), shards=2)
+        tuner = OnlineTuner(config=TuningConfig(reorders=(GOOD_REORDER,)))
+        out = rt.retune("pl", tuner=tuner)
+        assert (out.status, out.reorder) == ("migrated", GOOD_REORDER)
+        assert rt._served("pl").engine.engine.shards == 2
         rt.close()
 
 

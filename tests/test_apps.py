@@ -110,6 +110,36 @@ class TestPowerIteration:
         assert lam == pytest.approx(lam_ref, rel=1e-6)
         np.testing.assert_allclose(np.abs(a @ v), np.abs(lam * v), rtol=1e-4, atol=1e-6)
 
+    def test_one_product_per_iteration(self):
+        """``A · v_new`` serves the Rayleigh quotient and the next
+        iteration; the result is the two-product recurrence's, bit for bit."""
+        a = sp.diags([1.0, 2.0, 5.0, 3.0]).tocsr()
+        calls = []
+
+        class Counting:
+            def spmv(self, x):
+                calls.append(1)
+                return a @ x
+
+        lam, v, it = power_iteration(Counting(), 4, seed=0)
+        assert (it, len(calls)) == (24, 25)
+        # The recurrence spelled with two products per iteration.
+        from repro.util.vecops import dot, norm
+
+        rng = np.random.default_rng(0)
+        u = rng.standard_normal(4)
+        u /= norm(u)
+        mu = 0.0
+        for k in range(1, 25):
+            w = a @ u
+            u_new = w / norm(w)
+            mu_new = dot(u_new, a @ u_new)
+            if abs(mu_new - mu) <= 1e-12 * max(abs(mu_new), 1.0):
+                break
+            u, mu = u_new, mu_new
+        assert (lam, k) == (mu_new, it)
+        assert np.array_equal(v, u_new)
+
 
 class TestPagerank:
     def test_sums_to_one_and_matches_scipy_path(self):
