@@ -134,6 +134,7 @@ def _cmd_batch(args) -> int:
     cache = PlanCache()
     t0 = time.perf_counter()
     engine = TileSpMV(matrix, method=args.method, auto_device=device, plan_cache=cache)
+    engine.run_cost()  # the first price builds the plan
     cold = time.perf_counter() - t0
     ok = np.allclose(engine.spmm(block), matrix @ block, rtol=1e-10, atol=1e-12)
     print(f"matrix {args.matrix}: {matrix.shape[0]}x{matrix.shape[1]}, nnz={matrix.nnz}")
@@ -154,7 +155,7 @@ def _cmd_batch(args) -> int:
     print(f"  batching speedup:    {t_seq / t_bat:.2f}x")
 
     t0 = time.perf_counter()
-    TileSpMV(matrix, method=args.method, auto_device=device, plan_cache=cache)
+    TileSpMV(matrix, method=args.method, auto_device=device, plan_cache=cache).run_cost()
     warm = time.perf_counter() - t0
     print(f"\nsecond construction (cache hit): {warm * 1e3:.2f} ms vs {cold * 1e3:.2f} ms cold")
     print(cache.describe())
@@ -563,10 +564,12 @@ def _cmd_trace(args) -> int:
         if first.tiled is not None:
             lane_accurate_spmv(first.tiled, np.ones(first.shape[1]))
 
-        # One warm rebuild through the runtime's plan cache (the hit path).
+        # One warm rebuild through the runtime's plan cache (the hit
+        # path), priced so it adopts the cached build.
         from repro.core.tilespmv import TileSpMV
 
-        TileSpMV(sm.engine.canonical_csr(), plan_cache=rt.plan_cache, validation="trust")
+        TileSpMV(sm.engine.canonical_csr(), plan_cache=rt.plan_cache,
+                 validation="trust").run_cost()
 
         out = Path(args.out)
         tracer.export(out)

@@ -15,11 +15,14 @@ everything that depends on structure only:
   DeferredCOO split per strategy,
 * the :class:`~repro.core.scheduler.WarpSchedule`.
 
-A second ``TileSpMV`` construction with the same pattern is a cache hit
-and skips re-tiling entirely; if the *values* changed, the cached plan
-is refreshed through the ``with_values`` fast path (an operand refill
-only — no sort, no selection, no extraction; payload values are rebuilt
-from the operand on first read).  Hit/miss/eviction
+A miss stores the plan unbuilt, as its canonical CSR: the artifacts
+above are built the first time an engine on the plan prices or
+inspects it, once, and shared by every engine on it.  A second
+``TileSpMV`` construction with the same pattern is a cache hit and
+never re-tiles; if the *values* changed, the cached plan is refreshed
+through the ``with_values`` fast path (an operand refill only — no
+sort, no selection, no extraction; payload values are rebuilt from the
+operand on first read).  Hit/miss/eviction
 counters are exposed via :meth:`PlanCache.stats` / :meth:`describe` and
 surfaced by the CLI and ``TileSpMV.describe``.
 """
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
@@ -36,10 +40,13 @@ import scipy.sparse as sp
 
 from repro import telemetry as tele
 from repro.baselines.csr5 import Csr5SpMV
+from repro.core.deferred import split_deferred_coo
 from repro.core.kernels.params import KernelCostParams
-from repro.core.scheduler import WarpSchedule
+from repro.core.scheduler import DEFAULT_TBALANCE, WarpSchedule, build_schedule
+from repro.core.selection import SelectionConfig, select_formats
 from repro.core.storage import TileMatrix, refill_operand
-from repro.core.tiling import TileSet
+from repro.core.tiling import TileSet, tile_decompose
+from repro.formats import FormatID
 from repro.gpu.costmodel import RunCost
 
 __all__ = [
@@ -122,7 +129,6 @@ class MethodPlan:
     schedule: WarpSchedule | None
     operand: sp.csr_matrix
     extracted: np.ndarray | None = None
-    build_seconds: float = 0.0
     costs: dict = field(default_factory=dict, repr=False)
 
     def run_cost(self, params: KernelCostParams, tbalance: int) -> RunCost:
@@ -166,10 +172,26 @@ class MethodPlan:
 
 @dataclass
 class CachedPlan:
-    """Everything reusable across constructions sharing one pattern."""
+    """Everything reusable across constructions sharing one pattern.
+
+    A plan is stored unbuilt: ``csr`` is its canonical matrix (the
+    pattern, and the values of the construction that last refreshed
+    it), and ``tile``/``selection``/``tbalance``/``formats_override``
+    are the build inputs the fingerprint covers.  The tile set, the
+    ADPT format vector, the warp schedule and each strategy's
+    :class:`MethodPlan` are built on first read (:meth:`cut_tiles`,
+    :meth:`method`), once per plan, from :attr:`csr`, and shared by
+    every engine on it; an engine whose values are not the plan's
+    takes a value clone (:meth:`MethodPlan.with_values`).
+    """
 
     key: str
-    tileset: TileSet
+    csr: sp.csr_matrix
+    tile: int = 16
+    selection: SelectionConfig = field(default_factory=SelectionConfig)
+    tbalance: int = DEFAULT_TBALANCE
+    formats_override: np.ndarray | None = None  # a tuned format vector
+    tileset: TileSet | None = None  # cut by the first build
     formats: np.ndarray | None = None  # ADPT selection vector (lazy)
     schedule: WarpSchedule | None = None  # full-tileset schedule (lazy)
     methods: dict = field(default_factory=dict)  # build method -> MethodPlan
@@ -179,28 +201,117 @@ class CachedPlan:
 
     def values_digest(self) -> str:
         """Digest of the values the plan holds, computed on first read
-        from the plan's own tile set (a miss never pays for it)."""
+        from :attr:`csr` (a miss never pays for it)."""
         if self._digest is None:
-            self._digest = value_digest(self.tileset.csr.data)
+            self._digest = value_digest(self.csr.data)
         return self._digest
 
     def refresh_values(self, csr_data: np.ndarray, digest: str) -> None:
         """Swap in a new value array, keeping every structural artifact.
 
-        Existing method artifacts are *replaced*, never mutated —
-        engines holding the previous generation keep working on it.
-        ``csr_data`` (canonical CSR order) is every operand's order, so
-        each method refills through :meth:`MethodPlan.with_values`, the
-        refill :meth:`TileSpMV.update_values
-        <repro.core.tilespmv.TileSpMV.update_values>` makes too; the
-        plan's own tile set takes the values eagerly, since later
-        method builds encode from it and execute its CSR.
+        :attr:`csr` and any built artifact are *replaced*, never
+        mutated, so engines holding the previous generation keep
+        working on it.  ``csr_data`` (canonical CSR order) is every
+        operand's order, so each built method refills through
+        :meth:`MethodPlan.with_values`, the refill
+        :meth:`TileSpMV.update_values
+        <repro.core.tilespmv.TileSpMV.update_values>` makes too.
         """
         data = np.array(csr_data, dtype=np.float64)
-        self.tileset = self.tileset.with_values(data)
+        self.csr = refill_operand(self.csr, data)
+        if self.tileset is not None:
+            self.tileset = self.tileset.with_values(data)
         for name, mp in list(self.methods.items()):
             self.methods[name] = mp.with_values(data)
         self._digest = digest
+
+    # -- the build, on first read ------------------------------------------
+
+    def cut_tiles(self) -> float:
+        """Cut the tile set from :attr:`csr` once; returns the seconds
+        spent now.  The tile set keeps that CSR as its operand, so every
+        artifact of a plan carries the plan's values."""
+        if self.tileset is not None:
+            return 0.0
+        t0 = time.perf_counter()
+        self.tileset = tile_decompose(self.csr, tile=self.tile, validation="trust")
+        return time.perf_counter() - t0
+
+    def _adpt_formats(self) -> np.ndarray:
+        """The ADPT format vector, selected once per plan.
+
+        A ``formats_override`` (an :class:`OnlineTuner
+        <repro.tuning.OnlineTuner>` re-arbitration) replaces the
+        flowchart's choice wholesale; its digest is part of the plan
+        fingerprint, so the plan adopts it as *its* format vector
+        without aliasing the flowchart-selected plan.
+        """
+        if self.formats is None:
+            fo = self.formats_override
+            if fo is None:
+                self.formats = select_formats(self.tileset, self.selection)
+            elif fo.size != self.tileset.n_tiles:
+                raise ValueError(
+                    f"formats_override has {fo.size} entries for "
+                    f"{self.tileset.n_tiles} tiles"
+                )
+            else:
+                self.formats = fo
+        return self.formats
+
+    def _full_schedule(self) -> WarpSchedule:
+        """The full-tileset warp schedule, built once per plan."""
+        if self.schedule is None:
+            self.schedule = build_schedule(self.tileset.tile_ptr, self.tbalance)
+        return self.schedule
+
+    def method(self, name: str) -> tuple[MethodPlan, float]:
+        """One strategy's artifacts on the cut tile set, built once.
+
+        Returns ``(artifacts, seconds spent now)``: zero when the plan
+        already held them (an earlier reader or the other ``auto``
+        candidate).
+        """
+        mp = self.methods.get(name)
+        if mp is not None:
+            return mp, 0.0
+        t0 = time.perf_counter()
+        tileset = self.tileset
+        if name in ("csr", "adpt"):
+            formats = (
+                np.full(tileset.n_tiles, FormatID.CSR, dtype=np.uint8)
+                if name == "csr"
+                else self._adpt_formats()
+            )
+            tiled = TileMatrix.build(tileset, formats)
+            mp = MethodPlan(
+                method=name,
+                tiled=tiled,
+                deferred=None,
+                schedule=self._full_schedule(),
+                operand=tiled.operand,
+            )
+        else:  # deferred_coo: reuse the shared selection, never re-select
+            split = split_deferred_coo(tileset, self.selection, formats=self._adpt_formats())
+            tiled = split.tiled
+            mp = MethodPlan(
+                method=name,
+                tiled=tiled,
+                deferred=(
+                    Csr5SpMV(split.deferred, validation="trust")
+                    if split.deferred.nnz
+                    else None
+                ),
+                schedule=(
+                    build_schedule(tiled.tileset.tile_ptr, self.tbalance)
+                    if tiled is not None
+                    else None
+                ),
+                operand=tileset.csr,
+                extracted=split.extracted,
+            )
+        self.methods[name] = mp
+        return mp, time.perf_counter() - t0
 
 
 class PlanCache:
@@ -209,8 +320,9 @@ class PlanCache:
     Lookups, inserts and invalidations take an internal ``RLock`` so a
     sharded engine can prepare its per-shard plans from worker threads
     against one shared cache.  The lock covers the map and the counters,
-    not plan construction: two threads missing on the same key may both
-    build and the second ``put`` wins — wasted work, never corruption.
+    not plan construction: two threads missing on the same key, or
+    first reading one unbuilt plan, may both build and the last write
+    wins — wasted work, never corruption.
     """
 
     def __init__(self, capacity: int = 16) -> None:

@@ -9,7 +9,9 @@ from, and the only array of entry values a plan holds.  The payloads are
 what the cost model prices, and pricing reads their structure alone;
 :meth:`~TileMatrix.validate` and the round-trip tests hold their decode
 to the operand bit for bit.  A value update refills the operand alone;
-view and payload values are derived from it on first read.
+view and payload values are derived from it on first read.  A
+``TileSpMV`` builds its tile matrix only when something first prices
+or inspects it; every product runs the operand without one.
 """
 
 from __future__ import annotations

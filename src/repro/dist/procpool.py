@@ -816,9 +816,8 @@ class ProcessShardedSpMV(ShardedSpMV):
         # because perfbench/spans.py times ProcessShardedSpMV.spmm by name.
         return super().spmm(x)
 
-    def update_values(self, values) -> "ProcessShardedSpMV":
-        data = self._values(values)
-        super().update_values(data)
+    def _adopt_values(self, data: np.ndarray) -> "ProcessShardedSpMV":
+        super()._adopt_values(data)
         sup = self._supervisor
         if sup is None:
             return self

@@ -310,9 +310,6 @@ class ShardedSpMV(Reorderable):
                     if len(cells) > 1:
                         self._row_ops.append(rows.copy())
                         self._cell_pos.append(None)
-        self.build_seconds = sum(e.build_seconds for e in self.engines)
-        self.arbitration_seconds = sum(e.arbitration_seconds for e in self.engines)
-        self.preprocessing_seconds = self.build_seconds + self.arbitration_seconds
         self._executor: ThreadPoolExecutor | None = None
         self._max_workers = max_workers or len(self.row_blocks)
         # The A.T operand, built on the first transpose.
@@ -378,6 +375,20 @@ class ShardedSpMV(Reorderable):
     def grid_rows(self) -> int:
         """Row blocks of the partition (= shards for 1D row sharding)."""
         return self.grid[0] if self.grid is not None else self.partition.p
+
+    @property
+    def build_seconds(self) -> float:
+        """Every shard's :attr:`TileSpMV.build_seconds` (a read builds
+        the shards' plans)."""
+        return sum(e.build_seconds for e in self.engines)
+
+    @property
+    def arbitration_seconds(self) -> float:
+        return sum(e.arbitration_seconds for e in self.engines)
+
+    @property
+    def preprocessing_seconds(self) -> float:
+        return self.build_seconds + self.arbitration_seconds
 
     @property
     def plan_keys(self) -> list[str]:
@@ -635,16 +646,22 @@ class ShardedSpMV(Reorderable):
         :meth:`TileSpMV.update_values` fast path, and the A.T operand is
         rebuilt on the next transpose.
         """
-        data = self._values(values)
+        # The copy keeps the operands independent of the caller's array.
+        return self._adopt_values(self._values(values).copy())
+
+    def _adopt_values(self, data: np.ndarray) -> "ShardedSpMV":
+        """:meth:`update_values` of a checked array the engine owns from
+        now on: the blocks and shards take slices and gathers of it
+        with no further copy."""
         with tele.span("sharded_update_values", cat="build", shards=self.shards):
             for b, (lo, hi) in enumerate(self._block_nnz):
                 block = data[lo:hi]
                 if not self._row_ops:
-                    self.engines[b].update_values(block)
+                    self.engines[b]._adopt_values(block)
                     continue
-                self._row_ops[b] = refill_operand(self._row_ops[b], block.copy())
+                self._row_ops[b] = refill_operand(self._row_ops[b], block)
                 for i, pos in zip(self.block_cells(b), self._positions(b)):
-                    self.engines[i].update_values(block[pos])
+                    self.engines[i]._adopt_values(block[pos])
         self._t_op = None
         return self
 

@@ -491,7 +491,8 @@ class ReorderedSpMV:
         data = np.asarray(values, dtype=np.float64)
         if data.shape != (self.nnz,):
             raise ValueError(f"expected {self.nnz} values, got {data.shape}")
-        self.inner.update_values(data[self._data_perm])
+        # The gather is a fresh array: the inner engine takes it as is.
+        self.inner._adopt_values(data[self._data_perm])
         self._t_op = None
         return self
 

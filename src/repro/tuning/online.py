@@ -327,7 +327,7 @@ class OnlineTuner:
             engine = getattr(engine, "inner", engine)
         else:
             method = engine.method
-            tile = engine._plan.tileset.tile
+            tile = engine._plan.tile
             build_kwargs = {
                 "selection": engine.selection,
                 "tbalance": engine.tbalance,

@@ -22,6 +22,7 @@ import repro.baselines.hyb_global
 import repro.baselines.merge
 import repro.core.deferred
 import repro.core.kernels.costs
+import repro.core.plancache
 import repro.core.selection
 import repro.core.storage
 import repro.core.tilespmv
@@ -341,7 +342,7 @@ def patch_in(monkeypatch) -> None:
     monkeypatch.setitem(repro.core.storage._ENCODERS, FormatID.BITMAP, encode_bitmap)
     monkeypatch.setitem(repro.core.storage._ENCODERS, FormatID.HYB, encode_hyb)
     monkeypatch.setattr(repro.core.storage, "encode_hyb", encode_hyb)
-    monkeypatch.setattr(repro.core.tilespmv, "tile_decompose", tile_decompose)
+    monkeypatch.setattr(repro.core.plancache, "tile_decompose", tile_decompose)
     monkeypatch.setattr(costs, "coo_costs", coo_costs)
     monkeypatch.setattr(costs, "dnscol_costs", dnscol_costs)
     for mod in (repro.baselines.csr_scalar, repro.baselines.merge, repro.baselines.hyb_global):

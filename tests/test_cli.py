@@ -121,6 +121,20 @@ def test_experiment_csv_export(tmp_path, capsys):
     assert "gflops_adpt" in header and "speedup_adpt_over_csr" in header
 
 
+@pytest.mark.parametrize("command", [["spmv"], ["batch", "--k", "4"]])
+def test_reported_preprocessing_is_the_build(capsys, tmp_path, command):
+    # The timing readers build the plan: a reader that returned 0
+    # without building would print 0.0 ms here.
+    path = tmp_path / "big.mtx"
+    write_matrix_market(path, random_uniform(3000, 3000, 8, seed=4))
+    assert main([command[0], str(path), "--method", "adpt", *command[1:]]) == 0
+    out = capsys.readouterr().out
+    found = re.search(r"preprocessing: ([0-9.]+) ms", out)
+    assert found and float(found.group(1)) > 0, out
+    build = re.search(r"\(build ([0-9.]+) ms", out)
+    assert build is None or float(build.group(1)) > 0, out
+
+
 def test_batch_command(capsys, mtx_file):
     assert main(["batch", mtx_file, "--k", "8"]) == 0
     out = capsys.readouterr().out
