@@ -21,6 +21,7 @@ from repro.formats import (
     encode_hyb,
 )
 from repro.matrices import random_uniform
+from repro.reliability.validation import canonicalize_csr
 
 ENCODERS = {
     "csr": encode_csr,
@@ -33,21 +34,26 @@ ENCODERS = {
 
 
 @pytest.fixture(scope="module")
-def tileset():
-    return tile_decompose(random_uniform(3000, 3000, 16, seed=0))
+def operand():
+    return canonicalize_csr(random_uniform(3000, 3000, 16, seed=0))[0]
+
+
+@pytest.fixture(scope="module")
+def tileset(operand):
+    return tile_decompose(operand, validation="trust")
 
 
 class TestEncode:
     @pytest.mark.parametrize("name", sorted(ENCODERS))
-    def test_encode(self, benchmark, tileset, name):
-        payload = benchmark(ENCODERS[name], tileset.view)
+    def test_encode(self, benchmark, tileset, operand, name):
+        payload = benchmark(ENCODERS[name], tileset.view(operand.data))
         assert payload.nbytes_model() > 0
 
 
 class TestDecode:
     @pytest.mark.parametrize("name", ["csr", "coo", "ell", "hyb", "dns", "bitmap"])
-    def test_decode(self, benchmark, tileset, name):
-        payload = ENCODERS[name](tileset.view)
+    def test_decode(self, benchmark, tileset, operand, name):
+        payload = ENCODERS[name](tileset.view(operand.data))
         out = benchmark(payload.decode)
         assert len(out) in (3, 4)
 
@@ -56,11 +62,13 @@ class TestSingleFormatSpmv:
     @pytest.mark.parametrize(
         "fmt", [FormatID.CSR, FormatID.COO, FormatID.ELL, FormatID.HYB, FormatID.DNS, FormatID.BITMAP]
     )
-    def test_spmv(self, benchmark, tileset, fmt):
+    def test_spmv(self, benchmark, tileset, operand, fmt):
+        """Every format executes the canonical CSR operand; the payloads
+        (built here) are priced, not run."""
         tm = TileMatrix.build(tileset, np.full(tileset.n_tiles, fmt, dtype=np.uint8))
         x = np.ones(tileset.n)
-        y = benchmark(tm.spmv, x)
-        assert y.shape == (tileset.m,)
+        y = benchmark(operand.__matmul__, x)
+        assert y.shape == (tm.shape[0],)
 
 
 class TestPreprocessingPhases:

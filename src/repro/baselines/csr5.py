@@ -17,8 +17,6 @@ payload through the inverse tile permutation.
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -60,23 +58,39 @@ class Csr5SpMV:
         from repro.reliability.validation import canonicalize_csr
 
         csr, self.validation_report = canonicalize_csr(matrix, validation)
-        self.indptr = csr.indptr.astype(np.int64)
-        self.indices = csr.indices.astype(np.int64)
+        self._build_tiles(csr.indptr, csr.indices, csr.shape, sigma)
         self.data = csr.data.astype(np.float64)
-        self.m, self.n = csr.shape
-        self.sigma = sigma or _auto_sigma(self.m, self.nnz)
-        self._build_tiles()
+        valid = self.stored_valid
+        self.stored_val = np.zeros(valid.size)
+        self.stored_val[valid] = self.data[self.perm[valid]]
+
+    @classmethod
+    def layout(cls, indptr: np.ndarray, indices: np.ndarray, shape: tuple[int, int]) -> "Csr5SpMV":
+        """The CSR5 structure of a canonical pattern, without values
+        (``data`` and ``stored_val`` are ``None``): everything
+        :meth:`run_cost` and :meth:`nbytes_model` read.  A DeferredCOO
+        plan prices its CSR5 half with one; its products run the
+        engine's operand."""
+        engine = cls.__new__(cls)
+        engine.validation_report = None
+        engine._build_tiles(indptr, indices, shape, None)
+        engine.data = engine.stored_val = None
+        return engine
 
     @property
     def nnz(self) -> int:
-        return self.data.size
+        return self.indices.size
 
     @property
     def tile_nnz(self) -> int:
         return OMEGA * self.sigma
 
-    def _build_tiles(self) -> None:
-        """Build tile_ptr, the transposed payload and the bit flags."""
+    def _build_tiles(self, indptr, indices, shape, sigma) -> None:
+        """Build tile_ptr, the transposed layout and the bit flags."""
+        self.indptr = np.asarray(indptr).astype(np.int64)
+        self.indices = np.asarray(indices).astype(np.int64)
+        self.m, self.n = shape
+        self.sigma = sigma or _auto_sigma(self.m, self.nnz)
         tn = self.tile_nnz
         nnz = self.nnz
         self.n_tiles = -(-nnz // tn) if nnz else 0
@@ -89,9 +103,7 @@ class Csr5SpMV:
         base = (np.arange(padded) // tn) * tn
         self.perm = base + w * self.sigma + s
         valid = self.perm < nnz
-        self.stored_val = np.zeros(padded)
         self.stored_col = np.zeros(padded, dtype=np.int64)
-        self.stored_val[valid] = self.data[self.perm[valid]]
         self.stored_col[valid] = self.indices[self.perm[valid]]
         self.stored_valid = valid
         # Row-start bit flags in stored order.  A stored position is
@@ -183,24 +195,6 @@ class Csr5SpMV:
                                   shape=(self.m, self.n)) @ x
                 )
         return np.asarray(self._spmm_csr @ x)
-
-    def with_values(self, data: np.ndarray) -> "Csr5SpMV":
-        """A new engine with the same structure and new values.
-
-        ``data`` is aligned with the canonical CSR order of the original
-        matrix.  Tile permutation, bit flags and row maps are shared by
-        reference; only the value arrays are rebuilt — the
-        ``update_values`` fast path.
-        """
-        data = np.asarray(data, dtype=np.float64)
-        if data.shape != self.data.shape:
-            raise ValueError(f"expected {self.data.size} values, got {data.size}")
-        clone = copy.copy(self)
-        clone.data = data
-        clone.stored_val = np.zeros(self.stored_val.size)
-        clone.stored_val[self.stored_valid] = data[self.perm[self.stored_valid]]
-        clone._spmm_csr = None
-        return clone
 
     def descriptor_bytes(self) -> int:
         """Per-tile metadata: bit flags + tile_ptr + y/seg offsets."""

@@ -561,11 +561,13 @@ def _cmd_trace(args) -> int:
 
         sm = rt._served(ids[0])
         first = sm.engine.engine
-        if first.tiled is not None:
-            lane_accurate_spmv(first.tiled, np.ones(first.shape[1]))
+        tiled, _ = first.halves()
+        if tiled is not None:
+            lane_accurate_spmv(first.tiled, tiled.data, np.ones(first.shape[1]))
 
         # One warm rebuild through the runtime's plan cache (the hit
-        # path), priced so it adopts the cached build.
+        # path), priced: it reads the plan already built and builds
+        # nothing, so it adds a canonicalize span and no tile_build.
         from repro.core.tilespmv import TileSpMV
 
         TileSpMV(sm.engine.canonical_csr(), plan_cache=rt.plan_cache,

@@ -12,8 +12,9 @@ Here the split is the representation the cost model prices (two
 launches, each half's payload and schedule).  Execution does not fork:
 :class:`~repro.core.tilespmv.TileSpMV` executes the full canonical CSR
 matrix, the same operand ADPT runs, so DeferredCOO products are
-bit-for-bit ADPT's.  Both halves are masks of that matrix in its
-canonical order, so the split sorts nothing and re-tiles nothing.
+bit-for-bit ADPT's.  Both halves are masks of that matrix's pattern in
+its canonical order, so the split sorts nothing and re-tiles nothing;
+like the tile set it is cut from, it holds no values.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
+from repro.baselines.csr5 import Csr5SpMV
 from repro.core.selection import SelectionConfig, select_formats
-from repro.core.storage import TileMatrix, masked_csr
+from repro.core.storage import TileMatrix, masked_pattern
 from repro.core.tiling import TileSet
 from repro.formats import FormatID
 from repro.formats.tile_hyb import hyb_split_widths
@@ -38,14 +39,15 @@ class DeferredSplit:
     """Result of the DeferredCOO extraction.
 
     ``extracted`` masks the extracted entries ``m`` in the canonical
-    order of the full matrix ``c`` (``tileset.csr``).  ``deferred`` is
-    ``c[m]``; ``tiled`` is the TileMatrix of ``c[~m]`` (COO tiles gone,
-    HYB tiles demoted to their ELL part; ``None`` when everything was
-    extracted).
+    order of the full matrix ``c`` (the pattern the tile set was cut
+    from).  ``deferred`` is the CSR5 layout of ``c[m]``; ``tiled`` is
+    the TileMatrix of ``c[~m]`` (COO tiles gone, HYB tiles demoted to
+    their ELL part; ``None`` when everything was extracted).  Their
+    values are ``c.data[m]`` and ``c.data[~m]``.
     """
 
     tiled: TileMatrix | None
-    deferred: sp.csr_matrix
+    deferred: Csr5SpMV
     extracted: np.ndarray
 
     @property
@@ -84,7 +86,9 @@ def split_deferred_coo(
 
     extracted = np.empty(tileset.nnz, dtype=bool)
     extracted[tileset.entry_perm] = extract  # view order -> canonical order
-    deferred = masked_csr(tileset.csr, extracted)
+    deferred = Csr5SpMV.layout(
+        *masked_pattern(tileset.indptr, tileset.indices, extracted), (tileset.m, tileset.n)
+    )
     keep = ~extract
     if not keep.any():
         return DeferredSplit(tiled=None, deferred=deferred, extracted=extracted)
@@ -97,6 +101,7 @@ def split_deferred_coo(
     # The dtypes tiling c[~m] picks (see tile_decompose).
     idx = index_dtype(max(rest.nnz, tileset.m, tileset.n))
     tile_rowidx = tileset.tile_rowidx[kept].astype(idx)
+    indptr, indices = masked_pattern(tileset.indptr, tileset.indices, ~extracted)
     remainder = replace(
         tileset,
         tile_ptr=lengths_to_offsets(np.bincount(tile_rowidx, minlength=tileset.tile_rows)),
@@ -110,7 +115,8 @@ def split_deferred_coo(
         ),
         # A kept entry's new canonical slot: kept entries before it.
         entry_perm=lengths_to_offsets(~extracted)[tileset.entry_perm[keep]].astype(idx),
-        csr=masked_csr(tileset.csr, ~extracted),
+        indptr=indptr,
+        indices=indices,
     )
     # Carry the original per-tile decisions over; HYB keeps its ELL part.
     formats = formats[kept]

@@ -15,16 +15,18 @@ everything that depends on structure only:
   DeferredCOO split per strategy,
 * the :class:`~repro.core.scheduler.WarpSchedule`.
 
-A miss stores the plan unbuilt, as its canonical CSR: the artifacts
-above are built the first time an engine on the plan prices or
-inspects it, once, and shared by every engine on it.  A second
-``TileSpMV`` construction with the same pattern is a cache hit and
-never re-tiles; if the *values* changed, the cached plan is refreshed
-through the ``with_values`` fast path (an operand refill only — no
-sort, no selection, no extraction; payload values are rebuilt from the
-operand on first read).  Hit/miss/eviction
-counters are exposed via :meth:`PlanCache.stats` / :meth:`describe` and
-surfaced by the CLI and ``TileSpMV.describe``.
+A plan is a pattern: it holds the canonical ``indptr``/``indices``,
+the shape and the value dtype, and what is built from them.  It holds
+no values; each engine owns its values, in its operand.  A miss stores
+the plan unbuilt: the artifacts above are built the first time an
+engine on the plan prices or inspects it, once, and shared by every
+engine on it.  A second ``TileSpMV`` construction with the same pattern
+is a cache hit and never re-tiles, whatever its values: its operand
+shares the plan's index arrays and owns its own ``data``.  A reader
+that needs values (payloads, decodes, ``validate``) takes them from the
+engine's operand when it reads.  Hit/miss/eviction counters are
+exposed via :meth:`PlanCache.stats` / :meth:`describe` and surfaced by
+the CLI and ``TileSpMV.describe``.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from repro.core.deferred import split_deferred_coo
 from repro.core.kernels.params import KernelCostParams
 from repro.core.scheduler import DEFAULT_TBALANCE, WarpSchedule, build_schedule
 from repro.core.selection import SelectionConfig, select_formats
-from repro.core.storage import TileMatrix, refill_operand
+from repro.core.storage import TileMatrix
 from repro.core.tiling import TileSet, tile_decompose
 from repro.formats import FormatID
 from repro.gpu.costmodel import RunCost
@@ -53,22 +55,8 @@ __all__ = [
     "PlanCache",
     "CachedPlan",
     "MethodPlan",
-    "canonical_csr",
     "structural_fingerprint",
-    "value_digest",
 ]
-
-
-def canonical_csr(matrix: sp.spmatrix) -> sp.csr_matrix:
-    """CSR with merged duplicates and sorted indices.
-
-    The canonical form anchors both the structural fingerprint and the
-    value order that ``update_values`` / plan refreshes rely on.
-    """
-    csr = matrix.tocsr()
-    if not csr.has_sorted_indices:
-        csr = csr.sorted_indices()
-    return csr
 
 
 def structural_fingerprint(
@@ -79,9 +67,11 @@ def structural_fingerprint(
     Two matrices with equal fingerprints produce byte-identical tile
     structure, format vectors and schedules, so their plans are
     interchangeable up to values.  The value *dtype* is part of the key:
-    a float32 matrix must not silently reuse payloads cached for a
-    float64 twin of the same pattern (their value digests are computed
-    after a float64 cast and can collide).  ``extra`` folds additional
+    a float32 matrix does not share a plan with a float64 twin of the
+    same pattern.  ``indptr`` and ``indices`` are hashed in place, each
+    after a tag naming its dtype: the tag fixes how many bytes
+    ``indptr`` spans (``m + 1`` items), so no pattern's bytes can read
+    as another's in a different index dtype.  ``extra`` folds additional
     plan-shaping inputs into the key — the reorder tag and the per-tile
     format-override digest of a tuned plan — so a re-tuned plan never
     aliases the plan it was derived from (the serving layer keys
@@ -95,39 +85,31 @@ def structural_fingerprint(
     h.update(repr(selection).encode())
     if extra:
         h.update(extra.encode())
-    # hashlib reads each array's buffer in place.
-    h.update(np.ascontiguousarray(csr.indptr, dtype=np.int64))
-    h.update(np.ascontiguousarray(csr.indices, dtype=np.int64))
+    for arr in (csr.indptr, csr.indices):
+        h.update(arr.dtype.str.encode())
+        h.update(np.ascontiguousarray(arr))  # read in place
     return h.hexdigest()
-
-
-def value_digest(data: np.ndarray) -> str:
-    """Digest of the value array (decides artifact sharing vs refresh)."""
-    return hashlib.blake2b(
-        np.ascontiguousarray(data, dtype=np.float64).tobytes(), digest_size=16
-    ).hexdigest()
 
 
 @dataclass
 class MethodPlan:
     """Built artifacts for one resolved strategy of a plan.
 
-    ``operand`` executes every product: the canonical CSR matrix the
-    plan's tile set was cut from.  For ``csr``/``adpt`` it is the tiled
-    matrix's own operand.  DeferredCOO prices two halves (the tiled
-    matrix and the CSR5 engine) but executes the full matrix;
-    ``extracted`` masks, in the operand's canonical order, the entries
-    the CSR5 half holds — the tiled half holds the rest, in the same
-    order — which carries new values into the halves.  ``costs``
-    memoizes :meth:`run_cost` per pricing setting; no price reads a
-    value, so every value generation shares it.
+    Structure only, like the plan: every product executes the engine's
+    operand, the canonical CSR matrix of the plan's pattern.  For
+    ``csr``/``adpt`` the tiled matrix covers all of it.  DeferredCOO
+    prices two halves (the tiled matrix and the CSR5 layout) but
+    executes the full matrix; ``extracted`` masks, in the operand's
+    canonical order, the entries the CSR5 half holds — the tiled half
+    holds the rest, in the same order — so a reader takes each half's
+    values from the operand.  ``costs`` memoizes :meth:`run_cost` per
+    pricing setting; no price reads a value.
     """
 
     method: str
     tiled: TileMatrix | None
     deferred: Csr5SpMV | None
     schedule: WarpSchedule | None
-    operand: sp.csr_matrix
     extracted: np.ndarray | None = None
     costs: dict = field(default_factory=dict, repr=False)
 
@@ -151,42 +133,26 @@ class MethodPlan:
             self.costs[(params, tbalance)] = cost
         return replace(cost)
 
-    def with_values(self, data: np.ndarray) -> "MethodPlan":
-        """Same structure, new values in operand order.
-
-        The operand is canonical (row, ascending column) CSR of the
-        planned matrix, so ``data`` is that matrix's CSR value array.
-        The caller must not mutate ``data`` afterwards.
-        """
-        if self.extracted is None:
-            tiled = self.tiled.with_operand_data(data)
-            return replace(self, tiled=tiled, operand=tiled.operand)
-        m = self.extracted
-        return replace(
-            self,
-            tiled=None if self.tiled is None else self.tiled.with_operand_data(data[~m]),
-            deferred=None if self.deferred is None else self.deferred.with_values(data[m]),
-            operand=refill_operand(self.operand, data),
-        )
-
 
 @dataclass
 class CachedPlan:
     """Everything reusable across constructions sharing one pattern.
 
-    A plan is stored unbuilt: ``csr`` is its canonical matrix (the
-    pattern, and the values of the construction that last refreshed
-    it), and ``tile``/``selection``/``tbalance``/``formats_override``
-    are the build inputs the fingerprint covers.  The tile set, the
-    ADPT format vector, the warp schedule and each strategy's
-    :class:`MethodPlan` are built on first read (:meth:`cut_tiles`,
-    :meth:`method`), once per plan, from :attr:`csr`, and shared by
-    every engine on it; an engine whose values are not the plan's
-    takes a value clone (:meth:`MethodPlan.with_values`).
+    A plan is stored unbuilt: ``indptr``/``indices`` are its canonical
+    pattern (shared with the operand of the engine that stored it),
+    ``shape``/``dtype`` the matrix's, and ``tile``/``selection``/
+    ``tbalance``/``formats_override`` the build inputs the fingerprint
+    covers.  The tile set, the ADPT format vector, the warp schedule and
+    each strategy's :class:`MethodPlan` are built on first read
+    (:meth:`cut_tiles`, :meth:`method`), once per plan, and shared by
+    every engine on it.  No artifact holds a value.
     """
 
     key: str
-    csr: sp.csr_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
+    shape: tuple[int, int]
+    dtype: np.dtype
     tile: int = 16
     selection: SelectionConfig = field(default_factory=SelectionConfig)
     tbalance: int = DEFAULT_TBALANCE
@@ -196,45 +162,17 @@ class CachedPlan:
     schedule: WarpSchedule | None = None  # full-tileset schedule (lazy)
     methods: dict = field(default_factory=dict)  # build method -> MethodPlan
     tilings_saved: int = 0  # constructions served without re-tiling
-    # value_digest of the plan's values; only a cache hit reads it.
-    _digest: str | None = field(default=None, init=False, repr=False)
-
-    def values_digest(self) -> str:
-        """Digest of the values the plan holds, computed on first read
-        from :attr:`csr` (a miss never pays for it)."""
-        if self._digest is None:
-            self._digest = value_digest(self.csr.data)
-        return self._digest
-
-    def refresh_values(self, csr_data: np.ndarray, digest: str) -> None:
-        """Swap in a new value array, keeping every structural artifact.
-
-        :attr:`csr` and any built artifact are *replaced*, never
-        mutated, so engines holding the previous generation keep
-        working on it.  ``csr_data`` (canonical CSR order) is every
-        operand's order, so each built method refills through
-        :meth:`MethodPlan.with_values`, the refill
-        :meth:`TileSpMV.update_values
-        <repro.core.tilespmv.TileSpMV.update_values>` makes too.
-        """
-        data = np.array(csr_data, dtype=np.float64)
-        self.csr = refill_operand(self.csr, data)
-        if self.tileset is not None:
-            self.tileset = self.tileset.with_values(data)
-        for name, mp in list(self.methods.items()):
-            self.methods[name] = mp.with_values(data)
-        self._digest = digest
 
     # -- the build, on first read ------------------------------------------
 
-    def cut_tiles(self) -> float:
-        """Cut the tile set from :attr:`csr` once; returns the seconds
-        spent now.  The tile set keeps that CSR as its operand, so every
-        artifact of a plan carries the plan's values."""
+    def cut_tiles(self, operand: sp.csr_matrix) -> float:
+        """Cut the tile set once from ``operand``, an engine's matrix on
+        the plan's pattern (the tile set keeps its index arrays, not its
+        values); returns the seconds spent now."""
         if self.tileset is not None:
             return 0.0
         t0 = time.perf_counter()
-        self.tileset = tile_decompose(self.csr, tile=self.tile, validation="trust")
+        self.tileset = tile_decompose(operand, tile=self.tile, validation="trust")
         return time.perf_counter() - t0
 
     def _adpt_formats(self) -> np.ndarray:
@@ -283,13 +221,11 @@ class CachedPlan:
                 if name == "csr"
                 else self._adpt_formats()
             )
-            tiled = TileMatrix.build(tileset, formats)
             mp = MethodPlan(
                 method=name,
-                tiled=tiled,
+                tiled=TileMatrix.build(tileset, formats),
                 deferred=None,
                 schedule=self._full_schedule(),
-                operand=tiled.operand,
             )
         else:  # deferred_coo: reuse the shared selection, never re-select
             split = split_deferred_coo(tileset, self.selection, formats=self._adpt_formats())
@@ -297,17 +233,12 @@ class CachedPlan:
             mp = MethodPlan(
                 method=name,
                 tiled=tiled,
-                deferred=(
-                    Csr5SpMV(split.deferred, validation="trust")
-                    if split.deferred.nnz
-                    else None
-                ),
+                deferred=split.deferred if split.deferred.nnz else None,
                 schedule=(
                     build_schedule(tiled.tileset.tile_ptr, self.tbalance)
                     if tiled is not None
                     else None
                 ),
-                operand=tileset.csr,
                 extracted=split.extracted,
             )
         self.methods[name] = mp

@@ -2,10 +2,11 @@
 
 Preprocessing is the expensive step (Fig 11); a solver that reuses a
 matrix across runs wants to pay it once.  ``save``/``load`` round-trip a
-built :class:`~repro.core.storage.TileMatrix` through a single ``.npz``
-file holding exactly the paper's arrays — the level-1 structure and the
-per-format payloads.  Loading decodes the payloads into the operand: the
-one build path that still derives the executing CSR from payloads.
+built :class:`~repro.core.storage.TileMatrix` and the values of its
+operand through a single ``.npz`` file holding exactly the paper's
+arrays — the level-1 structure and the per-format payloads, values
+included.  Loading decodes the payloads into the operand: the one build
+path that still derives the executing CSR from payloads.
 
 The same ``.npz`` container doubles as the **block wire format** of
 the process-pool backend (:mod:`repro.dist.procpool`):
@@ -84,9 +85,11 @@ def _rebuild_payload(cls, prefix: str, data: dict):
     return cls(**kwargs)
 
 
-def save_tile_matrix(path: str | Path, tm: TileMatrix) -> None:
-    """Persist a built TileMatrix as a compressed ``.npz``."""
+def save_tile_matrix(path: str | Path, tm: TileMatrix, data: np.ndarray) -> None:
+    """Persist a built TileMatrix carrying ``data`` (its operand's
+    values, canonical CSR order) as a compressed ``.npz``."""
     ts = tm.tileset
+    view = ts.view(data)
     arrays: dict = {
         "meta.m": np.int64(ts.m),
         "meta.n": np.int64(ts.n),
@@ -95,21 +98,22 @@ def save_tile_matrix(path: str | Path, tm: TileMatrix) -> None:
         "level1.tile_colidx": ts.tile_colidx,
         "level1.tile_rowidx": ts.tile_rowidx,
         "level1.formats": tm.formats,
-        "view.lrow": ts.view.lrow,
-        "view.lcol": ts.view.lcol,
-        "view.val": ts.view.val,
-        "view.offsets": ts.view.offsets,
-        "view.eff_h": ts.view.eff_h,
-        "view.eff_w": ts.view.eff_w,
+        "view.lrow": view.lrow,
+        "view.lcol": view.lcol,
+        "view.val": view.val,
+        "view.offsets": view.offsets,
+        "view.eff_h": view.eff_h,
+        "view.eff_w": view.eff_w,
     }
-    for fmt, payload in tm.payloads.items():
+    for fmt, payload in tm.payloads(data).items():
         arrays[f"tile_ids.{int(fmt)}"] = tm.tile_ids[fmt]
         _flatten_payload(f"payload.{int(fmt)}", payload, arrays)
     np.savez_compressed(path, **arrays)
 
 
-def load_tile_matrix(path: str | Path) -> TileMatrix:
-    """Load a TileMatrix saved by :func:`save_tile_matrix`."""
+def load_tile_matrix(path: str | Path) -> tuple[TileMatrix, sp.csr_matrix]:
+    """Load what :func:`save_tile_matrix` saved: ``(tile matrix,
+    operand)``, the operand decoded from the payloads."""
     with np.load(path) as data:
         arrays = {k: data[k] for k in data.files}
     pattern = TilesView(
@@ -130,7 +134,8 @@ def load_tile_matrix(path: str | Path) -> TileMatrix:
         tile_rowidx=arrays["level1.tile_rowidx"],
         pattern=pattern,
         entry_perm=None,
-        csr=None,
+        indptr=None,
+        indices=None,
     )
     payloads: dict = {}
     tile_ids: dict = {}
@@ -142,17 +147,20 @@ def load_tile_matrix(path: str | Path) -> TileMatrix:
         payloads[fmt] = _rebuild_payload(_PAYLOAD_TYPES[fmt], f"payload.{int(fmt)}", arrays)
     # Canonical slot of every view entry: its rank in (row, column) order.
     key = structure.global_rows() * structure.n + structure.global_cols()
+    operand = decode_csr(structure, payloads, tile_ids)
     tileset = replace(
         structure,
         entry_perm=np.argsort(np.argsort(key, kind="stable")),
-        csr=decode_csr(structure, payloads, tile_ids),
+        indptr=operand.indptr,
+        indices=operand.indices,
     )
     # Built like any plan: structure encoded from the pattern (HYB split
-    # widths pinned to the saved ones), values derived from the operand.
+    # widths pinned to the saved ones); values stay in the operand.
     hyb = payloads.get(FormatID.HYB)
-    return TileMatrix.build(
+    tm = TileMatrix.build(
         tileset, arrays["level1.formats"], None if hyb is None else hyb.ell.width
     )
+    return tm, operand
 
 
 # -- shard-plan wire format (process-pool backend) -------------------------

@@ -26,6 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.tiling import TileSet, tile_decompose
+from repro.reliability.validation import canonicalize_csr
 
 __all__ = ["SpgemmStats", "tile_spgemm"]
 
@@ -45,12 +46,13 @@ class SpgemmStats:
         return self.tile_pairs / self.c_tiles if self.c_tiles else 0.0
 
 
-def _dense_tiles(ts: TileSet) -> np.ndarray:
-    """(n_tiles, tile, tile) dense materialisation of every tile."""
+def _dense_tiles(ts: TileSet, data: np.ndarray) -> np.ndarray:
+    """(n_tiles, tile, tile) dense materialisation of every tile, values
+    ``data`` (canonical CSR order)."""
     t = ts.tile
     out = np.zeros((ts.n_tiles, t, t))
-    tile_of_entry = ts.view.tile_of_entry()
-    out[tile_of_entry, ts.view.lrow.astype(np.int64), ts.view.lcol.astype(np.int64)] = ts.view.val
+    view = ts.view(data)
+    out[view.tile_of_entry(), view.lrow.astype(np.int64), view.lcol.astype(np.int64)] = view.val
     return out
 
 
@@ -81,8 +83,9 @@ def tile_spgemm(
     """
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    ts_a = tile_decompose(a, tile=tile)
-    ts_b = tile_decompose(b, tile=tile)
+    ca, cb = canonicalize_csr(a)[0], canonicalize_csr(b)[0]
+    ts_a = tile_decompose(ca, tile=tile, validation="trust")
+    ts_b = tile_decompose(cb, tile=tile, validation="trust")
     m, n = a.shape[0], b.shape[1]
     if ts_a.n_tiles == 0 or ts_b.n_tiles == 0:
         c = sp.csr_matrix((m, n))
@@ -115,8 +118,8 @@ def tile_spgemm(
     pair_ci = a_tile_row[pair_a].astype(np.int64)
 
     # Numeric phase: batched dense tile products, accumulated per C tile.
-    dense_a = _dense_tiles(ts_a)
-    dense_b = _dense_tiles(ts_b)
+    dense_a = _dense_tiles(ts_a, ca.data)
+    dense_b = _dense_tiles(ts_b, cb.data)
     c_key = pair_ci * pat_b.shape[1] + pair_cj
     uniq_keys, c_of_pair = np.unique(c_key, return_inverse=True)
     n_ctiles = uniq_keys.size

@@ -3,20 +3,20 @@
 A :class:`TileMatrix` owns the level-1 tile structure (from
 :mod:`repro.core.tiling`), the per-tile format assignment (from
 :mod:`repro.core.selection`) and the seven format payloads (from
-:mod:`repro.formats`).  Its **operand**, which executes every product,
-is the canonical (row, ascending column) CSR matrix the tile set was cut
-from, and the only array of entry values a plan holds.  The payloads are
-what the cost model prices, and pricing reads their structure alone;
-:meth:`~TileMatrix.validate` and the round-trip tests hold their decode
-to the operand bit for bit.  A value update refills the operand alone;
-view and payload values are derived from it on first read.  A
-``TileSpMV`` builds its tile matrix only when something first prices
-or inspects it; every product runs the operand without one.
+:mod:`repro.formats`), all as structure: it holds no values.  The
+values live in the engine's **operand**, the canonical (row, ascending
+column) CSR matrix of the pattern the tile set was cut from, which
+executes every product.  The payloads are what the cost model prices,
+and pricing reads their structure alone.  A reader that needs values
+(:meth:`~TileMatrix.payloads`, :meth:`~TileMatrix.to_csr`,
+:meth:`~TileMatrix.validate`) takes them from that operand when it
+reads; :meth:`~TileMatrix.validate` and the round-trip tests hold the
+decode to the operand bit for bit.  A ``TileSpMV`` builds its tile
+matrix only when something first prices or inspects it; every product
+runs the operand without one.
 """
 
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,6 +46,7 @@ __all__ = [
     "decode_csr",
     "faulted_operand",
     "masked_csr",
+    "masked_pattern",
     "refill_operand",
     "same_csr",
 ]
@@ -103,12 +104,17 @@ def same_csr(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
     )
 
 
+def masked_pattern(indptr: np.ndarray, indices: np.ndarray, keep: np.ndarray):
+    """``(indptr, indices)`` of the entries the boolean ``keep`` selects,
+    in order, in the index dtype of ``indices``."""
+    kept_before = lengths_to_offsets(keep)
+    return kept_before[indptr].astype(indices.dtype), indices[keep]
+
+
 def masked_csr(csr: sp.csr_matrix, keep: np.ndarray) -> sp.csr_matrix:
     """The entries of ``csr`` that the boolean ``keep`` selects, in order."""
-    kept_before = lengths_to_offsets(keep)
-    return sp.csr_matrix(
-        (csr.data[keep], csr.indices[keep], kept_before[csr.indptr]), shape=csr.shape
-    )
+    indptr, indices = masked_pattern(csr.indptr, csr.indices, keep)
+    return sp.csr_matrix((csr.data[keep], indices, indptr), shape=csr.shape)
 
 
 def refill_operand(op: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:
@@ -158,17 +164,15 @@ class TileMatrix:
     """A sparse matrix in the two-level TileSpMV representation.
 
     A matrix holds its tile set (level-1 arrays, the tile-sorted entry
-    structure and the canonical CSR they were cut from), its format
+    structure and the canonical pattern they were cut from), its format
     vector, and each format's payload as *structure*: every array but
-    the values.  That CSR is the operand, the one holder of the values;
-    it executes every product.  Pricing (:meth:`kernel_costs`,
-    :meth:`run_cost`, :meth:`nbytes_model`, :meth:`format_histogram`)
-    reads structure only.  :attr:`payloads`, the full encoded payloads,
-    are encoded from the operand's values on first read: bit for bit
-    what an eager encode stores.  A *value clone*
-    (:meth:`with_operand_data`) shares every structural array and owns
-    only a refilled operand, so a value update writes only what the
-    products read.
+    the values.  Pricing (:meth:`kernel_costs`, :meth:`run_cost`,
+    :meth:`nbytes_model`, :meth:`format_histogram`) reads structure
+    only.  The value readers take ``data``, a value array of the
+    pattern in canonical CSR order (an engine's operand values):
+    :meth:`payloads` encodes the full payloads from it, bit for bit
+    what an eager encode stores, so one tile matrix serves every value
+    array of its pattern.
     """
 
     def __init__(self, tileset: TileSet, formats: np.ndarray, structure: dict, tile_ids: dict) -> None:
@@ -176,12 +180,6 @@ class TileMatrix:
         self.tile_ids = tile_ids  # FormatID -> global tile idx
         self.tileset = tileset
         self.structure = structure  # FormatID -> payload without values
-        self._payloads: dict | None = None  # encoded on first read
-
-    @property
-    def operand(self) -> sp.csr_matrix:
-        """The executor: the canonical CSR the tile set was cut from."""
-        return self.tileset.csr
 
     # -- construction ------------------------------------------------------
 
@@ -204,83 +202,41 @@ class TileMatrix:
         structure, tile_ids = encode_payloads(tileset.pattern, formats, hyb_widths)
         return cls(tileset, formats, structure, tile_ids)
 
-    def with_operand_data(self, data: np.ndarray) -> "TileMatrix":
-        """Same structure, new entry values given in operand order.
+    # -- values, read from the caller's operand ------------------------------
 
-        The one refill: the clone shares every structural array and
-        owns a refilled operand; its view values and payloads are
-        derived from it on first read.  No encoder runs and nothing is
-        sorted; the caller must not mutate ``data`` afterwards.  Returns
-        a new object (cached plans may share this one).
-        """
-        data = np.asarray(data, dtype=np.float64)
-        if data.shape != (self.nnz,):
-            raise ValueError(f"expected {self.nnz} values, got {data.size}")
-        clone = copy.copy(self)  # structure shared by reference
-        clone.tileset = self.tileset.with_values(data)
-        clone._payloads = None
-        return clone
-
-    def _derive_values(self) -> None:
-        """Encode the payloads from the operand's values, the structure's
-        HYB split widths pinned so the encode matches it."""
+    def payloads(self, data: np.ndarray) -> dict:
+        """``FormatID`` -> encoded payload carrying ``data`` (canonical
+        CSR order), the structure's HYB split widths pinned so the
+        encode matches it.  Pricing reads :attr:`structure` instead."""
         hyb = self.structure.get(FormatID.HYB)
-        self._payloads, _ = encode_payloads(
-            self.tileset.view, self.formats, None if hyb is None else hyb.ell.width
+        payloads, _ = encode_payloads(
+            self.tileset.view(data), self.formats, None if hyb is None else hyb.ell.width
         )
+        return payloads
+
+    def to_csr(self, data: np.ndarray) -> sp.csr_matrix:
+        """Reconstruct a scipy CSR matrix from the payloads encoded with
+        ``data``.
+
+        The cold-path decode: products never run it.  It equals the
+        operand ``data`` came from bit for bit (``validate`` and the
+        round-trip tests hold the encoders to that).
+        """
+        return decode_csr(self.tileset, self.payloads(data), self.tile_ids)
 
     # -- basic properties ----------------------------------------------------
 
     @property
-    def payloads(self) -> dict:
-        """``FormatID`` -> encoded payload, values included (derived on
-        first read; pricing reads :attr:`structure`)."""
-        if self._payloads is None:
-            self._derive_values()
-        return self._payloads
-
-    @property
     def shape(self) -> tuple[int, int]:
-        return self.operand.shape
+        return (self.tileset.m, self.tileset.n)
 
     @property
     def nnz(self) -> int:
-        return self.operand.nnz
+        return self.tileset.nnz
 
     @property
     def n_tiles(self) -> int:
         return self.formats.size
-
-    # -- numerics ------------------------------------------------------------
-
-    def spmv(self, x: np.ndarray) -> np.ndarray:
-        """y = A @ x through the tiled representation's operand."""
-        x = np.asarray(x, dtype=np.float64)
-        n = self.operand.shape[1]
-        if x.shape != (n,):
-            raise ValueError(f"x must have shape ({n},)")
-        return faulted_operand(self.operand) @ x
-
-    def spmm(self, x: np.ndarray) -> np.ndarray:
-        """Y = A @ X for a dense block of vectors (tall-skinny X).
-
-        The natural SpMV extension for block Krylov methods: the operand
-        streams its index structure once for every column.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        n = self.operand.shape[1]
-        if x.ndim != 2 or x.shape[0] != n:
-            raise ValueError(f"X must have shape ({n}, k)")
-        return faulted_operand(self.operand) @ x
-
-    def to_csr(self) -> sp.csr_matrix:
-        """Reconstruct a scipy CSR matrix from the encoded payloads.
-
-        The cold-path decode: products never run it.  It equals the
-        operand bit for bit (``validate`` and the round-trip tests hold
-        the encoders to that).
-        """
-        return decode_csr(self.tileset, self.payloads, self.tile_ids)
 
     # -- accounting ------------------------------------------------------------
 
@@ -383,10 +339,12 @@ class TileMatrix:
 
     # -- invariants -----------------------------------------------------------------
 
-    def validate(self) -> None:
-        """Check the storage invariants; raises ``AssertionError`` on breakage."""
+    def validate(self, operand: sp.csr_matrix) -> None:
+        """Check the storage invariants against ``operand``, the
+        canonical CSR matrix whose values the payloads carry; raises
+        ``AssertionError`` on breakage."""
         ts = self.tileset
-        view = ts.view  # the entries as the payloads are encoded from them
+        view = ts.pattern
         assert np.all(np.diff(ts.tile_ptr) >= 0), "tilePtr must be monotone"
         assert np.all(np.diff(view.offsets) > 0), "occupied tiles must be nonempty"
         assert int(view.offsets[-1]) == ts.nnz, "tileNnz must cover all entries"
@@ -400,7 +358,7 @@ class TileMatrix:
         # columns in range and ascending within each row — the canonical
         # order every product and the sharded operands rely on.  A
         # ``trust`` plan keeps duplicate entries, so equal neighbours pass.
-        op = self.operand
+        op = operand
         assert op.shape == (ts.m, ts.n), "operand shape must match the matrix"
         assert op.nnz == ts.nnz, f"operand holds {op.nnz} entries != level-1 {ts.nnz}"
         indptr = np.asarray(op.indptr, dtype=np.int64)
@@ -414,4 +372,4 @@ class TileMatrix:
                 "operand columns must ascend within each row"
             )
         # The payloads encode exactly the matrix that executes.
-        assert same_csr(self.to_csr(), op), "decoded payloads differ from the operand (round-trip)"
+        assert same_csr(self.to_csr(op.data), op), "decoded payloads differ from the operand (round-trip)"

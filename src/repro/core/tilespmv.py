@@ -56,25 +56,12 @@ import scipy.sparse as sp
 from repro import telemetry as tele
 from repro.baselines.csr5 import Csr5SpMV
 from repro.core.kernels.params import KernelCostParams
-from repro.core.plancache import (
-    CachedPlan,
-    MethodPlan,
-    PlanCache,
-    canonical_csr,
-    structural_fingerprint,
-    value_digest,
-)
+from repro.core.plancache import CachedPlan, MethodPlan, PlanCache, structural_fingerprint
 from repro.matrices.reorder import Reorderable, ReorderPlan
-from repro.reliability.validation import ValidationPolicy, canonicalize_csr
+from repro.reliability.validation import ValidationPolicy, canonicalize_csr, pattern_values
 from repro.core.scheduler import DEFAULT_TBALANCE
 from repro.core.selection import SelectionConfig
-from repro.core.storage import (
-    TileMatrix,
-    faulted_operand,
-    masked_csr,
-    refill_operand,
-    same_csr,
-)
+from repro.core.storage import TileMatrix, faulted_operand, masked_csr, refill_operand
 from repro.formats import FormatID
 from repro.gpu.costmodel import RunCost
 from repro.gpu.device import A100, DeviceSpec
@@ -107,9 +94,10 @@ class TileSpMV(Reorderable):
     plan_cache:
         Optional :class:`~repro.core.plancache.PlanCache`.  When given,
         construction looks the matrix's structural fingerprint up first:
-        a hit reuses the cached plan (refilling values only if they
-        changed), a miss stores a new, unbuilt plan for the next
-        construction.
+        a hit reuses the cached plan whatever the values, a miss stores
+        a new, unbuilt plan for the next construction.  Either way the
+        engine's operand shares the plan's index arrays and owns its
+        values; a plan holds none.
     validation:
         :class:`~repro.reliability.validation.ValidationPolicy` for the
         input gate (default ``repair``: sort/merge/drop defects and
@@ -140,7 +128,8 @@ class TileSpMV(Reorderable):
     schedule and DeferredCOO split are built on the first read of
     anything that prices or inspects them (:meth:`run_cost`,
     :meth:`nbytes_model`, :attr:`tiled`, :meth:`validate`, ...), once
-    per plan; the engine reads them with its current values.
+    per plan.  They are structure; a reader that needs values
+    (:meth:`halves`, :meth:`validate`) takes them from the operand.
     Products and :meth:`update_values` never build.  ``auto`` builds
     at construction, since its arbitration reads prices.
 
@@ -174,9 +163,6 @@ class TileSpMV(Reorderable):
         self.params = params or KernelCostParams()
         self.plan_cache = plan_cache
         self.plan_key: str | None = None
-        # The priced artifacts (a MethodPlan carrying this engine's
-        # values), adopted from the plan on first read.
-        self._priced: MethodPlan | None = None
         # The A.T operand, built on the first spmv_transpose.
         self._t_op: sp.csr_matrix | None = None
 
@@ -199,32 +185,22 @@ class TileSpMV(Reorderable):
                 csr, tile, self.selection, tbalance, extra=self._fingerprint_extra()
             )
             plan = plan_cache.get(self.plan_key)
-
-        self._build_s = 0.0
-        self._arbitration_s = 0.0
         if plan is None:
             plan = CachedPlan(
-                key=self.plan_key or "", csr=csr, tile=tile,
+                key=self.plan_key or "", indptr=csr.indptr, indices=csr.indices,
+                shape=csr.shape, dtype=csr.dtype, tile=tile,
                 selection=self.selection, tbalance=tbalance,
                 formats_override=self._formats_override,
             )
             if plan_cache is not None:
                 plan_cache.put(self.plan_key, plan)
-        else:
-            digest = value_digest(csr.data)
-            if plan.values_digest() != digest:
-                # Same pattern, new numbers: refresh the plan's values
-                # in place of re-tiling/re-selecting (the update_values
-                # fast path).
-                t1 = time.perf_counter()
-                plan.refresh_values(csr.data, digest)
-                self._build_s += time.perf_counter() - t1
         self._plan = plan
-        # The operand: the plan's canonical CSR, shared with every
-        # engine holding the same values.
-        self._op = plan.csr
-        self._shape = plan.csr.shape
-        self._nnz = int(plan.csr.nnz)
+        # The operand: the plan's index arrays and this engine's values.
+        self._op = sp.csr_matrix((csr.data, plan.indices, plan.indptr), shape=plan.shape)
+        self._shape = plan.shape
+        self._nnz = int(plan.indices.size)
+        self._build_s = 0.0
+        self._arbitration_s = 0.0
         if method == "auto":
             self._arbitrate(auto_device or A100)
         if tele.ENABLED:
@@ -257,7 +233,7 @@ class TileSpMV(Reorderable):
         """``auto``: build both candidates and keep the cheaper on ``device``."""
         plan = self._plan
         with self._build_span():
-            tiling_seconds = plan.cut_tiles()
+            tiling_seconds = plan.cut_tiles(self._op)
             with tele.span("arbitration", cat="build", nnz=self._nnz):
                 mp_adpt, s_adpt = plan.method("adpt")
                 mp_def, s_def = plan.method("deferred_coo")
@@ -273,14 +249,6 @@ class TileSpMV(Reorderable):
             self.method = "deferred_coo"
         self._build_s += tiling_seconds + kept_seconds
         self._arbitration_s = discarded_seconds + arbitration_eval
-        self._adopt(kept)
-
-    def _adopt(self, mp: MethodPlan) -> None:
-        """Take ``mp`` as the priced artifacts, refilled with this
-        engine's values unless they are already its values."""
-        mine, theirs = self._op.data, mp.operand.data
-        same = mine.shape == theirs.shape and mine.ctypes.data == theirs.ctypes.data
-        self._priced = mp if same else mp.with_values(mine)
 
     @property
     def _mp(self) -> MethodPlan:
@@ -288,16 +256,15 @@ class TileSpMV(Reorderable):
 
         The one build path: the plan cuts its tile set and builds the
         strategy's artifacts, each once per plan (a plan an earlier
-        reader built is only adopted); the engine takes them with its
-        own current values.
+        reader built is only read).  They hold no values.
         """
-        if self._priced is None:
+        mp = self._plan.methods.get(self.method)
+        if mp is None:
             with self._build_span():
-                seconds = self._plan.cut_tiles()
+                seconds = self._plan.cut_tiles(self._op)
                 mp, method_seconds = self._plan.method(self.method)
             self._build_s += seconds + method_seconds
-            self._adopt(mp)
-        return self._priced
+        return mp
 
     @property
     def tiled(self) -> TileMatrix | None:
@@ -306,7 +273,8 @@ class TileSpMV(Reorderable):
 
     @property
     def deferred_engine(self) -> Csr5SpMV | None:
-        """DeferredCOO's CSR5 half, if anything was extracted."""
+        """DeferredCOO's CSR5 half, if anything was extracted: its
+        layout, structure only (values: :meth:`halves`)."""
         return self._mp.deferred
 
     @property
@@ -422,31 +390,14 @@ class TileSpMV(Reorderable):
         the length-``nnz`` value array in canonical CSR order.  Nothing
         is built: the operand is canonical CSR of the planned matrix, so
         the values refill it as given, with no sort; a built A.T operand
-        is rebuilt by the counting pass that built it.  If the priced
-        artifacts were already read, :meth:`MethodPlan.with_values
-        <repro.core.plancache.MethodPlan.with_values>` refills them too
-        (payload and view values are derived from the operand only if
-        something reads them); otherwise a later build takes the values
-        from the operand.
-        Returns ``self`` (updated in place; the previous artifacts are
-        left untouched for any cached plan sharing them).
+        is rebuilt by the counting pass that built it.  The plan holds
+        no values, so nothing else changes: a later read of payloads or
+        halves takes the new values from the operand.  Returns ``self``
+        (updated in place; other engines on the same plan keep theirs).
         """
-        if sp.issparse(values):
-            csr = canonical_csr(values)
-            if (
-                csr.shape != self._shape
-                or csr.nnz != self._nnz
-                or not np.array_equal(csr.indptr, self._op.indptr)
-                or not np.array_equal(csr.indices, self._op.indices)
-            ):
-                raise ValueError(
-                    "sparsity pattern differs from the prepared matrix; "
-                    "build a new TileSpMV instead of update_values"
-                )
-            values = csr.data
-        data = np.asarray(values, dtype=np.float64)
-        if data.shape != (self._nnz,):
-            raise ValueError(f"expected {self._nnz} values, got {data.shape}")
+        data = pattern_values(
+            values, self._shape, self._nnz, lambda: (self._op.indptr, self._op.indices)
+        )
         # The copy keeps the operand independent of the caller's array.
         return self._adopt_values(data.copy())
 
@@ -455,27 +406,43 @@ class TileSpMV(Reorderable):
         owns from now on (no copy): what a wrapper that gathered the
         array itself hands over."""
         self._op = refill_operand(self._op, data)
-        if self._priced is not None:
-            self._priced = self._priced.with_values(data)
         if self._t_op is not None:
             self._t_op = self._op.T.tocsr()
         return self
 
+    def halves(self) -> tuple[sp.csr_matrix | None, sp.csr_matrix | None]:
+        """The operand split as the plan prices it, current values:
+        ``(tiled, deferred)``, the entries the tiled half and the CSR5
+        half hold (``None`` for an absent half).  Without a DeferredCOO
+        split the tiled half is the operand itself."""
+        mp, op = self._mp, self._op
+        m = mp.extracted
+        if m is None:
+            return (op if mp.tiled is not None else None), None
+        return (
+            masked_csr(op, ~m) if mp.tiled is not None else None,
+            masked_csr(op, m) if mp.deferred is not None else None,
+        )
+
     def validate(self) -> None:
         """Check that the priced halves encode exactly the operand.
 
-        The tiled half must validate (its payloads decode to its
-        operand) and hold the operand's unextracted entries; the CSR5
-        arrays hold the extracted ones.  Raises ``AssertionError``.
+        The tiled half's payloads, encoded with the operand's
+        unextracted values, must decode to those entries; the CSR5
+        layout must hold the pattern of the extracted ones; together
+        they cover every entry once.  Raises ``AssertionError``.
         """
-        op, tiled, d = self._op, self.tiled, self.deferred_engine
-        m = self._mp.extracted if self._mp.extracted is not None else np.zeros(op.nnz, bool)
-        empty = sp.csr_matrix(op.shape)
-        if tiled is not None:
-            tiled.validate()
-        assert same_csr(tiled.operand if tiled else empty, masked_csr(op, ~m)), "tiled half"
-        csr5 = sp.csr_matrix((d.data, d.indices, d.indptr), shape=op.shape) if d else empty
-        assert same_csr(csr5, masked_csr(op, m)), "CSR5 half"
+        mp, (tiled, deferred) = self._mp, self.halves()
+        m = mp.extracted if mp.extracted is not None else np.zeros(self._nnz, bool)
+        if mp.tiled is not None:
+            mp.tiled.validate(tiled)
+        assert (mp.tiled is not None) or m.all(), "tiled half"
+        d = mp.deferred
+        assert (d is not None) or not m.any(), "CSR5 half"
+        if d is not None:
+            assert np.array_equal(d.indptr, deferred.indptr) and np.array_equal(
+                d.indices, deferred.indices
+            ), "CSR5 half"
 
     # -- accounting -----------------------------------------------------------
 

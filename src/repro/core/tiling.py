@@ -5,16 +5,16 @@ three level-1 arrays of §III.B: ``tilePtr`` (offsets of each tile row's
 tiles), ``tileColIdx`` (tile column index of each tile) and ``tileNnz``
 (per-tile nonzero offsets).  Only *occupied* tiles are materialised.
 The nonzero entries come out sorted by (tile, local row, local column),
-which every format encoder relies on.  The tile set keeps the canonical
-CSR matrix it was cut from, which every plan built on it executes, and
-holds the tile-sorted entries as structure only: their values are that
-matrix's, read through ``entry_perm`` when :attr:`TileSet.view` is read.
+which every format encoder relies on.  A tile set is structure only: it
+keeps the pattern (``indptr``, ``indices``) of the canonical CSR matrix
+it was cut from and holds no values.  A reader that needs the entries'
+values passes that matrix's value array to :meth:`TileSet.view`, which
+gathers them into tile-sorted order through ``entry_perm``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,12 +54,12 @@ class TileSet:
         ``pattern.offsets`` is the paper's ``tileNnz``.
     entry_perm:
         ``(nnz,)``: permutation mapping canonical-CSR entry order to the
-        tile-sorted order (``view.val == csr.data[entry_perm]``).  This
-        is what lets a plan with the same sparsity pattern take new
-        values without re-sorting.
-    csr:
-        The canonical CSR matrix the tiles were cut from: the operand,
-        and the only holder of the entry values.
+        tile-sorted order (``view(data).val == data[entry_perm]``).  This
+        is what lets any value array of the pattern be read without
+        re-sorting.
+    indptr, indices:
+        The pattern of the canonical CSR matrix the tiles were cut from
+        (shared with it, not copied).
     """
 
     m: int
@@ -70,14 +70,17 @@ class TileSet:
     tile_rowidx: np.ndarray
     pattern: TilesView
     entry_perm: np.ndarray
-    csr: sp.csr_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
 
-    @cached_property
-    def view(self) -> TilesView:
-        """:attr:`pattern` with the values in tile-sorted order, gathered
-        from :attr:`csr` on first read (pricing never reads them)."""
-        val = np.asarray(self.csr.data, dtype=np.float64)[self.entry_perm]
-        return replace(self.pattern, val=val)
+    def view(self, data: np.ndarray) -> TilesView:
+        """:attr:`pattern` carrying ``data``, a value array in canonical
+        CSR order, gathered into tile-sorted order (pricing never reads
+        values)."""
+        data = np.asarray(data, dtype=np.float64)
+        if data.shape != (self.nnz,):
+            raise ValueError(f"expected {self.nnz} values, got {data.shape}")
+        return replace(self.pattern, val=data[self.entry_perm])
 
     @property
     def n_tiles(self) -> int:
@@ -119,24 +122,6 @@ class TileSet:
         starts = np.arange(self.tile_rows, dtype=np.int64) * self.tile
         return np.minimum(self.tile, self.m - starts)
 
-    def with_values(self, csr_data: np.ndarray) -> "TileSet":
-        """A structurally identical tile set carrying new entry values.
-
-        ``csr_data`` is in canonical CSR order.  Everything structural
-        is shared by reference and only the CSR's value array is
-        replaced, so this is the cheap half of the ``update_values``
-        fast path: no sort, no tiling, no gather.
-        """
-        csr_data = np.asarray(csr_data, dtype=np.float64)
-        if csr_data.shape != (self.nnz,):
-            raise ValueError(f"expected {self.nnz} values, got {csr_data.size}")
-        return replace(
-            self,
-            csr=sp.csr_matrix(
-                (csr_data, self.csr.indices, self.csr.indptr), shape=self.csr.shape
-            ),
-        )
-
     def global_rows(self) -> np.ndarray:
         """Global row index of every entry (tile-sorted order)."""
         rows = self.pattern.per_entry(self.tile_rowidx).astype(np.int64)
@@ -174,7 +159,7 @@ def tile_decompose(
         Input-gate policy (see
         :func:`repro.reliability.validation.canonicalize_csr`).  Callers
         holding an already-canonical matrix pass ``"trust"``; the tile
-        set then keeps that matrix itself as its ``csr``, not a copy.
+        set then shares that matrix's index arrays, not copies.
 
     Returns
     -------
@@ -246,5 +231,6 @@ def tile_decompose(
         tile_rowidx=tile_rowidx.astype(idx),
         pattern=pattern,
         entry_perm=order.astype(idx),
-        csr=csr,
+        indptr=csr.indptr,
+        indices=csr.indices,
     )

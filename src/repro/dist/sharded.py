@@ -70,7 +70,7 @@ from repro.gpu import faults
 from repro.gpu.costmodel import MultiDeviceRunCost, RunCost
 from repro.gpu.device import A100, DeviceSpec
 from repro.matrices.reorder import Reorderable
-from repro.reliability.validation import ValidationPolicy, canonicalize_csr
+from repro.reliability.validation import ValidationPolicy, canonicalize_csr, pattern_values
 from repro.util.segments import lengths_to_offsets, repeat_offsets
 from repro.util.vecops import weighted_sum
 
@@ -620,19 +620,14 @@ class ShardedSpMV(Reorderable):
         return y
 
     def _values(self, values) -> np.ndarray:
-        """The canonical-order value array of an update_values argument."""
-        if sp.issparse(values):
-            csr = canonicalize_csr(values, ValidationPolicy.TRUST)[0]
-            if csr.shape != self.shape or int(csr.nnz) != self._nnz:
-                raise ValueError(
-                    "sparsity pattern differs from the prepared matrix; "
-                    "build a new ShardedSpMV instead of update_values"
-                )
-            return np.asarray(csr.data, dtype=np.float64)
-        data = np.asarray(values, dtype=np.float64)
-        if data.shape != (self._nnz,):
-            raise ValueError(f"expected {self._nnz} values, got {data.shape}")
-        return data
+        """The canonical-order value array of an update_values argument
+        (a sparse one is checked against :meth:`canonical_csr`)."""
+
+        def pattern():
+            csr = self.canonical_csr()
+            return csr.indptr, csr.indices
+
+        return pattern_values(values, self.shape, self._nnz, pattern)
 
     def update_values(self, values) -> "ShardedSpMV":
         """Stream new values through every shard's prepared plan.

@@ -59,9 +59,9 @@ def _agree(a: np.ndarray, b: np.ndarray) -> bool:
     return bool(np.allclose(a, b, **TOL))
 
 
-def _validates(obj) -> bool:
+def _validates(obj, *args) -> bool:
     try:
-        obj.validate()
+        obj.validate(*args)
     except AssertionError:
         return False
     return True
@@ -90,9 +90,9 @@ def run_verification(seed: int = 0) -> tuple[list, bool]:
         record(
             name,
             "lane-accurate == vectorised",
-            _agree(lane_accurate_spmv(adpt.tiled, x), adpt.tiled.spmv(x)),
+            _agree(lane_accurate_spmv(adpt.tiled, adpt.operand.data, x), adpt.spmv(x)),
         )
-        record(name, "storage invariants", _validates(adpt.tiled))
+        record(name, "storage invariants", _validates(adpt.tiled, adpt.operand))
         merge = MergeSpMV(mat)
         csr5 = Csr5SpMV(mat)
         bsr = BsrSpMV(mat)

@@ -47,6 +47,7 @@ def _tile_kernel(fmt: FormatID, payload, local_idx: int, x_slice: np.ndarray, ti
 
 def lane_accurate_spmv(
     tile_matrix,
+    data: np.ndarray,
     x: np.ndarray,
     tbalance: int = 8,
     schedule: WarpSchedule | None = None,
@@ -57,6 +58,9 @@ def lane_accurate_spmv(
     ----------
     tile_matrix:
         A built :class:`~repro.core.storage.TileMatrix`.
+    data:
+        The values it multiplies: its operand's value array, canonical
+        CSR order (the payloads are encoded from it once per call).
     x:
         Dense input vector of length ``n``.
     tbalance:
@@ -78,6 +82,7 @@ def lane_accurate_spmv(
     for fmt, ids in tile_matrix.tile_ids.items():
         local_idx[ids] = np.arange(ids.size)
     schedule = schedule or build_schedule(ts.tile_ptr, tbalance)
+    payloads = tile_matrix.payloads(data)
     profiler = tele.profiler() if tele.ENABLED else None
     tile_nnz = ts.pattern.counts() if profiler is not None else None
     y = np.zeros(ts.m)
@@ -92,7 +97,7 @@ def lane_accurate_spmv(
                 fmt = FormatID(fmt_of[t])
                 col = int(ts.tile_colidx[t])
                 x_slice = x_pad[col * tile : (col + 1) * tile]
-                y_partial += _tile_kernel(fmt, tile_matrix.payloads[fmt], int(local_idx[t]), x_slice, tile)
+                y_partial += _tile_kernel(fmt, payloads[fmt], int(local_idx[t]), x_slice, tile)
             inj = faults.active_injector()
             if inj is not None:
                 y_partial = inj.maybe_drop_lane(y_partial)

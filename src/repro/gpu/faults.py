@@ -209,7 +209,7 @@ class FaultPlan:
         Root of every derived decision.
     payload_corruptions:
         Entries corrupted per faulting vectorised kernel call
-        (``TileMatrix.spmv/spmm``, ``Csr5SpMV.spmv/spmm``).
+        (``TileSpMV.spmv/spmm``, ``Csr5SpMV.spmv/spmm``).
     bitflip_prob / drop_atomic_prob / lane_dropout_prob:
         Per-attempt probabilities that a
         :class:`~repro.gpu.memory.SharedMemory` load returns one word

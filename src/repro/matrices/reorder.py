@@ -42,7 +42,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro import telemetry as tele
-from repro.reliability.validation import ValidationPolicy, canonicalize_csr
+from repro.reliability.validation import ValidationPolicy, canonicalize_csr, pattern_values
 
 __all__ = [
     "reverse_cuthill_mckee",
@@ -475,22 +475,9 @@ class ReorderedSpMV:
         """New values, same pattern: a same-pattern sparse matrix or the
         length-``nnz`` array in the original canonical order, carried
         into the permuted order by the data permutation."""
-        if sp.issparse(values):
-            csr = canonicalize_csr(values, ValidationPolicy.TRUST)[0]
-            if (
-                csr.shape != self.shape
-                or csr.nnz != self.nnz
-                or not np.array_equal(csr.indptr, self._indptr)
-                or not np.array_equal(csr.indices, self._indices)
-            ):
-                raise ValueError(
-                    "sparsity pattern differs from the prepared matrix; "
-                    "build a new engine instead of update_values"
-                )
-            values = csr.data
-        data = np.asarray(values, dtype=np.float64)
-        if data.shape != (self.nnz,):
-            raise ValueError(f"expected {self.nnz} values, got {data.shape}")
+        data = pattern_values(
+            values, self.shape, self.nnz, lambda: (self._indptr, self._indices)
+        )
         # The gather is a fresh array: the inner engine takes it as is.
         self.inner._adopt_values(data[self._data_perm])
         self._t_op = None

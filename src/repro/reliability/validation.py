@@ -30,6 +30,7 @@ __all__ = [
     "MatrixValidationError",
     "CanonicalReport",
     "canonicalize_csr",
+    "pattern_values",
     "MAX_DIM",
 ]
 
@@ -315,3 +316,32 @@ def canonicalize_csr(
     if bad_rows:
         report.bad_rows = np.unique(np.concatenate(bad_rows))
     return out, report
+
+
+def pattern_values(values, shape: tuple[int, int], nnz: int, pattern) -> np.ndarray:
+    """The canonical-order float64 value array of an ``update_values``
+    argument: every engine's one same-pattern check.
+
+    ``values`` is a sparse matrix with the prepared matrix's sparsity
+    pattern (canonicalized under ``trust``) or its length-``nnz`` value
+    array in canonical CSR order.  ``pattern()`` returns the prepared
+    matrix's canonical ``(indptr, indices)``; it is called only for a
+    sparse ``values``.  A different shape, entry count or pattern
+    raises ``ValueError``.
+    """
+    if sp.issparse(values):
+        csr = canonicalize_csr(values, ValidationPolicy.TRUST)[0]
+        same = csr.shape == tuple(shape) and csr.nnz == nnz
+        if same:
+            indptr, indices = pattern()
+            same = np.array_equal(csr.indptr, indptr) and np.array_equal(csr.indices, indices)
+        if not same:
+            raise ValueError(
+                "sparsity pattern differs from the prepared matrix; "
+                "build a new engine instead of update_values"
+            )
+        values = csr.data
+    data = np.asarray(values, dtype=np.float64)
+    if data.shape != (nnz,):
+        raise ValueError(f"expected {nnz} values, got {data.shape}")
+    return data

@@ -103,7 +103,7 @@ def entry_rank(view: TilesView) -> np.ndarray:
 
 def compute_tile_stats(tileset: TileSet) -> TileStats:
     """Per-tile statistics in float64, dense-row tests over the whole grid."""
-    view = tileset.view
+    view = tileset.pattern
     counts = view.counts().astype(np.float64)
     eff_h = view.eff_h.astype(np.float64)
     eff_w_i = view.eff_w.astype(np.int64)
@@ -291,12 +291,13 @@ def tile_decompose(matrix, tile: int = 16, validation: str = "repair") -> TileSe
         m=m, n=n, tile=tile,
         tile_ptr=lengths_to_offsets(tiles_per_row),
         tile_colidx=tile_colidx.astype(idx), tile_rowidx=tile_rowidx.astype(idx),
-        pattern=pattern, entry_perm=order.astype(idx), csr=csr,
+        pattern=pattern, entry_perm=order.astype(idx), indptr=csr.indptr, indices=csr.indices,
     )
 
 
 def structural_fingerprint(csr, tile, selection, tbalance, extra=""):
-    """The plan key over ``tobytes`` copies of the int64 index arrays."""
+    """The plan key over ``tobytes`` copies of the index arrays, each
+    after its dtype tag."""
     import hashlib
 
     h = hashlib.blake2b(digest_size=16)
@@ -305,9 +306,20 @@ def structural_fingerprint(csr, tile, selection, tbalance, extra=""):
     h.update(repr(selection).encode())
     if extra:
         h.update(extra.encode())
-    h.update(np.ascontiguousarray(csr.indptr, dtype=np.int64).tobytes())
-    h.update(np.ascontiguousarray(csr.indices, dtype=np.int64).tobytes())
+    for arr in (csr.indptr, csr.indices):
+        h.update(arr.dtype.str.encode())
+        h.update(np.asarray(arr).tobytes())
     return h.hexdigest()
+
+
+def valued_view(matrix, tile: int = 16, validation: str = "repair") -> TilesView:
+    """The shipped tiling's tile-sorted entries of ``matrix``, values
+    included (gathered from its canonical CSR)."""
+    from repro.core.tiling import tile_decompose as shipped_tile_decompose
+    from repro.reliability.validation import canonicalize_csr
+
+    ts = shipped_tile_decompose(matrix, tile=tile, validation=validation)
+    return ts.view(canonicalize_csr(matrix, validation)[0].data)
 
 
 def full_inspection(monkeypatch) -> None:

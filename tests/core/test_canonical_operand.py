@@ -78,7 +78,7 @@ def test_updated_duplicates_keep_their_own_payload_values(method):
     c = ref.trusted_duplicates()
     e = TileSpMV(c, method=method, validation="trust")
     e.update_values(np.arange(1, c.nnz + 1.0))
-    assert same_csr(e.tiled.to_csr(), e.tiled.operand)
+    assert same_csr(e.tiled.to_csr(e.operand.data), e.operand)
 
 
 @pytest.mark.parametrize("method", ["csr", "adpt"])
@@ -88,11 +88,11 @@ def test_validate_accepts_duplicates_and_rejects_descending_columns(method):
     c = ref.trusted_duplicates()
     e = TileSpMV(c, method=method, validation="trust")
     e.validate()
-    e.tiled.validate()
-    op = e.tiled.operand
+    op = e.operand
+    e.tiled.validate(op)
     op.indices[:3] = op.indices[:3][::-1]  # row 0: [1, 1, 18] -> [18, 1, 1]
     with pytest.raises(AssertionError, match="columns must ascend"):
-        e.tiled.validate()
+        e.tiled.validate(op)
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -8,16 +8,20 @@ from repro.core.selection import select_formats
 from repro.core.tiling import tile_decompose
 from repro.formats import FormatID
 from repro.matrices import fem_blocks, hypersparse, power_law
+from repro.reliability.validation import canonicalize_csr
 
 
 class TestSplitDeferredCoo:
     def test_partition_is_exact(self, zoo_matrix):
         """tiled + deferred reconstruct the original matrix exactly."""
-        ts = tile_decompose(zoo_matrix)
+        c = canonicalize_csr(zoo_matrix)[0]
+        ts = tile_decompose(c, validation="trust")
         split = split_deferred_coo(ts)
-        total = split.deferred.copy()
+        m = split.extracted
+        d = split.deferred
+        total = sp.csr_matrix((c.data[m], d.indices, d.indptr), shape=c.shape)
         if split.tiled is not None:
-            total = total + split.tiled.to_csr()
+            total = total + split.tiled.to_csr(c.data[~m])
         assert (total != zoo_matrix.tocsr()).nnz == 0
 
     def test_no_coo_left_in_tiled_part(self, zoo_matrix):

@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.plancache import PlanCache
 from repro.core.tilespmv import METHODS, TileSpMV
+from repro.baselines.csr5 import Csr5SpMV
 from repro.gpu.executor import lane_accurate_spmv
 
 TOL = dict(rtol=1e-12, atol=1e-12)
@@ -46,10 +47,11 @@ class TestGoldenEquivalence:
         x = rng.standard_normal(zoo_matrix.shape[1])
         engine = TileSpMV(zoo_matrix, method=method)
         y = np.zeros(zoo_matrix.shape[0])
-        if engine.tiled is not None:
-            y = lane_accurate_spmv(engine.tiled, x, schedule=engine._schedule)
-        if engine.deferred_engine is not None:
-            y = y + engine.deferred_engine.spmv(x)
+        tiled, deferred = engine.halves()
+        if tiled is not None:
+            y = lane_accurate_spmv(engine.tiled, tiled.data, x, schedule=engine._schedule)
+        if deferred is not None:
+            y = y + Csr5SpMV(deferred, validation="trust").spmv(x)
         np.testing.assert_allclose(y, zoo_matrix @ x, **TOL)
 
     @pytest.mark.parametrize("k", KS)

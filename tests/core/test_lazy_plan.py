@@ -4,8 +4,8 @@ Construction with a fixed method canonicalizes, fingerprints and adopts
 the canonical CSR as the operand; the tile set, format vector, payload
 structure, warp schedule and DeferredCOO split are built on the first
 read of anything that needs them, once per cached plan.  Products and
-value updates never build, and a build after an update carries the
-updated values bit for bit.
+value updates never build, and a read after an update sees the updated
+values bit for bit.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def test_first_price_builds_once_and_a_second_engine_reuses_it(monkeypatch):
     a = power_law(800, avg_degree=5, seed=4)
     e1 = TileSpMV(a, plan_cache=cache)
     e2 = TileSpMV(a, plan_cache=cache)
-    assert calls == [] and e1._priced is None and e2._priced is None
+    assert calls == [] and e1._plan is e2._plan and e1._plan.tileset is None
     cost = e1.run_cost()
     assert calls == [1]
     e1.run_cost()
@@ -100,8 +100,14 @@ def test_first_price_builds_once_and_a_second_engine_reuses_it(monkeypatch):
 
 
 def _flat_payloads(engine):
-    tiled = engine.tiled
-    return None if tiled is None else ref.flat(tiled.payloads)
+    """The tiled half's payloads, read with the engine's own values."""
+    tiled, _ = engine.halves()
+    return None if tiled is None else ref.flat(engine.tiled.payloads(tiled.data))
+
+
+def _csr5_values(engine):
+    _, deferred = engine.halves()
+    return deferred.data.tobytes()
 
 
 @pytest.mark.parametrize("method", ["csr", "adpt", "deferred_coo"])
@@ -110,7 +116,7 @@ def test_update_then_price_equals_a_fresh_build(method):
     new = np.random.default_rng(3).standard_normal(a.nnz)
     engine = TileSpMV(a, method=method, plan_cache=PlanCache())
     engine.update_values(new)
-    assert engine._priced is None
+    assert engine._plan.tileset is None and engine._plan.methods == {}
     b = a.copy()
     b.data = new.copy()
     fresh = TileSpMV(b, method=method)
@@ -120,8 +126,7 @@ def test_update_then_price_equals_a_fresh_build(method):
     assert engine.format_histogram() == fresh.format_histogram()
     assert _flat_payloads(engine) == _flat_payloads(fresh)
     if engine.deferred_engine is not None:
-        d, f = engine.deferred_engine, fresh.deferred_engine
-        assert d.data.tobytes() == f.data.tobytes()
+        assert _csr5_values(engine) == _csr5_values(fresh)
     engine.validate()
 
 
@@ -139,11 +144,13 @@ def test_engines_sharing_a_plan_decode_their_own_values(method):
     for engine, matrix in ((e1, a), (e2, b)):
         fresh = TileSpMV(matrix, method=method)
         assert _flat_payloads(engine) == _flat_payloads(fresh)
-        if engine.tiled is not None:
-            assert same_csr(engine.tiled.to_csr(), fresh.tiled.to_csr())
+        tiled, _ = engine.halves()
+        if tiled is not None:
+            want = fresh.tiled.to_csr(fresh.halves()[0].data)
+            assert same_csr(engine.tiled.to_csr(tiled.data), want)
+            assert same_csr(want, tiled)
         if engine.deferred_engine is not None:
-            d, f = engine.deferred_engine, fresh.deferred_engine
-            assert d.data.tobytes() == f.data.tobytes()
+            assert _csr5_values(engine) == _csr5_values(fresh)
         engine.validate()
     assert e2._plan.tileset is e1._plan.tileset
     assert e2._mp.schedule is e1._mp.schedule

@@ -1,10 +1,12 @@
 """What a plan holds in host memory.
 
-An unbuilt plan is its canonical CSR.  A built plan keeps one copy of
-the matrix's values: the canonical CSR operand.  View values and
-payload values are derived from it on first read, and pricing reads
-structure only.  A verified engine's checksum source and scalar
-reference read the engine's operand instead of copies.
+A plan is a pattern: an unbuilt one is its canonical index arrays,
+shared with the operand of the engine that stored it.  No plan holds a
+value; the one copy of an engine's values is its canonical CSR operand,
+before and after a value update.  View values and payload values are
+read from it on demand, and pricing reads structure only.  A verified
+engine's checksum source and scalar reference read the engine's operand
+instead of copies.
 """
 
 from __future__ import annotations
@@ -57,11 +59,23 @@ def _priced(engine):
 def test_tilespmv_holds_at_most_twice_its_csr(spd):
     engine, live = _live_bytes(lambda: _priced(TileSpMV(spd, plan_cache=PlanCache())))
     assert live <= 2 * _csr_bytes(engine.operand), (live, _csr_bytes(engine.operand))
+    # ... and still after a value update: the plan keeps no old values.
+    engine, live = _live_bytes(
+        lambda: _priced(TileSpMV(spd, plan_cache=PlanCache())).update_values(spd.data * 2.0)
+    )
+    assert live <= 2 * _csr_bytes(engine.operand), (live, _csr_bytes(engine.operand))
 
 
 def test_unbuilt_tilespmv_holds_its_csr(spd):
     engine, live = _live_bytes(lambda: TileSpMV(spd, plan_cache=PlanCache()))
-    assert engine._priced is None
+    assert engine._plan.tileset is None
+    assert live <= 1.1 * _csr_bytes(engine.operand), (live, _csr_bytes(engine.operand))
+    # One value update replaces the operand's values; nothing keeps the
+    # construction's.
+    engine, live = _live_bytes(
+        lambda: TileSpMV(spd, plan_cache=PlanCache()).update_values(spd.data * 2.0)
+    )
+    assert engine._plan.tileset is None
     assert live <= 1.1 * _csr_bytes(engine.operand), (live, _csr_bytes(engine.operand))
 
 
@@ -72,8 +86,12 @@ def test_pricing_leaves_values_unmaterialized(spd):
     engine.nbytes_model()
     engine.format_histogram()
     tiled = engine.tiled
-    assert tiled._payloads is None
-    assert "view" not in vars(tiled.tileset)
+    # The plan's tile matrix is structure: no payload or view values.
+    assert set(vars(tiled)) == {"formats", "tile_ids", "tileset", "structure"}
+    assert tiled.tileset.pattern.val is None
+    assert not any(
+        isinstance(v, np.ndarray) and v.dtype.kind == "f" for v in vars(tiled.tileset).values()
+    )
     assert all(p.val is None for p in tiled.structure.values() if hasattr(p, "val"))
 
 
@@ -151,24 +169,27 @@ def test_lazy_values_equal_an_eager_encode(name, a, policy, method):
     if tiled is None:
         pytest.skip("fully deferred: no tiled half")
     ts = tiled.tileset
+    data = engine.halves()[0].data
     # The eager values: the reference tiling's lexsort order of the
     # canonical entries, as the plan build once stored them.
     canonical = canonicalize_csr(a, policy)[0]
     eager_ts = ref.tile_decompose(a, tile=ts.tile, validation=policy)
     if method == "deferred_coo":
-        eager_val = ts.csr.data[ts.entry_perm]
+        eager_val = data[ts.entry_perm]
     else:
         eager_val = np.asarray(canonical.data, dtype=np.float64)[eager_ts.entry_perm]
-    assert ts.view.val.tobytes() == eager_val.tobytes()
+    assert ts.view(data).val.tobytes() == eager_val.tobytes()
     eager_view = replace(ts.pattern, val=eager_val)
     hyb = tiled.structure.get(FormatID.HYB)
     eager, _ = encode_payloads(eager_view, tiled.formats,
                                None if hyb is None else hyb.ell.width)
-    assert ref.flat(tiled.payloads) == ref.flat(eager)
+    assert ref.flat(tiled.payloads(data)) == ref.flat(eager)
 
 
 @pytest.mark.parametrize("name,a,policy", CASES, ids=[c[0] for c in CASES])
 def test_value_clone_derives_a_fresh_builds_payloads(name, a, policy):
+    """An updated engine's payloads, read from its operand, are a fresh
+    build's on the same values (the name predates value clones' removal)."""
     rng = np.random.default_rng(7)
     engine = TileSpMV(a, method="adpt", validation=policy)
     new = rng.standard_normal(engine.nnz)
@@ -176,8 +197,10 @@ def test_value_clone_derives_a_fresh_builds_payloads(name, a, policy):
     fresh_a = canonicalize_csr(a, policy)[0].copy()
     fresh_a.data = new.copy()
     fresh = TileSpMV(fresh_a, method="adpt", validation=policy)
-    assert ref.flat(engine.tiled.payloads) == ref.flat(fresh.tiled.payloads)
-    assert engine.tiled.tileset.view.val.tobytes() == fresh.tiled.tileset.view.val.tobytes()
+    mine, theirs = engine.operand.data, fresh.operand.data
+    assert ref.flat(engine.tiled.payloads(mine)) == ref.flat(fresh.tiled.payloads(theirs))
+    assert (engine.tiled.tileset.view(mine).val.tobytes()
+            == fresh.tiled.tileset.view(theirs).val.tobytes())
 
 
 def test_tile_index_arrays_are_int32():

@@ -1,25 +1,74 @@
-"""Plan cache, batched cost model and value-update fast paths."""
+"""Plan cache, batched cost model and value-update fast paths.
+
+A plan is a pattern: engines on one plan share its structure and each
+owns its values.
+"""
 
 from __future__ import annotations
+
+import hashlib
+from dataclasses import fields, is_dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro import ReliableSpMV, ShardedSpMV
 from repro.baselines.csr5 import Csr5SpMV
-from repro.core.plancache import (
-    PlanCache,
-    canonical_csr,
-    structural_fingerprint,
-    value_digest,
-)
+from repro.core.plancache import PlanCache, structural_fingerprint
+from repro.core.storage import same_csr
 from repro.core.tilespmv import METHODS, TileSpMV
+from repro.dist.recovery import RecoverableShardedSpMV
 from repro.gpu.device import A100
 from repro.matrices import power_law, random_uniform
+from repro.reliability.validation import canonicalize_csr
 
 
 def _matrix(seed=1, m=150, n=150):
     return random_uniform(m, n, nnz_per_row=5, seed=seed)
+
+
+def canonical_csr(a):
+    return canonicalize_csr(a, "trust")[0]
+
+
+def _float_arrays(obj, seen=None) -> list[np.ndarray]:
+    """Every floating-point array reachable from ``obj`` through
+    dataclass fields, dicts, lists and object attributes."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj] if obj.dtype.kind == "f" else []
+    if sp.issparse(obj):
+        return [obj.data]
+    if isinstance(obj, dict):
+        items = list(obj.values())
+    elif isinstance(obj, (list, tuple)):
+        items = list(obj)
+    elif is_dataclass(obj):
+        items = [getattr(obj, f.name) for f in fields(obj)]
+    elif hasattr(obj, "__dict__") and type(obj).__module__.startswith("repro"):
+        items = list(vars(obj).values())
+    else:
+        return []
+    return [a for item in items for a in _float_arrays(item, seen)]
+
+
+def _own_values(engine) -> None:
+    """The engine's payloads decode to its own operand's entries, it
+    validates, and its products are its operand's."""
+    op = engine.operand
+    tiled, deferred = engine.halves()
+    if tiled is not None:
+        assert same_csr(engine.tiled.to_csr(tiled.data), tiled)
+    if deferred is not None:
+        assert np.array_equal(engine.deferred_engine.indices, deferred.indices)
+    engine.validate()
+    x = np.random.default_rng(9).standard_normal(op.shape[1])
+    assert engine.spmv(x).tobytes() == (op @ x).tobytes()
 
 
 class TestFingerprint:
@@ -42,13 +91,35 @@ class TestFingerprint:
         assert structural_fingerprint(csr, 32, None, 8) != base
         assert structural_fingerprint(csr, 16, None, 4) != base
 
-    def test_value_digest_tracks_values(self):
-        a = _matrix()
-        d1 = value_digest(a.data)
-        b = a.copy()
-        b.data = b.data + 1.0
-        assert value_digest(b.data) != d1
-        assert value_digest(a.data.copy()) == d1
+    def test_index_dtype_never_aliases_another_pattern(self):
+        """The int32 and int64 copies of one pattern key apart, and no
+        pattern keys like the bytes of another read in the other index
+        dtype (which an untagged in-place hash would give)."""
+        csr = canonical_csr(_matrix())
+        wide = SimpleNamespace(shape=csr.shape, dtype=csr.dtype,
+                               indptr=csr.indptr.astype(np.int64),
+                               indices=csr.indices.astype(np.int64))
+        # The bytes of ``wide``, reread as int32 arrays of another
+        # pattern on the same shape: indptr takes the first m + 1 words.
+        words = np.concatenate([wide.indptr, wide.indices]).view(np.int32)
+        m1 = csr.shape[0] + 1
+        other = SimpleNamespace(shape=csr.shape, dtype=csr.dtype,
+                                indptr=words[:m1], indices=words[m1:])
+        assert csr.indices.dtype == np.int32
+
+        def untagged(p):
+            h = hashlib.blake2b(digest_size=16)
+            h.update(np.ascontiguousarray(p.indptr))
+            h.update(np.ascontiguousarray(p.indices))
+            return h.hexdigest()
+
+        assert untagged(wide) == untagged(other)  # the alias exists
+        keys = {structural_fingerprint(p, 16, None, 8) for p in (csr, wide, other)}
+        assert len(keys) == 3
+        # Same pattern, same dtype: one key, however it is stored.
+        again = SimpleNamespace(shape=csr.shape, dtype=csr.dtype,
+                                indptr=wide.indptr.copy(), indices=wide.indices.copy())
+        assert structural_fingerprint(again, 16, None, 8) == structural_fingerprint(wide, 16, None, 8)
 
 
 class TestPlanCacheCounters:
@@ -117,7 +188,7 @@ class TestValueRefresh:
         b = a.copy()
         b.data = rng.standard_normal(b.nnz)
         engine = TileSpMV(b, method=method, plan_cache=cache)
-        assert cache.stats()["hits"] == 1  # refresh, not a rebuild
+        assert cache.stats()["hits"] == 1  # the same plan, not a rebuild
         x = rng.standard_normal(b.shape[1])
         np.testing.assert_allclose(engine.spmv(x), b @ x, rtol=1e-12, atol=1e-12)
 
@@ -143,6 +214,35 @@ class TestValueRefresh:
         with pytest.raises(ValueError):
             engine.update_values(np.zeros(a.nnz + 1))
 
+    @pytest.mark.parametrize("kind", [
+        "single", "reordered", "sharded", "grid", "process", "recoverable",
+        "reliable_sharded",
+    ])
+    def test_every_engine_rejects_a_moved_entry(self, kind):
+        """Same shape and nnz, entry (0, 2) moved to (0, 1): a different
+        pattern that every engine kind refuses to take as new values."""
+        a = sp.csr_matrix(np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0], [4.0, 0.0, 5.0]]))
+        b = sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [0.0, 3.0, 0.0], [4.0, 0.0, 5.0]]))
+        engine = {
+            "single": lambda: TileSpMV(a),
+            "reordered": lambda: TileSpMV(a, reorder="rcm"),
+            "sharded": lambda: ShardedSpMV(a, shards=2),
+            "grid": lambda: ShardedSpMV(a, grid=(2, 2)),
+            "process": lambda: ShardedSpMV(a, shards=2, backend="process"),
+            "recoverable": lambda: RecoverableShardedSpMV(a, shards=2),
+            "reliable_sharded": lambda: ReliableSpMV(a, shards=2),
+        }[kind]()
+        try:
+            x = np.array([1.0, 2.0, 3.0])
+            with pytest.raises(ValueError, match="sparsity pattern differs"):
+                engine.update_values(b)
+            assert np.array_equal(engine.spmv(x), a @ x)  # untouched
+            engine.update_values(a * 2.0)  # the same pattern is taken
+            assert np.array_equal(engine.spmv(x), (a * 2.0) @ x)
+        finally:
+            if hasattr(engine, "close"):
+                engine.close()
+
     def test_update_values_does_not_disturb_older_engine(self):
         cache = PlanCache()
         a = _matrix(seed=4)
@@ -152,18 +252,31 @@ class TestValueRefresh:
         y1 = e1.spmv(x)
         b = a.copy()
         b.data = rng.standard_normal(b.nnz)
-        TileSpMV(b, method="adpt", plan_cache=cache)  # refreshes the shared plan
+        e2 = TileSpMV(b, method="adpt", plan_cache=cache)  # shares e1's plan
+        e2.update_values(rng.standard_normal(b.nnz))
         np.testing.assert_array_equal(e1.spmv(x), y1)  # e1 keeps its values
 
+    @pytest.mark.parametrize(
+        "method,scenario",
+        [pytest.param(m, "hit", id=m) for m in sorted(METHODS)]
+        + [
+            pytest.param(m, s, id=f"{m}-{s}")
+            for s in ("two_engines", "update_before_price")
+            for m in sorted(METHODS)
+        ],
+    )
+    def test_refreshed_plan_is_bit_identical_to_cold_build(self, method, scenario):
+        """Engines on a shared plan, each with its own values, equal cold
+        builds on those values bit for bit: a hit with new values, two
+        engines on one plan with different values (the second updated),
+        and an update before the first price."""
 
-    @pytest.mark.parametrize("method", sorted(METHODS))
-    def test_refreshed_plan_is_bit_identical_to_cold_build(self, method):
-        from dataclasses import fields, is_dataclass
-
-        def values(tiled):
-            out = [tiled.tileset.view.val]
-            for fmt in sorted(tiled.payloads):
-                stack = [tiled.payloads[fmt]]
+        def values(engine):
+            tiled, _ = engine.halves()
+            out = [engine.tiled.tileset.view(tiled.data).val]
+            payloads = engine.tiled.payloads(tiled.data)
+            for fmt in sorted(payloads):
+                stack = [payloads[fmt]]
                 while stack:
                     p = stack.pop()
                     for f in fields(p):
@@ -183,24 +296,33 @@ class TestValueRefresh:
         x = rng.standard_normal(a.shape[1])
         xk = rng.standard_normal((a.shape[1], 3))
         w = rng.standard_normal(a.shape[0])
-        old = TileSpMV(a, method=method, plan_cache=cache)
         b = a.copy()
         b.data = rng.standard_normal(b.nnz)
-        new = TileSpMV(b, method=method, plan_cache=cache)
-        assert cache.stats()["hits"] == 1  # served by refresh_values
+        old = TileSpMV(a, method=method, plan_cache=cache)
+        if scenario == "hit":
+            new = TileSpMV(b, method=method, plan_cache=cache)
+        else:
+            new = TileSpMV(a, method=method, plan_cache=cache)
+            new.update_values(b)
+        if scenario == "two_engines":
+            old.run_cost()  # the plan is built by the engine not updated
+        assert cache.stats()["hits"] == 1  # never re-tiled
         for engine, cold in ((new, TileSpMV(b, method=method)), (old, TileSpMV(a, method=method))):
+            assert engine._plan is old._plan
             for got, want in zip(products(engine, x, xk, w), products(cold, x, xk, w)):
                 assert np.array_equal(got, want)
+            assert engine.run_cost() == cold.run_cost()
             if cold.tiled is not None:
-                for got, want in zip(values(engine.tiled), values(cold.tiled), strict=True):
+                for got, want in zip(values(engine), values(cold), strict=True):
                     assert np.array_equal(got, want)
+            _own_values(engine)
 
 
-class TestLazyValueDigest:
-    """The plan's value digest is computed on the first cache hit, from
-    the plan's own values; the hit, miss and refresh decisions stay."""
+class TestPatternSharing:
+    """A cache hit shares the plan whatever the values; each engine's
+    operand shares the plan's index arrays and owns its values."""
 
-    def test_build_same_values_new_values_new_pattern(self):
+    def test_hits_share_one_pattern_whatever_the_values(self):
         a = _matrix(seed=3)
         b = a.copy()
         b.data = b.data * 2.0  # same pattern, new values
@@ -208,49 +330,41 @@ class TestLazyValueDigest:
         x = np.random.default_rng(0).standard_normal(a.shape[1])
         cache = PlanCache()
         e1 = TileSpMV(a, plan_cache=cache)
-        plan = cache.peek(e1.plan_key)
-        assert plan._digest is None  # a miss never hashes the values
         e2 = TileSpMV(a.copy(), plan_cache=cache)
-        assert plan._digest == value_digest(a.data)
-        # Read before e3 refreshes the plan's values: same values share
-        # the built artifacts.
-        assert e2.tiled is e1.tiled
         e3 = TileSpMV(b, plan_cache=cache)
-        assert plan._digest == value_digest(b.data)
         e4 = TileSpMV(c, plan_cache=cache)
         assert cache.stats() == {
             "hits": 2, "misses": 2, "evictions": 0, "invalidations": 0,
             "size": 2, "capacity": 16, "hit_rate": 0.5,
         }
+        plan = cache.peek(e1.plan_key)
         assert plan.tilings_saved == 2
         assert cache.peek(e4.plan_key).tilings_saved == 0
-        # Same values share every artifact; new values refresh the
-        # value-carrying ones and share the structure.
-        assert e2.tiled is e1.tiled and e2._op is e1._op
-        assert e3.tiled is not e1.tiled and e3._op is not e1._op
-        assert e3.tiled.formats is e1.tiled.formats and e3._schedule is e1._schedule
+        assert e1._plan is e2._plan is e3._plan is plan
+        # One pattern: every operand on the plan reads its index arrays;
+        # the values are each engine's own.
+        for engine in (e1, e2, e3):
+            assert np.shares_memory(engine.operand.indices, plan.indices)
+            assert np.shares_memory(engine.operand.indptr, plan.indptr)
+        assert not np.shares_memory(e1.operand.data, e2.operand.data)
+        assert e3.tiled is e1.tiled and e3._schedule is e1._schedule
         for engine, matrix in ((e1, a), (e2, a), (e3, b), (e4, c)):
             assert engine.spmv(x).tobytes() == TileSpMV(matrix).spmv(x).tobytes()
         assert e1.spmv(x).tobytes() == (a @ x).tobytes()
 
-    def test_engines_first_read_after_a_refresh_share_their_values(self):
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_a_built_plan_holds_no_values(self, method):
         a = _matrix(seed=3)
         b = a.copy()
         b.data = b.data * 2.0
         cache = PlanCache()
-        e1 = TileSpMV(a, plan_cache=cache)
-        e2 = TileSpMV(a.copy(), plan_cache=cache)
-        e3 = TileSpMV(b, plan_cache=cache)  # refreshes the unbuilt plan
-        # e1 and e2 first read the plan built on e3's values: each takes
-        # a value clone on the operand they share, over one structure.
-        assert e2._op is e1._op
-        assert np.shares_memory(e2.tiled.operand.data, e1.tiled.operand.data)
-        assert e2.tiled.structure is e1.tiled.structure is e3.tiled.structure
-        assert e3.tiled.operand.data is e3._op.data
-        x = np.random.default_rng(0).standard_normal(a.shape[1])
+        e1 = TileSpMV(a, method=method, plan_cache=cache)
+        e2 = TileSpMV(b, method=method, plan_cache=cache)
+        e1.validate()
+        e2.validate()
+        assert _float_arrays(e1._plan) == []
         for engine in (e1, e2):
-            engine.validate()
-            assert engine.spmv(x).tobytes() == (a @ x).tobytes()
+            _own_values(engine)
 
 
 class TestAutoTiming:
@@ -304,21 +418,18 @@ class TestCsr5Batched:
         with pytest.raises(ValueError):
             engine.spmm(np.ones(150))
 
-    def test_with_values(self):
-        a = _matrix(seed=6)
-        rng = np.random.default_rng(4)
+    def test_layout_prices_like_the_engine(self):
+        """A pattern's CSR5 layout holds no values and prices exactly as
+        an engine on any values of that pattern."""
+        a = canonical_csr(_matrix(seed=6))
         engine = Csr5SpMV(a)
-        new_data = rng.standard_normal(a.nnz)
-        clone = engine.with_values(new_data)
-        expect = canonical_csr(a).copy()
-        expect.data = new_data
-        x = rng.standard_normal(a.shape[1])
-        np.testing.assert_allclose(clone.spmv(x), expect @ x, rtol=1e-12, atol=1e-12)
-        # Structure shared, values independent of the original.
-        assert clone.perm is engine.perm
-        np.testing.assert_array_equal(engine.data, a.data)
-        with pytest.raises(ValueError):
-            engine.with_values(np.ones(a.nnz + 2))
+        layout = Csr5SpMV.layout(a.indptr, a.indices, a.shape)
+        assert layout.data is None and layout.stored_val is None
+        assert layout.nnz == engine.nnz == a.nnz
+        assert layout.run_cost() == engine.run_cost()
+        assert layout.nbytes_model() == engine.nbytes_model()
+        for name in ("perm", "stored_col", "stored_valid", "bit_flag", "tile_ptr", "entry_rows"):
+            assert np.array_equal(getattr(layout, name), getattr(engine, name))
 
 
 class TestBatchedCost:

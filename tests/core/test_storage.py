@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+import repro.core.storage
 from repro.core.selection import select_formats
 from repro.core.storage import TileMatrix
 from repro.core.tiling import tile_decompose
 from repro.formats import FormatID
+from repro.gpu.executor import lane_accurate_spmv
+from repro.reliability.validation import canonicalize_csr
 
 
 def build_adpt(matrix):
@@ -14,26 +17,33 @@ def build_adpt(matrix):
     return TileMatrix.build(ts, select_formats(ts))
 
 
+def operand(matrix):
+    """The canonical CSR whose values a tile matrix of ``matrix`` reads."""
+    return canonicalize_csr(matrix)[0]
+
+
 class TestBuild:
     def test_roundtrip_to_csr(self, zoo_matrix):
         tm = build_adpt(zoo_matrix)
-        assert (tm.to_csr() != zoo_matrix.tocsr()).nnz == 0
+        assert (tm.to_csr(operand(zoo_matrix).data) != zoo_matrix.tocsr()).nnz == 0
 
     def test_spmv_matches_scipy(self, zoo_matrix, rng):
+        """The payloads multiply like the matrix (lane-accurate SpMV)."""
         tm = build_adpt(zoo_matrix)
         x = rng.standard_normal(zoo_matrix.shape[1])
-        np.testing.assert_allclose(tm.spmv(x), zoo_matrix @ x, rtol=1e-12, atol=1e-12)
+        y = lane_accurate_spmv(tm, operand(zoo_matrix).data, x)
+        np.testing.assert_allclose(y, zoo_matrix @ x, rtol=1e-12, atol=1e-12)
 
     def test_validate_passes(self, zoo_matrix):
-        build_adpt(zoo_matrix).validate()
+        build_adpt(zoo_matrix).validate(operand(zoo_matrix))
 
     def test_single_format_forced(self, zoo_matrix):
         ts = tile_decompose(zoo_matrix)
         for forced in (FormatID.CSR, FormatID.COO, FormatID.ELL, FormatID.HYB, FormatID.DNS):
             formats = np.full(ts.n_tiles, forced, dtype=np.uint8)
             tm = TileMatrix.build(ts, formats)
-            tm.validate()
-            assert (tm.to_csr() != zoo_matrix.tocsr()).nnz == 0
+            tm.validate(operand(zoo_matrix))
+            assert (tm.to_csr(operand(zoo_matrix).data) != zoo_matrix.tocsr()).nnz == 0
 
     def test_rejects_wrong_format_count(self, zoo_matrix):
         ts = tile_decompose(zoo_matrix)
@@ -43,7 +53,7 @@ class TestBuild:
     def test_spmv_rejects_wrong_x_shape(self, zoo_matrix):
         tm = build_adpt(zoo_matrix)
         with pytest.raises(ValueError):
-            tm.spmv(np.zeros(zoo_matrix.shape[1] + 1))
+            lane_accurate_spmv(tm, operand(zoo_matrix).data, np.zeros(zoo_matrix.shape[1] + 1))
 
 
 class TestAccounting:
@@ -85,7 +95,7 @@ class TestAccounting:
         adpt = TileMatrix.build(ts, select_formats(ts))
         dns = TileMatrix.build(ts, np.full(ts.n_tiles, FormatID.DNS, np.uint8))
         assert adpt.nbytes_model() <= dns.nbytes_model()
-        counts = ts.view.counts()
+        counts = ts.pattern.counts()
         if counts.mean() < 4:  # hypersparse tiles: COO must beat tile-CSR
             csr = TileMatrix.build(ts, np.full(ts.n_tiles, FormatID.CSR, np.uint8))
             assert adpt.nbytes_model() < csr.nbytes_model()
@@ -101,7 +111,7 @@ class TestCostAttribution:
     def test_only_used_formats_present(self, zoo_matrix):
         tm = build_adpt(zoo_matrix)
         attr = tm.cost_attribution()
-        assert set(attr) == set(tm.payloads)
+        assert set(attr) == set(tm.structure)
 
     def test_dense_matrix_dns_dominates(self):
         import scipy.sparse as sp
@@ -119,7 +129,7 @@ class TestValidateCatchesCorruption:
         tm = build_adpt(zoo_matrix)
         tm.formats = tm.formats[:-1]
         with pytest.raises(AssertionError):
-            tm.validate()
+            tm.validate(operand(zoo_matrix))
 
     def test_detects_duplicate_tile_ownership(self, zoo_matrix):
         tm = build_adpt(zoo_matrix)
@@ -129,34 +139,41 @@ class TestValidateCatchesCorruption:
             pytest.skip("needs >= 2 tiles in a format")
         tm.tile_ids[fmts[0]] = np.concatenate([ids[:-1], ids[:1]])
         with pytest.raises(AssertionError, match="exactly one format"):
-            tm.validate()
+            tm.validate(operand(zoo_matrix))
 
-    def test_detects_truncated_payload(self, zoo_matrix):
+    def test_detects_truncated_payload(self, zoo_matrix, monkeypatch):
         tm = build_adpt(zoo_matrix)
-        if FormatID.COO not in tm.payloads:
+        if FormatID.COO not in tm.structure:
             pytest.skip("no COO tiles in this matrix")
-        payload = tm.payloads[FormatID.COO]
-        payload.offsets = payload.offsets.copy()
-        payload.offsets[-1] -= 1
-        payload.rowcol = payload.rowcol[:-1]
-        payload.val = payload.val[:-1]
+        encode_coo = repro.core.storage._ENCODERS[FormatID.COO]
+
+        def truncated(view):
+            payload = encode_coo(view)
+            if payload.val is not None:  # the valued encode a reader runs
+                payload.offsets = payload.offsets.copy()
+                payload.offsets[-1] -= 1
+                payload.rowcol = payload.rowcol[:-1]
+                payload.val = payload.val[:-1]
+            return payload
+
+        monkeypatch.setitem(repro.core.storage._ENCODERS, FormatID.COO, truncated)
         with pytest.raises(AssertionError, match="decoded"):
-            tm.validate()
+            tm.validate(operand(zoo_matrix))
 
     def test_detects_corrupt_tile_nnz(self, zoo_matrix):
         tm = build_adpt(zoo_matrix)
-        tm.tileset.view.offsets = tm.tileset.view.offsets.copy()
-        tm.tileset.view.offsets[-1] += 5
+        tm.tileset.pattern.offsets = tm.tileset.pattern.offsets.copy()
+        tm.tileset.pattern.offsets[-1] += 5
         with pytest.raises(AssertionError):
-            tm.validate()
+            tm.validate(operand(zoo_matrix))
 
     def test_detects_unsorted_operand_columns(self, zoo_matrix):
         tm = build_adpt(zoo_matrix)
-        op = tm.operand
+        op = operand(zoo_matrix)
         long_rows = np.flatnonzero(np.diff(op.indptr) >= 2)
         if long_rows.size == 0:
             pytest.skip("needs a row with >= 2 entries")
         j = int(op.indptr[long_rows[0]])
         op.indices[[j, j + 1]] = op.indices[[j + 1, j]]
         with pytest.raises(AssertionError, match="ascend"):
-            tm.validate()
+            tm.validate(op)

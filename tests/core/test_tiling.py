@@ -6,6 +6,13 @@ import scipy.sparse as sp
 
 from repro.core.tiling import tile_decompose
 from repro.matrices import random_uniform
+from repro.reliability.validation import canonicalize_csr
+
+
+def _values(ts, matrix):
+    """The entries' values in tile-sorted order, read from ``matrix``'s
+    canonical CSR (a tile set holds none)."""
+    return ts.view(canonicalize_csr(matrix)[0].data).val
 
 
 class TestTileDecompose:
@@ -27,11 +34,11 @@ class TestTileDecompose:
 
     def test_entries_sorted_within_tiles(self, zoo_matrix):
         ts = tile_decompose(zoo_matrix)
-        t = ts.view.tile_of_entry()
+        t = ts.pattern.tile_of_entry()
         key = (
             t * (ts.tile * ts.tile)
-            + ts.view.lrow.astype(np.int64) * ts.tile
-            + ts.view.lcol.astype(np.int64)
+            + ts.pattern.lrow.astype(np.int64) * ts.tile
+            + ts.pattern.lcol.astype(np.int64)
         )
         assert np.all(np.diff(key) > 0)  # strictly increasing: sorted + unique
 
@@ -44,7 +51,7 @@ class TestTileDecompose:
         ts = tile_decompose(zoo_matrix)
         coo = zoo_matrix.tocoo()
         got = sp.csr_matrix(
-            (ts.view.val, (ts.global_rows(), ts.global_cols())), shape=coo.shape
+            (_values(ts, zoo_matrix), (ts.global_rows(), ts.global_cols())), shape=coo.shape
         )
         assert (got != zoo_matrix.tocsr()).nnz == 0
 
@@ -54,10 +61,10 @@ class TestTileDecompose:
         # Bottom tile row has eff_h 4, rightmost tile column eff_w 3.
         bottom = ts.tile_rowidx == ts.tile_rows - 1
         right = ts.tile_colidx == ts.tile_cols - 1
-        assert np.all(ts.view.eff_h[bottom] == 4)
-        assert np.all(ts.view.eff_h[~bottom] == 16)
-        assert np.all(ts.view.eff_w[right] == 3)
-        assert np.all(ts.view.eff_w[~right] == 16)
+        assert np.all(ts.pattern.eff_h[bottom] == 4)
+        assert np.all(ts.pattern.eff_h[~bottom] == 16)
+        assert np.all(ts.pattern.eff_w[right] == 3)
+        assert np.all(ts.pattern.eff_w[~right] == 16)
 
     def test_duplicates_merged(self):
         a = sp.coo_matrix(
@@ -65,7 +72,7 @@ class TestTileDecompose:
         )
         ts = tile_decompose(a, tile=8)
         assert ts.nnz == 1
-        assert ts.view.val.tolist() == [3.0]
+        assert _values(ts, a).tolist() == [3.0]
 
     def test_rejects_bad_tile_size(self):
         a = random_uniform(10, 10, 2, seed=0)
@@ -82,5 +89,5 @@ class TestTileDecompose:
     def test_tile_sizes(self, tile):
         a = random_uniform(100, 100, 5, seed=2)
         ts = tile_decompose(a, tile=tile)
-        got = sp.csr_matrix((ts.view.val, (ts.global_rows(), ts.global_cols())), shape=(100, 100))
+        got = sp.csr_matrix((_values(ts, a), (ts.global_rows(), ts.global_cols())), shape=(100, 100))
         assert (got != a).nnz == 0

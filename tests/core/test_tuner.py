@@ -7,6 +7,7 @@ from repro.core.selection import SelectionConfig
 from repro.core.tuner import DEFAULT_GRID, greedy_per_tile, tune_selection
 from repro.gpu.device import A100
 from repro.matrices import fem_blocks, hypersparse, power_law, random_uniform
+from repro.reliability.validation import canonicalize_csr
 
 
 class TestTuneSelection:
@@ -45,9 +46,10 @@ class TestGreedyPerTile:
     def test_numerically_exact(self, rng):
         a = random_uniform(300, 300, 6, seed=7)
         tm = greedy_per_tile(a)
+        c = canonicalize_csr(a)[0]
         x = rng.standard_normal(300)
-        np.testing.assert_allclose(tm.spmv(x), a @ x, rtol=1e-10, atol=1e-12)
-        tm.validate()
+        np.testing.assert_allclose(tm.to_csr(c.data) @ x, a @ x, rtol=1e-10, atol=1e-12)
+        tm.validate(c)
 
     def test_prefers_dns_for_dense_tiles(self):
         import scipy.sparse as sp

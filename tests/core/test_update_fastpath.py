@@ -5,9 +5,9 @@ Pins the two hot-loop guarantees added for the sharded engine:
 * :meth:`TileSpMV.update_values` refills the CSR operands' data without
   a sort — it must never call a format *encoder* again (the whole point
   of the fast path), and the refilled engine must be bit-for-bit a
-  freshly built one.  Payload and view values are rebuilt from the
-  operand only when read, never by a product, and equal a fresh
-  build's; repeated updates keep no earlier generation alive.  An armed
+  freshly built one.  Payload and view values are read from the
+  operand only when a reader asks, never by a product, and equal a
+  fresh build's; repeated updates keep no earlier generation alive.  An armed
   fault campaign corrupts only a throwaway copy of the operand.
 * :meth:`TileSpMV.spmv`/:meth:`spmm` return the one operand's product
   array directly, for every method — no zero-fill + add pass — and
@@ -56,7 +56,7 @@ class TestWithValuesNoReencode:
         assert built > 0 or tiled is None  # build went through encoders
         new = rng.standard_normal(a.nnz)
         engine.update_values(new)
-        assert encode_counter["n"] == built, "with_values re-ran an encoder"
+        assert encode_counter["n"] == built, "update_values re-ran an encoder"
 
     def test_refilled_engine_is_bit_exact(self, zoo_matrix, rng):
         m, n = zoo_matrix.shape
@@ -102,37 +102,42 @@ def _payload_arrays(payload, prefix=""):
     return out
 
 
-def assert_same_values(tiled, fresh):
-    """Payload arrays, view values and ``to_csr()`` equal bit for bit."""
-    assert sorted(tiled.payloads) == sorted(fresh.payloads)
-    for fmt, payload in fresh.payloads.items():
-        got = _payload_arrays(tiled.payloads[fmt])
+def assert_same_values(engine, fresh):
+    """The tiled halves' payload arrays, view values and ``to_csr()``,
+    each read with its engine's values, equal bit for bit."""
+    tiled, data = engine.tiled, engine.halves()[0].data
+    ftiled, fdata = fresh.tiled, fresh.halves()[0].data
+    payloads, fresh_payloads = tiled.payloads(data), ftiled.payloads(fdata)
+    assert sorted(payloads) == sorted(fresh_payloads)
+    for fmt, payload in fresh_payloads.items():
+        got = _payload_arrays(payloads[fmt])
         want = _payload_arrays(payload)
         assert got.keys() == want.keys()
         for name, arr in want.items():
             assert got[name].dtype == arr.dtype, (fmt, name)
             assert np.array_equal(got[name], arr), (fmt, name)
-    assert np.array_equal(tiled.tileset.view.val, fresh.tileset.view.val)
-    got, want = tiled.to_csr(), fresh.to_csr()
+    assert np.array_equal(tiled.tileset.view(data).val, ftiled.tileset.view(fdata).val)
+    got, want = tiled.to_csr(data), ftiled.to_csr(fdata)
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
     assert np.array_equal(got.data, want.data)
 
 
 class TestValuesLiveInTheOperand:
-    """Only the operand is refilled; payload and view values are derived."""
+    """Only the operand is refilled; payload and view values are read
+    from it."""
 
     def test_products_do_not_rebuild_payloads(self, monkeypatch, rng):
         a = fem_blocks(200, block=3, avg_degree=8, seed=1)
         engine = TileSpMV(a, method="adpt")
         calls = {"n": 0}
-        derive = storage.TileMatrix._derive_values
+        payloads = storage.TileMatrix.payloads
 
-        def counted(self):
+        def counted(self, data):
             calls["n"] += 1
-            derive(self)
+            return payloads(self, data)
 
-        monkeypatch.setattr(storage.TileMatrix, "_derive_values", counted)
+        monkeypatch.setattr(storage.TileMatrix, "payloads", counted)
         x = rng.standard_normal(a.shape[1])
         for _ in range(3):
             engine.update_values(rng.standard_normal(a.nnz))
@@ -141,7 +146,7 @@ class TestValuesLiveInTheOperand:
             engine.spmv_transpose(rng.standard_normal(a.shape[0]))
             assert engine.tiled.shape == a.shape and engine.tiled.nnz == a.nnz
         assert calls["n"] == 0, "a product rebuilt the payloads"
-        engine.tiled.validate()  # a payload reader derives them once
+        engine.validate()  # a payload reader encodes them once
         engine.tiled.run_cost()
         assert calls["n"] == 1
 
@@ -162,24 +167,24 @@ class TestValuesLiveInTheOperand:
         assert (engine.tiled is None) == (fresh.tiled is None)
         if fresh.tiled is None:
             return
-        assert_same_values(engine.tiled, fresh.tiled)
-        engine.tiled.validate()
-        save_tile_matrix(tmp_path / "tm.npz", engine.tiled)
-        loaded = load_tile_matrix(tmp_path / "tm.npz")
+        assert_same_values(engine, fresh)
+        engine.validate()
+        save_tile_matrix(tmp_path / "tm.npz", engine.tiled, engine.halves()[0].data)
+        _, loaded = load_tile_matrix(tmp_path / "tm.npz")
         xt = rng.standard_normal(fresh.tiled.shape[1])
-        assert np.array_equal(loaded.spmv(xt), fresh.tiled.spmv(xt))
+        assert np.array_equal(loaded @ xt, fresh.halves()[0] @ xt)
 
     def test_updates_keep_no_earlier_generation_alive(self, rng):
         a = fem_blocks(200, block=3, avg_degree=8, seed=1)
         engine = TileSpMV(a, method="adpt")
         x = rng.standard_normal(a.shape[1])
         engine.update_values(rng.standard_normal(a.nnz))
-        engine.tiled.validate()  # derive payloads: they must not pin it
-        previous = weakref.ref(engine.tiled)
+        engine.validate()  # read payloads: they must not pin the values
+        previous = weakref.ref(engine.operand.data)
         engine.update_values(rng.standard_normal(a.nnz))
         engine.spmv(x)
         gc.collect()
-        assert previous() is None, "the new clone keeps the previous one alive"
+        assert previous() is None, "an earlier value array is still alive"
 
 
 class TestFaultsStayOffTheOperand:

@@ -6,7 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.formats.tile_bitmap import BITMAP_BYTES, bitmap_nbytes, encode_bitmap
 from tests.conftest import random_tile_entries
+from repro.reliability.validation import canonicalize_csr
+from tests import build_reference as ref
 from tests.formats.conftest import dense_tile_from_view_entries, make_view
+
+
+def ts_values(a):
+    """``a``'s canonical values, the array a tile matrix of ``a`` reads."""
+    return canonicalize_csr(a)[0].data
 
 
 class TestEncodeBitmap:
@@ -97,7 +104,8 @@ class TestBitmapInPipeline:
         formats = select_formats(ts, SelectionConfig(use_bitmap=True, bitmap_nnz_min=8))
         tm = TileMatrix.build(ts, formats)
         x = rng.standard_normal(200)
-        np.testing.assert_allclose(lane_accurate_spmv(tm, x), a @ x, rtol=1e-10, atol=1e-12)
+        y = lane_accurate_spmv(tm, ts_values(a), x)
+        np.testing.assert_allclose(y, a @ x, rtol=1e-10, atol=1e-12)
 
     def test_serialization_roundtrip(self, tmp_path, rng):
         from repro.core.selection import SelectionConfig, select_formats
@@ -111,10 +119,11 @@ class TestBitmapInPipeline:
         ts = tile_decompose(a)
         formats = select_formats(ts, SelectionConfig(use_bitmap=True, bitmap_nnz_min=8))
         tm = TileMatrix.build(ts, formats)
-        if FormatID.BITMAP not in tm.payloads:
+        if FormatID.BITMAP not in tm.structure:
             pytest.skip("selection produced no bitmap tiles")
         path = tmp_path / "b.npz"
-        save_tile_matrix(path, tm)
-        back = load_tile_matrix(path)
+        save_tile_matrix(path, tm, ts_values(a))
+        back, operand = load_tile_matrix(path)
         x = rng.standard_normal(200)
-        np.testing.assert_array_equal(back.spmv(x), tm.spmv(x))
+        np.testing.assert_array_equal(operand @ x, a @ x)
+        assert ref.flat(back.payloads(operand.data)) == ref.flat(tm.payloads(ts_values(a)))

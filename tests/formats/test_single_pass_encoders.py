@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core.tiling import tile_decompose
 from repro.formats import encode_bitmap, encode_csr, encode_hyb, hyb_split_widths
 from tests import build_reference as ref
 
@@ -19,7 +18,7 @@ VIEWS = [(name, a, policy, tile) for name, a, policy in ref.cases() for tile in 
 @pytest.fixture(params=VIEWS, ids=[f"{v[0]}-t{v[3]}" for v in VIEWS])
 def view(request):
     _, a, policy, tile = request.param
-    return tile_decompose(a, tile=tile, validation=policy).view
+    return ref.valued_view(a, tile=tile, validation=policy)
 
 
 def test_row_and_col_counts(view):
@@ -41,13 +40,13 @@ def test_hyb_split_lengths(view):
 
 @pytest.mark.parametrize("name,a,policy", ref.cases(), ids=[c[0] for c in ref.cases()])
 def test_bitmap_packing(name, a, policy):
-    view = tile_decompose(a, tile=16, validation=policy).view
+    view = ref.valued_view(a, tile=16, validation=policy)
     ref.assert_same(encode_bitmap(view).bitmap, ref.bitmap_bytes(view))
 
 
 def test_bitmap_packing_full_tile():
     """Every bit of every byte set: runs of eight entries per byte."""
-    view = tile_decompose(sp.csr_matrix(np.ones((16, 16))), tile=16).view
+    view = ref.valued_view(sp.csr_matrix(np.ones((16, 16))), tile=16)
     bitmap = encode_bitmap(view).bitmap
     ref.assert_same(bitmap, ref.bitmap_bytes(view))
     assert bitmap.tolist() == [0xFF] * 32

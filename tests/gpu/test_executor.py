@@ -13,30 +13,33 @@ from repro.core.storage import TileMatrix
 from repro.core.tiling import tile_decompose
 from repro.formats import FormatID
 from repro.gpu.executor import lane_accurate_spmv
+from repro.reliability.validation import canonicalize_csr
 
 
 def build(matrix, forced=None):
-    ts = tile_decompose(matrix)
+    """``(tile matrix, its operand's values)`` of ``matrix``."""
+    c = canonicalize_csr(matrix)[0]
+    ts = tile_decompose(c, validation="trust")
     if forced is None:
         formats = select_formats(ts)
     else:
         formats = np.full(ts.n_tiles, forced, dtype=np.uint8)
-    return TileMatrix.build(ts, formats)
+    return TileMatrix.build(ts, formats), c
 
 
 class TestLaneAccurateSpmv:
     def test_matches_vectorised_on_zoo(self, zoo_matrix, rng):
-        tm = build(zoo_matrix)
+        tm, c = build(zoo_matrix)
         x = rng.standard_normal(zoo_matrix.shape[1])
-        y_lane = lane_accurate_spmv(tm, x)
-        y_fast = tm.spmv(x)
+        y_lane = lane_accurate_spmv(tm, c.data, x)
+        y_fast = c @ x
         np.testing.assert_allclose(y_lane, y_fast, rtol=1e-12, atol=1e-12)
 
     def test_matches_scipy_on_zoo(self, zoo_matrix, rng):
-        tm = build(zoo_matrix)
+        tm, c = build(zoo_matrix)
         x = rng.standard_normal(zoo_matrix.shape[1])
         np.testing.assert_allclose(
-            lane_accurate_spmv(tm, x), zoo_matrix @ x, rtol=1e-10, atol=1e-12
+            lane_accurate_spmv(tm, c.data, x), zoo_matrix @ x, rtol=1e-10, atol=1e-12
         )
 
     @pytest.mark.parametrize(
@@ -46,10 +49,10 @@ class TestLaneAccurateSpmv:
         from repro.matrices import random_uniform
 
         a = random_uniform(100, 130, nnz_per_row=5, seed=int(forced))
-        tm = build(a, forced=forced)
+        tm, c = build(a, forced=forced)
         x = rng.standard_normal(130)
         np.testing.assert_allclose(
-            lane_accurate_spmv(tm, x), a @ x, rtol=1e-10, atol=1e-12
+            lane_accurate_spmv(tm, c.data, x), a @ x, rtol=1e-10, atol=1e-12
         )
 
     def test_split_tile_rows_accumulate(self, rng):
@@ -57,13 +60,13 @@ class TestLaneAccurateSpmv:
         from repro.matrices import banded
 
         a = banded(200, half_bandwidth=40, seed=1)
-        tm = build(a)
+        tm, c = build(a)
         x = rng.standard_normal(200)
         np.testing.assert_allclose(
-            lane_accurate_spmv(tm, x, tbalance=1), a @ x, rtol=1e-10, atol=1e-12
+            lane_accurate_spmv(tm, c.data, x, tbalance=1), a @ x, rtol=1e-10, atol=1e-12
         )
 
     def test_rejects_wrong_x(self, zoo_matrix):
-        tm = build(zoo_matrix)
+        tm, c = build(zoo_matrix)
         with pytest.raises(ValueError):
-            lane_accurate_spmv(tm, np.zeros(zoo_matrix.shape[1] + 3))
+            lane_accurate_spmv(tm, c.data, np.zeros(zoo_matrix.shape[1] + 3))

@@ -31,6 +31,7 @@ from repro.core.tiling import tile_decompose
 from repro.core.tilespmv import TileSpMV
 from repro.formats import FormatID
 from repro.matrices import generators as g
+from repro.reliability.validation import canonicalize_csr
 
 pytestmark = pytest.mark.properties
 
@@ -91,10 +92,11 @@ def test_forced_formats_agree_with_dense_oracle():
         matrix = _draw(rng)
         rng.standard_normal(matrix.shape[1])  # keeps the seeded draw sequence
         ts = tile_decompose(matrix, validation="repair")
-        np.testing.assert_array_equal(ts.csr.toarray(), matrix.toarray())
+        c = canonicalize_csr(matrix, "repair")[0]
+        np.testing.assert_array_equal(c.toarray(), matrix.toarray())
         for fmt in UNIVERSAL_FORMATS:
             tm = TileMatrix.build(ts, np.full(ts.n_tiles, fmt, dtype=np.uint8))
-            assert same_csr(tm.to_csr(), ts.csr), (
+            assert same_csr(tm.to_csr(c.data), c), (
                 f"round {round_}: format {fmt.name} payloads do not decode to the matrix"
             )
 
@@ -162,8 +164,9 @@ def test_adpt_selection_agrees_with_dense_oracle_and_mixes_formats():
         formats = select_formats(ts, SelectionConfig())
         tm = TileMatrix.build(ts, formats)
         rng.standard_normal(matrix.shape[1])  # keeps the seeded draw sequence
-        np.testing.assert_array_equal(ts.csr.toarray(), matrix.toarray())
-        assert same_csr(tm.to_csr(), ts.csr)
+        c = canonicalize_csr(matrix, "repair")[0]
+        np.testing.assert_array_equal(c.toarray(), matrix.toarray())
+        assert same_csr(tm.to_csr(c.data), c)
         if len(np.unique(formats)) > 1:
             saw_multiple_formats = True
     assert saw_multiple_formats, "fuzz pool never exercised a mixed-format build"

@@ -32,29 +32,32 @@ from tests.properties.test_differential import UNIVERSAL_FORMATS
 pytestmark = pytest.mark.properties
 
 
-def _csr5_arrays(engine, shape) -> sp.csr_matrix:
-    return sp.csr_matrix((engine.data, engine.indices, engine.indptr), shape=shape)
+def _csr5_pattern(layout, data, shape) -> sp.csr_matrix:
+    """The CSR5 layout's arrays carrying ``data`` (it holds no values)."""
+    return sp.csr_matrix((data, layout.indices, layout.indptr), shape=shape)
 
 
 def assert_round_trips(a: sp.spmatrix, tile: int = 16, use_bitmap: bool = False) -> None:
     """Every format, the ADPT mix and both DeferredCOO halves decode to
     the canonical matrix (or their mask of it)."""
-    ts = tile_decompose(a, tile=tile)
-    c = ts.csr
+    c = canonicalize_csr(a)[0]
+    ts = tile_decompose(c, tile=tile, validation="trust")
     for fmt in UNIVERSAL_FORMATS:
         if fmt == FormatID.BITMAP and tile != 16:
             continue  # the bitmap format is defined for 16x16 tiles only
         tm = TileMatrix.build(ts, np.full(ts.n_tiles, fmt, dtype=np.uint8))
-        assert same_csr(tm.to_csr(), c), f"{fmt.name} payloads do not decode to the matrix"
+        assert same_csr(tm.to_csr(c.data), c), f"{fmt.name} payloads do not decode to the matrix"
     formats = select_formats(ts, SelectionConfig(use_bitmap=use_bitmap))
-    assert same_csr(TileMatrix.build(ts, formats).to_csr(), c), "ADPT payloads"
+    assert same_csr(TileMatrix.build(ts, formats).to_csr(c.data), c), "ADPT payloads"
     split = split_deferred_coo(ts, formats=formats)
     m = split.extracted
     if split.tiled is not None:
-        assert same_csr(split.tiled.to_csr(), masked_csr(c, ~m)), "tiled half != c[~m]"
+        assert same_csr(split.tiled.to_csr(c.data[~m]), masked_csr(c, ~m)), "tiled half != c[~m]"
     else:
         assert m.all()
-    assert same_csr(split.deferred, masked_csr(c, m)), "CSR5 half != c[m]"
+    assert same_csr(_csr5_pattern(split.deferred, c.data[m], c.shape), masked_csr(c, m)), (
+        "CSR5 half != c[m]"
+    )
 
 
 def test_zoo_round_trips(zoo_matrix):
@@ -70,9 +73,9 @@ def test_engine_halves_decode_to_canonical_input(zoo_matrix, method):
     if m is None:
         m = np.zeros(c.nnz, dtype=bool)
     if e.tiled is not None:
-        assert same_csr(e.tiled.to_csr(), masked_csr(c, ~m))
+        assert same_csr(e.tiled.to_csr(c.data[~m]), masked_csr(c, ~m))
     if e.deferred_engine is not None:
-        assert same_csr(_csr5_arrays(e.deferred_engine, c.shape), masked_csr(c, m))
+        assert same_csr(_csr5_pattern(e.deferred_engine, c.data[m], c.shape), masked_csr(c, m))
     else:
         assert not m.any()
     e.validate()
@@ -120,11 +123,12 @@ def test_round_trip_catches_swapped_lcol_nibbles(monkeypatch, mutate, seed):
     a = sp.random(64, 64, density=0.2, random_state=seed, format="csr")
     if mutate:
         monkeypatch.setitem(repro.core.storage._ENCODERS, FormatID.CSR, _swap_two_lcol_nibbles(seed))
-    ts = tile_decompose(a)
+    c = canonicalize_csr(a)[0]
+    ts = tile_decompose(c, validation="trust")
     tm = TileMatrix.build(ts, np.full(ts.n_tiles, FormatID.CSR, dtype=np.uint8))
-    assert same_csr(tm.to_csr(), ts.csr) is not mutate
+    assert same_csr(tm.to_csr(c.data), c) is not mutate
     if mutate:
         with pytest.raises(AssertionError, match="round-trip"):
-            tm.validate()
+            tm.validate(c)
     else:
-        tm.validate()
+        tm.validate(c)

@@ -12,11 +12,16 @@ from repro.gpu.device import A100
 from repro.gpu.executor import lane_accurate_spmv
 from repro.matrices import banded, power_law
 from repro.telemetry.profile import ProfileCollector, profile_tile_matrix, hotspot_report
+from repro.reliability.validation import canonicalize_csr
 
 
 def _tiled(matrix):
     ts = tile_decompose(matrix, validation="repair")
     return TileMatrix.build(ts, select_formats(ts, SelectionConfig()))
+
+
+def _values(matrix):
+    return canonicalize_csr(matrix)[0].data
 
 
 def test_tile_records_cover_every_tile_exactly_once():
@@ -44,12 +49,13 @@ def test_tile_record_quantities_match_cost_model():
 
 
 def test_warp_records_cover_all_entries():
-    tm = _tiled(power_law(300, avg_degree=5, seed=3))
+    a = power_law(300, avg_degree=5, seed=3)
+    tm = _tiled(a)
     collector = ProfileCollector()
     x = np.ones(tm.shape[1])
     with telemetry.session(profile=collector):
-        y = lane_accurate_spmv(tm, x)
-    assert np.allclose(y, tm.spmv(x))
+        y = lane_accurate_spmv(tm, _values(a), x)
+    assert np.allclose(y, a @ x)
     assert sum(w.entries for w in collector.warps) == tm.nnz
     balance = collector.warp_balance()
     assert balance["warps"] == len(collector.warps)
@@ -57,9 +63,10 @@ def test_warp_records_cover_all_entries():
 
 
 def test_no_warp_records_when_profiling_off():
-    tm = _tiled(banded(100, half_bandwidth=3, seed=2))
+    a = banded(100, half_bandwidth=3, seed=2)
+    tm = _tiled(a)
     with telemetry.session():  # tracing+metrics on, profiler not installed
-        lane_accurate_spmv(tm, np.ones(tm.shape[1]))
+        lane_accurate_spmv(tm, _values(a), np.ones(tm.shape[1]))
         assert telemetry.profiler() is None
 
 

@@ -637,7 +637,7 @@ class TestFaultCampaigns:
             seed=FAULT_SEED, payload_corruptions=0, lane_dropout_prob=1.0
         )
         with fault_injection(plan) as inj:
-            y = lane_accurate_spmv(tm, x)
+            y = lane_accurate_spmv(tm, canonicalize_csr(matrix)[0].data, x)
         assert inj.injected == 1
         assert not check.verify(x, y)
 
@@ -680,11 +680,12 @@ class TestEmptyMatrices:
             assert engine.describe()
 
     def test_all_formats_forced(self, shape):
-        ts = tile_decompose(empty_csr(shape))
+        c = empty_csr(shape)
+        ts = tile_decompose(c)
         for fmt in FormatID:
             tm = TileMatrix.build(ts, np.full(ts.n_tiles, fmt, dtype=np.uint8))
-            tm.validate()
-            y = tm.spmv(np.ones(shape[1]))
+            tm.validate(c)
+            y = tm.to_csr(c.data) @ np.ones(shape[1])
             assert y.shape == (shape[0],)
 
     def test_every_baseline(self, shape):
@@ -702,9 +703,10 @@ class TestEmptyMatrices:
         assert engine.counters["fallbacks"] == 0
 
     def test_lane_accurate(self, shape):
-        ts = tile_decompose(empty_csr(shape))
+        c = empty_csr(shape)
+        ts = tile_decompose(c)
         tm = TileMatrix.build(ts, select_formats(ts))
-        y = lane_accurate_spmv(tm, np.ones(shape[1]))
+        y = lane_accurate_spmv(tm, c.data, np.ones(shape[1]))
         assert y.shape == (shape[0],)
 
     def test_selection_on_empty(self, shape):
